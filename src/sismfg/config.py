@@ -200,7 +200,24 @@ class _Collector:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.add(f"{where}.{key}", f"expected a number, got {type(v).__name__}")
             return default
+        if not self.finite(f"{where}.{key}", v):
+            return default
         return float(v)
+
+    def finite(self, where: str, value) -> bool:
+        """False, with an error, when a number or any entry of a nested list
+        of numbers is infinite or NaN (Python's json parser accepts the
+        Infinity and NaN literals).  Values that are not numeric pass here
+        and are reported by the type and shape checks."""
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            return True
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            self.add(where, f"expected finite numbers, got {bad.flat[0]}")
+            return False
+        return True
 
     def integer(self, where: str, obj: dict, key: str, default=None):
         if key not in obj:
@@ -222,6 +239,9 @@ def _parse_model(data, col: _Collector) -> ModelParams | None:
         return None
     d = col.integer(where, data, "d")
     if d is None:
+        return None
+    finite = [col.finite(f"{where}.{key}", data[key]) for key in sorted(required - {"d"})]
+    if not all(finite):
         return None
     try:
         return ModelParams(
@@ -272,11 +292,15 @@ def _parse_state_spec(data, n_states: int, where: str, col: _Collector, tokens=(
         col.add(where, f"expected one of {list(tokens)} or a list of {n_states} numbers")
         return None
     if isinstance(data, list):
-        arr = np.asarray(data, dtype=float)
+        try:
+            arr = np.asarray(data, dtype=float)
+        except (TypeError, ValueError):
+            col.add(where, f"expected a list of {n_states} numbers")
+            return None
         if arr.shape != (n_states,):
             col.add(where, f"expected {n_states} entries, got {arr.shape}")
             return None
-        return arr
+        return arr if col.finite(where, arr) else None
     col.add(where, "expected a string token or a list of numbers")
     return None
 
@@ -466,6 +490,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                         )
                     ):
                         col.add(f"{awhere}.values", "expected a non-empty list of numbers")
+                        continue
+                    if not col.finite(f"{awhere}.values", values):
                         continue
                     axes.append(SweepAxis(path=path, values=tuple(float(v) for v in values)))
                 if len(axes) == len(axes_raw):

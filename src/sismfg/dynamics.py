@@ -27,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    TIE_TOL,
     MixedState,
     ModelParams,
     StationaryControl,
     ValueVector,
-    _hjb_rhs_arr,
-    best_response,
+    hjb_coupling,
+    hjb_rhs_fn,
     kinetic_rhs_fn,
 )
 from .stationary import EquilibriumSolution, fixed_point_single, hjb_single_exact
@@ -116,11 +117,12 @@ def integrate_forward(
     rhs = kinetic_rhs_fn(p, u)
     path = np.empty((grid.n_steps + 1, p.n_states))
     path[0] = x0.x
-    x = x0.x.copy()
+    x = path[0]
     h = grid.h
     for m in range(grid.n_steps):
-        x = MixedState.project(_forward_node(rhs, x, h)).x.copy()
-        path[m + 1] = x
+        y = np.maximum(_forward_node(rhs, x, h), 0.0)
+        x = path[m + 1]
+        np.divide(y, y.sum(), out=x)
     return path
 
 
@@ -154,11 +156,27 @@ def cone_flags(g_path: np.ndarray, i: int) -> np.ndarray:
 
 
 def argmin_flags(g_path: np.ndarray, u: StationaryControl) -> np.ndarray:
-    flags = np.empty(g_path.shape[0], dtype=bool)
-    for m in range(g_path.shape[0]):
-        br, degenerate = best_response(ValueVector(g_path[m]))
-        flags[m] = (br == u) and not degenerate
+    """Per node, whether u is the best response to the value vector there
+    and that best response is not degenerate: ``best_response``'s rule,
+    taken over all nodes at once.  A non-uniform u is never a best response."""
+    if not np.all(np.isfinite(g_path)):
+        raise ValueError("value vector entries must be finite")
+    if not u.is_uniform:
+        return np.zeros(g_path.shape[0], dtype=bool)
+    flags = np.ones(g_path.shape[0], dtype=bool)
+    for vals, target in zip((g_path[:, 0::2], g_path[:, 1::2]), u.as_pair()):
+        flags &= np.argmin(vals, axis=1) == target
+        if vals.shape[1] > 1:  # the runner-up must trail the minimum by more than TIE_TOL
+            low = np.partition(vals, 1, axis=1)
+            flags &= low[:, 1] - low[:, 0] > TIE_TOL
     return flags
+
+
+def _coupling_rows(p: ModelParams, x_path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value-equation coupling rows at the nodes and at the step midpoints
+    (population interpolated linearly), computed once per sweep."""
+    xI = x_path[:, 0::2]
+    return hjb_coupling(p, xI), hjb_coupling(p, 0.5 * (xI[:-1] + xI[1:]))
 
 
 def integrate_backward(
@@ -181,20 +199,20 @@ def integrate_backward(
         raise ValueError(f"unknown backward mode {mode!r}")
     if x_path.shape != (grid.n_steps + 1, p.n_states):
         raise ValueError("x_path does not match the grid")
-    u_eff = u if mode == "fixed" else None
-    xI = x_path[:, 0::2]
-    xI_mid = 0.5 * (xI[:-1] + xI[1:])
+    rhs = hjb_rhs_fn(p, u if mode == "fixed" else None)
+    c, c_mid = _coupling_rows(p, x_path)
     h = grid.h
     g_path = np.empty_like(x_path)
     g = gT.g.copy()
     g_path[grid.n_steps] = g
     for m in range(grid.n_steps - 1, -1, -1):
-        k1 = _hjb_rhs_arr(p, xI[m + 1], g, u_eff)
-        k2 = _hjb_rhs_arr(p, xI_mid[m], g + 0.5 * h * k1, u_eff)
-        k3 = _hjb_rhs_arr(p, xI_mid[m], g + 0.5 * h * k2, u_eff)
-        k4 = _hjb_rhs_arr(p, xI[m], g + h * k3, u_eff)
+        k1 = rhs(c[m + 1], g)
+        k2 = rhs(c_mid[m], g + 0.5 * h * k1)
+        k3 = rhs(c_mid[m], g + 0.5 * h * k2)
+        k4 = rhs(c[m], g + h * k3)
         g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         g_path[m] = g
+    del c, c_mid  # the flags' temporaries reuse this memory
     i = int(u.target_I[0]) if u.is_uniform else int(np.argmin(g_path[-1][0::2]))
     return BackwardSolution(
         g_path=g_path, cone_ok=cone_flags(g_path, i), argmin_ok=argmin_flags(g_path, u)
@@ -214,15 +232,15 @@ def integrate_value_forward(
     reversibility checks on short horizons (the forward direction amplifies
     the fast modes, so long horizons are not meaningful).
     """
-    xI = x_path[:, 0::2]
-    xI_mid = 0.5 * (xI[:-1] + xI[1:])
+    rhs = hjb_rhs_fn(p, u)
+    c, c_mid = _coupling_rows(p, x_path)
     h = grid.h
     g = g0.g.copy()
     for m in range(grid.n_steps):
-        k1 = -_hjb_rhs_arr(p, xI[m], g, u)
-        k2 = -_hjb_rhs_arr(p, xI_mid[m], g + 0.5 * h * k1, u)
-        k3 = -_hjb_rhs_arr(p, xI_mid[m], g + 0.5 * h * k2, u)
-        k4 = -_hjb_rhs_arr(p, xI[m + 1], g + h * k3, u)
+        k1 = -rhs(c[m], g)
+        k2 = -rhs(c_mid[m], g + 0.5 * h * k1)
+        k3 = -rhs(c_mid[m], g + 0.5 * h * k2)
+        k4 = -rhs(c[m + 1], g + h * k3)
         g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return g
 
@@ -361,6 +379,53 @@ class TurnpikeStats:
 
 
 @dataclass(frozen=True)
+class TurnpikeWindow:
+    """First/last times within eps of the stationary pair, the node fraction
+    spent inside, and the mid-horizon sup distances.  never_entered marks an
+    empty window."""
+
+    entry: float | None
+    exit: float | None
+    inside_fraction: float
+    sup_x_mid: float
+    sup_g_mid: float
+    eps: float
+
+    @property
+    def never_entered(self) -> bool:
+        return self.entry is None
+
+
+def _window_stats(
+    grid: TimeGrid,
+    x_path: np.ndarray,
+    g_path: np.ndarray,
+    x_star: np.ndarray,
+    g_star: np.ndarray,
+    eps: float,
+) -> tuple[tuple[float, float], TurnpikeWindow]:
+    """The trimmed mid-horizon window and the turnpike window of a path
+    against the stationary pair (x_star, g_star)."""
+    times = grid.times()
+    dx = np.max(np.abs(x_path - x_star), axis=1)
+    dg = np.max(np.abs(g_path - g_star), axis=1)
+    lo = grid.t_start + MID_WINDOW_TRIM * grid.horizon
+    hi = grid.t_end - MID_WINDOW_TRIM * grid.horizon
+    mid = (times >= lo) & (times <= hi)
+    inside = (dx <= eps) & (dg <= eps)
+    idx = np.nonzero(inside)[0]
+    window = TurnpikeWindow(
+        entry=float(times[idx[0]]) if idx.size else None,
+        exit=float(times[idx[-1]]) if idx.size else None,
+        inside_fraction=float(inside.mean()),
+        sup_x_mid=float(dx[mid].max()),
+        sup_g_mid=float(dg[mid].max()),
+        eps=eps,
+    )
+    return (lo, hi), window
+
+
+@dataclass(frozen=True)
 class TrajectorySolution:
     """A certified (or diagnosed) frozen-control time-dependent solution."""
 
@@ -403,23 +468,14 @@ def solve_turnpike(
 
     x_star_share, x_star = fixed_point_single(p, i)
     g_star = hjb_single_exact(p, i, x_star_share)
-    times = grid.times()
-    lo = grid.t_start + MID_WINDOW_TRIM * grid.horizon
-    hi = grid.t_end - MID_WINDOW_TRIM * grid.horizon
-    mid = (times >= lo) & (times <= hi)
-    sup_x = float(np.max(np.abs(x_path[mid] - x_star.x)))
-    sup_g = float(np.max(np.abs(back.g_path[mid] - g_star.g)))
-    dx = np.max(np.abs(x_path - x_star.x), axis=1)
-    dg = np.max(np.abs(back.g_path - g_star.g), axis=1)
-    inside = (dx <= DEFAULT_WINDOW_EPS) & (dg <= DEFAULT_WINDOW_EPS)
-    idx = np.nonzero(inside)[0]
+    window, w = _window_stats(grid, x_path, back.g_path, x_star.x, g_star.g, DEFAULT_WINDOW_EPS)
     stats = TurnpikeStats(
-        window=(lo, hi),
-        sup_x_mid=sup_x,
-        sup_g_mid=sup_g,
-        entry=float(times[idx[0]]) if idx.size else None,
-        exit=float(times[idx[-1]]) if idx.size else None,
-        inside_fraction=float(inside.mean()),
+        window=window,
+        sup_x_mid=w.sup_x_mid,
+        sup_g_mid=w.sup_g_mid,
+        entry=w.entry,
+        exit=w.exit,
+        inside_fraction=w.inside_fraction,
         x_star=x_star,
         g_star=g_star,
     )
@@ -436,48 +492,10 @@ def solve_turnpike(
     )
 
 
-@dataclass(frozen=True)
-class TurnpikeWindow:
-    """First/last times within eps of the stationary pair, the node fraction
-    spent inside, and the mid-horizon sup distances.  never_entered marks an
-    empty window."""
-
-    entry: float | None
-    exit: float | None
-    inside_fraction: float
-    sup_x_mid: float
-    sup_g_mid: float
-    eps: float
-
-    @property
-    def never_entered(self) -> bool:
-        return self.entry is None
-
-
 def turnpike_metrics(
     sol: TrajectorySolution, eq: EquilibriumSolution, eps: float = DEFAULT_WINDOW_EPS
 ) -> TurnpikeWindow:
     """Entry/exit of the eps-neighbourhood of the stationary pair (x*, g*)."""
     if eq.control != sol.control:
         raise ValueError("equilibrium control does not match the trajectory control")
-    times = sol.grid.times()
-    dx = np.max(np.abs(sol.x_path - eq.x_star.x), axis=1)
-    dg = np.max(np.abs(sol.g_path - eq.g.g), axis=1)
-    lo = sol.grid.t_start + MID_WINDOW_TRIM * sol.grid.horizon
-    hi = sol.grid.t_end - MID_WINDOW_TRIM * sol.grid.horizon
-    mid = (times >= lo) & (times <= hi)
-    sup_x = float(dx[mid].max())
-    sup_g = float(dg[mid].max())
-    inside = (dx <= eps) & (dg <= eps)
-    if not inside.any():
-        return TurnpikeWindow(entry=None, exit=None, inside_fraction=0.0,
-                              sup_x_mid=sup_x, sup_g_mid=sup_g, eps=eps)
-    idx = np.nonzero(inside)[0]
-    return TurnpikeWindow(
-        entry=float(times[idx[0]]),
-        exit=float(times[idx[-1]]),
-        inside_fraction=float(inside.mean()),
-        sup_x_mid=sup_x,
-        sup_g_mid=sup_g,
-        eps=eps,
-    )
+    return _window_stats(sol.grid, sol.x_path, sol.g_path, eq.x_star.x, eq.g.g, eps)[1]

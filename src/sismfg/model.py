@@ -11,8 +11,8 @@ The module provides:
     migration at rate lam plus infection / recovery pressure and pairwise
     peer infection,
   - the backward right-hand side of the discounted optimal-cost equation
-    (``hjb_rhs``), with the strategy minimum taken explicitly or expanded
-    at a fixed control,
+    (``hjb_rhs``, compiled per control by ``hjb_rhs_fn``), with the
+    strategy minimum taken explicitly or expanded at a fixed control,
   - the best-response operator and the scalar stationarity certificate
     ``consistency_residual``.
 
@@ -291,40 +291,41 @@ def _check_dims(p: ModelParams, *vecs) -> None:
             raise ValueError(f"dimension mismatch: params have d={p.d}, argument has d={v.d}")
 
 
+def _interleave(vals_I, vals_S) -> np.ndarray:
+    """Per-strategy I and S entries in the state order (0I, 0S, 1I, ...)."""
+    vals_I = np.asarray(vals_I)
+    out = np.empty(vals_I.shape[:-1] + (2 * vals_I.shape[-1],), dtype=vals_I.dtype)
+    out[..., 0::2] = vals_I
+    out[..., 1::2] = vals_S
+    return out
+
+
 def kinetic_rhs_fn(p: ModelParams, u: StationaryControl) -> Callable[[np.ndarray], np.ndarray]:
     """Compiled-once population RHS for a fixed control, on raw arrays.
 
     Built from mass flows, so the components sum to zero to roundoff and a
     zero coordinate never has a negative rate (the simplex is forward
-    invariant).  Agents already at their target produce no migration flow.
+    invariant).  Migration is the flow lam * x out of every state away from
+    its target, routed in by a 0/1 incidence matrix built once; agents
+    already at their target produce no migration flow.
     """
     _check_dims(p, u)
-    d = p.d
-    idx = np.arange(d)
-    off_I = np.nonzero(u.target_I != idx)[0]
-    off_S = np.nonzero(u.target_S != idx)[0]
-    to_I = u.target_I[off_I]
-    to_S = u.target_S[off_S]
-    lam, q_plus, q_minus, beta_T = p.lam, p.q_plus, p.q_minus, p.beta.T
+    n = 2 * p.d
+    target = _interleave(2 * u.target_I, 2 * u.target_S + 1)
+    moves = target != np.arange(n)
+    rate = np.where(moves, p.lam, 0.0)
+    incidence = np.zeros((n, n))
+    incidence[moves, target[moves]] = 1.0
+    q_plus, q_minus, beta_T = p.q_plus, p.q_minus, p.beta.T
 
     def rhs(x: np.ndarray) -> np.ndarray:
         xI = x[0::2]
-        xS = x[1::2]
-        infect = xS * (q_minus + beta_T @ xI)  # jS -> jI flow
-        recover = xI * q_plus                  # jI -> jS flow
-        dI = infect - recover
-        dS = recover - infect
-        if off_I.size:
-            flow = lam * xI[off_I]
-            dI[off_I] -= flow
-            np.add.at(dI, to_I, flow)
-        if off_S.size:
-            flow = lam * xS[off_S]
-            dS[off_S] -= flow
-            np.add.at(dS, to_S, flow)
-        out = np.empty_like(x)
-        out[0::2] = dI
-        out[1::2] = dS
+        # infection jS -> jI minus recovery jI -> jS
+        net = x[1::2] * (q_minus + beta_T @ xI) - xI * q_plus
+        flow = rate * x
+        out = flow @ incidence - flow
+        out[0::2] += net
+        out[1::2] -= net
         return out
 
     return rhs
@@ -336,32 +337,52 @@ def kinetic_rhs(p: ModelParams, x: MixedState, u: StationaryControl) -> np.ndarr
     return kinetic_rhs_fn(p, u)(x.x)
 
 
+def hjb_coupling(p: ModelParams, xI: np.ndarray) -> np.ndarray:
+    """Compartment-switch rate per state for the value equation: q_plus on
+    the I rows, the effective infection rate q_minus + xI @ beta on the S
+    rows.  xI has shape (..., d), one row per population state."""
+    xI = np.asarray(xI, dtype=float)
+    return _interleave(np.broadcast_to(p.q_plus, xI.shape), p.q_minus + xI @ p.beta)
+
+
+def hjb_rhs_fn(
+    p: ModelParams, u: StationaryControl | None
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Compiled-once backward-time value RHS dg/dtau (tau = time to horizon).
+
+    The returned ``rhs(c, g)`` takes the coupling row c = hjb_coupling(p, xI)
+    and evaluates, per state s with partner s' (the other compartment of the
+    same strategy),
+
+        lam * (best(s) - g(s)) + c(s) * (g(s') - g(s)) + w(s) - delta * g(s).
+
+    With u=None best(s) is the explicit strategy minimum of g over the
+    compartment of s; otherwise it is g at the target of s under u.
+    """
+    if u is not None:
+        _check_dims(p, u)
+        target = _interleave(2 * u.target_I, 2 * u.target_S + 1)
+    n = 2 * p.d
+    partner = np.arange(n) ^ 1
+    parity = np.arange(n) % 2
+    w = _interleave(p.w_I, p.w_S)
+    lam, delta = p.lam, p.delta
+
+    def rhs(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+        best = g.reshape(-1, 2).min(axis=0)[parity] if u is None else g[target]
+        return lam * (best - g) + c * (g[partner] - g) + w - delta * g
+
+    return rhs
+
+
 def _hjb_rhs_arr(
     p: ModelParams,
     xI: np.ndarray,
     g: np.ndarray,
     u: StationaryControl | None,
 ) -> np.ndarray:
-    """Backward-time value RHS dg/dtau (tau = time to horizon) on raw arrays.
-
-    With u=None the strategy minimum is evaluated explicitly; otherwise the
-    minimum is expanded at the fixed targets of u.
-    """
-    gI = g[0::2]
-    gS = g[1::2]
-    if u is None:
-        min_I = gI.min() - gI
-        min_S = gS.min() - gS
-    else:
-        min_I = gI[u.target_I] - gI
-        min_S = gS[u.target_S] - gS
-    pressure = p.q_minus + p.beta.T @ xI  # effective infection rate per strategy
-    rI = p.lam * min_I + p.q_plus * (gS - gI) + p.w_I - p.delta * gI
-    rS = p.lam * min_S + pressure * (gI - gS) + p.w_S - p.delta * gS
-    out = np.empty_like(g)
-    out[0::2] = rI
-    out[1::2] = rS
-    return out
+    """One evaluation of ``hjb_rhs_fn(p, u)`` at the population xI."""
+    return hjb_rhs_fn(p, u)(hjb_coupling(p, xI), g)
 
 
 def hjb_rhs(p: ModelParams, x: MixedState, g: ValueVector) -> np.ndarray:

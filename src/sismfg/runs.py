@@ -204,15 +204,24 @@ def run_simulate(
     return {"trajectory": path}, {"terminal": x_path[-1].tolist()}
 
 
+#: rows converted to Python objects at a time when a trajectory is written
+ROW_CHUNK = 256
+
+
 def _turnpike_rows(sol: TrajectorySolution):
-    times = sol.grid.times()
-    for m in range(times.size):
-        yield (
-            [fmt(times[m])]
-            + [fmt(v) for v in sol.x_path[m]]
-            + [fmt(v) for v in sol.g_path[m]]
-            + [int(sol.cone_ok[m]), int(sol.argmin_ok[m])]
-        )
+    # .tolist() gives Python floats, which take fmt's 17-digit rule without a
+    # float() call per value; converting a chunk of rows at a time keeps the
+    # whole table from existing as Python objects at once
+    columns = (sol.grid.times(), sol.x_path, sol.g_path, sol.cone_ok, sol.argmin_ok)
+    for start in range(0, columns[0].size, ROW_CHUNK):
+        block = (c[start:start + ROW_CHUNK].tolist() for c in columns)
+        for t, x, g, cone, argmin in zip(*block):
+            yield (
+                [format(t, ".17g")]
+                + [format(v, ".17g") for v in x]
+                + [format(v, ".17g") for v in g]
+                + [int(cone), int(argmin)]
+            )
 
 
 def run_turnpike(

@@ -780,7 +780,9 @@ def enumerate_equilibria(p: ModelParams) -> EnumerationResult:
     for u in _candidate_controls(p.d):
         try:
             sol = solve_candidate(p, u)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
+        except (RuntimeError, np.linalg.LinAlgError, ValueError) as exc:
+            # ValueError: a MixedState or ValueVector rejected the candidate's
+            # numbers, e.g. a fixed point rounded just off the simplex
             reports.append(CandidateReport(u, "failed", None, None, str(exc)))
             continue
         min_margin = sol.margins.min_margin

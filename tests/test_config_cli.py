@@ -115,6 +115,44 @@ def test_empty_sweep_axis_rejected():
         parse_config_dict(data)
 
 
+@pytest.mark.parametrize(
+    "literal, value", [("Infinity", np.inf), ("-Infinity", -np.inf), ("NaN", np.nan)]
+)
+def test_non_finite_numbers_rejected(tmp_path, literal, value):
+    # Python's json accepts these literals; each must fail validation with
+    # its path named instead of failing later in a solver
+    text = (REPO_CONFIGS / "p0_equilibria.json").read_text()
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace('"lambda": 100.0', f'"lambda": {literal}'))
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert [e.split(":")[0] for e in err.value.errors] == ["model.lambda"]
+    assert "finite" in err.value.errors[0]
+    assert main(["solve", str(path), "--validate-only"]) == 1
+
+    data = minimal_d1()
+    data["model"]["beta"] = [[value]]
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == ["model.beta"]
+
+    data = minimal_d1()
+    data["run"] = "sweep"
+    data["sweep"] = {"axes": [{"path": "delta", "values": [0.1, value]}]}
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == ["sweep.axes[0].values"]
+
+
+@pytest.mark.parametrize("x0", [["a", 0.5, 0.25, 0.25], [[0.5], 0.5, 0.25, 0.25]])
+def test_non_numeric_state_entries_rejected(x0):
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["turnpike"]["x0"] = x0
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == ["turnpike.x0"]
+
+
 # ---------------------------------------------------------------------------
 # runs
 

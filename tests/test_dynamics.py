@@ -18,7 +18,8 @@ from sismfg import (
     solve_turnpike,
     turnpike_metrics,
 )
-from sismfg.dynamics import integrate_value_forward
+from sismfg.dynamics import argmin_flags, integrate_value_forward
+from sismfg.model import TIE_TOL, best_response
 from sismfg.stationary import fixed_point_single, hjb_single_exact, solve_candidate
 
 from conftest import P0_GAP, oracle_euler_path
@@ -314,3 +315,59 @@ def test_cone_invariance_random_admissible_draws():
         assert sol.certified, f"cone violated at t={sol.first_violation_time}"
         solved += 1
     assert solved >= 5  # the constructive draws should mostly satisfy the hypotheses
+
+
+# ---------------------------------------------------------------------------
+# per-node flags
+
+
+def _best_response_flags(g_path, u):
+    """Per-node oracle: the control is the best response and not degenerate."""
+    flags = []
+    for g in g_path:
+        br, degenerate = best_response(ValueVector(g))
+        flags.append(br == u and not degenerate)
+    return np.array(flags)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_argmin_flags_match_best_response_oracle(d):
+    rng = np.random.default_rng(100 + d)
+    n = 400
+    g_path = rng.normal(size=(n, 2 * d))
+    # nodes whose runner-up trails the minimum by an exact tie, by exactly
+    # TIE_TOL, and by gaps just inside and just outside TIE_TOL
+    gaps = [0.0, TIE_TOL, 0.5 * TIE_TOL, 0.999 * TIE_TOL, 1.001 * TIE_TOL, 2.0 * TIE_TOL]
+    for m in range(n // 2):
+        comp = m % 2
+        row = g_path[m, comp::2]
+        best = int(np.argmin(row))
+        if d > 1:
+            other = (best + 1 + m % (d - 1)) % d
+            row[other] = row[best] + gaps[m % len(gaps)]
+    if d > 1:
+        # runner-up exactly at 0, TIE_TOL and 2 TIE_TOL above a minimum of 0.0,
+        # in either compartment (exact arithmetic, so the boundary is hit)
+        edge = np.ones((6, 2 * d))
+        edge[:, :2] = 0.0
+        for r, gap in enumerate([0.0, TIE_TOL, 2.0 * TIE_TOL] * 2):
+            edge[r, 2 + r // 3] = gap
+        g_path = np.vstack([g_path, edge])
+    controls = [StationaryControl.single(d, 0), StationaryControl.single(d, d - 1)]
+    if d > 1:
+        controls += [StationaryControl.mixed(d, 0, 1), StationaryControl.mixed(d, d - 1, 0)]
+        controls.append(StationaryControl(np.arange(d), np.zeros(d, dtype=int)))  # non-uniform
+    for u in controls:
+        expected = _best_response_flags(g_path, u)
+        assert np.array_equal(argmin_flags(g_path, u), expected), u.label()
+        assert u.is_uniform or not expected.any()
+    # the per-node best responses themselves, so every node is flagged true once
+    for u in {best_response(ValueVector(g))[0] for g in g_path}:
+        assert np.array_equal(argmin_flags(g_path, u), _best_response_flags(g_path, u))
+
+
+def test_argmin_flags_reject_non_finite_values():
+    g_path = np.zeros((3, 4))
+    g_path[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        argmin_flags(g_path, SINGLE1)

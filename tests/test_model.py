@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sismfg import (
@@ -105,6 +105,8 @@ def test_kinetic_absorbing_state_no_pressure():
 
 @settings(max_examples=60, deadline=None)
 @given(seeds)
+@example(6683)  # scatter-add RHS summed to 1.07e-14 here
+@example(155500)  # and to 1.42e-14 here
 def test_kinetic_mass_conservation(seed):
     rng = rng_of(seed)
     p = random_params(rng)

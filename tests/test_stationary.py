@@ -1,5 +1,7 @@
 """Stationary equilibria: fixed points, spectra, values, margins, enumeration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -418,3 +420,17 @@ def test_enumerate_deterministic_order(p0):
     assert [r.control.label() for r in r1.reports] == [r.control.label() for r in r2.reports]
     keys = [r.control.sort_key() for r in r1.reports]
     assert keys == sorted(keys)
+
+
+def test_enumerate_huge_self_interaction_fails_as_report(p0):
+    # with beta_22 = 1e8 the single(2) infected share rounds to just above 1,
+    # so its state has a -9.9e-9 entry that MixedState rejects; the candidate
+    # must become a failed report, not an exception out of the enumeration
+    beta = np.array(p0.beta)
+    beta[1, 1] = 1e8
+    res = enumerate_equilibria(dataclasses.replace(p0, beta=beta))
+    assert len(res.reports) == 4
+    by_label = {r.control.label(): r for r in res.reports}
+    single2 = by_label["single(2)"]
+    assert single2.status == "failed" and "state entries must be >= 0" in single2.detail
+    assert by_label["single(1)"].status == "accepted"

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    sismfg solve CONFIG.json [--out DIR] [--seed S] [--threads K] [--validate-only]
+    sismfg solve CONFIG.json [--out DIR] [--seed S] [--validate-only]
 
 Exit codes: 0 when at least one run/point succeeded, 1 for an invalid
 configuration, 2 when every point failed.  The default output directory is
@@ -34,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("config", help="path to a scenario JSON file")
     solve.add_argument("--out", help="output directory (overrides config and environment)")
     solve.add_argument("--seed", type=int, help="override the config seed")
-    solve.add_argument("--threads", type=int, default=1, help="workers for sweep points")
     solve.add_argument(
         "--validate-only", action="store_true", help="parse and validate, then exit"
     )
@@ -63,10 +62,7 @@ def main(argv=None) -> int:
     if args.validate_only:
         print(f"{args.config}: valid ({cfg.run} run, d={cfg.model.d})")
         return EXIT_OK
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    bundle = run_scenario(cfg, _output_dir(args, cfg), threads=args.threads)
+    bundle = run_scenario(cfg, _output_dir(args, cfg))
     for failure in bundle.failures:
         print(f"failure: {failure}", file=sys.stderr)
     if bundle.n_succeeded == 0:

@@ -36,7 +36,12 @@ from .model import (
     hjb_rhs_fn,
     kinetic_rhs_fn,
 )
-from .stationary import EquilibriumSolution, fixed_point_single, hjb_single_exact
+from .stationary import (
+    EquilibriumSolution,
+    fixed_point_single,
+    hjb_single_exact,
+    small_interaction_margins_single,
+)
 
 #: simplex violation that triggers step halving in the forward integrator
 STEP_REJECT_TOL = 1e-6
@@ -303,7 +308,8 @@ def check_turnpike_hypotheses(
 
     Named checks, for every j != i:
       strict-consistency-I(j)/S(j): strict interaction-free stationary
-        optimality conditions for strategy i;
+        optimality conditions for strategy i
+        (``small_interaction_margins_single``);
       rate-ordering-q-plus(j)/q-minus(j): q_plus_j > q_plus_i and
         q_minus_i > q_minus_j;
       terminal-cone-*: gT has g(jI) >= g(jS) everywhere and strategy i
@@ -325,18 +331,13 @@ def check_turnpike_hypotheses(
     den0 = float(p.q_plus[i] + p.q_minus[i] + p.delta)
     gT_gap = gT.g_I(i) - gT.g_S(i)
     envelope = gT_gap + w_gap / den0  # bound on g(iI) - g(iS) along the run
+    strict_I, strict_S = small_interaction_margins_single(p, i)
     for j in range(p.d):
         if j == i:
             continue
         lbl = f"({j + 1})"
-        record(
-            "strict-consistency-I" + lbl,
-            float(p.w_I[j] - p.w_I[i]) / w_gap - float(p.q_plus[j] - p.q_plus[i]) / den0,
-        )
-        record(
-            "strict-consistency-S" + lbl,
-            float(p.w_S[j] - p.w_S[i]) / w_gap - float(p.q_minus[i] - p.q_minus[j]) / den0,
-        )
+        record("strict-consistency-I" + lbl, strict_I[j])
+        record("strict-consistency-S" + lbl, strict_S[j])
         record("rate-ordering-q-plus" + lbl, float(p.q_plus[j] - p.q_plus[i]))
         record("rate-ordering-q-minus" + lbl, float(p.q_minus[i] - p.q_minus[j]))
         record(

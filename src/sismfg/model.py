@@ -9,7 +9,7 @@ The module provides:
   - parameter / state / control / value containers with their invariants,
   - the population ODE right-hand side (``kinetic_rhs``): decision-driven
     migration at rate lam plus infection / recovery pressure and pairwise
-    peer infection,
+    peer infection, and its exact Jacobian (``kinetic_jacobian``),
   - the backward right-hand side of the discounted optimal-cost equation
     (``hjb_rhs``, compiled per control by ``hjb_rhs_fn``), with the
     strategy minimum taken explicitly or expanded at a fixed control,
@@ -274,17 +274,6 @@ class ValueVector:
         return self.g[1::2]
 
 
-@dataclass(frozen=True)
-class TildeRates:
-    """Effective infection rates q~_j = q_minus[j] + sum_k beta[k, j] x_kI."""
-
-    q_tilde_minus: np.ndarray
-
-    @classmethod
-    def from_state(cls, p: ModelParams, x: MixedState) -> "TildeRates":
-        return cls(_frozen_array(p.q_minus + p.beta.T @ x.infected))
-
-
 def _check_dims(p: ModelParams, *vecs) -> None:
     for v in vecs:
         if v.d != p.d:
@@ -300,6 +289,19 @@ def _interleave(vals_I, vals_S) -> np.ndarray:
     return out
 
 
+def _migration(p: ModelParams, u: StationaryControl) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state migration rate (lam away from the target, 0 at it) and the
+    0/1 incidence matrix whose row s has its one at the target of s."""
+    _check_dims(p, u)
+    n = 2 * p.d
+    target = _interleave(2 * u.target_I, 2 * u.target_S + 1)
+    moves = target != np.arange(n)
+    rate = np.where(moves, p.lam, 0.0)
+    incidence = np.zeros((n, n))
+    incidence[moves, target[moves]] = 1.0
+    return rate, incidence
+
+
 def kinetic_rhs_fn(p: ModelParams, u: StationaryControl) -> Callable[[np.ndarray], np.ndarray]:
     """Compiled-once population RHS for a fixed control, on raw arrays.
 
@@ -309,13 +311,7 @@ def kinetic_rhs_fn(p: ModelParams, u: StationaryControl) -> Callable[[np.ndarray
     its target, routed in by a 0/1 incidence matrix built once; agents
     already at their target produce no migration flow.
     """
-    _check_dims(p, u)
-    n = 2 * p.d
-    target = _interleave(2 * u.target_I, 2 * u.target_S + 1)
-    moves = target != np.arange(n)
-    rate = np.where(moves, p.lam, 0.0)
-    incidence = np.zeros((n, n))
-    incidence[moves, target[moves]] = 1.0
+    rate, incidence = _migration(p, u)
     q_plus, q_minus, beta_T = p.q_plus, p.q_minus, p.beta.T
 
     def rhs(x: np.ndarray) -> np.ndarray:
@@ -335,6 +331,24 @@ def kinetic_rhs(p: ModelParams, x: MixedState, u: StationaryControl) -> np.ndarr
     """Rate of change of the population state under common control u."""
     _check_dims(p, x, u)
     return kinetic_rhs_fn(p, u)(x.x)
+
+
+def kinetic_jacobian(p: ModelParams, u: StationaryControl, x: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of ``kinetic_rhs_fn(p, u)`` at the raw state x:
+    entry [a, b] is the derivative of component a in x_b.
+
+    Migration is linear; the net infection of strategy j, xS_j q~_j - xI_j
+    q_plus_j with q~_j = q_minus_j + sum_k beta[k, j] xI_k, is quadratic.
+    """
+    rate, incidence = _migration(p, u)
+    xI, xS = x[0::2], x[1::2]
+    jac = (rate[:, None] * incidence).T - np.diag(rate)
+    net = np.empty((p.d, 2 * p.d))  # derivatives of the net infection per strategy
+    net[:, 0::2] = xS[:, None] * p.beta.T - np.diag(p.q_plus)
+    net[:, 1::2] = np.diag(p.q_minus + p.beta.T @ xI)
+    jac[0::2] += net
+    jac[1::2] -= net
+    return jac
 
 
 def hjb_coupling(p: ModelParams, xI: np.ndarray) -> np.ndarray:
@@ -375,16 +389,6 @@ def hjb_rhs_fn(
     return rhs
 
 
-def _hjb_rhs_arr(
-    p: ModelParams,
-    xI: np.ndarray,
-    g: np.ndarray,
-    u: StationaryControl | None,
-) -> np.ndarray:
-    """One evaluation of ``hjb_rhs_fn(p, u)`` at the population xI."""
-    return hjb_rhs_fn(p, u)(hjb_coupling(p, xI), g)
-
-
 def hjb_rhs(p: ModelParams, x: MixedState, g: ValueVector) -> np.ndarray:
     """Backward-time RHS of the discounted value equation, explicit minimum.
 
@@ -392,15 +396,7 @@ def hjb_rhs(p: ModelParams, x: MixedState, g: ValueVector) -> np.ndarray:
     vector therefore gives the zero vector.
     """
     _check_dims(p, x, g)
-    return _hjb_rhs_arr(p, x.infected, g.g, None)
-
-
-def hjb_rhs_fixed(
-    p: ModelParams, x: MixedState, g: ValueVector, u: StationaryControl
-) -> np.ndarray:
-    """Backward-time value RHS with the minimum expanded at the control u."""
-    _check_dims(p, x, g, u)
-    return _hjb_rhs_arr(p, x.infected, g.g, u)
+    return hjb_rhs_fn(p, None)(hjb_coupling(p, x.infected), g.g)
 
 
 def best_response(g: ValueVector, tie_tol: float = TIE_TOL) -> tuple[StationaryControl, bool]:

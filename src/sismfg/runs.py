@@ -4,9 +4,8 @@ Every run writes its artifacts plus a ``manifest.json`` (config echo, tool
 version, timestamps, artifact list, failures).  The manifest is written
 even when the run fails.  Numeric artifacts are deterministic functions of
 (config, seed): floats are serialized with 17 significant digits, JSON keys
-are sorted, and sweep rows are emitted in grid order regardless of the
-worker count, so identical runs produce byte-identical numeric files
-(manifest timestamps excluded).
+are sorted, and sweep rows are emitted in grid order, so identical runs
+produce byte-identical numeric files (manifest timestamps excluded).
 
 Trajectory CSV column contract:
     t, x_1I, x_1S, ..., x_dI, x_dS[, g_1I, g_1S, ..., cone_ok, argmin_ok]
@@ -18,7 +17,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -300,7 +298,7 @@ def _sweep_point(p_base_dict: dict, overrides: list[tuple[str, float]], d: int):
 
 
 def run_sweep(
-    cfg: ScenarioConfig, out_dir: Path, fmt_kind: str, threads: int
+    cfg: ScenarioConfig, out_dir: Path, fmt_kind: str
 ) -> tuple[dict[str, Path], dict, list[str], int]:
     axes = cfg.sweep.axes
     base = model_to_dict(cfg.model)
@@ -308,18 +306,6 @@ def run_sweep(
     jobs = [
         [(axes[a].path, values[a]) for a in range(len(axes))] for values in points
     ]
-
-    def solve(overrides):
-        try:
-            return _sweep_point(base, overrides, cfg.model.d), None
-        except Exception as exc:  # per-point failures must not abort the sweep
-            return None, f"{overrides}: {exc}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, jobs))
-    else:
-        results = [solve(j) for j in jobs]
 
     header = [axis.path for axis in axes] + [
         "status",
@@ -332,10 +318,12 @@ def run_sweep(
     rows = []
     failures: list[str] = []
     n_ok = 0
-    for overrides, (result, err) in zip(jobs, results):
+    for overrides in jobs:
         row = [fmt(v) for _, v in overrides]
-        if err is not None:
-            failures.append(err)
+        try:
+            result = _sweep_point(base, overrides, cfg.model.d)
+        except Exception as exc:  # per-point failures must not abort the sweep
+            failures.append(f"{overrides}: {exc}")
             rows.append(row + ["failed", "", "", "", "", ""])
             continue
         n_ok += 1
@@ -357,7 +345,7 @@ def run_sweep(
     return {"sweep": path}, summary, failures, n_ok
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str | Path, threads: int = 1) -> ResultBundle:
+def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> ResultBundle:
     """Execute a validated scenario; always writes manifest.json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,7 +366,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path, threads: int = 1) -> 
             artifacts, summary = run_nplayer(cfg.model, cfg.nplayer, out_dir, fmt_kind, cfg.seed)
             bundle.n_succeeded = 1
         elif cfg.run == "sweep":
-            artifacts, summary, failures, n_ok = run_sweep(cfg, out_dir, fmt_kind, threads)
+            artifacts, summary, failures, n_ok = run_sweep(cfg, out_dir, fmt_kind)
             bundle.failures.extend(failures)
             bundle.n_succeeded = n_ok
         else:  # unreachable after validation

@@ -25,16 +25,14 @@ from .model import (
     MixedState,
     ModelParams,
     StationaryControl,
-    TildeRates,
     ValueVector,
     best_response,
     consistency_residual,
-    hjb_rhs_fixed,
-    kinetic_rhs_fn,
+    hjb_coupling,
+    hjb_rhs_fn,
+    kinetic_jacobian,
 )
 
-#: central-difference step for numerical Jacobians
-FD_STEP = 1e-6
 #: closed-form vs numerical spectrum disagreement treated as an internal error
 SPECTRUM_ERROR_TOL = 1e-6
 #: Newton convergence threshold on the reduced fixed-point system
@@ -45,6 +43,18 @@ NEWTON_MAX_HALVINGS = 30
 VALUE_RESIDUAL_TOL = 1e-10
 #: residual bound for accepting an equilibrium
 EQUILIBRIUM_RESIDUAL_TOL = 1e-8
+
+
+def _roundoff_floor(p: ModelParams, g: ValueVector) -> float:
+    """Level below which a stationarity defect at the values g is roundoff.
+
+    Evaluating the value equation multiplies g by every rate, so it rounds
+    at about eps * (largest of lam, q_plus, q_minus, beta) * |g|; with
+    |g| ~ 1/delta that exceeds the absolute bounds above at large rates
+    and small discount.  Both certificates allow max(their bound, floor).
+    """
+    rate = max(p.lam, float(p.q_plus.max()), float(p.q_minus.max()), float(p.beta.max()))
+    return 64.0 * np.finfo(float).eps * rate * max(1.0, float(np.max(np.abs(g.g))))
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +72,26 @@ def infected_share_quadratic(p: ModelParams, i: int, k: int) -> tuple[float, flo
 
 
 def _quadratic_root_unit(a: float, b: float, c: float) -> float:
-    """Root of a y^2 + b y + c on (0, 1) for a >= 0, b > 0 possible, c < 0.
+    """Positive root of a y^2 + b y + c for a >= 0, c < 0 (and b > 0 when
+    a = 0, the linear root -c / b).
 
-    Uses the cancellation-free form 2|c| / (b + sqrt(b^2 - 4ac)); with a = 0
-    this degenerates to the linear root -c / b.
+    Cancellation-free for either sign of b: 2|c| / (b + sqrt(b^2 - 4ac))
+    when b >= 0, (-b + sqrt(b^2 - 4ac)) / (2a) when b < 0.
     """
     if a == 0.0:
         return -c / b
     disc = b * b - 4.0 * a * c
+    if b < 0.0:
+        return (-b + np.sqrt(disc)) / (2.0 * a)
     return 2.0 * (-c) / (b + np.sqrt(disc))
+
+
+def _single_state(p: ModelParams, i: int, x_star: float) -> MixedState:
+    """All mass on strategy i, infected share x_star."""
+    x = np.zeros(p.n_states)
+    x[2 * i] = x_star
+    x[2 * i + 1] = 1.0 - x_star
+    return MixedState(x)
 
 
 def fixed_point_single(p: ModelParams, i: int) -> tuple[float, MixedState]:
@@ -82,10 +103,7 @@ def fixed_point_single(p: ModelParams, i: int) -> tuple[float, MixedState]:
     """
     a, b, c = infected_share_quadratic(p, i, i)
     x_star = _quadratic_root_unit(a, b, c)
-    x = np.zeros(p.n_states)
-    x[2 * i] = x_star
-    x[2 * i + 1] = 1.0 - x_star
-    return x_star, MixedState(x)
+    return x_star, _single_state(p, i, x_star)
 
 
 @dataclass(frozen=True)
@@ -173,18 +191,11 @@ def fixed_point_mixed(p: ModelParams, i: int, k: int) -> tuple[MixedState, Newto
 def tangent_jacobian(p: ModelParams, u: StationaryControl, x_arr: np.ndarray) -> np.ndarray:
     """Jacobian of the population RHS restricted to the simplex tangent space.
 
-    Central differences with step FD_STEP; the RHS is quadratic in x, so the
-    difference quotient is exact up to roundoff.  The tangent basis is
-    e_m - e_last, and the restriction is well defined because the RHS
-    conserves mass.
+    The tangent basis is e_m - e_last, and the restriction is well defined
+    because the RHS conserves mass.
     """
-    rhs = kinetic_rhs_fn(p, u)
+    jac = kinetic_jacobian(p, u, x_arr)
     n = x_arr.size
-    jac = np.empty((n, n))
-    for m in range(n):
-        e = np.zeros(n)
-        e[m] = FD_STEP
-        jac[:, m] = (rhs(x_arr + e) - rhs(x_arr - e)) / (2.0 * FD_STEP)
     basis = np.vstack([np.eye(n - 1), -np.ones(n - 1)])
     gram = np.eye(n - 1) + 1.0  # basis columns share the last coordinate
     return np.linalg.solve(gram, basis.T @ (jac @ basis))
@@ -249,9 +260,7 @@ def stability_single(p: ModelParams, i: int, x_star: float) -> StabilityReport:
         slow = float(-p.lam - (p.q_plus[j] + p.q_minus[j] + x_star * p.beta[i, j]))
         pairs.append((slow, -p.lam))
         closed.extend((slow, -p.lam))
-    x = np.zeros(p.n_states)
-    x[2 * i] = x_star
-    x[2 * i + 1] = 1.0 - x_star
+    x = _single_state(p, i, x_star).x
     numerical = np.linalg.eigvals(tangent_jacobian(p, StationaryControl.single(p.d, i), x))
     report = StabilityReport.from_spectra(
         numerical,
@@ -283,28 +292,31 @@ def _require_positive_discount(p: ModelParams) -> None:
 
 
 def _certify_values(p: ModelParams, x: MixedState, u: StationaryControl, g: ValueVector) -> None:
-    defect = float(np.max(np.abs(hjb_rhs_fixed(p, x, g, u))))
-    # evaluating the defect itself rounds at eps * lam * |g|, which exceeds
-    # the absolute bound for extreme lam/delta combinations
-    noise = 64.0 * np.finfo(float).eps * p.lam * max(1.0, float(np.max(np.abs(g.g))))
-    if defect > max(VALUE_RESIDUAL_TOL, noise):
+    defect = float(np.max(np.abs(hjb_rhs_fn(p, u)(hjb_coupling(p, x.infected), g.g))))
+    if defect > max(VALUE_RESIDUAL_TOL, _roundoff_floor(p, g)):
         raise RuntimeError(f"stationary value solve failed its certificate: defect {defect:.3e}")
+
+
+def _single_block(p: ModelParams, i: int, x_star: float) -> tuple[float, float, float]:
+    """(gap, g(iI), g(iS)) of the all-to-i control; the (iI, iS) block decouples:
+        gap = g(iI) - g(iS) = (w_I_i - w_S_i) / (q_minus_i + q_plus_i + beta_ii x_star + delta)
+        delta g(iI) = w_I_i - q_plus_i gap.
+    """
+    den_i = float(p.q_minus[i] + p.q_plus[i] + p.beta[i, i] * x_star + p.delta)
+    gap_i = float(p.w_I[i] - p.w_S[i]) / den_i
+    g_iI = (float(p.w_I[i]) - float(p.q_plus[i]) * gap_i) / p.delta
+    return gap_i, g_iI, g_iI - gap_i
 
 
 def hjb_single_exact(p: ModelParams, i: int, x_star: float) -> ValueVector:
     """Exact stationary values under the all-to-i control.
 
-    The (iI, iS) block decouples:
-        g(iI) - g(iS) = (w_I_i - w_S_i) / (q_minus_i + q_plus_i + beta_ii x_star + delta)
-        delta g(iI)  = w_I_i - q_plus_i (g(iI) - g(iS)).
-    Each j != i block is then a 2x2 linear solve given (g(iI), g(iS)).
+    The (iI, iS) block decouples (``_single_block``); each j != i block is
+    then a 2x2 linear solve given (g(iI), g(iS)).
     """
     _require_positive_discount(p)
     lam, delta = p.lam, p.delta
-    den_i = float(p.q_minus[i] + p.q_plus[i] + p.beta[i, i] * x_star + delta)
-    gap_i = float(p.w_I[i] - p.w_S[i]) / den_i
-    g_iI = (float(p.w_I[i]) - float(p.q_plus[i]) * gap_i) / delta
-    g_iS = g_iI - gap_i
+    gap_i, g_iI, g_iS = _single_block(p, i, x_star)
     g = np.empty(p.n_states)
     g[2 * i] = g_iI
     g[2 * i + 1] = g_iS
@@ -317,10 +329,7 @@ def hjb_single_exact(p: ModelParams, i: int, x_star: float) -> ValueVector:
         g[2 * j] = g_jI
         g[2 * j + 1] = g_jI - gap_j
     values = ValueVector(g)
-    x = np.zeros(p.n_states)
-    x[2 * i] = x_star
-    x[2 * i + 1] = 1.0 - x_star
-    _certify_values(p, MixedState(x), StationaryControl.single(p.d, i), values)
+    _certify_values(p, _single_state(p, i, x_star), StationaryControl.single(p.d, i), values)
     return values
 
 
@@ -340,10 +349,7 @@ class SingleAsymptotics:
 def hjb_single_asymptotic(p: ModelParams, i: int, x_star: float) -> SingleAsymptotics:
     _require_positive_discount(p)
     delta = p.delta
-    den_i = float(p.q_minus[i] + p.q_plus[i] + p.beta[i, i] * x_star + delta)
-    gap_i = float(p.w_I[i] - p.w_S[i]) / den_i
-    g_iI = (float(p.w_I[i]) - float(p.q_plus[i]) * gap_i) / delta
-    g_iS = g_iI - gap_i
+    gap_i, g_iI, g_iS = _single_block(p, i, x_star)
     g = np.empty(p.n_states)
     corr = np.zeros(p.n_states)
     g[2 * i] = g_iI
@@ -375,7 +381,7 @@ def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVecto
     if k == i:
         raise ValueError("mixed values require k != i")
     lam, delta = p.lam, p.delta
-    qt = TildeRates.from_state(p, x).q_tilde_minus
+    qt = p.q_minus + p.beta.T @ x.infected
     qpi = float(p.q_plus[i])
     qpk = float(p.q_plus[k])
     qti = float(qt[i])
@@ -491,7 +497,7 @@ class MixedAsymptotics:
 def hjb_mixed_asymptotic(p: ModelParams, i: int, k: int, x: MixedState) -> MixedAsymptotics:
     if k == i:
         raise ValueError("mixed values require k != i")
-    qt = TildeRates.from_state(p, x).q_tilde_minus
+    qt = p.q_minus + p.beta.T @ x.infected
     fo = mixed_first_order(p, i, k, qt)
     if p.delta == 0.0:
         return MixedAsymptotics(first_order=fo, g0=None, values=None)
@@ -590,26 +596,37 @@ def margins_from_values(g: ValueVector, i: int, k: int, **families) -> Consisten
     )
 
 
-def consistency_single(p: ModelParams, i: int) -> ConsistencyMargins:
-    """Best-response margins for the all-to-i candidate.
+def small_interaction_margins_single(p: ModelParams, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interaction-free strict optimality conditions for the all-to-i
+    candidate, for j != i (zero at i), with D = q_minus_i + q_plus_i + delta:
+        I[j]: (w_I_j - w_I_i) / (w_I_i - w_S_i) - (q_plus_j - q_plus_i) / D
+        S[j]: (w_S_j - w_S_i) / (w_I_i - w_S_i) - (q_minus_i - q_minus_j) / D
+    """
+    sm_I = np.zeros(p.d)
+    sm_S = np.zeros(p.d)
+    den0 = float(p.q_minus[i] + p.q_plus[i] + p.delta)
+    w_gap = float(p.w_I[i] - p.w_S[i])
+    for j in range(p.d):
+        if j == i:
+            continue
+        sm_I[j] = float(p.w_I[j] - p.w_I[i]) / w_gap - float(p.q_plus[j] - p.q_plus[i]) / den0
+        sm_S[j] = float(p.w_S[j] - p.w_S[i]) / w_gap - float(p.q_minus[i] - p.q_minus[j]) / den0
+    return sm_I, sm_S
 
-    Exact margins from the solved values.  Asymptotic margins are the
-    leading-order-in-1/lam conditions
+
+def consistency_single(p: ModelParams, i: int, x_star: float, g: ValueVector) -> ConsistencyMargins:
+    """Best-response margins for the all-to-i candidate with infected share
+    x_star and solved values g.
+
+    Exact margins from g.  Asymptotic margins are the leading-order-in-1/lam
+    conditions
         (w_I_j - w_I_i) - (q_plus_j - q_plus_i) gap_i >= 0
         (w_S_j - w_S_i) - (q_minus_i - q_minus_j + (beta_ii - beta_ij) x*) gap_i >= 0,
     and the small-interaction family divides out gap_i and drops x*.
     """
-    x_star, x = fixed_point_single(p, i)
-    g = hjb_single_exact(p, i, x_star)
-    delta = p.delta
-    den = float(p.q_minus[i] + p.q_plus[i] + p.beta[i, i] * x_star + delta)
-    gap_i = float(p.w_I[i] - p.w_S[i]) / den
+    gap_i = _single_block(p, i, x_star)[0]
     asy_I = np.zeros(p.d)
     asy_S = np.zeros(p.d)
-    sm_I = np.zeros(p.d)
-    sm_S = np.zeros(p.d)
-    den0 = float(p.q_minus[i] + p.q_plus[i] + delta)
-    w_gap = float(p.w_I[i] - p.w_S[i])
     for j in range(p.d):
         if j == i:
             continue
@@ -617,8 +634,7 @@ def consistency_single(p: ModelParams, i: int) -> ConsistencyMargins:
         asy_S[j] = float(p.w_S[j] - p.w_S[i]) - (
             float(p.q_minus[i] - p.q_minus[j]) + float(p.beta[i, i] - p.beta[i, j]) * x_star
         ) * gap_i
-        sm_I[j] = float(p.w_I[j] - p.w_I[i]) / w_gap - float(p.q_plus[j] - p.q_plus[i]) / den0
-        sm_S[j] = float(p.w_S[j] - p.w_S[i]) / w_gap - float(p.q_minus[i] - p.q_minus[j]) / den0
+    sm_I, sm_S = small_interaction_margins_single(p, i)
     return margins_from_values(
         g,
         i,
@@ -662,19 +678,20 @@ def small_interaction_margins_mixed(
     return sm_I, sm_S
 
 
-def consistency_mixed(p: ModelParams, i: int, k: int) -> ConsistencyMargins:
-    """Best-response margins for the mixed candidate [i(I), k(S)].
+def consistency_mixed(
+    p: ModelParams, i: int, k: int, x: MixedState, g: ValueVector
+) -> ConsistencyMargins:
+    """Best-response margins for the mixed candidate [i(I), k(S)] with
+    fixed point x and solved values g.
 
-    Exact margins from the solved values.  Asymptotic margins: the scaled
+    Exact margins from g.  Asymptotic margins: the scaled
     first-order cross conditions for g(iI) <= g(kI) and g(kS) <= g(iS)
     (which vanish identically at delta = 0), and for residual strategies the
     first-order brackets
         I[j]: w_I_j - delta g0(iI) - q_plus_j (g0(iI) - g0(kS))
         S[j]: w_S_j - delta g0(kS) + q~_j (g0(iI) - g0(kS)).
     """
-    x, _ = fixed_point_mixed(p, i, k)
-    g = hjb_mixed_exact(p, i, k, x)
-    qt = TildeRates.from_state(p, x).q_tilde_minus
+    qt = p.q_minus + p.beta.T @ x.infected
     fo = mixed_first_order(p, i, k, qt)
     asy_I = np.zeros(p.d)
     asy_S = np.zeros(p.d)
@@ -746,12 +763,12 @@ def solve_candidate(p: ModelParams, u: StationaryControl) -> EquilibriumSolution
     if u.is_single:
         x_star, x = fixed_point_single(p, i)
         g = hjb_single_exact(p, i, x_star)
-        margins = consistency_single(p, i)
+        margins = consistency_single(p, i, x_star, g)
         stability = stability_single(p, i, x_star)
     else:
         x, _ = fixed_point_mixed(p, i, k)
         g = hjb_mixed_exact(p, i, k, x)
-        margins = consistency_mixed(p, i, k)
+        margins = consistency_mixed(p, i, k, x, g)
         stability = stability_numerical(p, u, x)
     residual = consistency_residual(p, x, g, u)
     return EquilibriumSolution(
@@ -771,8 +788,8 @@ def enumerate_equilibria(p: ModelParams) -> EnumerationResult:
     Candidates are the d single and d(d-1) mixed controls, in deterministic
     (lexicographic) order.  A candidate is kept when all exact margins are
     >= 0 (within TIE_TOL) and the stationarity residual is at most
-    EQUILIBRIUM_RESIDUAL_TOL.  Per-candidate failures become reports, never
-    exceptions.
+    EQUILIBRIUM_RESIDUAL_TOL or, when larger, ``_roundoff_floor`` of its
+    values.  Per-candidate failures become reports, never exceptions.
     """
     _require_positive_discount(p)
     equilibria: list[EquilibriumSolution] = []
@@ -786,7 +803,9 @@ def enumerate_equilibria(p: ModelParams) -> EnumerationResult:
             reports.append(CandidateReport(u, "failed", None, None, str(exc)))
             continue
         min_margin = sol.margins.min_margin
-        if sol.margins.accepted and sol.residual <= EQUILIBRIUM_RESIDUAL_TOL:
+        if sol.margins.accepted and sol.residual <= max(
+            EQUILIBRIUM_RESIDUAL_TOL, _roundoff_floor(p, sol.g)
+        ):
             # residual control gap can be positive only through tie-level noise here
             br, _ = best_response(sol.g)
             detail = "degenerate (boundary margin)" if sol.degenerate else "equilibrium"

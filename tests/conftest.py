@@ -2,8 +2,8 @@
 
 The oracles here are deliberately independent of the library's solution
 paths: quadratic roots come from bisection, stationary values from a
-generically assembled dense linear solve, and reference trajectories from
-a plain fine-step Euler loop.
+generically assembled dense linear solve, Jacobians from central
+differences, and reference trajectories from a plain fine-step Euler loop.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sismfg import MixedState, ModelParams, StationaryControl, TildeRates
+from sismfg import MixedState, ModelParams, StationaryControl
 
 # the reference d=2 scenario used across the suite
 P0 = dict(
@@ -39,10 +39,13 @@ def p0() -> ModelParams:
 
 
 def random_params(rng: np.random.Generator, d: int | None = None) -> ModelParams:
-    """A random admissible parameter set at desk scale.
+    """A random admissible parameter set at desk scale (lam below 50).
 
-    lam stays below 50 so finite-difference Jacobians keep full accuracy in
-    the spectral cross-checks.
+    Absolute bounds of the tests that use it assume rates of this size, as
+    roundoff grows with lam: the 1e-14 of ``test_kinetic_mass_conservation``
+    and the 1e-8 spectral agreement of
+    ``test_stability_spectra_agree_random_draws``, for example.  Tests of
+    large lam draw their own parameters.
     """
     if d is None:
         d = int(rng.integers(1, 4))
@@ -96,7 +99,7 @@ def _dense_rows(p: ModelParams, u: StationaryControl, x: MixedState):
     the per-state balance: lam (g(target) - g(state)) + pressure terms + w =
     delta g(state)."""
     d = p.d
-    qt = TildeRates.from_state(p, x).q_tilde_minus
+    qt = p.q_minus + p.beta.T @ x.infected
     A = np.zeros((2 * d, 2 * d))
     b = np.zeros(2 * d)
     for j in range(d):
@@ -123,6 +126,23 @@ def oracle_stationary_values(p: ModelParams, u: StationaryControl, x: MixedState
     """Dense linear solve of the stationary value system (generic path)."""
     A, b = _dense_rows(p, u, x)
     return np.linalg.solve(A, b)
+
+
+def oracle_kinetic_jacobian(p: ModelParams, u: StationaryControl, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of the population RHS, column by column.
+
+    The RHS is quadratic in x, so the difference quotient is exact at any
+    step; a unit step keeps its roundoff at a few eps times the rates.
+    """
+    from sismfg.model import kinetic_rhs_fn
+
+    rhs = kinetic_rhs_fn(p, u)
+    jac = np.empty((x.size, x.size))
+    for m in range(x.size):
+        e = np.zeros(x.size)
+        e[m] = 1.0
+        jac[:, m] = (rhs(x + e) - rhs(x - e)) / 2.0
+    return jac
 
 
 def oracle_euler_path(p: ModelParams, x0: np.ndarray, u: StationaryControl, t_end: float,

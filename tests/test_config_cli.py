@@ -218,7 +218,7 @@ def test_nplayer_lln_run(tmp_path):
 
 def test_sweep_run_monotone_share(tmp_path):
     cfg = parse_config(REPO_CONFIGS / "sweep_beta11.json")
-    bundle = run_scenario(cfg, tmp_path, threads=2)
+    bundle = run_scenario(cfg, tmp_path)
     assert bundle.n_succeeded == 3
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(lines) == 4
@@ -264,11 +264,11 @@ def test_repeated_runs_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_sweep_byte_identical_across_thread_counts(tmp_path):
+def test_sweep_repeated_runs_byte_identical(tmp_path):
     cfg = parse_config(REPO_CONFIGS / "sweep_beta11.json")
-    run_scenario(cfg, tmp_path / "t1", threads=1)
-    run_scenario(cfg, tmp_path / "t4", threads=4)
-    assert _hash_artifacts(tmp_path / "t1") == _hash_artifacts(tmp_path / "t4")
+    run_scenario(cfg, tmp_path / "a")
+    run_scenario(cfg, tmp_path / "b")
+    assert _hash_artifacts(tmp_path / "a") == _hash_artifacts(tmp_path / "b")
 
 
 # ---------------------------------------------------------------------------

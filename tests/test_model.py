@@ -11,19 +11,18 @@ from sismfg import (
     MixedState,
     ModelParams,
     StationaryControl,
-    TildeRates,
     ValueVector,
     best_response,
     consistency_residual,
     hjb_rhs,
-    hjb_rhs_fixed,
     kinetic_rhs,
 )
-from sismfg.model import kinetic_rhs_fn
+from sismfg.model import hjb_coupling, hjb_rhs_fn, kinetic_jacobian, kinetic_rhs_fn
 from sismfg.stationary import fixed_point_single, hjb_single_exact
 
 from conftest import (
     P0_XSTAR,
+    oracle_kinetic_jacobian,
     oracle_stationary_values,
     oracle_xstar,
     random_control,
@@ -80,8 +79,8 @@ def test_tilde_rates_dominate_base_rates(p0):
     rng = rng_of(7)
     for _ in range(20):
         x = random_state(rng, p0.d)
-        qt = TildeRates.from_state(p0, x).q_tilde_minus
-        assert np.all(qt >= p0.q_minus - 1e-15)
+        qt = hjb_coupling(p0, x.infected)[1::2]  # the S rows
+        assert np.all(qt >= p0.q_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +128,23 @@ def test_kinetic_positivity_on_boundary(seed):
     assert np.all(rhs[x.x == 0.0] >= 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_kinetic_jacobian_matches_central_differences(seed):
+    # lam log-uniform up to 1e6, d up to 5, per-state (non-uniform) targets
+    rng = rng_of(seed)
+    d = int(rng.integers(1, 6))
+    w_S = rng.uniform(0.0, 4.0, d)
+    p = ModelParams(d=d, lam=float(10.0 ** rng.uniform(-0.3, 6.0)),
+                    delta=float(rng.uniform(0.01, 1.0)), q_plus=rng.uniform(0.05, 2.0, d),
+                    q_minus=rng.uniform(0.05, 2.0, d), beta=rng.uniform(0.0, 0.5, (d, d)),
+                    w_I=w_S + rng.uniform(0.1, 3.0, d), w_S=w_S)
+    u = random_control(rng, d)
+    x = random_state(rng, d).x
+    err = np.max(np.abs(kinetic_jacobian(p, u, x) - oracle_kinetic_jacobian(p, u, x)))
+    assert err <= 16.0 * np.finfo(float).eps * max(1.0, p.lam)
+
+
 def test_kinetic_vanishes_at_p0_fixed_point(p0):
     x_star = oracle_xstar(p0, 0)
     assert x_star == pytest.approx(P0_XSTAR, abs=1e-12)
@@ -150,8 +166,6 @@ def test_kinetic_dimension_mismatch(p0):
 
 def test_hjb_constant_values_flat_costs():
     # w_I = w_S sits outside the invariants; raw-path check of the structure
-    from sismfg.model import _hjb_rhs_arr
-
     stub = SimpleNamespace(
         d=2,
         lam=7.0,
@@ -163,10 +177,10 @@ def test_hjb_constant_values_flat_costs():
         w_S=np.full(2, 3.25),
     )
     g = np.full(4, 11.0)
-    out = _hjb_rhs_arr(stub, np.zeros(2), g, None)
+    out = hjb_rhs_fn(stub, None)(hjb_coupling(stub, np.zeros(2)), g)
     assert np.all(out == 3.25)
     stub.w_I = stub.w_S = np.zeros(2)
-    assert np.all(_hjb_rhs_arr(stub, np.zeros(2), g, None) == 0.0)
+    assert np.all(hjb_rhs_fn(stub, None)(hjb_coupling(stub, np.zeros(2)), g) == 0.0)
 
 
 def test_hjb_constant_values_admissible_costs():
@@ -204,7 +218,7 @@ def test_hjb_fixed_control_matches_explicit_min_at_best_response(seed):
     g = ValueVector(rng.normal(size=2 * p.d))
     u, _ = best_response(g)
     explicit = hjb_rhs(p, x, g)
-    expanded = hjb_rhs_fixed(p, x, g, u)
+    expanded = hjb_rhs_fn(p, u)(hjb_coupling(p, x.infected), g.g)
     assert np.array_equal(explicit, expanded)
 
 

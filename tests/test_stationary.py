@@ -11,8 +11,10 @@ from sismfg import (
     consistency_residual,
     kinetic_rhs,
 )
+from sismfg import stationary
 from sismfg.model import ModelParams
 from sismfg.stationary import (
+    SPECTRUM_ERROR_TOL,
     consistency_mixed,
     consistency_single,
     enumerate_equilibria,
@@ -42,6 +44,16 @@ from conftest import (
 def quadratic_value(p, i, y):
     a, b, c = infected_share_quadratic(p, i, i)
     return a * y * y + b * y + c
+
+
+def single_margins(p, i):
+    x_star, _ = fixed_point_single(p, i)
+    return consistency_single(p, i, x_star, hjb_single_exact(p, i, x_star))
+
+
+def mixed_margins(p, i, k):
+    x, _ = fixed_point_mixed(p, i, k)
+    return consistency_mixed(p, i, k, x, hjb_mixed_exact(p, i, k, x))
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +124,23 @@ def test_stability_fast_pair_contains_minus_lambda(p0):
     assert rep.xi_pairs[0, 1] == -100.0  # exactly -lam
     expected_slow = -(100.0 + 0.6 + 0.3 + x_star * 0.05)
     assert rep.xi_pairs[0, 0] == pytest.approx(expected_slow, abs=1e-12)
+
+
+def test_stability_spectra_agree_large_lambda():
+    # lam log-uniform over [1, 1e6], beyond the lam < 50 of random_params
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        d = int(rng.integers(1, 5))
+        w_S = rng.uniform(0.0, 4.0, d)
+        p = ModelParams(d=d, lam=float(10.0 ** rng.uniform(0.0, 6.0)),
+                        delta=float(rng.uniform(0.01, 1.0)), q_plus=rng.uniform(0.05, 2.0, d),
+                        q_minus=rng.uniform(0.05, 2.0, d), beta=rng.uniform(0.0, 0.5, (d, d)),
+                        w_I=w_S + rng.uniform(0.1, 3.0, d), w_S=w_S)
+        for i in range(d):
+            x_star, _ = fixed_point_single(p, i)
+            rep = stability_single(p, i, x_star)
+            assert rep.agreement <= SPECTRUM_ERROR_TOL
+            assert rep.stable
 
 
 def test_stability_spectra_agree_random_draws():
@@ -214,7 +243,7 @@ def test_asymptotic_equals_exact_for_single_strategy():
 
 
 def test_consistency_p0_small_interaction_margins(p0):
-    cm = consistency_single(p0, 0)
+    cm = single_margins(p0, 0)
     assert cm.small_interaction_margin_I[1] == pytest.approx(1.0 - 0.1 / 1.1, abs=1e-12)
     assert cm.small_interaction_margin_S[1] == pytest.approx(1.5 - 0.2 / 1.1, abs=1e-12)
     assert cm.accepted and not cm.degenerate
@@ -223,13 +252,13 @@ def test_consistency_p0_small_interaction_margins(p0):
 def test_consistency_symmetric_strategies_zero_margins():
     p = ModelParams(d=2, lam=10.0, delta=0.2, q_plus=[0.5, 0.5], q_minus=[0.4, 0.4],
                     beta=[[0.1, 0.1], [0.1, 0.1]], w_I=[2.0, 2.0], w_S=[1.0, 1.0])
-    cm = consistency_single(p, 0)
+    cm = single_margins(p, 0)
     assert abs(cm.margin_I[1]) <= 1e-12 and abs(cm.margin_S[1]) <= 1e-12
     assert cm.degenerate
 
 
 def test_consistency_p0_dominated_strategy_fails(p0):
-    cm = consistency_single(p0, 1)  # strategy 2 is dominated by strategy 1
+    cm = single_margins(p0, 1)  # strategy 2 is dominated by strategy 1
     assert cm.min_margin < 0 and not cm.accepted
 
 
@@ -335,7 +364,7 @@ def test_mixed_first_order_symmetric_boundary():
 
 
 def test_mixed_consistency_displayed_inequality_arithmetic(p0):
-    cm = consistency_mixed(p0, 0, 1)
+    cm = mixed_margins(p0, 0, 1)
     # q_minus_2 (w_I_2 - w_I_1) + w_S_2 (q_plus_2 - q_plus_1) = 0.3 + 0.25
     assert cm.small_interaction_margin_I[1] == pytest.approx(0.55, abs=1e-12)
 
@@ -343,7 +372,7 @@ def test_mixed_consistency_displayed_inequality_arithmetic(p0):
 def test_mixed_consistency_identical_strategies_zero_margins():
     p = ModelParams(d=2, lam=50.0, delta=0.2, q_plus=[0.7, 0.7], q_minus=[0.4, 0.4],
                     beta=[[0.1, 0.1], [0.1, 0.1]], w_I=[2.0, 2.0], w_S=[1.0, 1.0])
-    cm = consistency_mixed(p, 0, 1)
+    cm = mixed_margins(p, 0, 1)
     assert np.max(np.abs(cm.margin_I)) <= 1e-12
     assert np.max(np.abs(cm.margin_S)) <= 1e-12
     assert cm.degenerate
@@ -352,7 +381,7 @@ def test_mixed_consistency_identical_strategies_zero_margins():
 def test_mixed_consistency_sign_agreement_large_lam_small_delta():
     p = ModelParams(d=2, lam=1e4, delta=1e-3, q_plus=[0.5, 0.6], q_minus=[0.5, 0.3],
                     beta=[[0.2, 0.05], [0.05, 0.05]], w_I=[2.0, 3.0], w_S=[1.0, 2.5])
-    cm = consistency_mixed(p, 0, 1)
+    cm = mixed_margins(p, 0, 1)
     assert np.sign(cm.margin_I[1]) == np.sign(cm.asymptotic_margin_I[1])
     assert np.sign(cm.margin_S[0]) == np.sign(cm.asymptotic_margin_S[0])
 
@@ -423,14 +452,52 @@ def test_enumerate_deterministic_order(p0):
 
 
 def test_enumerate_huge_self_interaction_fails_as_report(p0):
-    # with beta_22 = 1e8 the single(2) infected share rounds to just above 1,
-    # so its state has a -9.9e-9 entry that MixedState rejects; the candidate
-    # must become a failed report, not an exception out of the enumeration
+    # with beta_22 = 1e8 both mixed fixed points leave the simplex; those
+    # candidates must become failed reports, not exceptions out of the
+    # enumeration.  single(2) has b < 0 in its quadratic, and its infected
+    # share 1 - 6e-9 must survive the root formula
     beta = np.array(p0.beta)
     beta[1, 1] = 1e8
-    res = enumerate_equilibria(dataclasses.replace(p0, beta=beta))
+    p = dataclasses.replace(p0, beta=beta)
+    res = enumerate_equilibria(p)
     assert len(res.reports) == 4
     by_label = {r.control.label(): r for r in res.reports}
-    single2 = by_label["single(2)"]
-    assert single2.status == "failed" and "state entries must be >= 0" in single2.detail
+    assert by_label["mixed(1,2)"].status == "failed"
+    assert by_label["mixed(2,1)"].status == "failed"
     assert by_label["single(1)"].status == "accepted"
+    assert by_label["single(2)"].status != "failed"
+    x_star, _ = fixed_point_single(p, 1)
+    assert abs(x_star - oracle_xstar(p, 1)) <= 1e-12
+
+
+def test_enumerate_accepts_single_at_large_lambda_small_discount():
+    # |g| ~ 1/delta = 1e4 and lam = 1e4: the residual of the true single(1)
+    # equilibrium rounds to about 2.3e-8, above the absolute 1e-8
+    p = ModelParams(d=3, lam=1e4, delta=1e-4, q_plus=[0.5, 0.6, 0.7], q_minus=[0.3, 0.5, 0.2],
+                    beta=[[0.2, 0.05, 0.05], [0.05, 0.05, 0.05], [0.05, 0.05, 0.05]],
+                    w_I=[2.0, 3.0, 4.0], w_S=[1.0, 0.88, 3.5])
+    res = enumerate_equilibria(p)
+    by_label = {r.control.label(): r for r in res.reports}
+    assert by_label["single(1)"].status == "accepted"
+    assert by_label["single(1)"].min_margin > 0
+    assert "single(1)" in [s.control.label() for s in res.equilibria]
+
+
+def test_each_mixed_candidate_solved_once(p0, monkeypatch):
+    calls = {"fixed_point_mixed": 0, "hjb_mixed_exact": 0}
+
+    def counted(name):
+        fn = getattr(stationary, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stationary, name, counted(name))
+    res = enumerate_equilibria(p0)
+    n_mixed = sum(1 for r in res.reports if r.control.is_mixed)
+    assert n_mixed == 2
+    assert calls == {"fixed_point_mixed": n_mixed, "hjb_mixed_exact": n_mixed}

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelParams, StationaryControl
+from .model import SIMPLEX_TOL, ModelParams, StationaryControl
 
 RUN_KINDS = ("equilibria", "simulate", "turnpike", "nplayer", "sweep")
 OUTPUT_FORMATS = ("csv", "json")
@@ -305,6 +305,18 @@ def _parse_state_spec(data, n_states: int, where: str, col: _Collector, tokens=(
     return None
 
 
+def _parse_x0(block: dict, n_states: int, where: str, col: _Collector):
+    """Start state: a token, or a population state as MixedState checks it
+    at run time (entries >= 0 summing to 1 within SIMPLEX_TOL)."""
+    where = f"{where}.x0"
+    x0 = _parse_state_spec(block.get("x0"), n_states, where, col, tokens=("uniform", "stationary"))
+    if isinstance(x0, np.ndarray) and (np.any(x0 < 0) or abs(float(x0.sum()) - 1.0) > SIMPLEX_TOL):
+        col.add(where, f"expected entries >= 0 summing to 1 within {SIMPLEX_TOL}, "
+                       f"got min {float(x0.min())!r}, sum {float(x0.sum())!r}")
+        return None
+    return x0
+
+
 def _parse_grid(data, where: str, col: _Collector) -> GridSpec | None:
     if not isinstance(data, dict):
         col.add(where, "expected an object")
@@ -372,6 +384,10 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     col.expect_keys("top level", data, top_required, top_optional)
     model = _parse_model(data.get("model"), col) if "model" in data else None
     seed = col.integer("top level", data, "seed", default=None)
+    if seed is not None and seed < 0:
+        # the seed keys the Philox streams, which take non-negative integers
+        col.add("top level.seed", f"must be >= 0, got {seed}")
+        seed = None
     output = OutputConfig()
     if "output" in data:
         odata = data["output"]
@@ -398,9 +414,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         elif run == "simulate":
             col.expect_keys(where, block, {"control", "x0", "grid"}, set())
             control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
-            x0 = _parse_state_spec(
-                block.get("x0"), model.n_states, f"{where}.x0", col, tokens=("uniform", "stationary")
-            )
+            x0 = _parse_x0(block, model.n_states, where, col)
             grid = _parse_grid(block.get("grid"), f"{where}.grid", col)
             if control is not None and x0 is not None and grid is not None:
                 simulate = SimulateConfig(control=control, x0=x0, grid=grid)
@@ -410,9 +424,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             if strategy is not None and not 1 <= strategy <= model.d:
                 col.add(f"{where}.strategy", f"must be in [1, {model.d}] (1-based)")
                 strategy = None
-            x0 = _parse_state_spec(
-                block.get("x0"), model.n_states, f"{where}.x0", col, tokens=("uniform", "stationary")
-            )
+            x0 = _parse_x0(block, model.n_states, where, col)
             gT = _parse_state_spec(
                 block.get("g_terminal"), model.n_states, f"{where}.g_terminal", col,
                 tokens=("stationary",),
@@ -425,9 +437,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                 where, block, {"control", "x0", "t_end"}, {"n_agents", "n_list", "replications"}
             )
             control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
-            x0 = _parse_state_spec(
-                block.get("x0"), model.n_states, f"{where}.x0", col, tokens=("uniform", "stationary")
-            )
+            x0 = _parse_x0(block, model.n_states, where, col)
             t_end = col.number(where, block, "t_end")
             n_agents = col.integer(where, block, "n_agents")
             reps = col.integer(where, block, "replications", default=1)

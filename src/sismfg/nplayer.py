@@ -10,9 +10,19 @@ kinds per strategy j:
   recovery   (j,I) -> (j,S) at rate q_plus[j] per agent,
   peer       (j,S) -> (j,I) at rate sum_k beta[k,j] n_kI / N per agent.
 
-The 1/N normalization of the peer channel makes the expected drift of n/N
-equal the population ODE right-hand side exactly, at every count state,
-which is the defining link to the mean-field limit (checked by tests).
+One channel table (``_channels``) lists them; the jump loop, the event
+decoding of ``simulate_ctmc`` and ``mean_jump_drift`` all read it.  The 1/N
+normalization of the peer channel makes the expected drift of n/N equal
+the population ODE right-hand side exactly, at every count state, which is
+the defining link to the mean-field limit (checked by tests).
+
+The jump loop (Gillespie's direct method) evaluates the live channels only.
+Only decisions move agents between strategies, so a strategy that no
+decision channel leads to never regains agents: once both of its states
+are empty, its channels have rate 0 for the rest of the run and leave the
+loop's table.  A rate of 0.0 changes neither the total rate nor the
+cumulative sums the pick is compared against, so the path is bitwise the
+one the full table gives.
 
 Randomness: Philox counter-based bit generators.  ``simulate_ctmc`` uses
 Philox([seed]); ``lln_error`` gives replication r at population size N the
@@ -22,11 +32,12 @@ reproducible and replications can run concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MixedState, ModelParams, StationaryControl
+from .model import MixedState, ModelParams, StationaryControl, _migration
 from .dynamics import TimeGrid, default_grid, integrate_forward
 
 _RNG_BUFFER = 8192
@@ -114,14 +125,14 @@ class CtmcPath:
 
     def counts(self) -> np.ndarray:
         """Counts after each event; shape (m+1, 2d), row 0 is the initial state."""
-        out = np.empty((self.n_events + 1, self.initial.n.size), dtype=np.int64)
+        m = self.n_events
+        out = np.zeros((m + 1, self.initial.n.size), dtype=np.int64)
         out[0] = self.initial.n
-        n = self.initial.n.copy()
-        for idx in range(self.n_events):
-            n[self.from_state[idx]] -= 1
-            n[self.to_state[idx]] += 1
-            out[idx + 1] = n
-        return out
+        # one -1 and one +1 per event row (from and to states differ), summed down
+        rows = np.arange(1, m + 1)
+        out[rows, self.from_state] = -1
+        out[rows, self.to_state] = 1
+        return np.cumsum(out, axis=0, out=out)
 
     def terminal(self) -> CountVector:
         n = self.initial.n.copy()
@@ -130,38 +141,28 @@ class CtmcPath:
         return CountVector(n)
 
 
-def _channels(p: ModelParams, u: StationaryControl) -> list[tuple[int, int, int]]:
-    """Static channel table (kind, from_state, to_state)."""
-    chans: list[tuple[int, int, int]] = []
+def _channels(p: ModelParams, u: StationaryControl) -> list[tuple[int, int, int, float]]:
+    """Channel table: (from_state, to_state, kind, coefficient) per channel,
+    strategy by strategy in the order decision I, decision S, pressure,
+    recovery, peer.
+
+    A channel's rate is its coefficient times the count of its from-state.
+    Peer channels carry their strategy j in place of the coefficient: their
+    per-agent rate sum_k beta[k, j] n_kI / N moves with the counts.
+    Decision targets and rates are the migration of the population RHS.
+    """
+    rate, incidence = _migration(p, u)
+    moves = incidence.any(axis=1)
+    target = incidence.argmax(axis=1)
+    chans: list[tuple[int, int, int, float]] = []
     for j in range(p.d):
-        tI = int(u.target_I[j])
-        if tI != j:
-            chans.append((KIND_DECISION, 2 * j, 2 * tI))
-        tS = int(u.target_S[j])
-        if tS != j:
-            chans.append((KIND_DECISION, 2 * j + 1, 2 * tS + 1))
-        chans.append((KIND_PRESSURE, 2 * j + 1, 2 * j))
-        chans.append((KIND_RECOVERY, 2 * j, 2 * j + 1))
-        chans.append((KIND_PEER, 2 * j + 1, 2 * j))
+        for s in (2 * j, 2 * j + 1):
+            if moves[s]:
+                chans.append((s, int(target[s]), KIND_DECISION, float(rate[s])))
+        chans.append((2 * j + 1, 2 * j, KIND_PRESSURE, float(p.q_minus[j])))
+        chans.append((2 * j, 2 * j + 1, KIND_RECOVERY, float(p.q_plus[j])))
+        chans.append((2 * j + 1, 2 * j, KIND_PEER, j))
     return chans
-
-
-def _channel_rates(
-    p: ModelParams, chans: list[tuple[int, int, int]], n: np.ndarray, N: int
-) -> np.ndarray:
-    rates = np.empty(len(chans))
-    nI = n[0::2]
-    peer = p.beta.T @ nI / N  # per-susceptible peer-infection rate
-    for c, (kind, frm, _) in enumerate(chans):
-        if kind == KIND_DECISION:
-            rates[c] = p.lam * n[frm]
-        elif kind == KIND_PRESSURE:
-            rates[c] = p.q_minus[frm // 2] * n[frm]
-        elif kind == KIND_RECOVERY:
-            rates[c] = p.q_plus[frm // 2] * n[frm]
-        else:
-            rates[c] = peer[frm // 2] * n[frm]
-    return rates
 
 
 def mean_jump_drift(p: ModelParams, counts: CountVector, u: StationaryControl) -> np.ndarray:
@@ -170,101 +171,116 @@ def mean_jump_drift(p: ModelParams, counts: CountVector, u: StationaryControl) -
     Equals kinetic_rhs at x = n/N exactly; exposed so tests can check the
     generator against the population ODE.
     """
-    chans = _channels(p, u)
-    rates = _channel_rates(p, chans, counts.n.astype(float), counts.N)
+    n = counts.n.astype(float)
+    peer = p.beta.T @ n[0::2] / counts.N  # per-susceptible peer-infection rate
     drift = np.zeros(p.n_states)
-    for c, (_, frm, to) in enumerate(chans):
-        drift[frm] -= rates[c]
-        drift[to] += rates[c]
+    for frm, to, kind, coef in _channels(p, u):
+        r = (peer[coef] if kind == KIND_PEER else coef) * n[frm]
+        drift[frm] -= r
+        drift[to] += r
     return drift / counts.N
 
 
-class _Stream:
-    """Buffered draws from a counter-based generator."""
-
-    def __init__(self, key):
-        self.rng = np.random.Generator(np.random.Philox(key))
-        self._exp = self.rng.standard_exponential(_RNG_BUFFER)
-        self._uni = self.rng.random(_RNG_BUFFER)
-        self._i = 0
-
-    def next_pair(self) -> tuple[float, float]:
-        if self._i >= _RNG_BUFFER:
-            self._exp = self.rng.standard_exponential(_RNG_BUFFER)
-            self._uni = self.rng.random(_RNG_BUFFER)
-            self._i = 0
-        i = self._i
-        self._i += 1
-        return self._exp[i], self._uni[i]
+def _compare(n: list, N: float, times: list, rows: list, gi: int, upto: float, sup: float):
+    """Raise sup to max_q |n_q/N - rows[g][q]| over the compare times
+    times[g] < upto from index gi on; returns the next index and sup."""
+    while gi < len(times) and times[gi] < upto:
+        for a, b in zip(n, rows[gi]):
+            err = a / N - b
+            if err < 0.0:
+                err = -err
+            if err > sup:
+                sup = err
+        gi += 1
+    return gi, sup
 
 
 def _simulate(
     p: ModelParams,
+    chans: list[tuple[int, int, int, float]],
     n0: CountVector,
-    u: StationaryControl,
     t_end: float,
-    stream: _Stream,
-    record,
-) -> None:
-    """Drive the jump chain, calling record(t, channel_index, counts) per event.
+    key: list[int],
+    events: tuple[list, list] | None = None,
+    compare: tuple[list, list] | None = None,
+) -> float:
+    """Drive the jump chain from n0 on [0, t_end] with the draws of Philox(key).
 
-    Rates are recomputed from scratch after every jump (d is small) using
-    plain Python floats: the loop is the hot path and scalar numpy would
-    dominate the cost.  A state where every channel rate is zero is
+    ``events``, a pair of lists, receives the time and the index into
+    ``chans`` of every jump.  ``compare``, a pair (times, rows) of
+    increasing compare times and reference states, makes the run return
+    the sup over those times of max_q |n_q(t)/N - row_q|, n(t) being the
+    counts in force at each time; without it the run returns 0.0.
+
+    Rates are those of the live channels (see the module docstring), kept
+    in plain Python floats: the loop is the hot path and scalar numpy would
+    dominate the cost.  Draws come in blocks of _RNG_BUFFER exponentials
+    then _RNG_BUFFER uniforms.  A state where every channel rate is zero is
     absorbing and ends the run.
     """
-    chans = _channels(p, u)
-    kinds = [c[0] for c in chans]
-    frms = [c[1] for c in chans]
-    tos = [c[2] for c in chans]
-    strat = [f // 2 for f in frms]
+    d = p.d
     n = [float(v) for v in n0.n]
     N = float(n0.N)
-    d = p.d
-    lam = float(p.lam)
-    qp = [float(v) for v in p.q_plus]
-    qm = [float(v) for v in p.q_minus]
-    # bcols[j][k] = beta[k, j]: column view so the peer sum per target is contiguous
+    # bcols[j][k] = beta[k, j]: the peer sum of strategy j runs over k in order
     bcols = [[float(p.beta[k, j]) for k in range(d)] for j in range(d)]
-    n_chan = len(chans)
-    rates = [0.0] * n_chan
+    fed = {to // 2 for _, to, kind, _ in chans if kind == KIND_DECISION}
+    # mortal[s]: nothing migrates into the strategy of state s, so once its
+    # two states are empty they stay empty
+    mortal = [s // 2 not in fed for s in range(2 * d)]
+
+    def live_table():
+        alive = [j for j in range(d) if not (mortal[2 * j] and n[2 * j] == n[2 * j + 1] == 0.0)]
+        ids = [c for c, ch in enumerate(chans) if ch[0] // 2 in alive]
+        infected = [2 * k for k in alive]
+        # peer slots of coef are overwritten before every use
+        peer = [(slot, [bcols[chans[c][3]][q // 2] for q in infected])
+                for slot, c in enumerate(ids) if chans[c][2] == KIND_PEER]
+        return (ids, [chans[c][0] for c in ids], [chans[c][1] for c in ids],
+                [chans[c][3] for c in ids], peer, infected)
+
+    ids, frm, to, coef, peer, infected = live_table()
+    cmp_times, cmp_rows = compare if compare is not None else ([], [])
+    gi, sup = 0, 0.0
+    next_cmp = cmp_times[0] if cmp_times else float("inf")
+    rng = np.random.Generator(np.random.Philox(key))
+    i = _RNG_BUFFER
     t = 0.0
     while True:
+        for slot, col in peer:
+            s = 0.0
+            for b, q in zip(col, infected):
+                s += b * n[q]
+            coef[slot] = s / N
+        cum = []
         total = 0.0
-        for c in range(n_chan):
-            kind = kinds[c]
-            j = strat[c]
-            if kind == KIND_DECISION:
-                r = lam * n[frms[c]]
-            elif kind == KIND_PRESSURE:
-                r = qm[j] * n[frms[c]]
-            elif kind == KIND_RECOVERY:
-                r = qp[j] * n[frms[c]]
-            else:
-                col = bcols[j]
-                s = 0.0
-                for k in range(d):
-                    s += col[k] * n[2 * k]
-                r = s / N * n[frms[c]]
-            rates[c] = r
-            total += r
+        for c, f in zip(coef, frm):
+            total += c * n[f]
+            cum.append(total)
         if total <= 0.0:
-            return
-        e, uni = stream.next_pair()
-        t += e / total
+            break
+        if i == _RNG_BUFFER:
+            exps = rng.standard_exponential(_RNG_BUFFER).tolist()
+            unis = rng.random(_RNG_BUFFER).tolist()
+            i = 0
+        t += exps[i] / total
         if t > t_end:
-            return
-        pick = uni * total
-        acc = 0.0
-        chosen = n_chan - 1
-        for c in range(n_chan):
-            acc += rates[c]
-            if pick < acc:
-                chosen = c
-                break
-        n[frms[chosen]] -= 1.0
-        n[tos[chosen]] += 1.0
-        record(t, chosen, n)
+            break
+        if t > next_cmp:
+            gi, sup = _compare(n, N, cmp_times, cmp_rows, gi, t, sup)
+            next_cmp = cmp_times[gi] if gi < len(cmp_times) else float("inf")
+        # unis[i] < 1 makes the pick < total = cum[-1], so an index always exists,
+        # and never one of a zero-rate channel
+        chosen = bisect_right(cum, unis[i] * total)
+        i += 1
+        if events is not None:
+            events[0].append(t)
+            events[1].append(ids[chosen])
+        f = frm[chosen]
+        n[f] -= 1.0
+        n[to[chosen]] += 1.0
+        if n[f] == 0.0 and mortal[f] and n[f ^ 1] == 0.0:
+            ids, frm, to, coef, peer, infected = live_table()
+    return _compare(n, N, cmp_times, cmp_rows, gi, float("inf"), sup)[1]
 
 
 def simulate_ctmc(
@@ -284,23 +300,13 @@ def simulate_ctmc(
     chans = _channels(p, u)
     times: list[float] = []
     picks: list[int] = []
-
-    def record(t, chosen, _n):
-        times.append(t)
-        picks.append(chosen)
-
-    _simulate(p, n0, u, t_end, _Stream([seed]), record)
+    _simulate(p, chans, n0, t_end, [seed], events=(times, picks))
+    table = np.array([ch[:3] for ch in chans], dtype=np.int64)
     picks_arr = np.asarray(picks, dtype=np.int64)
-    table = np.asarray(chans, dtype=np.int64)
-    if picks_arr.size:
-        kinds = table[picks_arr, 0]
-        frm = table[picks_arr, 1]
-        to = table[picks_arr, 2]
-    else:
-        kinds = frm = to = np.empty(0, dtype=np.int64)
+    frm, to, kinds = (table[picks_arr, col] for col in range(3))
     return CtmcPath(
         initial=n0,
-        times=np.asarray(times),
+        times=np.asarray(times, dtype=float),
         from_state=frm,
         to_state=to,
         kinds=kinds,
@@ -326,48 +332,6 @@ class LlnErrorTable:
         """Consecutive mean-error ratios between successive N values."""
         means = [r.mean_sup_error for r in self.rows]
         return [means[m] / means[m + 1] for m in range(len(means) - 1)]
-
-
-def _sup_error_one_run(
-    p: ModelParams,
-    u: StationaryControl,
-    N: int,
-    t_end: float,
-    compare_times: np.ndarray,
-    ode_states: np.ndarray,
-    x0: MixedState,
-    stream: _Stream,
-) -> float:
-    """Sup over compare_times of max |n(t)/N - x(t)| for one replication."""
-    n0 = CountVector.from_fractions(x0, N)
-    state = {"sup": 0.0, "gi": 0, "prev": [float(v) for v in n0.n]}
-    n_cmp = compare_times.size
-    n_states = n0.n.size
-    ode_rows = ode_states.tolist()
-    cmp_times = compare_times.tolist()
-
-    def flush(upto: float, current: list) -> None:
-        gi = state["gi"]
-        sup = state["sup"]
-        while gi < n_cmp and cmp_times[gi] < upto:
-            row = ode_rows[gi]
-            for q in range(n_states):
-                err = current[q] / N - row[q]
-                if err < 0.0:
-                    err = -err
-                if err > sup:
-                    sup = err
-            gi += 1
-        state["gi"] = gi
-        state["sup"] = sup
-
-    def record(t, _chosen, n):
-        flush(t, state["prev"])
-        state["prev"] = list(n)
-
-    _simulate(p, n0, u, t_end, stream, record)
-    flush(float("inf"), state["prev"])
-    return state["sup"]
 
 
 def lln_error(
@@ -397,15 +361,14 @@ def lln_error(
     x_path = integrate_forward(p, x0, u, grid)
     times = grid.times()
     stride = max(1, times.size // n_compare)
-    compare_times = times[::stride]
-    ode_states = x_path[::stride]
+    compare = (times[::stride].tolist(), x_path[::stride].tolist())
+    chans = _channels(p, u)
     rows = []
     for N in N_list:
+        n0 = CountVector.from_fractions(x0, N)
         errs = np.empty(replications)
         for r in range(replications):
-            errs[r] = _sup_error_one_run(
-                p, u, N, t_end, compare_times, ode_states, x0, _Stream([seed, N, r])
-            )
+            errs[r] = _simulate(p, chans, n0, t_end, [seed, N, r], compare=compare)
         std_err = float(errs.std(ddof=1) / np.sqrt(replications)) if replications > 1 else 0.0
         rows.append(
             LlnErrorRow(

@@ -206,20 +206,26 @@ def run_simulate(
 ROW_CHUNK = 256
 
 
+def _chunked_rows(*columns: np.ndarray):
+    """Rows of equally long column arrays as Python objects.
+
+    .tolist() gives Python floats and ints, which take fmt's 17-digit rule
+    and str() without a per-value conversion; converting a chunk of rows at
+    a time keeps the whole table from existing as Python objects at once.
+    """
+    for start in range(0, columns[0].shape[0], ROW_CHUNK):
+        yield from zip(*(c[start:start + ROW_CHUNK].tolist() for c in columns))
+
+
 def _turnpike_rows(sol: TrajectorySolution):
-    # .tolist() gives Python floats, which take fmt's 17-digit rule without a
-    # float() call per value; converting a chunk of rows at a time keeps the
-    # whole table from existing as Python objects at once
     columns = (sol.grid.times(), sol.x_path, sol.g_path, sol.cone_ok, sol.argmin_ok)
-    for start in range(0, columns[0].size, ROW_CHUNK):
-        block = (c[start:start + ROW_CHUNK].tolist() for c in columns)
-        for t, x, g, cone, argmin in zip(*block):
-            yield (
-                [format(t, ".17g")]
-                + [format(v, ".17g") for v in x]
-                + [format(v, ".17g") for v in g]
-                + [int(cone), int(argmin)]
-            )
+    for t, x, g, cone, argmin in _chunked_rows(*columns):
+        yield (
+            [format(t, ".17g")]
+            + [format(v, ".17g") for v in x]
+            + [format(v, ".17g") for v in g]
+            + [int(cone), int(argmin)]
+        )
 
 
 def run_turnpike(
@@ -279,7 +285,7 @@ def run_nplayer(
         header = ["t"] + _state_labels(p.d, "n")
         times = np.concatenate([[0.0], ctmc.times])
         rows = (
-            [fmt(times[m])] + [str(int(v)) for v in counts[m]] for m in range(times.size)
+            [format(t, ".17g")] + [str(v) for v in n] for t, n in _chunked_rows(times, counts)
         )
         artifacts["nplayer_path"] = _write_table(out_dir, "nplayer_path", fmt_kind, header, rows)
         summary["n_events"] = ctmc.n_events

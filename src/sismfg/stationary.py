@@ -45,6 +45,13 @@ VALUE_RESIDUAL_TOL = 1e-10
 EQUILIBRIUM_RESIDUAL_TOL = 1e-8
 
 
+def _rate_roundoff(p: ModelParams) -> float:
+    """64 eps times the largest rate (lam, q_plus, q_minus or beta): the
+    roundoff of a computation that multiplies by every rate."""
+    rate = max(p.lam, float(p.q_plus.max()), float(p.q_minus.max()), float(p.beta.max()))
+    return 64.0 * np.finfo(float).eps * rate
+
+
 def _roundoff_floor(p: ModelParams, g: ValueVector) -> float:
     """Level below which a stationarity defect at the values g is roundoff.
 
@@ -53,8 +60,7 @@ def _roundoff_floor(p: ModelParams, g: ValueVector) -> float:
     |g| ~ 1/delta that exceeds the absolute bounds above at large rates
     and small discount.  Both certificates allow max(their bound, floor).
     """
-    rate = max(p.lam, float(p.q_plus.max()), float(p.q_minus.max()), float(p.beta.max()))
-    return 64.0 * np.finfo(float).eps * rate * max(1.0, float(np.max(np.abs(g.g))))
+    return _rate_roundoff(p) * max(1.0, float(np.max(np.abs(g.g))))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +255,9 @@ def stability_single(p: ModelParams, i: int, x_star: float) -> StabilityReport:
     Closed form: the principal eigenvalue (1 - 2 x_star) beta_ii - q_minus_i
     - q_plus_i plus, for every j != i, the pair (-lam - (q_plus_j + q_minus_j
     + x_star beta_ij), -lam).  Cross-checked against the numerical tangent
-    Jacobian; disagreement beyond SPECTRUM_ERROR_TOL raises.
+    Jacobian; disagreement beyond SPECTRUM_ERROR_TOL raises, or beyond the
+    rate roundoff when that is larger: eigvals rounds at about eps times the
+    largest Jacobian entry, which grows with lam.
     """
     xi = float((1.0 - 2.0 * x_star) * p.beta[i, i] - p.q_minus[i] - p.q_plus[i])
     pairs = []
@@ -268,7 +276,9 @@ def stability_single(p: ModelParams, i: int, x_star: float) -> StabilityReport:
         xi_principal=xi,
         xi_pairs=np.array(pairs) if pairs else np.empty((0, 2)),
     )
-    if report.agreement is not None and report.agreement > SPECTRUM_ERROR_TOL:
+    if report.agreement is not None and report.agreement > max(
+        SPECTRUM_ERROR_TOL, _rate_roundoff(p)
+    ):
         raise RuntimeError(
             f"closed-form and numerical spectra disagree by {report.agreement:.3e} "
             f"at the single({i + 1}) fixed point"

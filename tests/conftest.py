@@ -156,3 +156,178 @@ def oracle_euler_path(p: ModelParams, x0: np.ndarray, u: StationaryControl, t_en
     for _ in range(n_steps):
         x = x + h * rhs(x)
     return x
+
+
+# ---------------------------------------------------------------------------
+# reference jump engine: the per-event loop of the exact-jump simulation as it
+# stood before the live channel table, kept verbatim so the library engine
+# can be checked bitwise against it (same draws, same float operations)
+
+_ORACLE_RNG_BUFFER = 8192
+_KIND_DECISION, _KIND_PRESSURE, _KIND_RECOVERY, _KIND_PEER = range(4)
+
+
+class _OracleStream:
+    """Buffered draws from a counter-based generator."""
+
+    def __init__(self, key):
+        self.rng = np.random.Generator(np.random.Philox(key))
+        self._exp = self.rng.standard_exponential(_ORACLE_RNG_BUFFER)
+        self._uni = self.rng.random(_ORACLE_RNG_BUFFER)
+        self._i = 0
+
+    def next_pair(self) -> tuple[float, float]:
+        if self._i >= _ORACLE_RNG_BUFFER:
+            self._exp = self.rng.standard_exponential(_ORACLE_RNG_BUFFER)
+            self._uni = self.rng.random(_ORACLE_RNG_BUFFER)
+            self._i = 0
+        i = self._i
+        self._i += 1
+        return self._exp[i], self._uni[i]
+
+
+def _oracle_channels(p, u) -> list[tuple[int, int, int]]:
+    """Static channel table (kind, from_state, to_state)."""
+    chans: list[tuple[int, int, int]] = []
+    for j in range(p.d):
+        tI = int(u.target_I[j])
+        if tI != j:
+            chans.append((_KIND_DECISION, 2 * j, 2 * tI))
+        tS = int(u.target_S[j])
+        if tS != j:
+            chans.append((_KIND_DECISION, 2 * j + 1, 2 * tS + 1))
+        chans.append((_KIND_PRESSURE, 2 * j + 1, 2 * j))
+        chans.append((_KIND_RECOVERY, 2 * j, 2 * j + 1))
+        chans.append((_KIND_PEER, 2 * j + 1, 2 * j))
+    return chans
+
+
+def oracle_simulate(p, n0, u, t_end: float, stream: _OracleStream, record) -> None:
+    """Drive the jump chain, calling record(t, channel_index, counts) per event,
+    with every channel rate recomputed from scratch after every jump."""
+    chans = _oracle_channels(p, u)
+    kinds = [c[0] for c in chans]
+    frms = [c[1] for c in chans]
+    tos = [c[2] for c in chans]
+    strat = [f // 2 for f in frms]
+    n = [float(v) for v in n0.n]
+    N = float(n0.N)
+    d = p.d
+    lam = float(p.lam)
+    qp = [float(v) for v in p.q_plus]
+    qm = [float(v) for v in p.q_minus]
+    bcols = [[float(p.beta[k, j]) for k in range(d)] for j in range(d)]
+    n_chan = len(chans)
+    rates = [0.0] * n_chan
+    t = 0.0
+    while True:
+        total = 0.0
+        for c in range(n_chan):
+            kind = kinds[c]
+            j = strat[c]
+            if kind == _KIND_DECISION:
+                r = lam * n[frms[c]]
+            elif kind == _KIND_PRESSURE:
+                r = qm[j] * n[frms[c]]
+            elif kind == _KIND_RECOVERY:
+                r = qp[j] * n[frms[c]]
+            else:
+                col = bcols[j]
+                s = 0.0
+                for k in range(d):
+                    s += col[k] * n[2 * k]
+                r = s / N * n[frms[c]]
+            rates[c] = r
+            total += r
+        if total <= 0.0:
+            return
+        e, uni = stream.next_pair()
+        t += e / total
+        if t > t_end:
+            return
+        pick = uni * total
+        acc = 0.0
+        chosen = n_chan - 1
+        for c in range(n_chan):
+            acc += rates[c]
+            if pick < acc:
+                chosen = c
+                break
+        n[frms[chosen]] -= 1.0
+        n[tos[chosen]] += 1.0
+        record(t, chosen, n)
+
+
+def oracle_path(p, n0, u, t_end: float, seed: int):
+    """(times, kinds, from_states, to_states, counts after each event) of the
+    reference engine on the stream Philox([seed])."""
+    chans = _oracle_channels(p, u)
+    times, kinds, frm, to, counts = [], [], [], [], []
+
+    def record(t, chosen, n):
+        times.append(t)
+        kinds.append(chans[chosen][0])
+        frm.append(chans[chosen][1])
+        to.append(chans[chosen][2])
+        counts.append(list(n))
+
+    oracle_simulate(p, n0, u, t_end, _OracleStream([seed]), record)
+    return (np.asarray(times), np.asarray(kinds, dtype=np.int64),
+            np.asarray(frm, dtype=np.int64), np.asarray(to, dtype=np.int64),
+            np.asarray(counts, dtype=np.int64).reshape(len(times), n0.n.size))
+
+
+def _oracle_sup_error_one_run(p, u, N, t_end, compare_times, ode_states, x0, stream) -> float:
+    """Sup over compare_times of max |n(t)/N - x(t)| for one replication."""
+    from sismfg import CountVector
+
+    n0 = CountVector.from_fractions(x0, N)
+    state = {"sup": 0.0, "gi": 0, "prev": [float(v) for v in n0.n]}
+    n_cmp = compare_times.size
+    n_states = n0.n.size
+    ode_rows = ode_states.tolist()
+    cmp_times = compare_times.tolist()
+
+    def flush(upto: float, current: list) -> None:
+        gi = state["gi"]
+        sup = state["sup"]
+        while gi < n_cmp and cmp_times[gi] < upto:
+            row = ode_rows[gi]
+            for q in range(n_states):
+                err = current[q] / N - row[q]
+                if err < 0.0:
+                    err = -err
+                if err > sup:
+                    sup = err
+            gi += 1
+        state["gi"] = gi
+        state["sup"] = sup
+
+    def record(t, _chosen, n):
+        flush(t, state["prev"])
+        state["prev"] = list(n)
+
+    oracle_simulate(p, n0, u, t_end, stream, record)
+    flush(float("inf"), state["prev"])
+    return state["sup"]
+
+
+def oracle_lln_sup_errors(p, u, x0, t_end, N_list, replications, seed, grid=None,
+                          n_compare: int = 2000) -> list[np.ndarray]:
+    """Per-N replication sup errors of the reference engine, with the ODE
+    reference and compare times chosen as ``lln_error`` chooses them."""
+    from sismfg.dynamics import default_grid, integrate_forward
+
+    if grid is None:
+        grid = default_grid(p, 0.0, t_end)
+    x_path = integrate_forward(p, x0, u, grid)
+    times = grid.times()
+    stride = max(1, times.size // n_compare)
+    out = []
+    for N in N_list:
+        out.append(np.array([
+            _oracle_sup_error_one_run(p, u, N, t_end, times[::stride], x_path[::stride], x0,
+                                      _OracleStream([seed, N, r]))
+            for r in range(replications)
+        ]))
+    return out

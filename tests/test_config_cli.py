@@ -153,6 +153,34 @@ def test_non_numeric_state_entries_rejected(x0):
     assert [e.split(":")[0] for e in err.value.errors] == ["turnpike.x0"]
 
 
+def test_negative_seed_rejected(tmp_path):
+    # the seed keys the Philox streams, which refuse negative integers
+    data = json.loads((REPO_CONFIGS / "p0_nplayer.json").read_text())
+    data["seed"] = -1
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == ["top level.seed"]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+    data["seed"] = 0
+    assert parse_config_dict(data).seed == 0
+
+
+@pytest.mark.parametrize("run", ["simulate", "turnpike", "nplayer"])
+@pytest.mark.parametrize(
+    "x0", [[0.5, 0.5, 0.5, 0.5], [0.75, 0.25, 0.25, -0.25], [0.25, 0.25, 0.25, 0.25 + 1e-9]]
+)
+def test_off_simplex_x0_rejected(tmp_path, run, x0):
+    # an explicit start must be a population state: entries >= 0 summing to 1
+    data = json.loads((REPO_CONFIGS / f"p0_{run}.json").read_text())
+    data[run]["x0"] = x0
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == [f"{run}.x0"]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+    data[run]["x0"] = [0.25, 0.25, 0.25, 0.25 + 1e-13]
+    assert parse_config_dict(data).run == run
+
+
 # ---------------------------------------------------------------------------
 # runs
 

@@ -10,6 +10,7 @@ from sismfg import (
     MixedState,
     ModelParams,
     StationaryControl,
+    TimeGrid,
     kinetic_rhs,
     lln_error,
     simulate_ctmc,
@@ -17,7 +18,13 @@ from sismfg import (
 from sismfg.nplayer import KIND_NAMES, mean_jump_drift
 from sismfg.stationary import fixed_point_single
 
-from conftest import random_control, random_params
+from conftest import (
+    oracle_lln_sup_errors,
+    oracle_path,
+    random_control,
+    random_params,
+    random_state,
+)
 
 
 def test_zero_rates_constant_path():
@@ -155,3 +162,73 @@ def test_lln_replication_streams_are_split(p0):
 def test_simulate_rejects_empty_population(p0):
     with pytest.raises(ValueError, match="agent"):
         simulate_ctmc(p0, CountVector([0, 0, 0, 0]), StationaryControl.single(2, 0), 1.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the jump engine against the reference per-event loop, bitwise
+
+
+def assert_path_equals_oracle(p, n0, u, t_end, seed):
+    path = simulate_ctmc(p, n0, u, t_end, seed)
+    times, kinds, frm, to, counts = oracle_path(p, n0, u, t_end, seed)
+    assert np.array_equal(path.times, times)
+    assert np.array_equal(path.kinds, kinds)
+    assert np.array_equal(path.from_state, frm)
+    assert np.array_equal(path.to_state, to)
+    table = path.counts()
+    assert np.array_equal(table[0], n0.n)
+    assert np.array_equal(table[1:], counts)
+    assert np.array_equal(path.terminal().n, table[-1])
+    return table
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_simulate_ctmc_bitwise_equals_oracle(d):
+    rng = np.random.default_rng(500 + d)
+    for trial, N in enumerate([1, 2, 17, 250, 2000]):
+        p = random_params(rng, d)
+        # odd trials draw per-state (mostly non-uniform) controls
+        u = random_control(rng, d) if trial % 2 else StationaryControl.single(d, int(rng.integers(d)))
+        n0 = CountVector.from_fractions(random_state(rng, d), N)
+        assert_path_equals_oracle(p, n0, u, 2.0 if N <= 250 else 0.2, seed=trial)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_lln_error_bitwise_equals_oracle(d):
+    rng = np.random.default_rng(600 + d)
+    for trial in range(2):
+        p = random_params(rng, d)
+        u = random_control(rng, d) if trial else StationaryControl.single(d, int(rng.integers(d)))
+        x0 = random_state(rng, d)
+        grid = TimeGrid(0.0, 1.0, 400)
+        table = lln_error(p, u, x0, 1.0, [1, 40, 300], 3, seed=trial, grid=grid, n_compare=150)
+        ref = oracle_lln_sup_errors(p, u, x0, 1.0, [1, 40, 300], 3, trial, grid=grid,
+                                    n_compare=150)
+        for row, errs in zip(table.rows, ref):
+            assert np.array_equal(row.sup_errors, errs)
+
+
+def test_emptied_strategy_leaves_engine_bitwise_equal(p0):
+    # under single(1) nothing migrates into strategy 2: once its two states
+    # are empty its channels leave the loop's table for the rest of the run
+    u = StationaryControl.single(2, 0)
+    n0 = CountVector.from_fractions(MixedState.uniform(2), 40)
+    counts = assert_path_equals_oracle(p0, n0, u, 3.0, seed=8)
+    emptied = np.flatnonzero(counts[:, 2:].sum(axis=1) == 0)
+    assert 0 < emptied[0] < counts.shape[0] - 10  # empties mid-run, events follow
+    table = lln_error(p0, u, MixedState.uniform(2), 3.0, [40, 400], 3, seed=8,
+                      grid=TimeGrid(0.0, 3.0, 3000))
+    ref = oracle_lln_sup_errors(p0, u, MixedState.uniform(2), 3.0, [40, 400], 3, 8,
+                                grid=TimeGrid(0.0, 3.0, 3000))
+    for row, errs in zip(table.rows, ref):
+        assert np.array_equal(row.sup_errors, errs)
+
+
+def test_every_strategy_a_target_engine_bitwise_equal(p0):
+    # mixed(1,2) sends infected agents to strategy 1 and susceptible ones to
+    # strategy 2, so both keep an inflow and no channel ever leaves the
+    # table, even from a start with strategy 2 empty
+    u = StationaryControl.mixed(2, 0, 1)
+    for n0 in (CountVector([30, 30, 0, 0]), CountVector.from_fractions(MixedState.uniform(2), 60)):
+        counts = assert_path_equals_oracle(p0, n0, u, 3.0, seed=9)
+        assert counts[-1, 2:].sum() > 0

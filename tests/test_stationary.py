@@ -30,6 +30,7 @@ from sismfg.stationary import (
 )
 
 from conftest import (
+    P0,
     P0_GAP,
     P0_G1I,
     P0_G1S,
@@ -481,6 +482,23 @@ def test_enumerate_accepts_single_at_large_lambda_small_discount():
     assert by_label["single(1)"].status == "accepted"
     assert by_label["single(1)"].min_margin > 0
     assert "single(1)" in [s.control.label() for s in res.equilibria]
+
+
+def test_enumerate_huge_lambda_spectra_within_rate_roundoff():
+    # eigvals rounds at about eps * lam: at lam = 1e10 the closed-form and
+    # numerical single-family spectra differ by 3.8e-6, above the absolute
+    # SPECTRUM_ERROR_TOL, which is not a failure of the candidate
+    p = ModelParams(**{**P0, "lam": 1e10})
+    res = enumerate_equilibria(p)
+    by_label = {r.control.label(): r for r in res.reports}
+    assert len(by_label) == 4
+    assert [r.detail for r in res.reports if r.status == "failed"] == []
+    assert by_label["single(1)"].status == "accepted"
+    assert "single(1)" in [s.control.label() for s in res.equilibria]
+    for i in range(2):
+        x_star, _ = fixed_point_single(p, i)
+        rep = stability_single(p, i, x_star)
+        assert rep.agreement <= 64 * np.finfo(float).eps * p.lam
 
 
 def test_each_mixed_candidate_solved_once(p0, monkeypatch):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import SIMPLEX_TOL, ModelParams, StationaryControl
+from .model import SIMPLEX_TOL, ModelParams, ParamStack, StationaryControl
 
 RUN_KINDS = ("equilibria", "simulate", "turnpike", "nplayer", "sweep")
 OUTPUT_FORMATS = ("csv", "json")
@@ -260,29 +260,43 @@ def _parse_model(data, col: _Collector) -> ModelParams | None:
         return None
 
 
+def _strategy_indices(value, where: str, col: _Collector, vector: bool):
+    """A 1-based strategy index from the file (with vector, a list of them)
+    made 0-based; None, with an error, for anything else: int() would
+    truncate a fractional index and read a boolean as 0 or 1."""
+    entries = value if vector and isinstance(value, list) else [value]
+    bad = [v for v in entries if isinstance(v, bool) or not isinstance(v, int)]
+    if bad or (vector and not isinstance(value, list)):
+        expected = "a list of integer strategy indices" if vector else "an integer strategy index"
+        col.add(where, f"expected {expected} (1-based), got {(bad or [value])[0]!r}")
+        return None
+    return np.asarray(entries) - 1 if vector else value - 1
+
+
 def _parse_control(data, d: int, where: str, col: _Collector) -> StationaryControl | None:
     if not isinstance(data, dict):
         col.add(where, "expected an object")
         return None
     kind = data.get("type")
+    keys = {"single": ("i",), "mixed": ("i", "k"), "explicit": ("target_I", "target_S")}
+    if kind not in keys:
+        col.add(f"{where}.type", "expected 'single', 'mixed' or 'explicit'")
+        return None
+    if not col.expect_keys(where, data, {"type", *keys[kind]}, set()):
+        return None
+    idx = [_strategy_indices(data[key], f"{where}.{key}", col, kind == "explicit")
+           for key in keys[kind]]
+    if any(v is None for v in idx):
+        return None
     try:
         if kind == "single":
-            col.expect_keys(where, data, {"type", "i"}, set())
-            return StationaryControl.single(d, int(data["i"]) - 1)
+            return StationaryControl.single(d, *idx)
         if kind == "mixed":
-            col.expect_keys(where, data, {"type", "i", "k"}, set())
-            return StationaryControl.mixed(d, int(data["i"]) - 1, int(data["k"]) - 1)
-        if kind == "explicit":
-            col.expect_keys(where, data, {"type", "target_I", "target_S"}, set())
-            return StationaryControl(
-                np.asarray(data["target_I"], dtype=int) - 1,
-                np.asarray(data["target_S"], dtype=int) - 1,
-            )
-    except (ValueError, TypeError, KeyError) as exc:
+            return StationaryControl.mixed(d, *idx)
+        return StationaryControl(*idx)
+    except (ValueError, TypeError) as exc:
         col.add(where, str(exc))
         return None
-    col.add(f"{where}.type", "expected 'single', 'mixed' or 'explicit'")
-    return None
 
 
 def _parse_state_spec(data, n_states: int, where: str, col: _Collector, tokens=("uniform",)):
@@ -353,19 +367,41 @@ def parse_sweep_path(path: str, d: int) -> tuple[str, tuple[int, ...]]:
     return name, idx
 
 
-def apply_override(model_dict: dict, path: str, value: float, d: int) -> dict:
-    """Return a copy of a model dict with one sweep override applied."""
+def apply_override(stack: ParamStack, path: str, values, d: int) -> None:
+    """Write one sweep axis into stacked parameters: point n of the stack
+    gets values[n] at the model entry the override path names."""
     name, idx = parse_sweep_path(path, d)
-    out = json.loads(json.dumps(model_dict))
-    if name == "lambda":
-        out["lambda"] = value
-    elif name == "delta":
-        out["delta"] = value
-    elif name == "beta":
-        out["beta"][idx[0]][idx[1]] = value
-    else:
-        out[name][idx[0]] = value
-    return out
+    getattr(stack, "lam" if name == "lambda" else name)[(slice(None),) + idx] = values
+
+
+def sweep_grid(model: ModelParams, axes) -> tuple[np.ndarray, ParamStack]:
+    """The product grid of the sweep axes and its stacked parameters.
+
+    Points are in grid order (the last axis varies fastest), one column per
+    axis; point n of the stack is the model with row n's overrides applied.
+    """
+    mesh = np.meshgrid(*(np.asarray(axis.values, dtype=float) for axis in axes), indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    stack = ParamStack.tile(model, len(points))
+    for a, axis in enumerate(axes):
+        apply_override(stack, axis.path, points[:, a], model.d)
+    return points, stack
+
+
+def _stationary_model_errors(model: ModelParams, sweep: SweepConfig | None, col: _Collector) -> None:
+    """Reject what the stationary solver would refuse later: an equilibria
+    model, or any sweep grid point, that breaks a model invariant or has
+    delta = 0 (stationary discounted values need delta > 0)."""
+    if sweep is None:
+        for msg, _ in ParamStack.tile(model).violations(positive_discount=True):
+            col.add("model", msg)
+        return
+    points, stack = sweep_grid(model, sweep.axes)
+    for msg, bad in stack.violations(positive_discount=True):
+        first = int(np.argmax(bad))
+        at = ", ".join(f"{axis.path}={float(points[first, a])!r}"
+                       for a, axis in enumerate(sweep.axes))
+        col.add("sweep.axes", f"{msg} at grid point {at} ({int(bad.sum())} of {len(points)} points)")
 
 
 def parse_config_dict(data: dict) -> ScenarioConfig:
@@ -406,6 +442,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             output = OutputConfig(dir=dir_, format=fmt)
 
     simulate = turnpike = nplayer = sweep = None
+    if model is not None and run == "equilibria":
+        _stationary_model_errors(model, None, col)
     if model is not None and run is not None and run in data:
         block = data[run]
         where = run
@@ -506,6 +544,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                     axes.append(SweepAxis(path=path, values=tuple(float(v) for v in values)))
                 if len(axes) == len(axes_raw):
                     sweep = SweepConfig(axes=tuple(axes))
+                    _stationary_model_errors(model, sweep, col)
 
     if col.errors:
         raise ConfigError(col.errors)

@@ -7,22 +7,26 @@ label the same order 1-based (x_1I, x_1S, ...).
 
 The module provides:
   - parameter / state / control / value containers with their invariants,
+    and ``ParamStack``, the constants of many parameter points stacked as
+    arrays (the batched stationary kernel and sweep validation use it),
   - the population ODE right-hand side (``kinetic_rhs``): decision-driven
     migration at rate lam plus infection / recovery pressure and pairwise
-    peer infection, and its exact Jacobian (``kinetic_jacobian``),
+    peer infection, and its exact Jacobian (``kinetic_jacobian``, stacked
+    over points by ``kinetic_jacobian_stack``),
   - the backward right-hand side of the discounted optimal-cost equation
     (``hjb_rhs``, compiled per control by ``hjb_rhs_fn``), with the
     strategy minimum taken explicitly or expanded at a fixed control,
   - the best-response operator and the scalar stationarity certificate
     ``consistency_residual``.
 
-All functions are pure; containers are frozen and hold read-only arrays,
-so everything here is safe under unrestricted concurrent use.
+All functions are pure; containers are frozen and hold read-only arrays
+(``ParamStack`` excepted: a sweep writes its axes into one), so
+everything here is safe under unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -86,28 +90,87 @@ class ModelParams:
             errs.append(f"beta must have shape ({self.d}, {self.d}), got {self.beta.shape}")
         if errs:
             return errs
-        if not self.lam > 0:
-            errs.append(f"lam must be > 0, got {self.lam}")
-        if not self.delta >= 0:
-            errs.append(f"delta must be >= 0, got {self.delta}")
-        if not np.all(self.q_plus > 0):
-            errs.append("q_plus entries must be > 0")
-        if not np.all(self.q_minus > 0):
-            errs.append("q_minus entries must be > 0")
-        if not np.all(self.beta >= 0):
-            errs.append("beta entries must be >= 0")
-        bad = np.nonzero(~(self.w_S < self.w_I))[0]
-        if bad.size:
-            js = ", ".join(str(j + 1) for j in bad)
-            errs.append(
-                f"w_S must be < w_I for every strategy (susceptible is the better, cheaper "
-                f"state); violated at strategy {js}"
-            )
-        return errs
+        return [msg for msg, _ in ParamStack.tile(self).violations()]
 
     @property
     def n_states(self) -> int:
         return 2 * self.d
+
+
+@dataclass(frozen=True)
+class ParamStack:
+    """The constants of n parameter points, stacked along a leading axis.
+
+    lam and delta have shape (n,), q_plus, q_minus, w_I and w_S (n, d) and
+    beta (n, d, d).  The arrays are writable, so a sweep can write its axes
+    into a stack tiled from one model (``config.apply_override``).
+    """
+
+    lam: np.ndarray
+    delta: np.ndarray
+    q_plus: np.ndarray
+    q_minus: np.ndarray
+    beta: np.ndarray
+    w_I: np.ndarray
+    w_S: np.ndarray
+
+    @classmethod
+    def tile(cls, p: ModelParams, n: int = 1) -> "ParamStack":
+        """n copies of the constants of p."""
+        return cls(*(np.asarray(a, dtype=float)[None].repeat(n, axis=0)
+                     for a in (p.lam, p.delta, p.q_plus, p.q_minus, p.beta, p.w_I, p.w_S)))
+
+    @property
+    def n(self) -> int:
+        return self.lam.size
+
+    @property
+    def d(self) -> int:
+        return self.q_plus.shape[1]
+
+    def take(self, idx) -> "ParamStack":
+        """The points at idx (an index array or slice)."""
+        return ParamStack(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def rate_roundoff(self) -> np.ndarray:
+        """64 eps times the largest rate (lam, q_plus, q_minus or beta) per
+        point: the roundoff of a computation that multiplies by every rate."""
+        rate = np.maximum.reduce([
+            self.lam, self.q_plus.max(axis=1), self.q_minus.max(axis=1),
+            self.beta.max(axis=(1, 2)),
+        ])
+        return 64.0 * np.finfo(float).eps * rate
+
+    def violations(self, positive_discount: bool = False) -> list[tuple[str, np.ndarray]]:
+        """The value invariants of ``ModelParams`` (and delta > 0 when
+        positive_discount) that some point breaks: one (message, mask of the
+        offending points) per invariant, the message worded at the first
+        offending point."""
+        out: list[tuple[str, np.ndarray]] = []
+
+        def check(ok: np.ndarray, message) -> None:
+            if not ok.all():
+                first = int(np.argmin(ok))
+                out.append((message(first), ~ok))
+
+        check(self.lam > 0, lambda n: f"lam must be > 0, got {self.lam[n]}")
+        if positive_discount:
+            check(self.delta > 0, lambda n: "delta must be > 0 for stationary discounted "
+                                            f"values, got {self.delta[n]}")
+        else:
+            check(self.delta >= 0, lambda n: f"delta must be >= 0, got {self.delta[n]}")
+        check(np.all(self.q_plus > 0, axis=1), lambda n: "q_plus entries must be > 0")
+        check(np.all(self.q_minus > 0, axis=1), lambda n: "q_minus entries must be > 0")
+        check(np.all(self.beta >= 0, axis=(1, 2)), lambda n: "beta entries must be >= 0")
+        ordered = self.w_S < self.w_I
+
+        def cost_message(n: int) -> str:
+            js = ", ".join(str(j + 1) for j in np.nonzero(~ordered[n])[0])
+            return (f"w_S must be < w_I for every strategy (susceptible is the better, "
+                    f"cheaper state); violated at strategy {js}")
+
+        check(np.all(ordered, axis=1), cost_message)
+        return out
 
 
 @dataclass(frozen=True)
@@ -289,12 +352,17 @@ def _interleave(vals_I, vals_S) -> np.ndarray:
     return out
 
 
+def state_targets(u: StationaryControl) -> np.ndarray:
+    """Target state of every state under u, in the interleaved state order."""
+    return _interleave(2 * u.target_I, 2 * u.target_S + 1)
+
+
 def _migration(p: ModelParams, u: StationaryControl) -> tuple[np.ndarray, np.ndarray]:
     """Per-state migration rate (lam away from the target, 0 at it) and the
     0/1 incidence matrix whose row s has its one at the target of s."""
     _check_dims(p, u)
     n = 2 * p.d
-    target = _interleave(2 * u.target_I, 2 * u.target_S + 1)
+    target = state_targets(u)
     moves = target != np.arange(n)
     rate = np.where(moves, p.lam, 0.0)
     incidence = np.zeros((n, n))
@@ -333,22 +401,44 @@ def kinetic_rhs(p: ModelParams, x: MixedState, u: StationaryControl) -> np.ndarr
     return kinetic_rhs_fn(p, u)(x.x)
 
 
-def kinetic_jacobian(p: ModelParams, u: StationaryControl, x: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of ``kinetic_rhs_fn(p, u)`` at the raw state x:
-    entry [a, b] is the derivative of component a in x_b.
+def effective_infection(s: ParamStack, x: np.ndarray) -> np.ndarray:
+    """Effective infection rate q~_j = q_minus_j + sum_k beta[k, j] xI_k of
+    every strategy, at stacked points s and raw states x (one row each)."""
+    return s.q_minus + np.matmul(np.swapaxes(s.beta, 1, 2), x[:, 0::2, None])[..., 0]
 
-    Migration is linear; the net infection of strategy j, xS_j q~_j - xI_j
-    q_plus_j with q~_j = q_minus_j + sum_k beta[k, j] xI_k, is quadratic.
+
+def kinetic_jacobian_stack(s: ParamStack, target: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exact Jacobians of the population RHS at stacked points: row m of the
+    stacked constants s, the state targets target[m] (``state_targets``) and
+    the raw state x[m].  Entry [m, a, b] is the derivative of component a in
+    x_b.
+
+    Migration is linear: lam on the target row and -lam on the diagonal of
+    every column whose state moves.  The net infection of strategy j,
+    xS_j q~_j - xI_j q_plus_j with q~_j = q_minus_j + sum_k beta[k, j] xI_k,
+    is quadratic.
     """
-    rate, incidence = _migration(p, u)
-    xI, xS = x[0::2], x[1::2]
-    jac = (rate[:, None] * incidence).T - np.diag(rate)
-    net = np.empty((p.d, 2 * p.d))  # derivatives of the net infection per strategy
-    net[:, 0::2] = xS[:, None] * p.beta.T - np.diag(p.q_plus)
-    net[:, 1::2] = np.diag(p.q_minus + p.beta.T @ xI)
-    jac[0::2] += net
-    jac[1::2] -= net
+    m, n = x.shape
+    rows, states = np.arange(m)[:, None], np.arange(n)
+    rate = np.where(target != states, s.lam[:, None], 0.0)
+    jac = np.zeros((m, n, n))
+    jac[rows, target, states] = rate
+    jac[rows, states, states] -= rate
+    eye = np.eye(n // 2)
+    beta_T = np.swapaxes(s.beta, 1, 2)
+    net = np.empty((m, n // 2, n))  # derivatives of the net infection per strategy
+    net[:, :, 0::2] = x[:, 1::2, None] * beta_T - eye * s.q_plus[:, None, :]
+    net[:, :, 1::2] = eye * effective_infection(s, x)[:, :, None]
+    jac[:, 0::2] += net
+    jac[:, 1::2] -= net
     return jac
+
+
+def kinetic_jacobian(p: ModelParams, u: StationaryControl, x: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of ``kinetic_rhs_fn(p, u)`` at the raw state x (the
+    one-point case of ``kinetic_jacobian_stack``)."""
+    _check_dims(p, u)
+    return kinetic_jacobian_stack(ParamStack.tile(p), state_targets(u)[None], x[None])[0]
 
 
 def hjb_coupling(p: ModelParams, xI: np.ndarray) -> np.ndarray:
@@ -375,7 +465,7 @@ def hjb_rhs_fn(
     """
     if u is not None:
         _check_dims(p, u)
-        target = _interleave(2 * u.target_I, 2 * u.target_S + 1)
+        target = state_targets(u)
     n = 2 * p.d
     partner = np.arange(n) ^ 1
     parity = np.arange(n) % 2
@@ -437,12 +527,16 @@ def consistency_residual(
     """Stationary equilibrium certificate.
 
     Max of three sup-norms: the population RHS at (x, u), the stationary
-    value-equation defect at (x, g), and the best-response gap of u against
-    g.  Zero exactly at a stationary solution of the coupled system whose
-    common control is individually optimal.
+    value-equation defect at (x, g) under u's own control, and the
+    best-response gap of u against g.  Zero exactly at a stationary solution
+    of the coupled system whose common control is individually optimal.
+
+    The defect is taken under u, not the explicit minimum: a tie-level
+    best-response gap then stays its own term instead of being multiplied
+    by lam in the value equation.
     """
     _check_dims(p, x, g, u)
     kin = float(np.max(np.abs(kinetic_rhs(p, x, u))))
-    hjb = float(np.max(np.abs(hjb_rhs(p, x, g))))
+    hjb = float(np.max(np.abs(hjb_rhs_fn(p, u)(hjb_coupling(p, x.infected), g.g))))
     br = best_response_gap(g, u)
     return max(kin, hjb, br)

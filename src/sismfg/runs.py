@@ -15,7 +15,6 @@ with the g/flag columns present for turnpike runs; flags are 1/0.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -29,9 +28,7 @@ from .config import (
     ScenarioConfig,
     SimulateConfig,
     TurnpikeConfig,
-    apply_override,
-    model_to_dict,
-    parse_config_dict,
+    sweep_grid,
 )
 from .dynamics import (
     TimeGrid,
@@ -44,12 +41,15 @@ from .dynamics import (
 from .model import MixedState, ModelParams, StationaryControl, ValueVector
 from .nplayer import CountVector, lln_error, simulate_ctmc
 from .stationary import (
+    ACCEPTED,
     EnumerationResult,
     EquilibriumSolution,
+    candidate_controls,
     enumerate_equilibria,
     fixed_point_mixed,
     fixed_point_single,
     hjb_single_exact,
+    solve_points,
 )
 
 
@@ -293,25 +293,19 @@ def run_nplayer(
     return artifacts, summary
 
 
-def _sweep_point(p_base_dict: dict, overrides: list[tuple[str, float]], d: int):
-    model_dict = p_base_dict
-    for path, value in overrides:
-        model_dict = apply_override(model_dict, path, value, d)
-    p = parse_config_dict(
-        {"model": model_dict, "run": "equilibria", "seed": 0}
-    ).model
-    return enumerate_equilibria(p)
-
-
 def run_sweep(
     cfg: ScenarioConfig, out_dir: Path, fmt_kind: str
 ) -> tuple[dict[str, Path], dict, list[str], int]:
+    """One equilibria summary row per grid point.  The config layer has
+    checked every point, and the kernel solves all points' candidates at
+    once; per-candidate failures are part of a point's result."""
     axes = cfg.sweep.axes
-    base = model_to_dict(cfg.model)
-    points = list(itertools.product(*(axis.values for axis in axes)))
-    jobs = [
-        [(axes[a].path, values[a]) for a in range(len(axes))] for values in points
-    ]
+    points, stack = sweep_grid(cfg.model, axes)
+    sol = solve_points(stack)
+    controls = candidate_controls(cfg.model.d)
+    labels = [u.label() for u in controls]
+    single = np.array([u.is_single for u in controls])
+    accepted = (sol.status == ACCEPTED).reshape(len(points), len(controls))
 
     header = [axis.path for axis in axes] + [
         "status",
@@ -322,33 +316,23 @@ def run_sweep(
         "max_real_part",
     ]
     rows = []
-    failures: list[str] = []
-    n_ok = 0
-    for overrides in jobs:
-        row = [fmt(v) for _, v in overrides]
-        try:
-            result = _sweep_point(base, overrides, cfg.model.d)
-        except Exception as exc:  # per-point failures must not abort the sweep
-            failures.append(f"{overrides}: {exc}")
-            rows.append(row + ["failed", "", "", "", "", ""])
-            continue
-        n_ok += 1
-        controls = ";".join(s.control.label() for s in result.equilibria)
-        x_star = ""
-        min_margin = ""
-        max_real = ""
-        singles = [s for s in result.equilibria if s.control.is_single]
-        if singles:
-            s0 = singles[0]
-            x_star = fmt(s0.x_star.x[2 * s0.control.as_pair()[0]])
-            min_margin = fmt(s0.margins.min_margin) if np.isfinite(s0.margins.min_margin) else "inf"
-            max_real = fmt(s0.stability.max_real_part)
+    for n, (coords, found) in enumerate(zip(points.tolist(), accepted)):
+        found = np.flatnonzero(found)
+        x_star = min_margin = max_real = ""
+        singles = found[single[found]]
+        if singles.size:
+            r = n * len(controls) + singles[0]
+            x_star = fmt(sol.x[r, 2 * sol.i[r]])
+            min_margin = fmt(sol.min_margin[r]) if np.isfinite(sol.min_margin[r]) else "inf"
+            max_real = fmt(sol.max_real_part[r])
         rows.append(
-            row + ["ok", str(len(result.equilibria)), controls, x_star, min_margin, max_real]
+            [fmt(v) for v in coords]
+            + ["ok", str(found.size), ";".join(labels[c] for c in found), x_star, min_margin,
+               max_real]
         )
     path = _write_table(out_dir, "sweep", fmt_kind, header, rows)
-    summary = {"n_points": len(points), "n_succeeded": n_ok}
-    return {"sweep": path}, summary, failures, n_ok
+    summary = {"n_points": len(points), "n_succeeded": len(points)}
+    return {"sweep": path}, summary, [], len(points)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> ResultBundle:

@@ -1,22 +1,38 @@
 """Stationary equilibria of the strategic SIS game.
 
-For each candidate control family the module computes the population fixed
-point, the exact stationary discounted values (closed-form block
-elimination of the linear system), the large-lam asymptotic values used as
-cross-checks and Newton seeds, the optimality margins that certify the
-control as a best response, and the linearization spectrum at the fixed
-point.  ``enumerate_equilibria`` sweeps every uniform candidate control
-(d single + d(d-1) mixed) and returns the certified solutions.
+A candidate is a uniform control [i(I), k(S)]: infected agents head to
+strategy i and susceptible agents to strategy k (the single family k == i,
+the mixed family k != i).  For a candidate the module computes the
+population fixed point, the exact stationary discounted values
+(closed-form block elimination of the linear system), the optimality
+margins that certify the control as a best response, the stationarity
+residual and the linearization spectrum at the fixed point.  The large-lam
+asymptotic values and margins are cross-checks.
+
+All of it is one array kernel.  ``solve_points`` solves every candidate at
+every point of a ``ParamStack`` as one flat batch of (point, candidate)
+pairs: closed-form roots for the single family, a vectorized damped Newton
+for the mixed one, stacked 2x2 solves and stacked ``eigvals``.  The batch
+runs in blocks of at most ENTRY_BUDGET Jacobian entries, which bounds the
+kernel's working memory whatever the number of points or d.  Each pair
+ends with a status (accepted / rejected / failed) and, when it failed, the
+reason.  ``enumerate_equilibria`` runs the kernel on one model, and a sweep
+(``runs.run_sweep``) on all of its grid points at once.  The scalar
+functions (``fixed_point_single``, ``hjb_single_exact``,
+``stability_single``, ``consistency_mixed``, ``solve_candidate``, ...) are
+one-pair views of the same kernel pieces, so every formula has one source.
 
 Acceptance of a candidate is decided on exact margins and the stationarity
 residual only; the asymptotic formulas are diagnostics.  Margins within
 ``TIE_TOL`` of zero mark a boundary / bifurcation case: the candidate is
-kept but flagged degenerate.
+kept but flagged degenerate.  Per-candidate failures become reports, never
+exceptions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,13 +40,13 @@ from .model import (
     TIE_TOL,
     MixedState,
     ModelParams,
+    ParamStack,
     StationaryControl,
     ValueVector,
-    best_response,
-    consistency_residual,
-    hjb_coupling,
-    hjb_rhs_fn,
-    kinetic_jacobian,
+    _interleave,
+    effective_infection,
+    kinetic_jacobian_stack,
+    state_targets,
 )
 
 #: closed-form vs numerical spectrum disagreement treated as an internal error
@@ -43,16 +59,29 @@ NEWTON_MAX_HALVINGS = 30
 VALUE_RESIDUAL_TOL = 1e-10
 #: residual bound for accepting an equilibrium
 EQUILIBRIUM_RESIDUAL_TOL = 1e-8
+#: most Jacobian entries the kernel holds at once: a block takes
+#: max(1, ENTRY_BUDGET // (2d)^2) pairs
+ENTRY_BUDGET = 1 << 15
+
+#: status codes of a solved pair, indexes into STATUS_NAMES
+ACCEPTED, REJECTED, FAILED = 0, 1, 2
+STATUS_NAMES = ("accepted", "rejected", "failed")
+
+_NEEDS_DISCOUNT = "stationary discounted values require delta > 0"
+_SINGULAR_VALUES = "singular 2x2 system for the mixed stationary values"
 
 
-def _rate_roundoff(p: ModelParams) -> float:
-    """64 eps times the largest rate (lam, q_plus, q_minus or beta): the
-    roundoff of a computation that multiplies by every rate."""
-    rate = max(p.lam, float(p.q_plus.max()), float(p.q_minus.max()), float(p.beta.max()))
-    return 64.0 * np.finfo(float).eps * rate
+def _require_positive_discount(p: ModelParams) -> None:
+    if not p.delta > 0:
+        raise ValueError(_NEEDS_DISCOUNT)
 
 
-def _roundoff_floor(p: ModelParams, g: ValueVector) -> float:
+def _pair(*values: int) -> tuple[np.ndarray, ...]:
+    """One-pair index arrays for the scalar views."""
+    return tuple(np.array([v]) for v in values)
+
+
+def _roundoff_floor(s: ParamStack, g: np.ndarray) -> np.ndarray:
     """Level below which a stationarity defect at the values g is roundoff.
 
     Evaluating the value equation multiplies g by every rate, so it rounds
@@ -60,44 +89,67 @@ def _roundoff_floor(p: ModelParams, g: ValueVector) -> float:
     |g| ~ 1/delta that exceeds the absolute bounds above at large rates
     and small discount.  Both certificates allow max(their bound, floor).
     """
-    return _rate_roundoff(p) * max(1.0, float(np.max(np.abs(g.g))))
+    return s.rate_roundoff() * np.maximum(1.0, np.abs(g).max(axis=1))
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked solve of a[m] y = b[m] for vectors b, and the mask of the
+    systems that were not singular (their solutions are NaN)."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(a.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:  # some matrix is singular: find which, one by one
+        out = np.full(b.shape, np.nan)
+        ok = np.ones(a.shape[0], dtype=bool)
+        for m in range(a.shape[0]):
+            try:
+                out[m] = np.linalg.solve(a[m], b[m])
+            except np.linalg.LinAlgError:
+                ok[m] = False
+        return out, ok
 
 
 # ---------------------------------------------------------------------------
 # fixed points
 
 
+def _share_quadratic(s: ParamStack, i: np.ndarray, k: np.ndarray):
+    """Per pair, the coefficients (a, b, c) of a y^2 + b y + c for the
+    stationary infected share, with pressure pair (q_plus[i], q_minus[k])
+    and self-interaction beta[i, k]."""
+    r = np.arange(s.n)
+    beta = s.beta[r, i, k]
+    return beta, s.q_plus[r, i] - beta + s.q_minus[r, k], -s.q_minus[r, k]
+
+
 def infected_share_quadratic(p: ModelParams, i: int, k: int) -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the reduced quadratic a y^2 + b y + c for the
     stationary infected share, with the pressure pair (q_plus[i], q_minus[k])
     and self-interaction beta[i, k].  The single-control case is k == i."""
-    a = float(p.beta[i, k])
-    b = float(p.q_plus[i] - p.beta[i, k] + p.q_minus[k])
-    c = -float(p.q_minus[k])
-    return a, b, c
+    a, b, c = _share_quadratic(ParamStack.tile(p), *_pair(i, k))
+    return float(a[0]), float(b[0]), float(c[0])
 
 
-def _quadratic_root_unit(a: float, b: float, c: float) -> float:
+def _quadratic_root_unit(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Positive root of a y^2 + b y + c for a >= 0, c < 0 (and b > 0 when
     a = 0, the linear root -c / b).
 
     Cancellation-free for either sign of b: 2|c| / (b + sqrt(b^2 - 4ac))
     when b >= 0, (-b + sqrt(b^2 - 4ac)) / (2a) when b < 0.
     """
-    if a == 0.0:
-        return -c / b
-    disc = b * b - 4.0 * a * c
-    if b < 0.0:
-        return (-b + np.sqrt(disc)) / (2.0 * a)
-    return 2.0 * (-c) / (b + np.sqrt(disc))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branches not taken
+        root = np.sqrt(b * b - 4.0 * a * c)
+        return np.where(
+            a == 0.0, -c / b, np.where(b < 0.0, (-b + root) / (2.0 * a), 2.0 * (-c) / (b + root))
+        )
 
 
-def _single_state(p: ModelParams, i: int, x_star: float) -> MixedState:
-    """All mass on strategy i, infected share x_star."""
-    x = np.zeros(p.n_states)
-    x[2 * i] = x_star
-    x[2 * i + 1] = 1.0 - x_star
-    return MixedState(x)
+def _single_states(d: int, i: np.ndarray, x_star: np.ndarray) -> np.ndarray:
+    """All mass on strategy i, infected share x_star, per pair."""
+    r = np.arange(i.size)
+    x = np.zeros((i.size, 2 * d))
+    x[r, 2 * i] = x_star
+    x[r, 2 * i + 1] = 1.0 - x_star
+    return x
 
 
 def fixed_point_single(p: ModelParams, i: int) -> tuple[float, MixedState]:
@@ -107,9 +159,9 @@ def fixed_point_single(p: ModelParams, i: int) -> tuple[float, MixedState]:
     beta_ii y^2 + y (q_plus_i - beta_ii + q_minus_i) - q_minus_i = 0 on (0, 1),
     all mass sits on strategy i, and every other coordinate is zero.
     """
-    a, b, c = infected_share_quadratic(p, i, i)
-    x_star = _quadratic_root_unit(a, b, c)
-    return x_star, _single_state(p, i, x_star)
+    (i_,) = _pair(i)
+    x_star = _quadratic_root_unit(*_share_quadratic(ParamStack.tile(p), i_, i_))
+    return float(x_star[0]), MixedState(_single_states(p.d, i_, x_star)[0])
 
 
 @dataclass(frozen=True)
@@ -118,98 +170,186 @@ class NewtonInfo:
     residual: float
 
 
-def fixed_point_mixed(p: ModelParams, i: int, k: int) -> tuple[MixedState, NewtonInfo]:
-    """Stationary state under the mixed control [i(I), k(S)], k != i.
+def _newton_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray):
+    """Damped Newton for the reduced mixed fixed point, entry by entry.
 
     Only strategies i and k are populated and the reduction forces
     x_kI = x_iS and x_kS = 1 - x_iI - 2 x_kI, leaving two equations in
-    (x_iI, x_kI).  They are solved by damped Newton seeded with the
-    large-lam asymptotics: x_iI from the reduced quadratic with the
-    (q_plus[i], q_minus[k]) pressure pair, x_kI = x_iI q_plus[i] / lam.
+    (x_iI, x_kI), seeded with the large-lam asymptotics: x_iI from the
+    reduced quadratic with the (q_plus[i], q_minus[k]) pressure pair,
+    x_kI = x_iI q_plus[i] / lam.  Each entry keeps its own step halvings and
+    stops when its residual is below NEWTON_TOL.  Returns x_iI, x_kI, the
+    iteration counts, the residuals and the mask of entries whose Newton
+    matrix was singular.
     """
-    if k == i:
-        raise ValueError("mixed fixed point requires k != i")
-    lam = p.lam
-    qpi, qpk = float(p.q_plus[i]), float(p.q_plus[k])
-    qmi, qmk = float(p.q_minus[i]), float(p.q_minus[k])
-    bii, bki = float(p.beta[i, i]), float(p.beta[k, i])
-    bik, bkk = float(p.beta[i, k]), float(p.beta[k, k])
+    r = np.arange(s.n)
+    coef = np.stack([  # one row per coefficient, one column per entry
+        s.lam, s.q_plus[r, i], s.q_plus[r, k], s.q_minus[r, i], s.q_minus[r, k],
+        s.beta[r, i, i], s.beta[r, k, i], s.beta[r, i, k], s.beta[r, k, k],
+    ])
 
-    def residual(v: np.ndarray) -> np.ndarray:
+    def residual(c, v):
+        lam, qpi, qpk, qmi, qmk, bii, bki, bik, bkk = c
         xiI, xkI = v
         xkS = 1.0 - xiI - 2.0 * xkI
-        f1 = xkI * qmi - xiI * qpi + xkI * xiI * bii + xkI * xkI * bki + lam * xkI
-        f2 = xkS * (qmk + xkI * bkk + xiI * bik) - (lam + qpk) * xkI
-        return np.array([f1, f2])
+        return np.array([
+            xkI * qmi - xiI * qpi + xkI * xiI * bii + xkI * xkI * bki + lam * xkI,
+            xkS * (qmk + xkI * bkk + xiI * bik) - (lam + qpk) * xkI,
+        ])
 
-    def jacobian(v: np.ndarray) -> np.ndarray:
+    def jacobian(c, v):
+        lam, qpi, qpk, qmi, qmk, bii, bki, bik, bkk = c
         xiI, xkI = v
         xkS = 1.0 - xiI - 2.0 * xkI
         press = qmk + xkI * bkk + xiI * bik
-        return np.array(
-            [
-                [-qpi + xkI * bii, qmi + xiI * bii + 2.0 * xkI * bki + lam],
-                [-press + xkS * bik, -2.0 * press + xkS * bkk - (lam + qpk)],
-            ]
-        )
+        return np.array([
+            [-qpi + xkI * bii, qmi + xiI * bii + 2.0 * xkI * bki + lam],
+            [-press + xkS * bik, -2.0 * press + xkS * bkk - (lam + qpk)],
+        ]).transpose(2, 0, 1)
 
-    a, b, c = infected_share_quadratic(p, i, k)
-    xiI0 = _quadratic_root_unit(a, b, c)
-    v = np.array([xiI0, xiI0 * qpi / lam])
-    res = residual(v)
-    norm = np.max(np.abs(res))
-    its = 0
-    for its in range(1, NEWTON_MAX_ITER + 1):
-        if norm < NEWTON_TOL:
+    x_iI = _quadratic_root_unit(*_share_quadratic(s, i, k))
+    v = np.array([x_iI, x_iI * coef[1] / coef[0]])  # (x_iI, x_kI) per column
+    res = residual(coef, v)
+    norm = np.abs(res).max(axis=0)
+    iterations = np.zeros(s.n, dtype=np.int64)
+    singular = np.zeros(s.n, dtype=bool)
+    live = r
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        iterations[live] = it
+        live = live[~(norm[live] < NEWTON_TOL)]
+        if not live.size:
             break
-        step = np.linalg.solve(jacobian(v), res)
-        scale = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS):
-            v_new = v - scale * step
-            res_new = residual(v_new)
-            norm_new = np.max(np.abs(res_new))
-            if norm_new < norm:
+        step, ok = _solve_stack(jacobian(coef[:, live], v[:, live]), res[:, live].T)
+        singular[live[~ok]] = True
+        live, step = live[ok], step[ok].T
+        c, v_old, norm_old = coef[:, live], v[:, live], norm[live]
+        v_new = v_old - step  # the full step, then halvings for the entries it does not improve
+        res_new = residual(c, v_new)
+        norm_new = np.abs(res_new).max(axis=0)
+        pending = np.flatnonzero(~(norm_new < norm_old))
+        for halving in range(1, NEWTON_MAX_HALVINGS):
+            if not pending.size:
                 break
-            scale *= 0.5
-        v, res, norm = v_new, res_new, norm_new
-    if norm >= NEWTON_TOL:
-        raise RuntimeError(
-            f"mixed fixed point Newton did not converge for (i={i}, k={k}); "
-            f"residual {norm:.3e} after {its} iterations"
-        )
-    xiI, xkI = v
-    x = np.zeros(p.n_states)
-    x[2 * i] = xiI
-    x[2 * i + 1] = xkI  # forced by the reduction: x_iS = x_kI
-    x[2 * k] = xkI
-    x[2 * k + 1] = 1.0 - xiI - 2.0 * xkI
-    if np.any(x < 0):
-        raise RuntimeError(
-            f"mixed fixed point left the simplex for (i={i}, k={k}): {x.tolist()}"
-        )
-    return MixedState(x), NewtonInfo(iterations=its, residual=float(norm))
+            v_new[:, pending] = v_old[:, pending] - 0.5 ** halving * step[:, pending]
+            res_new[:, pending] = residual(c[:, pending], v_new[:, pending])
+            norm_new[pending] = np.abs(res_new[:, pending]).max(axis=0)
+            pending = pending[~(norm_new[pending] < norm_old[pending])]
+        v[:, live], res[:, live], norm[live] = v_new, res_new, norm_new
+    return v[0], v[1], iterations, norm, singular
+
+
+def _mixed_states(d: int, i: np.ndarray, k: np.ndarray, x_iI: np.ndarray,
+                  x_kI: np.ndarray) -> np.ndarray:
+    r = np.arange(i.size)
+    x = np.zeros((i.size, 2 * d))
+    x[r, 2 * i] = x_iI
+    x[r, 2 * i + 1] = x_kI  # forced by the reduction: x_iS = x_kI
+    x[r, 2 * k] = x_kI
+    x[r, 2 * k + 1] = 1.0 - x_iI - 2.0 * x_kI
+    return x
+
+
+def _mixed_failures(i, k, x, iterations, norm, singular) -> list[str | None]:
+    """Why each mixed fixed point is unusable, or None."""
+    out: list[str | None] = [None] * i.size
+    for r in np.flatnonzero(singular | (norm >= NEWTON_TOL) | np.any(x < 0, axis=1)):
+        if singular[r]:
+            out[r] = "Singular matrix"
+        elif norm[r] >= NEWTON_TOL:
+            out[r] = (f"mixed fixed point Newton did not converge for (i={i[r]}, k={k[r]}); "
+                      f"residual {norm[r]:.3e} after {iterations[r]} iterations")
+        else:
+            out[r] = f"mixed fixed point left the simplex for (i={i[r]}, k={k[r]}): {x[r].tolist()}"
+    return out
+
+
+def fixed_point_mixed(p: ModelParams, i: int, k: int) -> tuple[MixedState, NewtonInfo]:
+    """Stationary state under the mixed control [i(I), k(S)], k != i, by the
+    damped Newton of the kernel (see ``_newton_mixed``); RuntimeError when
+    it does not converge or leaves the simplex."""
+    if k == i:
+        raise ValueError("mixed fixed point requires k != i")
+    i_, k_ = _pair(i, k)
+    x_iI, x_kI, iterations, norm, singular = _newton_mixed(ParamStack.tile(p), i_, k_)
+    x = _mixed_states(p.d, i_, k_, x_iI, x_kI)
+    failure = _mixed_failures(i_, k_, x, iterations, norm, singular)[0]
+    if failure is not None:
+        raise RuntimeError(failure)
+    return MixedState(x[0]), NewtonInfo(iterations=int(iterations[0]), residual=float(norm[0]))
 
 
 # ---------------------------------------------------------------------------
 # linearization spectrum
 
 
-def tangent_jacobian(p: ModelParams, u: StationaryControl, x_arr: np.ndarray) -> np.ndarray:
-    """Jacobian of the population RHS restricted to the simplex tangent space.
+def _sorted_spectrum(values: np.ndarray) -> np.ndarray:
+    """Each row sorted by real part, then imaginary part."""
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    return np.take_along_axis(values, order, axis=-1)
+
+
+def _uniform_targets(d: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``model.state_targets`` of the control [i(I), k(S)], per pair."""
+    target = np.empty((i.size, 2 * d), dtype=np.int64)
+    target[:, 0::2] = 2 * i[:, None]
+    target[:, 1::2] = 2 * k[:, None] + 1
+    return target
+
+
+def _tangent_spectra(s: ParamStack, target: np.ndarray,
+                     x: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """Sorted spectra of the population Jacobian restricted to the simplex
+    tangent space, per pair, and why each could not be computed, or None.
 
     The tangent basis is e_m - e_last, and the restriction is well defined
     because the RHS conserves mass.
     """
-    jac = kinetic_jacobian(p, u, x_arr)
-    n = x_arr.size
+    n = x.shape[1]
     basis = np.vstack([np.eye(n - 1), -np.ones(n - 1)])
     gram = np.eye(n - 1) + 1.0  # basis columns share the last coordinate
-    return np.linalg.solve(gram, basis.T @ (jac @ basis))
+    tangent = np.linalg.solve(gram, basis.T @ (kinetic_jacobian_stack(s, target, x) @ basis))
+    failures: list[str | None] = [None] * x.shape[0]
+    try:
+        values = np.linalg.eigvals(tangent).astype(complex)
+    except np.linalg.LinAlgError:  # find the matrices that fail, one by one
+        values = np.full((x.shape[0], n - 1), np.nan, dtype=complex)
+        for m in range(x.shape[0]):
+            try:
+                values[m] = np.linalg.eigvals(tangent[m])
+            except np.linalg.LinAlgError as exc:
+                failures[m] = str(exc)
+    return _sorted_spectrum(values), failures
 
 
-def _sorted_spectrum(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
+def _single_closed_form(s: ParamStack, i: np.ndarray, x_star: np.ndarray, numerical: np.ndarray):
+    """Closed-form single-family spectrum and its check against the sorted
+    numerical one, per pair: (xi, pairs, sorted closed form, agreement,
+    mask of disagreements).
+
+    The principal eigenvalue is xi = (1 - 2 x_star) beta_ii - q_minus_i -
+    q_plus_i, and every j != i adds the pair (-lam - (q_plus_j + q_minus_j +
+    x_star beta_ij), -lam).  A disagreement beyond SPECTRUM_ERROR_TOL, or
+    beyond the rate roundoff when that is larger, is an error: eigvals
+    rounds at about eps times the largest Jacobian entry, which grows with
+    lam.
+    """
+    m, d = i.size, s.d
+    r = np.arange(m)
+    xi = (1.0 - 2.0 * x_star) * s.beta[r, i, i] - s.q_minus[r, i] - s.q_plus[r, i]
+    slow = -s.lam[:, None] - (s.q_plus + s.q_minus + x_star[:, None] * s.beta[r, i, :])
+    slow = slow[np.arange(d) != i[:, None]].reshape(m, d - 1)
+    pairs = np.stack([slow, np.broadcast_to(-s.lam[:, None], slow.shape)], axis=2)
+    closed = _sorted_spectrum(
+        np.concatenate([xi[:, None], pairs.reshape(m, 2 * d - 2)], axis=1).astype(complex)
+    )
+    agreement = np.abs(closed - numerical).max(axis=1)
+    bad = agreement > np.maximum(SPECTRUM_ERROR_TOL, s.rate_roundoff())
+    return xi, pairs, closed, agreement, bad
+
+
+def _disagreement(agreement: float, i: int) -> str:
+    return (f"closed-form and numerical spectra disagree by {agreement:.3e} "
+            f"at the single({i + 1}) fixed point")
 
 
 @dataclass(frozen=True)
@@ -218,6 +358,7 @@ class StabilityReport:
 
     closed_form / xi_principal / xi_pairs are populated for the single
     family only; the mixed family is classified from the numerical spectrum.
+    Spectra are sorted by real part, then imaginary part.
     """
 
     numerical: np.ndarray
@@ -228,119 +369,171 @@ class StabilityReport:
     stable: bool
     agreement: float | None
 
-    @classmethod
-    def from_spectra(cls, numerical, closed_form=None, xi_principal=None, xi_pairs=None):
-        numerical = _sorted_spectrum(np.asarray(numerical, dtype=complex))
-        agreement = None
-        if closed_form is not None:
-            closed_form = _sorted_spectrum(np.asarray(closed_form, dtype=complex))
-            agreement = float(np.max(np.abs(closed_form - numerical)))
-        max_real = float(numerical.real.max())
-        if closed_form is not None:
-            max_real = max(max_real, float(closed_form.real.max()))
-        return cls(
-            numerical=numerical,
-            closed_form=closed_form,
-            xi_principal=xi_principal,
-            xi_pairs=xi_pairs,
-            max_real_part=max_real,
-            stable=max_real < 0.0,
-            agreement=agreement,
-        )
-
 
 def stability_single(p: ModelParams, i: int, x_star: float) -> StabilityReport:
-    """Spectrum at the single-family fixed point.
-
-    Closed form: the principal eigenvalue (1 - 2 x_star) beta_ii - q_minus_i
-    - q_plus_i plus, for every j != i, the pair (-lam - (q_plus_j + q_minus_j
-    + x_star beta_ij), -lam).  Cross-checked against the numerical tangent
-    Jacobian; disagreement beyond SPECTRUM_ERROR_TOL raises, or beyond the
-    rate roundoff when that is larger: eigvals rounds at about eps times the
-    largest Jacobian entry, which grows with lam.
-    """
-    xi = float((1.0 - 2.0 * x_star) * p.beta[i, i] - p.q_minus[i] - p.q_plus[i])
-    pairs = []
-    closed = [xi]
-    for j in range(p.d):
-        if j == i:
-            continue
-        slow = float(-p.lam - (p.q_plus[j] + p.q_minus[j] + x_star * p.beta[i, j]))
-        pairs.append((slow, -p.lam))
-        closed.extend((slow, -p.lam))
-    x = _single_state(p, i, x_star).x
-    numerical = np.linalg.eigvals(tangent_jacobian(p, StationaryControl.single(p.d, i), x))
-    report = StabilityReport.from_spectra(
-        numerical,
-        closed_form=np.array(closed),
-        xi_principal=xi,
-        xi_pairs=np.array(pairs) if pairs else np.empty((0, 2)),
+    """Spectrum at the single-family fixed point: the numerical tangent
+    spectrum, cross-checked against the closed form (``_single_closed_form``);
+    RuntimeError when they disagree."""
+    (i_,) = _pair(i)
+    s, shares = ParamStack.tile(p), np.array([x_star], dtype=float)
+    numerical, failures = _tangent_spectra(
+        s, _uniform_targets(p.d, i_, i_), _single_states(p.d, i_, shares)
     )
-    if report.agreement is not None and report.agreement > max(
-        SPECTRUM_ERROR_TOL, _rate_roundoff(p)
-    ):
-        raise RuntimeError(
-            f"closed-form and numerical spectra disagree by {report.agreement:.3e} "
-            f"at the single({i + 1}) fixed point"
-        )
-    return report
+    if failures[0] is not None:
+        raise RuntimeError(failures[0])
+    xi, pairs, closed, agreement, bad = _single_closed_form(s, i_, shares, numerical)
+    if bad[0]:
+        raise RuntimeError(_disagreement(agreement[0], i))
+    max_real = max(float(numerical[0].real.max()), float(closed[0].real.max()))
+    return StabilityReport(
+        numerical=numerical[0], closed_form=closed[0], xi_principal=float(xi[0]),
+        xi_pairs=pairs[0], max_real_part=max_real, stable=max_real < 0.0,
+        agreement=float(agreement[0]),
+    )
 
 
 def stability_numerical(p: ModelParams, u: StationaryControl, x: MixedState) -> StabilityReport:
     """Numerical-only spectrum (used for the mixed family)."""
-    numerical = np.linalg.eigvals(tangent_jacobian(p, u, x.x))
-    return StabilityReport.from_spectra(numerical)
+    numerical, failures = _tangent_spectra(ParamStack.tile(p), state_targets(u)[None], x.x[None])
+    if failures[0] is not None:
+        raise RuntimeError(failures[0])
+    max_real = float(numerical[0].real.max())
+    return StabilityReport(
+        numerical=numerical[0], closed_form=None, xi_principal=None, xi_pairs=None,
+        max_real_part=max_real, stable=max_real < 0.0, agreement=None,
+    )
 
 
 # ---------------------------------------------------------------------------
-# stationary values, single family
+# stationary values
 
 
-def _require_positive_discount(p: ModelParams) -> None:
-    if not p.delta > 0:
-        raise ValueError("stationary discounted values require delta > 0")
-
-
-def _certify_values(p: ModelParams, x: MixedState, u: StationaryControl, g: ValueVector) -> None:
-    defect = float(np.max(np.abs(hjb_rhs_fn(p, u)(hjb_coupling(p, x.infected), g.g))))
-    if defect > max(VALUE_RESIDUAL_TOL, _roundoff_floor(p, g)):
-        raise RuntimeError(f"stationary value solve failed its certificate: defect {defect:.3e}")
-
-
-def _single_block(p: ModelParams, i: int, x_star: float) -> tuple[float, float, float]:
-    """(gap, g(iI), g(iS)) of the all-to-i control; the (iI, iS) block decouples:
+def _single_block(s: ParamStack, i: np.ndarray, x_star: np.ndarray):
+    """(gap, g(iI), g(iS)) of the all-to-i control per pair; the (iI, iS)
+    block decouples:
         gap = g(iI) - g(iS) = (w_I_i - w_S_i) / (q_minus_i + q_plus_i + beta_ii x_star + delta)
         delta g(iI) = w_I_i - q_plus_i gap.
     """
-    den_i = float(p.q_minus[i] + p.q_plus[i] + p.beta[i, i] * x_star + p.delta)
-    gap_i = float(p.w_I[i] - p.w_S[i]) / den_i
-    g_iI = (float(p.w_I[i]) - float(p.q_plus[i]) * gap_i) / p.delta
+    r = np.arange(i.size)
+    den_i = s.q_minus[r, i] + s.q_plus[r, i] + s.beta[r, i, i] * x_star + s.delta
+    gap_i = (s.w_I[r, i] - s.w_S[r, i]) / den_i
+    g_iI = (s.w_I[r, i] - s.q_plus[r, i] * gap_i) / s.delta
     return gap_i, g_iI, g_iI - gap_i
 
 
-def hjb_single_exact(p: ModelParams, i: int, x_star: float) -> ValueVector:
-    """Exact stationary values under the all-to-i control.
+def _values_single(s: ParamStack, i: np.ndarray, x_star: np.ndarray) -> np.ndarray:
+    """Exact stationary values under the all-to-i control, per pair.
 
     The (iI, iS) block decouples (``_single_block``); each j != i block is
-    then a 2x2 linear solve given (g(iI), g(iS)).
+    then a 2x2 linear solve given (g(iI), g(iS)), in closed form.
     """
-    _require_positive_discount(p)
-    lam, delta = p.lam, p.delta
-    gap_i, g_iI, g_iS = _single_block(p, i, x_star)
-    g = np.empty(p.n_states)
-    g[2 * i] = g_iI
-    g[2 * i + 1] = g_iS
-    for j in range(p.d):
-        if j == i:
-            continue
-        qt_j = float(p.q_minus[j] + p.beta[i, j] * x_star)
-        gap_j = (float(p.w_I[j] - p.w_S[j]) + lam * gap_i) / (lam + float(p.q_plus[j]) + qt_j + delta)
-        g_jI = (lam * g_iI + float(p.w_I[j]) - float(p.q_plus[j]) * gap_j) / (lam + delta)
-        g[2 * j] = g_jI
-        g[2 * j + 1] = g_jI - gap_j
-    values = ValueVector(g)
-    _certify_values(p, _single_state(p, i, x_star), StationaryControl.single(p.d, i), values)
+    r = np.arange(i.size)
+    lam, delta = s.lam[:, None], s.delta[:, None]
+    gap_i, g_iI, g_iS = _single_block(s, i, x_star)
+    qt = s.q_minus + s.beta[r, i, :] * x_star[:, None]
+    gap = (s.w_I - s.w_S + lam * gap_i[:, None]) / (lam + s.q_plus + qt + delta)
+    g_I = (lam * g_iI[:, None] + s.w_I - s.q_plus * gap) / (lam + delta)
+    g = _interleave(g_I, g_I - gap)
+    g[r, 2 * i] = g_iI
+    g[r, 2 * i + 1] = g_iS
+    return g
+
+
+def _values_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray,
+                  qt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact stationary values under the mixed control [i(I), k(S)] per
+    pair, and the mask of pairs whose reduced system is singular.
+
+    The four (i, k)-block equations reduce to a 2x2 system in
+    (g(iI), g(kS)); g(iS) and g(kI) follow by direct substitution and each
+    residual strategy j is a decoupled 2x2 solve.  qt is the effective
+    infection rate at the fixed point (``model.effective_infection``).
+    """
+    r = np.arange(i.size)
+    lam, delta = s.lam, s.delta
+    qpi, qpk = s.q_plus[r, i], s.q_plus[r, k]
+    qti, qtk = qt[r, i], qt[r, k]
+    wiI, wiS = s.w_I[r, i], s.w_S[r, i]
+    wkI, wkS = s.w_I[r, k], s.w_S[r, k]
+    # rows: unknowns (g(iI), g(kS))
+    a11 = -(lam * (qpi + delta) + delta * (qpi + qti + delta))
+    a12 = lam * qpi
+    b1 = -wiI * (lam + delta + qti) - wiS * qpi
+    a21 = -lam * qtk
+    a22 = lam * (qtk + delta) + delta * (qtk + qpk + delta)
+    b2 = wkI * qtk + wkS * (lam + delta + qpk)
+    det = a11 * a22 - a12 * a21
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular pairs are reported
+        g_iI = (b1 * a22 - a12 * b2) / det
+        g_kS = (a11 * b2 - b1 * a21) / det
+    g_iS = g_iI + (delta * g_iI - wiI) / qpi
+    g_kI = g_kS + (delta * g_kS - wkS) / qtk
+    lam, delta = lam[:, None], delta[:, None]
+    mat = np.empty(qt.shape + (2, 2))
+    mat[..., 0, 0] = lam + delta + s.q_plus
+    mat[..., 0, 1] = -s.q_plus
+    mat[..., 1, 0] = -qt
+    mat[..., 1, 1] = lam + delta + qt
+    rhs = np.stack([lam * g_iI[:, None] + s.w_I, lam * g_kS[:, None] + s.w_S], axis=2)
+    g = _solve_stack(mat.reshape(-1, 2, 2), rhs.reshape(-1, 2))[0].reshape(i.size, 2 * s.d)
+    g[r, 2 * i], g[r, 2 * i + 1] = g_iI, g_iS
+    g[r, 2 * k], g[r, 2 * k + 1] = g_kI, g_kS
+    return g, det == 0.0
+
+
+def _value_certificate(s: ParamStack, i: np.ndarray, k: np.ndarray, g: np.ndarray,
+                       qt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value defect per pair and the mask of pairs that fail the
+    certificate max(VALUE_RESIDUAL_TOL, roundoff floor).
+
+    The defect is the sup-norm of the stationary value equation at the
+    values g under the control [i(I), k(S)]: the RHS of ``model.hjb_rhs_fn``
+    at that control, lam (best - g) + c (g(partner) - g) + w - delta g.
+    """
+    r = np.arange(i.size)
+    best = np.empty_like(g)
+    best[:, 0::2] = g[r, 2 * i][:, None]
+    best[:, 1::2] = g[r, 2 * k + 1][:, None]
+    c = _interleave(s.q_plus, qt)
+    w = _interleave(s.w_I, s.w_S)
+    partner = g[:, np.arange(g.shape[1]) ^ 1]
+    rhs = s.lam[:, None] * (best - g) + c * (partner - g) + w - s.delta[:, None] * g
+    defect = np.abs(rhs).max(axis=1)
+    return defect, defect > np.maximum(VALUE_RESIDUAL_TOL, _roundoff_floor(s, g))
+
+
+def _certificate_failure(defect: float) -> str:
+    return f"stationary value solve failed its certificate: defect {defect:.3e}"
+
+
+def _certified(s: ParamStack, i: int, k: int, x: np.ndarray, g: np.ndarray) -> ValueVector:
+    """One pair's values, checked finite and certified (the scalar views)."""
+    values = ValueVector(g[0])
+    defect, bad = _value_certificate(s, *_pair(i, k), g, effective_infection(s, x))
+    if bad[0]:
+        raise RuntimeError(_certificate_failure(defect[0]))
     return values
+
+
+def hjb_single_exact(p: ModelParams, i: int, x_star: float) -> ValueVector:
+    """Exact stationary values under the all-to-i control (``_values_single``),
+    certified by the value defect."""
+    _require_positive_discount(p)
+    s, (i_,), shares = ParamStack.tile(p), _pair(i), np.array([x_star], dtype=float)
+    return _certified(s, i, i, _single_states(p.d, i_, shares), _values_single(s, i_, shares))
+
+
+def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVector:
+    """Exact stationary values under the mixed control [i(I), k(S)] at its
+    fixed point x (``_values_mixed``), certified by the value defect."""
+    _require_positive_discount(p)
+    if k == i:
+        raise ValueError("mixed values require k != i")
+    s, xs = ParamStack.tile(p), x.x[None]
+    g, singular = _values_mixed(s, *_pair(i, k), effective_infection(s, xs))
+    if singular[0]:
+        raise RuntimeError(_SINGULAR_VALUES)
+    return _certified(s, i, k, xs, g)
 
 
 @dataclass(frozen=True)
@@ -359,7 +552,9 @@ class SingleAsymptotics:
 def hjb_single_asymptotic(p: ModelParams, i: int, x_star: float) -> SingleAsymptotics:
     _require_positive_discount(p)
     delta = p.delta
-    gap_i, g_iI, g_iS = _single_block(p, i, x_star)
+    gap_i, g_iI, g_iS = (
+        float(v[0]) for v in _single_block(ParamStack.tile(p), *_pair(i), np.array([x_star]))
+    )
     g = np.empty(p.n_states)
     corr = np.zeros(p.n_states)
     g[2 * i] = g_iI
@@ -376,59 +571,6 @@ def hjb_single_asymptotic(p: ModelParams, i: int, x_star: float) -> SingleAsympt
     return SingleAsymptotics(values=ValueVector(g), correction=corr)
 
 
-# ---------------------------------------------------------------------------
-# stationary values, mixed family
-
-
-def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVector:
-    """Exact stationary values under the mixed control [i(I), k(S)].
-
-    The four (i, k)-block equations reduce to a 2x2 system in
-    (g(iI), g(kS)); g(iS) and g(kI) follow by direct substitution and each
-    residual strategy j is a decoupled 2x2 solve.
-    """
-    _require_positive_discount(p)
-    if k == i:
-        raise ValueError("mixed values require k != i")
-    lam, delta = p.lam, p.delta
-    qt = p.q_minus + p.beta.T @ x.infected
-    qpi = float(p.q_plus[i])
-    qpk = float(p.q_plus[k])
-    qti = float(qt[i])
-    qtk = float(qt[k])
-    wiI, wiS = float(p.w_I[i]), float(p.w_S[i])
-    wkI, wkS = float(p.w_I[k]), float(p.w_S[k])
-    # rows: unknowns (g(iI), g(kS))
-    a11 = -(lam * (qpi + delta) + delta * (qpi + qti + delta))
-    a12 = lam * qpi
-    b1 = -wiI * (lam + delta + qti) - wiS * qpi
-    a21 = -lam * qtk
-    a22 = lam * (qtk + delta) + delta * (qtk + qpk + delta)
-    b2 = wkI * qtk + wkS * (lam + delta + qpk)
-    det = a11 * a22 - a12 * a21
-    if det == 0.0:
-        raise RuntimeError("singular 2x2 system for the mixed stationary values")
-    g_iI = (b1 * a22 - a12 * b2) / det
-    g_kS = (a11 * b2 - b1 * a21) / det
-    g_iS = g_iI + (delta * g_iI - wiI) / qpi
-    g_kI = g_kS + (delta * g_kS - wkS) / qtk
-    g = np.empty(p.n_states)
-    g[2 * i], g[2 * i + 1] = g_iI, g_iS
-    g[2 * k], g[2 * k + 1] = g_kI, g_kS
-    for j in range(p.d):
-        if j in (i, k):
-            continue
-        qtj = float(qt[j])
-        qpj = float(p.q_plus[j])
-        mat = np.array([[lam + delta + qpj, -qpj], [-qtj, lam + delta + qtj]])
-        rhs = np.array([lam * g_iI + float(p.w_I[j]), lam * g_kS + float(p.w_S[j])])
-        g_j = np.linalg.solve(mat, rhs)
-        g[2 * j], g[2 * j + 1] = g_j[0], g_j[1]
-    values = ValueVector(g)
-    _certify_values(p, x, StationaryControl.mixed(p.d, i, k), values)
-    return values
-
-
 @dataclass(frozen=True)
 class MixedFirstOrder:
     """Scale-free first-order data for the mixed family.
@@ -439,6 +581,7 @@ class MixedFirstOrder:
     in delta, so they remain well defined at delta = 0 where g1 itself blows
     up.  cross_margin_I / cross_margin_S are the scaled slacks of
     g(iI) <= g(kI) and g(kS) <= g(iS); they vanish identically at delta = 0.
+    The kernel holds one array per field, the scalar view one float.
     """
 
     G0_iI: float
@@ -451,20 +594,21 @@ class MixedFirstOrder:
     cross_margin_S: float
 
 
-def mixed_first_order(p: ModelParams, i: int, k: int, qt: np.ndarray) -> MixedFirstOrder:
-    """First-order (in 1/lam) coefficients of the mixed stationary values.
+def _mixed_first_order(s: ParamStack, i: np.ndarray, k: np.ndarray,
+                       qt: np.ndarray) -> MixedFirstOrder:
+    """First-order (in 1/lam) coefficients of the mixed stationary values,
+    per pair.
 
     Solves the first-order 2x2 system by Cramer's rule in a form that stays
     finite as delta -> 0.  G0_iI / G0_kS are delta * g0(iI) and
     delta * g0(kS); gap0 = g0(iI) - g0(kS) is finite.
     """
-    delta = p.delta
-    qpi = float(p.q_plus[i])
-    qpk = float(p.q_plus[k])
-    qti = float(qt[i])
-    qtk = float(qt[k])
-    wiI, wiS = float(p.w_I[i]), float(p.w_S[i])
-    wkI, wkS = float(p.w_I[k]), float(p.w_S[k])
+    r = np.arange(i.size)
+    delta = s.delta
+    qpi, qpk = s.q_plus[r, i], s.q_plus[r, k]
+    qti, qtk = qt[r, i], qt[r, k]
+    wiI, wiS = s.w_I[r, i], s.w_S[r, i]
+    wkI, wkS = s.w_I[r, k], s.w_S[r, k]
     den0 = qtk + qpi + delta
     G0_iI = (qtk * wiI + qpi * wkS + delta * wiI) / den0
     G0_kS = (qtk * wiI + qpi * wkS + delta * wkS) / den0
@@ -473,19 +617,23 @@ def mixed_first_order(p: ModelParams, i: int, k: int, qt: np.ndarray) -> MixedFi
     rhs2 = -(qtk + qpk + delta) * G0_kS + wkI * qtk + wkS * (delta + qpk)
     R_kS = (qpi + delta) * rhs2 - qtk * rhs1
     R_iI = qpi * rhs2 - (qtk + delta) * rhs1
-    det = delta * den0
-    cross_I = ((qtk + delta) * R_kS - qtk * R_iI) / (den0 * den0)
-    cross_S = ((qpi + delta) * R_iI - qpi * R_kS) / (den0 * den0)
     return MixedFirstOrder(
         G0_iI=G0_iI,
         G0_kS=G0_kS,
         gap0=gap0,
         R_iI=R_iI,
         R_kS=R_kS,
-        det=det,
-        cross_margin_I=cross_I,
-        cross_margin_S=cross_S,
+        det=delta * den0,
+        cross_margin_I=((qtk + delta) * R_kS - qtk * R_iI) / (den0 * den0),
+        cross_margin_S=((qpi + delta) * R_iI - qpi * R_kS) / (den0 * den0),
     )
+
+
+def mixed_first_order(p: ModelParams, i: int, k: int, qt: np.ndarray) -> MixedFirstOrder:
+    """First-order (in 1/lam) coefficients of the mixed stationary values
+    (see ``_mixed_first_order``); qt is the effective infection rate."""
+    fo = _mixed_first_order(ParamStack.tile(p), *_pair(i, k), np.asarray(qt, dtype=float)[None])
+    return MixedFirstOrder(*(float(getattr(fo, f.name)[0]) for f in fields(fo)))
 
 
 @dataclass(frozen=True)
@@ -573,20 +721,14 @@ class ConsistencyMargins:
     small_interaction_margin_I: np.ndarray
     small_interaction_margin_S: np.ndarray
 
-    def _off_base(self) -> np.ndarray:
-        d = self.margin_I.size
-        vals = []
-        for j in range(d):
-            if j != self.base_I:
-                vals.append(self.margin_I[j])
-            if j != self.base_S:
-                vals.append(self.margin_S[j])
-        return np.asarray(vals)
+    def _summary(self) -> tuple[np.ndarray, np.ndarray]:
+        return _margin_summary(
+            *_pair(self.base_I, self.base_S), self.margin_I[None], self.margin_S[None]
+        )
 
     @property
     def min_margin(self) -> float:
-        off = self._off_base()
-        return float(off.min()) if off.size else np.inf
+        return float(self._summary()[0][0])
 
     @property
     def accepted(self) -> bool:
@@ -594,134 +736,366 @@ class ConsistencyMargins:
 
     @property
     def degenerate(self) -> bool:
-        off = self._off_base()
-        return bool(off.size and np.any(np.abs(off) <= TIE_TOL))
+        return bool(self._summary()[1][0])
 
 
-def margins_from_values(g: ValueVector, i: int, k: int, **families) -> ConsistencyMargins:
-    margin_I = g.infected_values - g.g_I(i)
-    margin_S = g.susceptible_values - g.g_S(k)
-    return ConsistencyMargins(
-        base_I=i, base_S=k, margin_I=margin_I, margin_S=margin_S, **families
+def _exact_margins(i: np.ndarray, k: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """margin_I[j] = g(jI) - g(iI) and margin_S[j] = g(jS) - g(kS), per pair."""
+    r = np.arange(i.size)
+    return g[:, 0::2] - g[r, 2 * i][:, None], g[:, 1::2] - g[r, 2 * k + 1][:, None]
+
+
+def _margin_summary(i, k, margin_I, margin_S) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair, the smallest margin off the base entries (inf when there is
+    none, d = 1) and whether one of them is within TIE_TOL of zero."""
+    strategies = np.arange(margin_I.shape[1])
+    off_I, off_S = strategies != i[:, None], strategies != k[:, None]
+    min_margin = np.minimum(
+        np.where(off_I, margin_I, np.inf).min(axis=1), np.where(off_S, margin_S, np.inf).min(axis=1)
     )
+    degenerate = np.any(off_I & (np.abs(margin_I) <= TIE_TOL), axis=1) | np.any(
+        off_S & (np.abs(margin_S) <= TIE_TOL), axis=1
+    )
+    return min_margin, degenerate
+
+
+def _small_interaction_single(s: ParamStack, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interaction-free strict optimality conditions for the all-to-i
+    candidate, per pair, for j != i (zero at i), with D = q_minus_i + q_plus_i + delta:
+        I[j]: (w_I_j - w_I_i) / (w_I_i - w_S_i) - (q_plus_j - q_plus_i) / D
+        S[j]: (w_S_j - w_S_i) / (w_I_i - w_S_i) - (q_minus_i - q_minus_j) / D
+    """
+    r = np.arange(i.size)
+    others = np.arange(s.d) != i[:, None]
+    den0 = (s.q_minus[r, i] + s.q_plus[r, i] + s.delta)[:, None]
+    w_gap = (s.w_I[r, i] - s.w_S[r, i])[:, None]
+    sm_I = (s.w_I - s.w_I[r, i][:, None]) / w_gap - (s.q_plus - s.q_plus[r, i][:, None]) / den0
+    sm_S = (s.w_S - s.w_S[r, i][:, None]) / w_gap - (s.q_minus[r, i][:, None] - s.q_minus) / den0
+    return np.where(others, sm_I, 0.0), np.where(others, sm_S, 0.0)
 
 
 def small_interaction_margins_single(p: ModelParams, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Interaction-free strict optimality conditions for the all-to-i
-    candidate, for j != i (zero at i), with D = q_minus_i + q_plus_i + delta:
-        I[j]: (w_I_j - w_I_i) / (w_I_i - w_S_i) - (q_plus_j - q_plus_i) / D
-        S[j]: (w_S_j - w_S_i) / (w_I_i - w_S_i) - (q_minus_i - q_minus_j) / D
-    """
-    sm_I = np.zeros(p.d)
-    sm_S = np.zeros(p.d)
-    den0 = float(p.q_minus[i] + p.q_plus[i] + p.delta)
-    w_gap = float(p.w_I[i] - p.w_S[i])
-    for j in range(p.d):
-        if j == i:
-            continue
-        sm_I[j] = float(p.w_I[j] - p.w_I[i]) / w_gap - float(p.q_plus[j] - p.q_plus[i]) / den0
-        sm_S[j] = float(p.w_S[j] - p.w_S[i]) / w_gap - float(p.q_minus[i] - p.q_minus[j]) / den0
-    return sm_I, sm_S
+    candidate (see ``_small_interaction_single``)."""
+    sm_I, sm_S = _small_interaction_single(ParamStack.tile(p), *_pair(i))
+    return sm_I[0], sm_S[0]
 
 
-def consistency_single(p: ModelParams, i: int, x_star: float, g: ValueVector) -> ConsistencyMargins:
-    """Best-response margins for the all-to-i candidate with infected share
-    x_star and solved values g.
-
-    Exact margins from g.  Asymptotic margins are the leading-order-in-1/lam
-    conditions
+def _families_single(s: ParamStack, i: np.ndarray, x_star: np.ndarray):
+    """Asymptotic and small-interaction margins of the all-to-i candidate
+    with infected share x_star, per pair.  The asymptotic margins are the
+    leading-order-in-1/lam conditions
         (w_I_j - w_I_i) - (q_plus_j - q_plus_i) gap_i >= 0
         (w_S_j - w_S_i) - (q_minus_i - q_minus_j + (beta_ii - beta_ij) x*) gap_i >= 0,
     and the small-interaction family divides out gap_i and drops x*.
     """
-    gap_i = _single_block(p, i, x_star)[0]
-    asy_I = np.zeros(p.d)
-    asy_S = np.zeros(p.d)
-    for j in range(p.d):
-        if j == i:
-            continue
-        asy_I[j] = float(p.w_I[j] - p.w_I[i]) - float(p.q_plus[j] - p.q_plus[i]) * gap_i
-        asy_S[j] = float(p.w_S[j] - p.w_S[i]) - (
-            float(p.q_minus[i] - p.q_minus[j]) + float(p.beta[i, i] - p.beta[i, j]) * x_star
-        ) * gap_i
-    sm_I, sm_S = small_interaction_margins_single(p, i)
-    return margins_from_values(
-        g,
-        i,
-        i,
-        asymptotic_margin_I=asy_I,
-        asymptotic_margin_S=asy_S,
-        small_interaction_margin_I=sm_I,
-        small_interaction_margin_S=sm_S,
-    )
+    r = np.arange(i.size)
+    others = np.arange(s.d) != i[:, None]
+    gap_i = _single_block(s, i, x_star)[0][:, None]
+    asy_I = (s.w_I - s.w_I[r, i][:, None]) - (s.q_plus - s.q_plus[r, i][:, None]) * gap_i
+    asy_S = (s.w_S - s.w_S[r, i][:, None]) - (
+        (s.q_minus[r, i][:, None] - s.q_minus)
+        + (s.beta[r, i, i][:, None] - s.beta[r, i, :]) * x_star[:, None]
+    ) * gap_i
+    return (np.where(others, asy_I, 0.0), np.where(others, asy_S, 0.0),
+            *_small_interaction_single(s, i))
 
 
-def small_interaction_margins_mixed(
-    p: ModelParams, i: int, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interaction-free display family for the mixed candidate (diagnostic).
+def _families_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray, qt: np.ndarray):
+    """Asymptotic and small-interaction margins of the mixed candidate
+    [i(I), k(S)], per pair.
 
-    Evaluates, verbatim, the four strict inequalities of the small-beta /
-    small-delta sufficient-condition display:
+    Asymptotic margins: the scaled first-order cross conditions for
+    g(iI) <= g(kI) and g(kS) <= g(iS) (which vanish identically at
+    delta = 0), and for residual strategies the first-order brackets
+        I[j]: w_I_j - delta g0(iI) - q_plus_j (g0(iI) - g0(kS))
+        S[j]: w_S_j - delta g0(kS) + q~_j (g0(iI) - g0(kS)).
+    The small-interaction family evaluates, verbatim, the four strict
+    inequalities of the small-beta / small-delta sufficient-condition display:
         I[j], j not in {i,k}: q_plus_j (w_I_i - w_S_k) + w_I_j (q_minus_k + q_plus_i)
         S[j], j not in {i,k}: q_minus_j (w_I_i - w_S_k) + w_S_j (q_minus_k + q_plus_i)
         I[k]: q_minus_k (w_I_k - w_I_i) + w_S_k (q_plus_k - q_plus_i)
         S[i]: q_plus_i (w_S_i - w_S_k) + w_I_i (q_minus_i - q_minus_k)
     These trace the displayed inequalities only; sign agreement with the
-    exact margins is not guaranteed (see asymptotic_margin_* for the
+    exact margins is not guaranteed (the asymptotic margins are the
     first-order conditions that do track the exact solve).
     """
-    sm_I = np.zeros(p.d)
-    sm_S = np.zeros(p.d)
-    head = float(p.w_I[i] - p.w_S[k])
-    qsum = float(p.q_minus[k] + p.q_plus[i])
-    for j in range(p.d):
-        if j not in (i, k):
-            sm_I[j] = float(p.q_plus[j]) * head + float(p.w_I[j]) * qsum
-            sm_S[j] = float(p.q_minus[j]) * head + float(p.w_S[j]) * qsum
-    sm_I[k] = float(p.q_minus[k]) * (p.w_I[k] - p.w_I[i]) + float(p.w_S[k]) * (
-        p.q_plus[k] - p.q_plus[i]
+    r = np.arange(i.size)
+    strategies = np.arange(s.d)
+    rest = (strategies != i[:, None]) & (strategies != k[:, None])
+    fo = _mixed_first_order(s, i, k, qt)
+    asy_I = np.where(rest, s.w_I - fo.G0_iI[:, None] - s.q_plus * fo.gap0[:, None], 0.0)
+    asy_S = np.where(rest, s.w_S - fo.G0_kS[:, None] + qt * fo.gap0[:, None], 0.0)
+    asy_I[r, k] = fo.cross_margin_I
+    asy_S[r, i] = fo.cross_margin_S
+    head = (s.w_I[r, i] - s.w_S[r, k])[:, None]
+    qsum = (s.q_minus[r, k] + s.q_plus[r, i])[:, None]
+    sm_I = np.where(rest, s.q_plus * head + s.w_I * qsum, 0.0)
+    sm_S = np.where(rest, s.q_minus * head + s.w_S * qsum, 0.0)
+    sm_I[r, k] = s.q_minus[r, k] * (s.w_I[r, k] - s.w_I[r, i]) + s.w_S[r, k] * (
+        s.q_plus[r, k] - s.q_plus[r, i]
     )
-    sm_S[i] = float(p.q_plus[i]) * (p.w_S[i] - p.w_S[k]) + float(p.w_I[i]) * (
-        p.q_minus[i] - p.q_minus[k]
+    sm_S[r, i] = s.q_plus[r, i] * (s.w_S[r, i] - s.w_S[r, k]) + s.w_I[r, i] * (
+        s.q_minus[r, i] - s.q_minus[r, k]
     )
-    return sm_I, sm_S
+    return asy_I, asy_S, sm_I, sm_S
+
+
+_FAMILIES = ("asymptotic_margin_I", "asymptotic_margin_S",
+             "small_interaction_margin_I", "small_interaction_margin_S")
+
+
+def _margins(s: ParamStack, i: int, k: int, x: np.ndarray, g: np.ndarray) -> ConsistencyMargins:
+    """The full margins of one pair: exact from its values g, the diagnostic
+    families from its fixed point x."""
+    i_, k_ = _pair(i, k)
+    if i == k:
+        families = _families_single(s, i_, x[:, 2 * i])
+    else:
+        families = _families_mixed(s, i_, k_, effective_infection(s, x))
+    margin_I, margin_S = _exact_margins(i_, k_, g)
+    return ConsistencyMargins(
+        base_I=i, base_S=k, margin_I=margin_I[0], margin_S=margin_S[0],
+        **{name: values[0] for name, values in zip(_FAMILIES, families)},
+    )
+
+
+def consistency_single(p: ModelParams, i: int, x_star: float, g: ValueVector) -> ConsistencyMargins:
+    """Best-response margins for the all-to-i candidate with infected share
+    x_star and solved values g (families: ``_families_single``)."""
+    x = _single_states(p.d, *_pair(i), np.array([x_star], dtype=float))
+    return _margins(ParamStack.tile(p), i, i, x, g.g[None])
 
 
 def consistency_mixed(
     p: ModelParams, i: int, k: int, x: MixedState, g: ValueVector
 ) -> ConsistencyMargins:
     """Best-response margins for the mixed candidate [i(I), k(S)] with
-    fixed point x and solved values g.
+    fixed point x and solved values g (families: ``_families_mixed``)."""
+    return _margins(ParamStack.tile(p), i, k, x.x[None], g.g[None])
 
-    Exact margins from g.  Asymptotic margins: the scaled
-    first-order cross conditions for g(iI) <= g(kI) and g(kS) <= g(iS)
-    (which vanish identically at delta = 0), and for residual strategies the
-    first-order brackets
-        I[j]: w_I_j - delta g0(iI) - q_plus_j (g0(iI) - g0(kS))
-        S[j]: w_S_j - delta g0(kS) + q~_j (g0(iI) - g0(kS)).
+
+# ---------------------------------------------------------------------------
+# the kernel
+
+
+@dataclass(frozen=True)
+class PairSolutions:
+    """The kernel's results for a flat batch of (point, candidate) pairs,
+    one row per pair.
+
+    ``solved`` is False when a stage of the solve failed (``failure`` then
+    says why and the numbers are not meaningful); a solved pair can still be
+    FAILED when its margins accept it but the best response disagrees.
+    Single-family columns (closed_form, xi_principal, xi_pairs, agreement)
+    are NaN on mixed pairs.
     """
-    qt = p.q_minus + p.beta.T @ x.infected
-    fo = mixed_first_order(p, i, k, qt)
-    asy_I = np.zeros(p.d)
-    asy_S = np.zeros(p.d)
-    asy_I[k] = fo.cross_margin_I
-    asy_S[i] = fo.cross_margin_S
-    for j in range(p.d):
-        if j in (i, k):
-            continue
-        asy_I[j] = float(p.w_I[j]) - fo.G0_iI - float(p.q_plus[j]) * fo.gap0
-        asy_S[j] = float(p.w_S[j]) - fo.G0_kS + float(qt[j]) * fo.gap0
-    sm_I, sm_S = small_interaction_margins_mixed(p, i, k)
-    return margins_from_values(
-        g,
-        i,
-        k,
-        asymptotic_margin_I=asy_I,
-        asymptotic_margin_S=asy_S,
-        small_interaction_margin_I=sm_I,
-        small_interaction_margin_S=sm_S,
+
+    i: np.ndarray
+    k: np.ndarray
+    status: np.ndarray
+    solved: np.ndarray
+    failure: list
+    x: np.ndarray
+    g: np.ndarray
+    min_margin: np.ndarray
+    degenerate: np.ndarray
+    residual: np.ndarray
+    numerical: np.ndarray
+    closed_form: np.ndarray
+    xi_principal: np.ndarray
+    xi_pairs: np.ndarray
+    agreement: np.ndarray
+    max_real_part: np.ndarray
+
+    @classmethod
+    def concat(cls, parts: list["PairSolutions"]) -> "PairSolutions":
+        return cls(**{
+            f.name: sum((getattr(b, f.name) for b in parts), [])
+            if f.name == "failure" else np.concatenate([getattr(b, f.name) for b in parts])
+            for f in fields(cls)
+        })
+
+    def detail(self, r: int) -> str:
+        if self.status[r] == FAILED:
+            return self.failure[r]
+        if self.status[r] == ACCEPTED:
+            return "degenerate (boundary margin)" if self.degenerate[r] else "equilibrium"
+        if self.min_margin[r] < -TIE_TOL:
+            return f"negative margin {self.min_margin[r]:.3e}"
+        return f"residual {self.residual[r]:.3e} above tolerance"
+
+    def report(self, r: int, control: StationaryControl) -> "CandidateReport":
+        if not self.solved[r]:
+            return CandidateReport(control, "failed", None, None, self.failure[r])
+        return CandidateReport(control, STATUS_NAMES[self.status[r]], float(self.min_margin[r]),
+                               float(self.residual[r]), self.detail(r))
+
+    def solution(self, s: ParamStack, r: int, control: StationaryControl) -> "EquilibriumSolution":
+        """The full solution of pair r; s holds the constants of its point."""
+        i, k = int(self.i[r]), int(self.k[r])
+        single = i == k
+        stability = StabilityReport(
+            numerical=self.numerical[r],
+            closed_form=self.closed_form[r] if single else None,
+            xi_principal=float(self.xi_principal[r]) if single else None,
+            xi_pairs=self.xi_pairs[r] if single else None,
+            max_real_part=float(self.max_real_part[r]),
+            stable=bool(self.max_real_part[r] < 0.0),
+            agreement=float(self.agreement[r]) if single else None,
+        )
+        return EquilibriumSolution(
+            control=control,
+            x_star=MixedState(self.x[r]),
+            g=ValueVector(self.g[r]),
+            stability=stability,
+            margins=_margins(s, i, k, self.x[r][None], self.g[r][None]),
+            residual=float(self.residual[r]),
+            degenerate=bool(self.degenerate[r]),
+        )
+
+
+def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
+    """Solve the pairs of one block: row m of s holds the constants of pair
+    m, whose candidate is [i[m](I), k[m](S)].
+
+    The stages and their failures follow one pair's solve in order: fixed
+    point, values and their certificate, spectrum, residual, acceptance.
+    The first failure of a pair is its detail, and later stages skip it.
+    """
+    m, d = i.size, s.d
+    r = np.arange(m)
+    single = i == k
+    failure: list[str | None] = [None] * m
+
+    def fail(mask: np.ndarray, why) -> None:
+        for q in np.flatnonzero(mask):
+            if failure[q] is None:
+                failure[q] = why(q)
+
+    def alive() -> np.ndarray:
+        return np.array([f is None for f in failure], dtype=bool)
+
+    # fixed points
+    x = np.zeros((m, 2 * d))
+    sgl, mix = np.flatnonzero(single), np.flatnonzero(~single)
+    shares = _quadratic_root_unit(*_share_quadratic(s.take(sgl), i[sgl], i[sgl]))
+    x[sgl] = _single_states(d, i[sgl], shares)
+    if mix.size:
+        x_iI, x_kI, *newton = _newton_mixed(s.take(mix), i[mix], k[mix])
+        x[mix] = _mixed_states(d, i[mix], k[mix], x_iI, x_kI)
+        for q, why in zip(mix, _mixed_failures(i[mix], k[mix], x[mix], *newton)):
+            failure[q] = why
+
+    # values, certified by the value defect
+    qt = effective_infection(s, x)
+    g = np.full((m, 2 * d), np.nan)
+    finite = alive() & np.isfinite(x).all(axis=1)
+    sgl, mix = np.flatnonzero(finite & single), np.flatnonzero(finite & ~single)
+    g[sgl] = _values_single(s.take(sgl), i[sgl], x[sgl, 2 * i[sgl]])
+    g[mix], singular = _values_mixed(s.take(mix), i[mix], k[mix], qt[mix])
+    fail(np.isin(r, mix[singular]), lambda q: _SINGULAR_VALUES)
+    fail(~np.isfinite(g).all(axis=1), lambda q: "value vector entries must be finite")
+    with np.errstate(invalid="ignore"):
+        defect, uncertified = _value_certificate(s, i, k, g, qt)
+    fail(uncertified, lambda q: _certificate_failure(defect[q]))
+    margin_I, margin_S = _exact_margins(i, k, g)
+    min_margin, degenerate = _margin_summary(i, k, margin_I, margin_S)
+
+    # spectra, with the closed form of the single family
+    numerical = np.full((m, 2 * d - 1), np.nan, dtype=complex)
+    closed_form = np.full((m, 2 * d - 1), np.nan, dtype=complex)
+    xi_principal = np.full(m, np.nan)
+    xi_pairs = np.full((m, d - 1, 2), np.nan)
+    agreement = np.full(m, np.nan)
+    live = np.flatnonzero(alive())
+    numerical[live], spectrum_failures = _tangent_spectra(
+        s.take(live), _uniform_targets(d, i[live], k[live]), x[live]
     )
+    for q, why in zip(live, spectrum_failures):
+        failure[q] = why
+    sgl = live[single[live]]
+    xi_principal[sgl], xi_pairs[sgl], closed_form[sgl], agreement[sgl], bad = _single_closed_form(
+        s.take(sgl), i[sgl], x[sgl, 2 * i[sgl]], numerical[sgl]
+    )
+    fail(np.isin(r, sgl[bad]), lambda q: _disagreement(agreement[q], int(i[q])))
+    max_real_part = np.fmax(numerical.real.max(axis=1), closed_form.real.max(axis=1))
+
+    # stationarity residual: population RHS, value defect, best-response gap
+    residual = np.maximum.reduce([
+        _kinetic_defect(s, i, k, x, qt), defect, -margin_I.min(axis=1), -margin_S.min(axis=1)
+    ])
+
+    # acceptance
+    solved = alive()
+    with np.errstate(invalid="ignore"):
+        kept = (min_margin >= -TIE_TOL) & (
+            residual <= np.maximum(EQUILIBRIUM_RESIDUAL_TOL, _roundoff_floor(s, g))
+        )
+    # residual control gap can be positive only through tie-level noise here
+    best_response = (np.argmin(g[:, 0::2], axis=1) == i) & (np.argmin(g[:, 1::2], axis=1) == k)
+    disagrees = solved & kept & ~(best_response | degenerate)
+    fail(disagrees, lambda q: "margins accepted but best response disagrees")
+    status = np.where(~solved | disagrees, FAILED, np.where(kept, ACCEPTED, REJECTED))
+    return PairSolutions(
+        i=i, k=k, status=status, solved=solved, failure=failure, x=x, g=g,
+        min_margin=min_margin, degenerate=degenerate, residual=residual,
+        numerical=numerical, closed_form=closed_form, xi_principal=xi_principal,
+        xi_pairs=xi_pairs, agreement=agreement, max_real_part=max_real_part,
+    )
+
+
+def _kinetic_defect(s: ParamStack, i: np.ndarray, k: np.ndarray, x: np.ndarray,
+                    qt: np.ndarray) -> np.ndarray:
+    """Sup-norm of the population RHS (``model.kinetic_rhs_fn``) under the
+    control [i(I), k(S)] at the states x, per pair."""
+    r = np.arange(i.size)
+    strategies = np.arange(s.d)
+    lam = s.lam[:, None]
+    x_I, x_S = x[:, 0::2], x[:, 1::2]
+    flow_I = np.where(strategies == i[:, None], 0.0, lam * x_I)
+    flow_S = np.where(strategies == k[:, None], 0.0, lam * x_S)
+    out_I, out_S = -flow_I, -flow_S
+    out_I[r, i] += flow_I.sum(axis=1)
+    out_S[r, k] += flow_S.sum(axis=1)
+    net = x_S * qt - x_I * s.q_plus  # infection jS -> jI minus recovery jI -> jS
+    return np.maximum(np.abs(out_I + net).max(axis=1), np.abs(out_S - net).max(axis=1))
+
+
+def candidate_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, k) of the d^2 uniform candidates in lexicographic order: d single
+    (k == i) and d(d-1) mixed."""
+    return np.repeat(np.arange(d), d), np.tile(np.arange(d), d)
+
+
+@lru_cache(maxsize=None)
+def candidate_controls(d: int) -> tuple[StationaryControl, ...]:
+    """The candidates of ``candidate_pairs`` as controls (built once per d)."""
+    return tuple(
+        StationaryControl.single(d, i) if i == k else StationaryControl.mixed(d, i, k)
+        for i, k in zip(*(a.tolist() for a in candidate_pairs(d)))
+    )
+
+
+def solve_points(points: ParamStack) -> PairSolutions:
+    """Solve every candidate at every point of the stack.
+
+    Pairs are in point order, and within a point in the order of
+    ``candidate_pairs``.  They are solved in blocks of at most
+    max(1, ENTRY_BUDGET // (2d)^2) pairs, so the working memory is bounded
+    whatever the number of points.
+    """
+    if not np.all(points.delta > 0):
+        raise ValueError(_NEEDS_DISCOUNT)
+    d = points.d
+    cand_i, cand_k = candidate_pairs(d)
+    n_pairs = points.n * cand_i.size
+    per_block = max(1, ENTRY_BUDGET // (2 * d) ** 2)
+    blocks = []
+    for start in range(0, n_pairs, per_block):
+        point, cand = np.divmod(np.arange(start, min(start + per_block, n_pairs)), cand_i.size)
+        blocks.append(_solve_block(points.take(point), cand_i[cand], cand_k[cand]))
+    return PairSolutions.concat(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -756,40 +1130,15 @@ class EnumerationResult:
     reports: list[CandidateReport]
 
 
-def _candidate_controls(d: int) -> list[StationaryControl]:
-    out = []
-    for i in range(d):
-        out.append(StationaryControl.single(d, i))
-        for k in range(d):
-            if k != i:
-                out.append(StationaryControl.mixed(d, i, k))
-    out.sort(key=lambda u: u.sort_key())
-    return out
-
-
 def solve_candidate(p: ModelParams, u: StationaryControl) -> EquilibriumSolution:
-    """Solve one candidate control without accepting or rejecting it."""
-    i, k = u.as_pair()
-    if u.is_single:
-        x_star, x = fixed_point_single(p, i)
-        g = hjb_single_exact(p, i, x_star)
-        margins = consistency_single(p, i, x_star, g)
-        stability = stability_single(p, i, x_star)
-    else:
-        x, _ = fixed_point_mixed(p, i, k)
-        g = hjb_mixed_exact(p, i, k, x)
-        margins = consistency_mixed(p, i, k, x, g)
-        stability = stability_numerical(p, u, x)
-    residual = consistency_residual(p, x, g, u)
-    return EquilibriumSolution(
-        control=u,
-        x_star=x,
-        g=g,
-        stability=stability,
-        margins=margins,
-        residual=residual,
-        degenerate=margins.degenerate,
-    )
+    """Solve one candidate control without accepting or rejecting it (the
+    kernel on one pair); RuntimeError when a stage of the solve fails."""
+    _require_positive_discount(p)
+    s = ParamStack.tile(p)
+    sol = _solve_block(s, *_pair(*u.as_pair()))
+    if not sol.solved[0]:
+        raise RuntimeError(sol.failure[0])
+    return sol.solution(s, 0, u)
 
 
 def enumerate_equilibria(p: ModelParams) -> EnumerationResult:
@@ -802,36 +1151,10 @@ def enumerate_equilibria(p: ModelParams) -> EnumerationResult:
     values.  Per-candidate failures become reports, never exceptions.
     """
     _require_positive_discount(p)
-    equilibria: list[EquilibriumSolution] = []
-    reports: list[CandidateReport] = []
-    for u in _candidate_controls(p.d):
-        try:
-            sol = solve_candidate(p, u)
-        except (RuntimeError, np.linalg.LinAlgError, ValueError) as exc:
-            # ValueError: a MixedState or ValueVector rejected the candidate's
-            # numbers, e.g. a fixed point rounded just off the simplex
-            reports.append(CandidateReport(u, "failed", None, None, str(exc)))
-            continue
-        min_margin = sol.margins.min_margin
-        if sol.margins.accepted and sol.residual <= max(
-            EQUILIBRIUM_RESIDUAL_TOL, _roundoff_floor(p, sol.g)
-        ):
-            # residual control gap can be positive only through tie-level noise here
-            br, _ = best_response(sol.g)
-            detail = "degenerate (boundary margin)" if sol.degenerate else "equilibrium"
-            if not (br == sol.control or sol.degenerate):
-                reports.append(
-                    CandidateReport(u, "failed", min_margin, sol.residual,
-                                    "margins accepted but best response disagrees")
-                )
-                continue
-            equilibria.append(sol)
-            reports.append(CandidateReport(u, "accepted", min_margin, sol.residual, detail))
-        else:
-            why = (
-                f"negative margin {min_margin:.3e}"
-                if min_margin < -TIE_TOL
-                else f"residual {sol.residual:.3e} above tolerance"
-            )
-            reports.append(CandidateReport(u, "rejected", min_margin, sol.residual, why))
-    return EnumerationResult(equilibria=equilibria, reports=reports)
+    s = ParamStack.tile(p)
+    sol = solve_points(s)
+    controls = candidate_controls(p.d)
+    return EnumerationResult(
+        equilibria=[sol.solution(s, r, controls[r]) for r in np.flatnonzero(sol.status == ACCEPTED)],
+        reports=[sol.report(r, u) for r, u in enumerate(controls)],
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sismfg import MixedState, ModelParams, StationaryControl
+from sismfg import MixedState, ModelParams, StationaryControl, ValueVector
 
 # the reference d=2 scenario used across the suite
 P0 = dict(
@@ -330,4 +330,265 @@ def oracle_lln_sup_errors(p, u, x0, t_end, N_list, replications, seed, grid=None
                                       _OracleStream([seed, N, r]))
             for r in range(replications)
         ]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference stationary solver: the per-candidate loop as it stood before the
+# batched kernel, one candidate and one scalar formula at a time, kept so the
+# kernel can be checked against it (same statuses and details, bitwise equal
+# fixed points and values).  Its residual is ``model.consistency_residual``.
+
+_ORACLE_NEWTON_TOL = 1e-12
+_ORACLE_SPECTRUM_TOL = 1e-6
+_ORACLE_VALUE_TOL = 1e-10
+_ORACLE_EQUILIBRIUM_TOL = 1e-8
+
+
+def _oracle_rate_roundoff(p) -> float:
+    rate = max(p.lam, float(p.q_plus.max()), float(p.q_minus.max()), float(p.beta.max()))
+    return 64.0 * np.finfo(float).eps * rate
+
+
+def _oracle_floor(p, g: np.ndarray) -> float:
+    return _oracle_rate_roundoff(p) * max(1.0, float(np.max(np.abs(g))))
+
+
+def _oracle_root_unit(a: float, b: float, c: float) -> float:
+    if a == 0.0:
+        return -c / b
+    disc = b * b - 4.0 * a * c
+    if b < 0.0:
+        return (-b + np.sqrt(disc)) / (2.0 * a)
+    return 2.0 * (-c) / (b + np.sqrt(disc))
+
+
+def _oracle_share(p, i: int, k: int) -> float:
+    a = float(p.beta[i, k])
+    b = float(p.q_plus[i] - p.beta[i, k] + p.q_minus[k])
+    return _oracle_root_unit(a, b, -float(p.q_minus[k]))
+
+
+def _oracle_fixed_point_mixed(p, i: int, k: int) -> MixedState:
+    lam = p.lam
+    qpi, qpk = float(p.q_plus[i]), float(p.q_plus[k])
+    qmi, qmk = float(p.q_minus[i]), float(p.q_minus[k])
+    bii, bki = float(p.beta[i, i]), float(p.beta[k, i])
+    bik, bkk = float(p.beta[i, k]), float(p.beta[k, k])
+
+    def residual(v):
+        xiI, xkI = v
+        xkS = 1.0 - xiI - 2.0 * xkI
+        f1 = xkI * qmi - xiI * qpi + xkI * xiI * bii + xkI * xkI * bki + lam * xkI
+        f2 = xkS * (qmk + xkI * bkk + xiI * bik) - (lam + qpk) * xkI
+        return np.array([f1, f2])
+
+    def jacobian(v):
+        xiI, xkI = v
+        xkS = 1.0 - xiI - 2.0 * xkI
+        press = qmk + xkI * bkk + xiI * bik
+        return np.array([
+            [-qpi + xkI * bii, qmi + xiI * bii + 2.0 * xkI * bki + lam],
+            [-press + xkS * bik, -2.0 * press + xkS * bkk - (lam + qpk)],
+        ])
+
+    xiI0 = _oracle_share(p, i, k)
+    v = np.array([xiI0, xiI0 * qpi / lam])
+    res = residual(v)
+    norm = np.max(np.abs(res))
+    its = 0
+    for its in range(1, 101):
+        if norm < _ORACLE_NEWTON_TOL:
+            break
+        step = np.linalg.solve(jacobian(v), res)
+        scale = 1.0
+        for _ in range(30):
+            v_new = v - scale * step
+            res_new = residual(v_new)
+            norm_new = np.max(np.abs(res_new))
+            if norm_new < norm:
+                break
+            scale *= 0.5
+        v, res, norm = v_new, res_new, norm_new
+    if norm >= _ORACLE_NEWTON_TOL:
+        raise RuntimeError(
+            f"mixed fixed point Newton did not converge for (i={i}, k={k}); "
+            f"residual {norm:.3e} after {its} iterations"
+        )
+    xiI, xkI = v
+    x = np.zeros(p.n_states)
+    x[2 * i] = xiI
+    x[2 * i + 1] = xkI
+    x[2 * k] = xkI
+    x[2 * k + 1] = 1.0 - xiI - 2.0 * xkI
+    if np.any(x < 0):
+        raise RuntimeError(f"mixed fixed point left the simplex for (i={i}, k={k}): {x.tolist()}")
+    return MixedState(x)
+
+
+def _oracle_certify(p, x: MixedState, u: StationaryControl, g: ValueVector) -> None:
+    from sismfg.model import hjb_coupling, hjb_rhs_fn
+
+    defect = float(np.max(np.abs(hjb_rhs_fn(p, u)(hjb_coupling(p, x.infected), g.g))))
+    if defect > max(_ORACLE_VALUE_TOL, _oracle_floor(p, g.g)):
+        raise RuntimeError(f"stationary value solve failed its certificate: defect {defect:.3e}")
+
+
+def _oracle_values_single(p, i: int, x_star: float) -> np.ndarray:
+    lam, delta = p.lam, p.delta
+    den_i = float(p.q_minus[i] + p.q_plus[i] + p.beta[i, i] * x_star + p.delta)
+    gap_i = float(p.w_I[i] - p.w_S[i]) / den_i
+    g_iI = (float(p.w_I[i]) - float(p.q_plus[i]) * gap_i) / p.delta
+    g = np.empty(p.n_states)
+    g[2 * i] = g_iI
+    g[2 * i + 1] = g_iI - gap_i
+    for j in range(p.d):
+        if j == i:
+            continue
+        qt_j = float(p.q_minus[j] + p.beta[i, j] * x_star)
+        gap_j = (float(p.w_I[j] - p.w_S[j]) + lam * gap_i) / (lam + float(p.q_plus[j]) + qt_j + delta)
+        g_jI = (lam * g_iI + float(p.w_I[j]) - float(p.q_plus[j]) * gap_j) / (lam + delta)
+        g[2 * j] = g_jI
+        g[2 * j + 1] = g_jI - gap_j
+    return g
+
+
+def _oracle_values_mixed(p, i: int, k: int, x: MixedState) -> np.ndarray:
+    lam, delta = p.lam, p.delta
+    qt = p.q_minus + p.beta.T @ x.infected
+    qpi, qpk = float(p.q_plus[i]), float(p.q_plus[k])
+    qti, qtk = float(qt[i]), float(qt[k])
+    wiI, wiS = float(p.w_I[i]), float(p.w_S[i])
+    wkI, wkS = float(p.w_I[k]), float(p.w_S[k])
+    a11 = -(lam * (qpi + delta) + delta * (qpi + qti + delta))
+    a12 = lam * qpi
+    b1 = -wiI * (lam + delta + qti) - wiS * qpi
+    a21 = -lam * qtk
+    a22 = lam * (qtk + delta) + delta * (qtk + qpk + delta)
+    b2 = wkI * qtk + wkS * (lam + delta + qpk)
+    det = a11 * a22 - a12 * a21
+    if det == 0.0:
+        raise RuntimeError("singular 2x2 system for the mixed stationary values")
+    g_iI = (b1 * a22 - a12 * b2) / det
+    g_kS = (a11 * b2 - b1 * a21) / det
+    g = np.empty(p.n_states)
+    g[2 * i], g[2 * i + 1] = g_iI, g_iI + (delta * g_iI - wiI) / qpi
+    g[2 * k], g[2 * k + 1] = g_kS + (delta * g_kS - wkS) / qtk, g_kS
+    for j in range(p.d):
+        if j in (i, k):
+            continue
+        qtj, qpj = float(qt[j]), float(p.q_plus[j])
+        mat = np.array([[lam + delta + qpj, -qpj], [-qtj, lam + delta + qtj]])
+        rhs = np.array([lam * g_iI + float(p.w_I[j]), lam * g_kS + float(p.w_S[j])])
+        g[2 * j], g[2 * j + 1] = np.linalg.solve(mat, rhs)
+    return g
+
+
+def _oracle_kinetic_jacobian(p, u: StationaryControl, x: np.ndarray) -> np.ndarray:
+    """The exact Jacobian as one dense matrix per call (the pre-kernel form)."""
+    from sismfg.model import _migration
+
+    rate, incidence = _migration(p, u)
+    xI, xS = x[0::2], x[1::2]
+    jac = (rate[:, None] * incidence).T - np.diag(rate)
+    net = np.empty((p.d, 2 * p.d))
+    net[:, 0::2] = xS[:, None] * p.beta.T - np.diag(p.q_plus)
+    net[:, 1::2] = np.diag(p.q_minus + p.beta.T @ xI)
+    jac[0::2] += net
+    jac[1::2] -= net
+    return jac
+
+
+def _oracle_sorted(values) -> np.ndarray:
+    values = np.asarray(values, dtype=complex)
+    return values[np.lexsort((values.imag, values.real))]
+
+
+def _oracle_spectrum(p, u: StationaryControl, x: np.ndarray) -> np.ndarray:
+    n = x.size
+    basis = np.vstack([np.eye(n - 1), -np.ones(n - 1)])
+    gram = np.eye(n - 1) + 1.0
+    tangent = np.linalg.solve(gram, basis.T @ (_oracle_kinetic_jacobian(p, u, x) @ basis))
+    return _oracle_sorted(np.linalg.eigvals(tangent))
+
+
+def oracle_solve_candidate(p, u: StationaryControl) -> dict:
+    """One candidate solved the pre-kernel way; raises as that solver raised."""
+    from sismfg.model import consistency_residual
+
+    i, k = u.as_pair()
+    if u.is_single:
+        x_star = _oracle_share(p, i, i)
+        xs = np.zeros(p.n_states)
+        xs[2 * i], xs[2 * i + 1] = x_star, 1.0 - x_star
+        x = MixedState(xs)
+        g = ValueVector(_oracle_values_single(p, i, x_star))
+    else:
+        x = _oracle_fixed_point_mixed(p, i, k)
+        g = ValueVector(_oracle_values_mixed(p, i, k, x))
+    _oracle_certify(p, x, u, g)
+    margin_I = g.infected_values - g.g_I(i)
+    margin_S = g.susceptible_values - g.g_S(k)
+    off = np.array([margin_I[j] for j in range(p.d) if j != i]
+                   + [margin_S[j] for j in range(p.d) if j != k])
+    numerical = _oracle_spectrum(p, u, x.x)
+    closed, agreement = None, None
+    max_real = float(numerical.real.max())
+    if u.is_single:
+        xi = float((1.0 - 2.0 * x_star) * p.beta[i, i] - p.q_minus[i] - p.q_plus[i])
+        values = [xi]
+        for j in range(p.d):
+            if j != i:
+                slow = float(-p.lam - (p.q_plus[j] + p.q_minus[j] + x_star * p.beta[i, j]))
+                values.extend((slow, -p.lam))
+        closed = _oracle_sorted(values)
+        agreement = float(np.max(np.abs(closed - numerical)))
+        max_real = max(max_real, float(closed.real.max()))
+        if agreement > max(_ORACLE_SPECTRUM_TOL, _oracle_rate_roundoff(p)):
+            raise RuntimeError(
+                f"closed-form and numerical spectra disagree by {agreement:.3e} "
+                f"at the single({i + 1}) fixed point"
+            )
+    return {
+        "x": x.x, "g": g.g, "numerical": numerical, "closed_form": closed, "agreement": agreement,
+        "max_real_part": max_real,
+        "min_margin": float(off.min()) if off.size else np.inf,
+        "degenerate": bool(off.size and np.any(np.abs(off) <= 1e-10)),
+        "residual": consistency_residual(p, x, g, u),
+    }
+
+
+def oracle_enumerate(p) -> list[dict]:
+    """Per candidate, in the kernel's order: status, detail, min_margin and
+    residual as the pre-kernel loop reported them, plus its solution."""
+    from sismfg import best_response
+
+    out = []
+    for i in range(p.d):
+        for k in range(p.d):
+            u = StationaryControl.single(p.d, i) if i == k else StationaryControl.mixed(p.d, i, k)
+            try:
+                sol = oracle_solve_candidate(p, u)
+            except (RuntimeError, np.linalg.LinAlgError, ValueError) as exc:
+                out.append({"control": u, "status": "failed", "detail": str(exc),
+                            "min_margin": None, "residual": None, "solution": None})
+                continue
+            row = {"control": u, "min_margin": sol["min_margin"], "residual": sol["residual"],
+                   "solution": sol}
+            if sol["min_margin"] >= -1e-10 and sol["residual"] <= max(
+                _ORACLE_EQUILIBRIUM_TOL, _oracle_floor(p, sol["g"])
+            ):
+                br, _ = best_response(ValueVector(sol["g"]))
+                if not (br == u or sol["degenerate"]):
+                    row.update(status="failed",
+                               detail="margins accepted but best response disagrees")
+                else:
+                    row.update(status="accepted", detail="degenerate (boundary margin)"
+                               if sol["degenerate"] else "equilibrium")
+            elif sol["min_margin"] < -1e-10:
+                row.update(status="rejected", detail=f"negative margin {sol['min_margin']:.3e}")
+            else:
+                row.update(status="rejected",
+                           detail=f"residual {sol['residual']:.3e} above tolerance")
+            out.append(row)
     return out

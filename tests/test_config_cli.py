@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sismfg import ConfigError, parse_config, run_scenario
+from sismfg import ConfigError, StationaryControl, parse_config, run_scenario
 from sismfg.cli import main
 from sismfg.config import parse_config_dict
-from sismfg.stationary import fixed_point_single
+from sismfg.stationary import enumerate_equilibria, fixed_point_single
 
 from conftest import P0
 
@@ -181,6 +181,79 @@ def test_off_simplex_x0_rejected(tmp_path, run, x0):
     assert parse_config_dict(data).run == run
 
 
+@pytest.mark.parametrize(
+    "control, where",
+    [
+        ({"type": "single", "i": 1.9}, "nplayer.control.i"),
+        ({"type": "single", "i": True}, "nplayer.control.i"),
+        ({"type": "mixed", "i": 1, "k": 2.0}, "nplayer.control.k"),
+        ({"type": "mixed", "i": False, "k": 2}, "nplayer.control.i"),
+        ({"type": "explicit", "target_I": [1.9, 2.2], "target_S": [1, 2]},
+         "nplayer.control.target_I"),
+        ({"type": "explicit", "target_I": [1, 2], "target_S": [True, 2]},
+         "nplayer.control.target_S"),
+        ({"type": "single", "i": [1]}, "nplayer.control.i"),
+        ({"type": "explicit", "target_I": 1, "target_S": [1, 2]}, "nplayer.control.target_I"),
+    ],
+)
+def test_non_integer_control_indices_rejected(tmp_path, control, where):
+    # int() would truncate 1.9 to 1 and read true as 1: both are refused
+    data = json.loads((REPO_CONFIGS / "p0_nplayer.json").read_text())
+    data["nplayer"]["control"] = control
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == [where]
+    assert "integer" in err.value.errors[0]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+def test_integer_control_indices_parse():
+    data = json.loads((REPO_CONFIGS / "p0_nplayer.json").read_text())
+    for control, expected in (
+        ({"type": "single", "i": 2}, StationaryControl.single(2, 1)),
+        ({"type": "mixed", "i": 2, "k": 1}, StationaryControl.mixed(2, 1, 0)),
+        ({"type": "explicit", "target_I": [1, 2], "target_S": [2, 2]},
+         StationaryControl(np.array([0, 1]), np.array([1, 1]))),
+    ):
+        data["nplayer"]["control"] = control
+        assert parse_config_dict(data).nplayer.control == expected
+
+
+@pytest.mark.parametrize(
+    "axes, fragments",
+    [
+        ([{"path": "lambda", "values": [1.0, 2.0]}, {"path": "delta", "values": [0.1, 0.0]}],
+         ["delta must be > 0", "delta=0.0", "2 of 4 points"]),
+        ([{"path": "w_S[1]", "values": [1.0, 2.0, 2.5]}],
+         ["w_S must be < w_I", "violated at strategy 1", "w_S[1]=2.0", "2 of 3 points"]),
+    ],
+)
+def test_sweep_grid_points_validated(tmp_path, axes, fragments):
+    # every grid point must be a valid model with delta > 0; these points
+    # used to become 'failed' sweep rows at run time
+    data = json.loads((REPO_CONFIGS / "sweep_beta11.json").read_text())
+    data["sweep"]["axes"] = axes
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == ["sweep.axes"]
+    for fragment in fragments:
+        assert fragment in err.value.errors[0]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+def test_equilibria_model_needs_positive_discount(tmp_path):
+    data = minimal_d1()
+    data["model"]["delta"] = 0.0
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert err.value.errors == ["model: delta must be > 0 for stationary discounted values, got 0.0"]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+    data["run"] = "simulate"  # the population dynamics take delta = 0
+    data["simulate"] = {"control": {"type": "single", "i": 1}, "x0": "uniform",
+                        "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 10}}
+    assert parse_config_dict(data).model.delta == 0.0
+
+
 # ---------------------------------------------------------------------------
 # runs
 
@@ -259,6 +332,49 @@ def test_sweep_run_monotone_share(tmp_path):
         beta = [[value, 0.05], [0.05, 0.05]]
         p = ModelParams(**{**P0, "beta": beta})
         assert share == pytest.approx(fixed_point_single(p, 0)[0], abs=1e-12)
+
+
+def test_sweep_rows_equal_per_point_enumeration(tmp_path, monkeypatch):
+    # the kernel solves all points' candidates in blocks; with a small
+    # budget the grid spans many blocks, and every row must still be the
+    # summary of enumerate_equilibria at that point (beta[2][2] = 1e8 makes
+    # both mixed candidates fail, lam = 1e4 is the large-lam end)
+    from sismfg import stationary
+    from sismfg.model import ModelParams
+    from sismfg.runs import fmt
+
+    blocks = []
+    solve_block = stationary._solve_block
+
+    def counted(s, i, k):
+        blocks.append(i.size)
+        return solve_block(s, i, k)
+
+    monkeypatch.setattr(stationary, "ENTRY_BUDGET", 5 * 16)  # d = 2: 5 pairs a block
+    monkeypatch.setattr(stationary, "_solve_block", counted)
+    lams, betas = [50.0, 100.0, 1e4], [0.0, 0.1, 0.2, 1e8]
+    data = json.loads((REPO_CONFIGS / "sweep_beta11.json").read_text())
+    data["sweep"]["axes"] = [{"path": "lambda", "values": lams},
+                             {"path": "beta[2][2]", "values": betas}]
+    bundle = run_scenario(parse_config_dict(data), tmp_path)
+    assert bundle.n_succeeded == 12 and bundle.failures == []
+    assert blocks == [5] * 9 + [3]
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 13
+    for line, (lam, b22) in zip(lines[1:], [(x, y) for x in lams for y in betas]):
+        res = enumerate_equilibria(ModelParams(**{**P0, "lam": lam,
+                                                  "beta": [[0.2, 0.05], [0.05, b22]]}))
+        singles = [s for s in res.equilibria if s.control.is_single]
+        expected = [fmt(lam), fmt(b22), "ok", str(len(res.equilibria)),
+                    ";".join(s.control.label() for s in res.equilibria)]
+        if singles:
+            s0 = singles[0]
+            m = s0.margins.min_margin
+            expected += [fmt(s0.x_star.x[2 * s0.control.as_pair()[0]]),
+                         fmt(m) if np.isfinite(m) else "inf", fmt(s0.stability.max_real_part)]
+        else:
+            expected += ["", "", ""]
+        assert line == ",".join(expected)
 
 
 def test_failed_turnpike_recorded_not_raised(tmp_path):

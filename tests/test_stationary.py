@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from sismfg import (
+    MixedState,
     StationaryControl,
     best_response,
     consistency_residual,
     kinetic_rhs,
 )
 from sismfg import stationary
+from sismfg.config import SweepAxis, sweep_grid
 from sismfg.model import ModelParams
 from sismfg.stationary import (
     SPECTRUM_ERROR_TOL,
@@ -26,6 +28,7 @@ from sismfg.stationary import (
     hjb_single_exact,
     infected_share_quadratic,
     mixed_first_order,
+    solve_points,
     stability_single,
 )
 
@@ -36,6 +39,7 @@ from conftest import (
     P0_G1S,
     P0_XI_PRINCIPAL,
     P0_XSTAR,
+    oracle_enumerate,
     oracle_stationary_values,
     oracle_xstar,
     random_params,
@@ -502,14 +506,16 @@ def test_enumerate_huge_lambda_spectra_within_rate_roundoff():
 
 
 def test_each_mixed_candidate_solved_once(p0, monkeypatch):
-    calls = {"fixed_point_mixed": 0, "hjb_mixed_exact": 0}
+    # the kernel's mixed Newton and mixed value solve see every mixed
+    # candidate exactly once (counted in pairs, as they take whole blocks)
+    calls = {"_newton_mixed": 0, "_values_mixed": 0}
 
     def counted(name):
         fn = getattr(stationary, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def wrapper(s, i, *args, **kwargs):
+            calls[name] += i.size
+            return fn(s, i, *args, **kwargs)
 
         return wrapper
 
@@ -518,4 +524,133 @@ def test_each_mixed_candidate_solved_once(p0, monkeypatch):
     res = enumerate_equilibria(p0)
     n_mixed = sum(1 for r in res.reports if r.control.is_mixed)
     assert n_mixed == 2
-    assert calls == {"fixed_point_mixed": n_mixed, "hjb_mixed_exact": n_mixed}
+    assert calls == {"_newton_mixed": n_mixed, "_values_mixed": n_mixed}
+
+
+# ---------------------------------------------------------------------------
+# batched kernel against the per-candidate oracle
+
+
+def assert_matches_oracle(p):
+    """Same statuses and details as the pre-kernel loop, bitwise x and g
+    for accepted candidates, other numbers to 1e-12 of the value scale and
+    spectra to 1e-10."""
+    res = enumerate_equilibria(p)
+    expected = oracle_enumerate(p)
+    assert [r.control for r in res.reports] == [e["control"] for e in expected]
+    assert [(r.status, r.detail) for r in res.reports] == [
+        (e["status"], e["detail"]) for e in expected
+    ]
+    for rep, exp in zip(res.reports, expected):
+        if exp["solution"] is None:
+            assert rep.min_margin is None and rep.residual is None
+            continue
+        scale = max(1.0, float(np.max(np.abs(exp["solution"]["g"]))))
+        assert rep.min_margin == pytest.approx(exp["min_margin"], rel=0, abs=1e-12 * scale)
+        assert rep.residual == pytest.approx(exp["residual"], rel=0, abs=1e-12 * scale)
+    accepted = [e for e in expected if e["status"] == "accepted"]
+    assert [s.control for s in res.equilibria] == [e["control"] for e in accepted]
+    for sol, exp in zip(res.equilibria, accepted):
+        ref = exp["solution"]
+        assert np.array_equal(sol.x_star.x, ref["x"])
+        assert np.array_equal(sol.g.g, ref["g"])
+        assert np.max(np.abs(sol.stability.numerical - ref["numerical"])) <= 1e-10
+        assert sol.stability.max_real_part == pytest.approx(ref["max_real_part"], rel=0, abs=1e-10)
+        if ref["closed_form"] is not None:
+            assert np.max(np.abs(sol.stability.closed_form - ref["closed_form"])) <= 1e-10
+            assert sol.stability.agreement == pytest.approx(ref["agreement"], rel=0, abs=1e-10)
+        assert sol.degenerate == ref["degenerate"]
+    return res
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_kernel_matches_oracle_random_draws(d):
+    rng = np.random.default_rng(100 + d)
+    statuses = set()
+    for _ in range(12 if d <= 3 else 4):
+        res = assert_matches_oracle(random_params(rng, d))
+        statuses.update(r.status for r in res.reports)
+    assert "accepted" in statuses and (d == 1 or "rejected" in statuses)
+
+
+def test_kernel_matches_oracle_failed_candidates(p0):
+    beta = np.array(p0.beta)
+    beta[1, 1] = 1e8
+    res = assert_matches_oracle(dataclasses.replace(p0, beta=beta))
+    assert [r.status for r in res.reports].count("failed") == 2
+
+
+def test_kernel_matches_oracle_huge_lambda():
+    assert_matches_oracle(ModelParams(**{**P0, "lam": 1e10}))
+
+
+def test_mixed_tie_not_rejected_on_value_residual():
+    # at lam = 1e10 mixed(2,1) sits on its boundary (g(2I) - g(1I) = 8.4e-11):
+    # the value defect under the explicit minimum multiplied that tie-level
+    # gap by lam (residual 0.84); under the candidate's own control it is a
+    # roundoff-level 5e-5 and the gap stays a term of its own
+    p = ModelParams(**{**P0, "lam": 1e10})
+    u = StationaryControl.mixed(2, 1, 0)
+    by_label = {r.control.label(): r for r in enumerate_equilibria(p).reports}
+    assert not by_label["mixed(2,1)"].detail.startswith("residual")
+    sol = stationary.solve_candidate(p, u)
+    assert consistency_residual(p, sol.x_star, sol.g, u) <= 1e-3
+    assert sol.residual == consistency_residual(p, sol.x_star, sol.g, u)
+
+
+def test_scalar_views_equal_kernel_rows(p0):
+    # the one-pair views and the batched kernel share every piece
+    res = enumerate_equilibria(p0)
+    for sol in res.equilibria:
+        i, k = sol.control.as_pair()
+        one = stationary.solve_candidate(p0, sol.control)
+        assert np.array_equal(one.x_star.x, sol.x_star.x) and np.array_equal(one.g.g, sol.g.g)
+        assert np.array_equal(one.stability.numerical, sol.stability.numerical)
+        margins = (consistency_single(p0, i, sol.x_star.x[2 * i], sol.g) if i == k
+                   else consistency_mixed(p0, i, k, sol.x_star, sol.g))
+        for name in ("margin_I", "margin_S", "asymptotic_margin_I", "asymptotic_margin_S",
+                     "small_interaction_margin_I", "small_interaction_margin_S"):
+            assert np.array_equal(getattr(margins, name), getattr(sol.margins, name))
+
+
+#: the d = 3 model of the sweep benchmark: across (lambda, delta) its
+#: equilibrium set moves between single(1), mixed(1,2) and both
+SWEEP_D3 = dict(d=3, lam=100.0, delta=0.1, q_plus=[0.5, 0.6, 0.7], q_minus=[0.3, 0.5, 0.2],
+                beta=[[0.2, 0.05, 0.05], [0.05, 0.05, 0.05], [0.05, 0.05, 0.05]],
+                w_I=[2.0, 3.0, 4.0], w_S=[1.0, 0.88, 3.5])
+
+
+def oracle_single_margin(p, i):
+    """Smallest best-response margin of single(i) and the value scale, from
+    the bisection root and the dense value solve."""
+    x = np.zeros(2 * p.d)
+    x[2 * i] = oracle_xstar(p, i)
+    x[2 * i + 1] = 1.0 - x[2 * i]
+    g = oracle_stationary_values(p, StationaryControl.single(p.d, i), MixedState(x))
+    off = np.concatenate([np.delete(g[0::2] - g[2 * i], i), np.delete(g[1::2] - g[2 * i + 1], i)])
+    return (off.min() if off.size else np.inf), max(1.0, np.max(np.abs(g)))
+
+
+@pytest.mark.parametrize("base", [P0, SWEEP_D3], ids=["P0", "sweep_d3"])
+def test_regimes_small_discount_large_lambda(base):
+    # delta in [1e-8, 1] x lam in [1, 1e6], the paper's small-discount and
+    # large-lam regimes, in one kernel call: no candidate fails, and every
+    # single(i) whose oracle margin is clear of the roundoff band is accepted
+    p = ModelParams(**base)
+    axes = (SweepAxis("lambda", tuple(np.logspace(0.0, 6.0, 13))),
+            SweepAxis("delta", tuple(np.logspace(-8.0, 0.0, 17))))
+    points, stack = sweep_grid(p, axes)
+    sol = solve_points(stack)
+    assert not np.any(sol.status == stationary.FAILED), [
+        sol.detail(r) for r in np.flatnonzero(sol.status == stationary.FAILED)
+    ]
+    n_c, checked = p.d * p.d, 0
+    for n, (lam, delta) in enumerate(points):
+        q = ModelParams(**{**base, "lam": lam, "delta": delta})
+        for i in range(p.d):
+            margin, scale = oracle_single_margin(q, i)
+            if margin > 1e-9 * scale:
+                checked += 1
+                r = n * n_c + i * p.d + i
+                assert sol.status[r] == stationary.ACCEPTED, (lam, delta, i, sol.detail(r))
+    assert checked > len(points) // 3  # 155 (P0) and 101 (sweep_d3) of 221 points

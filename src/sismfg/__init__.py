@@ -39,7 +39,6 @@ from .dynamics import (
     integrate_backward,
     integrate_forward,
     solve_turnpike,
-    turnpike_metrics,
 )
 from .nplayer import CountVector, CtmcPath, lln_error, simulate_ctmc
 from .config import ConfigError, ScenarioConfig, parse_config
@@ -75,7 +74,6 @@ __all__ = [
     "integrate_backward",
     "gap_closed_form",
     "solve_turnpike",
-    "turnpike_metrics",
     "check_turnpike_hypotheses",
     "TrajectorySolution",
     "TurnpikeHypothesisError",

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import default_grid
 from .model import SIMPLEX_TOL, ModelParams, ParamStack, StationaryControl
 
 RUN_KINDS = ("equilibria", "simulate", "turnpike", "nplayer", "sweep")
@@ -26,6 +27,10 @@ OUTPUT_FORMATS = ("csv", "json")
 
 #: parameter paths a sweep may override, with the index arity they take
 SWEEPABLE = {"lambda": 0, "delta": 0, "q_plus": 1, "q_minus": 1, "w_I": 1, "w_S": 1, "beta": 2}
+
+#: most entries (nodes x 2d) of a trajectory grid: one float64 path of this
+#: size takes 128 MiB
+GRID_BUDGET = 1 << 24
 
 _PATH_RE = re.compile(r"^([A-Za-z_]+)((?:\[\d+\])*)$")
 
@@ -319,11 +324,17 @@ def _parse_state_spec(data, n_states: int, where: str, col: _Collector, tokens=(
     return None
 
 
-def _parse_x0(block: dict, n_states: int, where: str, col: _Collector):
+def _parse_x0(block: dict, n_states: int, where: str, col: _Collector,
+              control: StationaryControl | None = None):
     """Start state: a token, or a population state as MixedState checks it
-    at run time (entries >= 0 summing to 1 within SIMPLEX_TOL)."""
+    at run time (entries >= 0 summing to 1 within SIMPLEX_TOL).  The
+    'stationary' token needs a fixed point, which only a uniform control has."""
     where = f"{where}.x0"
     x0 = _parse_state_spec(block.get("x0"), n_states, where, col, tokens=("uniform", "stationary"))
+    if isinstance(x0, str) and x0 == "stationary" and not (control is None or control.is_uniform):
+        col.add(where, "'stationary' needs a uniform control (all target_I equal and all "
+                       "target_S equal)")
+        return None
     if isinstance(x0, np.ndarray) and (np.any(x0 < 0) or abs(float(x0.sum()) - 1.0) > SIMPLEX_TOL):
         col.add(where, f"expected entries >= 0 summing to 1 within {SIMPLEX_TOL}, "
                        f"got min {float(x0.min())!r}, sum {float(x0.sum())!r}")
@@ -348,6 +359,24 @@ def _parse_grid(data, where: str, col: _Collector) -> GridSpec | None:
         col.add(f"{where}.n_steps", "must be >= 1")
         return None
     return GridSpec(t_start=t0, t_end=t1, n_steps=n)
+
+
+def _within_budget(model: ModelParams, grid: GridSpec, where: str, col: _Collector) -> bool:
+    """False, with an error, when the grid's nodes x 2d exceed GRID_BUDGET;
+    without n_steps the grid is ``dynamics.default_grid``'s.  Nothing is
+    allocated."""
+    n_steps = grid.n_steps
+    if n_steps is None:
+        try:
+            n_steps = default_grid(model, grid.t_start, grid.t_end).n_steps
+        except OverflowError:  # the default step underflows: no grid fits
+            n_steps = float("inf")
+    entries = (n_steps + 1) * model.n_states
+    if entries <= GRID_BUDGET:
+        return True
+    col.add(where, f"{n_steps + 1} nodes x {model.n_states} states = {entries} entries exceed "
+                   f"the grid budget of {GRID_BUDGET}")
+    return False
 
 
 def parse_sweep_path(path: str, d: int) -> tuple[str, tuple[int, ...]]:
@@ -390,8 +419,9 @@ def sweep_grid(model: ModelParams, axes) -> tuple[np.ndarray, ParamStack]:
 
 def _stationary_model_errors(model: ModelParams, sweep: SweepConfig | None, col: _Collector) -> None:
     """Reject what the stationary solver would refuse later: an equilibria
-    model, or any sweep grid point, that breaks a model invariant or has
-    delta = 0 (stationary discounted values need delta > 0)."""
+    or turnpike model (the turnpike anchors at the stationary values), or
+    any sweep grid point, that breaks a model invariant or has delta = 0
+    (stationary discounted values need delta > 0)."""
     if sweep is None:
         for msg, _ in ParamStack.tile(model).violations(positive_discount=True):
             col.add("model", msg)
@@ -442,7 +472,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             output = OutputConfig(dir=dir_, format=fmt)
 
     simulate = turnpike = nplayer = sweep = None
-    if model is not None and run == "equilibria":
+    if model is not None and run in ("equilibria", "turnpike"):
         _stationary_model_errors(model, None, col)
     if model is not None and run is not None and run in data:
         block = data[run]
@@ -452,8 +482,10 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         elif run == "simulate":
             col.expect_keys(where, block, {"control", "x0", "grid"}, set())
             control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
-            x0 = _parse_x0(block, model.n_states, where, col)
+            x0 = _parse_x0(block, model.n_states, where, col, control)
             grid = _parse_grid(block.get("grid"), f"{where}.grid", col)
+            if grid is not None and not _within_budget(model, grid, f"{where}.grid", col):
+                grid = None
             if control is not None and x0 is not None and grid is not None:
                 simulate = SimulateConfig(control=control, x0=x0, grid=grid)
         elif run == "turnpike":
@@ -468,6 +500,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                 tokens=("stationary",),
             )
             grid = _parse_grid(block.get("grid"), f"{where}.grid", col)
+            if grid is not None and not _within_budget(model, grid, f"{where}.grid", col):
+                grid = None
             if None not in (strategy, grid) and x0 is not None and gT is not None:
                 turnpike = TurnpikeConfig(strategy=strategy - 1, x0=x0, g_terminal=gT, grid=grid)
         elif run == "nplayer":
@@ -475,7 +509,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                 where, block, {"control", "x0", "t_end"}, {"n_agents", "n_list", "replications"}
             )
             control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
-            x0 = _parse_x0(block, model.n_states, where, col)
+            x0 = _parse_x0(block, model.n_states, where, col, control)
             t_end = col.number(where, block, "t_end")
             n_agents = col.integer(where, block, "n_agents")
             reps = col.integer(where, block, "replications", default=1)
@@ -497,6 +531,10 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                 n_agents = None
             if t_end is not None and t_end <= 0:
                 col.add(f"{where}.t_end", "must be > 0")
+                t_end = None
+            if t_end is not None and n_list is not None and not _within_budget(
+                model, GridSpec(0.0, t_end), f"{where}.t_end", col  # the LLN's ODE reference
+            ):
                 t_end = None
             if reps is not None and reps < 1:
                 col.add(f"{where}.replications", "must be >= 1")

@@ -36,12 +36,7 @@ from .model import (
     hjb_rhs_fn,
     kinetic_rhs_fn,
 )
-from .stationary import (
-    EquilibriumSolution,
-    fixed_point_single,
-    hjb_single_exact,
-    small_interaction_margins_single,
-)
+from .stationary import fixed_point_single, hjb_single_exact, small_interaction_margins_single
 
 #: simplex violation that triggers step halving in the forward integrator
 STEP_REJECT_TOL = 1e-6
@@ -224,32 +219,6 @@ def integrate_backward(
     )
 
 
-def integrate_value_forward(
-    p: ModelParams,
-    g0: ValueVector,
-    x_path: np.ndarray,
-    u: StationaryControl,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """Forward-time integration of the fixed-control value equation.
-
-    Inverse of the backward sweep up to integrator error; used for
-    reversibility checks on short horizons (the forward direction amplifies
-    the fast modes, so long horizons are not meaningful).
-    """
-    rhs = hjb_rhs_fn(p, u)
-    c, c_mid = _coupling_rows(p, x_path)
-    h = grid.h
-    g = g0.g.copy()
-    for m in range(grid.n_steps):
-        k1 = -rhs(c[m], g)
-        k2 = -rhs(c_mid[m], g + 0.5 * h * k1)
-        k3 = -rhs(c_mid[m], g + 0.5 * h * k2)
-        k4 = -rhs(c[m + 1], g + h * k3)
-        g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # closed-form gap evolution
 
@@ -362,11 +331,12 @@ def check_turnpike_hypotheses(
 
 @dataclass(frozen=True)
 class TurnpikeStats:
-    """Turnpike statistics against the stationary anchor.
+    """Turnpike statistics against the stationary anchor (x_star, g_star).
 
     sup_x_mid / sup_g_mid are sup distances over the trimmed mid-horizon
-    ``window``; entry / exit bound the first and last node within
-    DEFAULT_WINDOW_EPS of the stationary pair (None when never entered).
+    ``window``; entry / exit are the first and last node times within
+    DEFAULT_WINDOW_EPS of the stationary pair (None when never entered) and
+    inside_fraction the share of nodes within it.
     """
 
     window: tuple[float, float]
@@ -378,52 +348,31 @@ class TurnpikeStats:
     x_star: MixedState
     g_star: ValueVector
 
-
-@dataclass(frozen=True)
-class TurnpikeWindow:
-    """First/last times within eps of the stationary pair, the node fraction
-    spent inside, and the mid-horizon sup distances.  never_entered marks an
-    empty window."""
-
-    entry: float | None
-    exit: float | None
-    inside_fraction: float
-    sup_x_mid: float
-    sup_g_mid: float
-    eps: float
-
     @property
     def never_entered(self) -> bool:
         return self.entry is None
 
 
-def _window_stats(
-    grid: TimeGrid,
-    x_path: np.ndarray,
-    g_path: np.ndarray,
-    x_star: np.ndarray,
-    g_star: np.ndarray,
-    eps: float,
-) -> tuple[tuple[float, float], TurnpikeWindow]:
-    """The trimmed mid-horizon window and the turnpike window of a path
-    against the stationary pair (x_star, g_star)."""
+def _turnpike_stats(grid: TimeGrid, x_path: np.ndarray, g_path: np.ndarray,
+                    x_star: MixedState, g_star: ValueVector) -> TurnpikeStats:
     times = grid.times()
-    dx = np.max(np.abs(x_path - x_star), axis=1)
-    dg = np.max(np.abs(g_path - g_star), axis=1)
+    dx = np.max(np.abs(x_path - x_star.x), axis=1)
+    dg = np.max(np.abs(g_path - g_star.g), axis=1)
     lo = grid.t_start + MID_WINDOW_TRIM * grid.horizon
     hi = grid.t_end - MID_WINDOW_TRIM * grid.horizon
     mid = (times >= lo) & (times <= hi)
-    inside = (dx <= eps) & (dg <= eps)
+    inside = (dx <= DEFAULT_WINDOW_EPS) & (dg <= DEFAULT_WINDOW_EPS)
     idx = np.nonzero(inside)[0]
-    window = TurnpikeWindow(
+    return TurnpikeStats(
+        window=(lo, hi),
+        sup_x_mid=float(dx[mid].max()),
+        sup_g_mid=float(dg[mid].max()),
         entry=float(times[idx[0]]) if idx.size else None,
         exit=float(times[idx[-1]]) if idx.size else None,
         inside_fraction=float(inside.mean()),
-        sup_x_mid=float(dx[mid].max()),
-        sup_g_mid=float(dg[mid].max()),
-        eps=eps,
+        x_star=x_star,
+        g_star=g_star,
     )
-    return (lo, hi), window
 
 
 @dataclass(frozen=True)
@@ -439,12 +388,6 @@ class TrajectorySolution:
     certified: bool
     first_violation_time: float | None
     stats: TurnpikeStats
-
-    def state_at(self, m: int) -> MixedState:
-        return MixedState.project(self.x_path[m])
-
-    def values_at(self, m: int) -> ValueVector:
-        return ValueVector(self.g_path[m])
 
 
 def solve_turnpike(
@@ -468,18 +411,7 @@ def solve_turnpike(
     first_violation = None if certified else float(grid.times()[np.argmin(ok)])
 
     x_star_share, x_star = fixed_point_single(p, i)
-    g_star = hjb_single_exact(p, i, x_star_share)
-    window, w = _window_stats(grid, x_path, back.g_path, x_star.x, g_star.g, DEFAULT_WINDOW_EPS)
-    stats = TurnpikeStats(
-        window=window,
-        sup_x_mid=w.sup_x_mid,
-        sup_g_mid=w.sup_g_mid,
-        entry=w.entry,
-        exit=w.exit,
-        inside_fraction=w.inside_fraction,
-        x_star=x_star,
-        g_star=g_star,
-    )
+    stats = _turnpike_stats(grid, x_path, back.g_path, x_star, hjb_single_exact(p, i, x_star_share))
     return TrajectorySolution(
         control=u,
         grid=grid,
@@ -491,12 +423,3 @@ def solve_turnpike(
         first_violation_time=first_violation,
         stats=stats,
     )
-
-
-def turnpike_metrics(
-    sol: TrajectorySolution, eq: EquilibriumSolution, eps: float = DEFAULT_WINDOW_EPS
-) -> TurnpikeWindow:
-    """Entry/exit of the eps-neighbourhood of the stationary pair (x*, g*)."""
-    if eq.control != sol.control:
-        raise ValueError("equilibrium control does not match the trajectory control")
-    return _window_stats(sol.grid, sol.x_path, sol.g_path, eq.x_star.x, eq.g.g, eps)[1]

@@ -219,12 +219,6 @@ class MixedState:
         x[2 * j + (0 if compartment == "I" else 1)] = 1.0
         return cls(x)
 
-    @classmethod
-    def project(cls, arr: np.ndarray) -> "MixedState":
-        """Clip tiny negatives and renormalize (integrator node cleanup)."""
-        x = np.maximum(np.asarray(arr, dtype=float), 0.0)
-        return cls(x / x.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class StationaryControl:
@@ -510,17 +504,6 @@ def best_response(g: ValueVector, tie_tol: float = TIE_TOL) -> tuple[StationaryC
     return StationaryControl(np.full(d, i), np.full(d, k)), degenerate
 
 
-def best_response_gap(g: ValueVector, u: StationaryControl) -> float:
-    """How far u is from picking the argmin: max over states of
-    g(chosen target) - min(g over strategies), per compartment.  Zero iff
-    u selects a minimizing strategy everywhere (ties allowed)."""
-    gI = g.infected_values
-    gS = g.susceptible_values
-    gap_I = gI[u.target_I] - gI.min()
-    gap_S = gS[u.target_S] - gS.min()
-    return float(max(gap_I.max(), gap_S.max()))
-
-
 def consistency_residual(
     p: ModelParams, x: MixedState, g: ValueVector, u: StationaryControl
 ) -> float:
@@ -538,5 +521,7 @@ def consistency_residual(
     _check_dims(p, x, g, u)
     kin = float(np.max(np.abs(kinetic_rhs(p, x, u))))
     hjb = float(np.max(np.abs(hjb_rhs_fn(p, u)(hjb_coupling(p, x.infected), g.g))))
-    br = best_response_gap(g, u)
-    return max(kin, hjb, br)
+    # best-response gap: g at u's targets above the strategy minimum, per compartment
+    gI, gS = g.infected_values, g.susceptible_values
+    br = max((gI[u.target_I] - gI.min()).max(), (gS[u.target_S] - gS.min()).max())
+    return max(kin, hjb, float(br))

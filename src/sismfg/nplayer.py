@@ -93,14 +93,6 @@ class CountVector:
 
 
 @dataclass(frozen=True)
-class JumpEvent:
-    time: float
-    kind: str
-    from_state: int
-    to_state: int
-
-
-@dataclass(frozen=True)
 class CtmcPath:
     """Piecewise-constant jump path: counts are constant between event times."""
 
@@ -114,14 +106,6 @@ class CtmcPath:
     @property
     def n_events(self) -> int:
         return self.times.size
-
-    def event(self, idx: int) -> JumpEvent:
-        return JumpEvent(
-            time=float(self.times[idx]),
-            kind=KIND_NAMES[int(self.kinds[idx])],
-            from_state=int(self.from_state[idx]),
-            to_state=int(self.to_state[idx]),
-        )
 
     def counts(self) -> np.ndarray:
         """Counts after each event; shape (m+1, 2d), row 0 is the initial state."""
@@ -379,5 +363,3 @@ def lln_error(
             )
         )
     return LlnErrorTable(rows=rows, replications=replications, t_end=float(t_end))
-
-

@@ -370,38 +370,43 @@ class StabilityReport:
     agreement: float | None
 
 
+def _stability_report(numerical: np.ndarray, closed_form=None, xi_principal=None, xi_pairs=None,
+                      agreement=None) -> StabilityReport:
+    """The report of one spectrum; the closed-form fields are given for
+    the single family only."""
+    max_real = float(max(v.real.max() for v in (numerical, closed_form) if v is not None))
+    return StabilityReport(
+        numerical=numerical, closed_form=closed_form,
+        xi_principal=None if xi_principal is None else float(xi_principal), xi_pairs=xi_pairs,
+        max_real_part=max_real, stable=max_real < 0.0,
+        agreement=None if agreement is None else float(agreement),
+    )
+
+
+def _spectrum(s: ParamStack, target: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_tangent_spectra`` of one pair; RuntimeError when it fails."""
+    numerical, failures = _tangent_spectra(s, target, x)
+    if failures[0] is not None:
+        raise RuntimeError(failures[0])
+    return numerical
+
+
 def stability_single(p: ModelParams, i: int, x_star: float) -> StabilityReport:
     """Spectrum at the single-family fixed point: the numerical tangent
     spectrum, cross-checked against the closed form (``_single_closed_form``);
     RuntimeError when they disagree."""
     (i_,) = _pair(i)
     s, shares = ParamStack.tile(p), np.array([x_star], dtype=float)
-    numerical, failures = _tangent_spectra(
-        s, _uniform_targets(p.d, i_, i_), _single_states(p.d, i_, shares)
-    )
-    if failures[0] is not None:
-        raise RuntimeError(failures[0])
+    numerical = _spectrum(s, _uniform_targets(p.d, i_, i_), _single_states(p.d, i_, shares))
     xi, pairs, closed, agreement, bad = _single_closed_form(s, i_, shares, numerical)
     if bad[0]:
         raise RuntimeError(_disagreement(agreement[0], i))
-    max_real = max(float(numerical[0].real.max()), float(closed[0].real.max()))
-    return StabilityReport(
-        numerical=numerical[0], closed_form=closed[0], xi_principal=float(xi[0]),
-        xi_pairs=pairs[0], max_real_part=max_real, stable=max_real < 0.0,
-        agreement=float(agreement[0]),
-    )
+    return _stability_report(numerical[0], closed[0], xi[0], pairs[0], agreement[0])
 
 
 def stability_numerical(p: ModelParams, u: StationaryControl, x: MixedState) -> StabilityReport:
     """Numerical-only spectrum (used for the mixed family)."""
-    numerical, failures = _tangent_spectra(ParamStack.tile(p), state_targets(u)[None], x.x[None])
-    if failures[0] is not None:
-        raise RuntimeError(failures[0])
-    max_real = float(numerical[0].real.max())
-    return StabilityReport(
-        numerical=numerical[0], closed_form=None, xi_principal=None, xi_pairs=None,
-        max_real_part=max_real, stable=max_real < 0.0, agreement=None,
-    )
+    return _stability_report(_spectrum(ParamStack.tile(p), state_targets(u)[None], x.x[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -550,25 +555,14 @@ class SingleAsymptotics:
 
 
 def hjb_single_asymptotic(p: ModelParams, i: int, x_star: float) -> SingleAsymptotics:
+    """The 1/lam coefficients of the all-to-i values are the asymptotic
+    margins of ``_families_single``; the i-block is ``_single_block``."""
     _require_positive_discount(p)
-    delta = p.delta
-    gap_i, g_iI, g_iS = (
-        float(v[0]) for v in _single_block(ParamStack.tile(p), *_pair(i), np.array([x_star]))
-    )
-    g = np.empty(p.n_states)
-    corr = np.zeros(p.n_states)
-    g[2 * i] = g_iI
-    g[2 * i + 1] = g_iS
-    for j in range(p.d):
-        if j == i:
-            continue
-        c_I = float(p.w_I[j]) - float(p.q_plus[j]) * gap_i - delta * g_iI
-        c_S = float(p.w_S[j]) + (float(p.q_minus[j]) + p.beta[i, j] * x_star) * gap_i - delta * g_iS
-        corr[2 * j] = c_I
-        corr[2 * j + 1] = c_S
-        g[2 * j] = g_iI + c_I / p.lam
-        g[2 * j + 1] = g_iS + c_S / p.lam
-    return SingleAsymptotics(values=ValueVector(g), correction=corr)
+    s, pair, shares = ParamStack.tile(p), _pair(i), np.array([x_star], dtype=float)
+    _, g_iI, g_iS = _single_block(s, *pair, shares)
+    corr_I, corr_S = (c[0] for c in _families_single(s, *pair, shares)[:2])
+    g = _interleave(g_iI + corr_I / p.lam, g_iS + corr_S / p.lam)
+    return SingleAsymptotics(values=ValueVector(g), correction=_interleave(corr_I, corr_S))
 
 
 @dataclass(frozen=True)
@@ -653,42 +647,30 @@ class MixedAsymptotics:
 
 
 def hjb_mixed_asymptotic(p: ModelParams, i: int, k: int, x: MixedState) -> MixedAsymptotics:
+    """Zeroth/first order values from ``mixed_first_order``; the residual
+    strategies' 1/lam coefficients are the asymptotic margins of
+    ``_families_mixed``."""
     if k == i:
         raise ValueError("mixed values require k != i")
-    qt = p.q_minus + p.beta.T @ x.infected
-    fo = mixed_first_order(p, i, k, qt)
+    s, pair = ParamStack.tile(p), _pair(i, k)
+    qt = effective_infection(s, x.x[None])
+    fo = mixed_first_order(p, i, k, qt[0])
     if p.delta == 0.0:
         return MixedAsymptotics(first_order=fo, g0=None, values=None)
     lam, delta = p.lam, p.delta
-    qpi = float(p.q_plus[i])
-    qtk = float(qt[k])
-    g0 = np.empty(p.n_states)
-    g0_iI = fo.G0_iI / delta
-    g0_kS = fo.G0_kS / delta
-    g0[2 * i] = g0_iI
-    g0[2 * k] = g0_iI        # g0(kI) = g0(iI), exactly
-    g0[2 * i + 1] = g0_kS    # g0(iS) = g0(kS), exactly
-    g0[2 * k + 1] = g0_kS
-    for j in range(p.d):
-        if j not in (i, k):
-            g0[2 * j] = g0_iI
-            g0[2 * j + 1] = g0_kS
-    g1_iI = fo.R_iI / fo.det
-    g1_kS = fo.R_kS / fo.det
-    g1_iS = g1_iI * (qpi + delta) / qpi   # from g(iS) = g(iI) + (delta g(iI) - w_I_i)/q_plus_i
-    g1_kI = g1_kS * (qtk + delta) / qtk
-    g = np.empty(p.n_states)
-    g[2 * i] = g0_iI + g1_iI / lam
+    g0_iI, g0_kS = fo.G0_iI / delta, fo.G0_kS / delta
+    # g0(kI) = g0(iI) and g0(iS) = g0(kS) exactly, and so for every residual strategy
+    g0 = _interleave(np.full(p.d, g0_iI), np.full(p.d, g0_kS))
+    g1_iI, g1_kS = fo.R_iI / fo.det, fo.R_kS / fo.det
+    # from g(iS) = g(iI) + (delta g(iI) - w_I_i) / q_plus_i
+    g1_iS = g1_iI * (p.q_plus[i] + delta) / p.q_plus[i]
+    g1_kI = g1_kS * (qt[0, k] + delta) / qt[0, k]
+    # residual strategy j: g(jI) = g(iI) + corr_I[j], g(jS) = g(kS) + corr_S[j]; the margins
+    # are zero at the bases and the cross entries are overwritten below
+    corr_I, corr_S = (c[0] / lam for c in _families_mixed(s, *pair, qt)[:2])
+    g = _interleave(g0_iI + g1_iI / lam + corr_I, g0_kS + g1_kS / lam + corr_S)
     g[2 * i + 1] = g0_kS + g1_iS / lam
     g[2 * k] = g0_iI + g1_kI / lam
-    g[2 * k + 1] = g0_kS + g1_kS / lam
-    for j in range(p.d):
-        if j in (i, k):
-            continue
-        c_I = float(p.w_I[j]) - fo.G0_iI - float(p.q_plus[j]) * fo.gap0
-        c_S = float(p.w_S[j]) - fo.G0_kS + float(qt[j]) * fo.gap0
-        g[2 * j] = g[2 * i] + c_I / lam
-        g[2 * j + 1] = g[2 * k + 1] + c_S / lam
     return MixedAsymptotics(first_order=fo, g0=g0, values=ValueVector(g))
 
 
@@ -704,7 +686,9 @@ class ConsistencyMargins:
         margin_I[j] = g(jI) - g(iI),   margin_S[j] = g(jS) - g(kS)
     (k = i for the single family); base entries are zero.  The candidate is
     a best response iff every exact margin is >= 0; margins within TIE_TOL
-    of zero are boundary / bifurcation cases.
+    of zero are boundary / bifurcation cases.  min_margin is the smallest
+    margin off the base entries (inf when d = 1), accepted says it is
+    >= -TIE_TOL and degenerate that one of them is within TIE_TOL of zero.
 
     asymptotic_margin_* are the first-order (large-lam, and small-delta for
     the mixed cross terms) sufficient-condition slacks.  small_interaction_*
@@ -720,23 +704,9 @@ class ConsistencyMargins:
     asymptotic_margin_S: np.ndarray
     small_interaction_margin_I: np.ndarray
     small_interaction_margin_S: np.ndarray
-
-    def _summary(self) -> tuple[np.ndarray, np.ndarray]:
-        return _margin_summary(
-            *_pair(self.base_I, self.base_S), self.margin_I[None], self.margin_S[None]
-        )
-
-    @property
-    def min_margin(self) -> float:
-        return float(self._summary()[0][0])
-
-    @property
-    def accepted(self) -> bool:
-        return self.min_margin >= -TIE_TOL
-
-    @property
-    def degenerate(self) -> bool:
-        return bool(self._summary()[1][0])
+    min_margin: float
+    accepted: bool
+    degenerate: bool
 
 
 def _exact_margins(i: np.ndarray, k: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -854,9 +824,12 @@ def _margins(s: ParamStack, i: int, k: int, x: np.ndarray, g: np.ndarray) -> Con
     else:
         families = _families_mixed(s, i_, k_, effective_infection(s, x))
     margin_I, margin_S = _exact_margins(i_, k_, g)
+    min_margin, degenerate = _margin_summary(i_, k_, margin_I, margin_S)
     return ConsistencyMargins(
         base_I=i, base_S=k, margin_I=margin_I[0], margin_S=margin_S[0],
         **{name: values[0] for name, values in zip(_FAMILIES, families)},
+        min_margin=float(min_margin[0]), accepted=bool(min_margin[0] >= -TIE_TOL),
+        degenerate=bool(degenerate[0]),
     )
 
 
@@ -934,21 +907,13 @@ class PairSolutions:
     def solution(self, s: ParamStack, r: int, control: StationaryControl) -> "EquilibriumSolution":
         """The full solution of pair r; s holds the constants of its point."""
         i, k = int(self.i[r]), int(self.k[r])
-        single = i == k
-        stability = StabilityReport(
-            numerical=self.numerical[r],
-            closed_form=self.closed_form[r] if single else None,
-            xi_principal=float(self.xi_principal[r]) if single else None,
-            xi_pairs=self.xi_pairs[r] if single else None,
-            max_real_part=float(self.max_real_part[r]),
-            stable=bool(self.max_real_part[r] < 0.0),
-            agreement=float(self.agreement[r]) if single else None,
-        )
+        closed = (self.closed_form[r], self.xi_principal[r], self.xi_pairs[r],
+                  self.agreement[r]) if i == k else ()
         return EquilibriumSolution(
             control=control,
             x_star=MixedState(self.x[r]),
             g=ValueVector(self.g[r]),
-            stability=stability,
+            stability=_stability_report(self.numerical[r], *closed),
             margins=_margins(s, i, k, self.x[r][None], self.g[r][None]),
             residual=float(self.residual[r]),
             degenerate=bool(self.degenerate[r]),

@@ -1,6 +1,7 @@
 """Configuration parsing, run orchestration, CLI contract."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from sismfg import ConfigError, StationaryControl, parse_config, run_scenario
 from sismfg.cli import main
-from sismfg.config import parse_config_dict
+from sismfg.config import GRID_BUDGET, parse_config_dict
 from sismfg.stationary import enumerate_equilibria, fixed_point_single
 
 from conftest import P0
@@ -252,6 +253,61 @@ def test_equilibria_model_needs_positive_discount(tmp_path):
     data["simulate"] = {"control": {"type": "single", "i": 1}, "x0": "uniform",
                         "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 10}}
     assert parse_config_dict(data).model.delta == 0.0
+
+
+def test_turnpike_model_needs_positive_discount(tmp_path):
+    # the turnpike always solves its stationary anchor's values, which need delta > 0
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["model"]["delta"] = 0.0
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert err.value.errors == ["model: delta must be > 0 for stationary discounted values, got 0.0"]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+@pytest.mark.parametrize("run", ["simulate", "nplayer"])
+def test_stationary_x0_needs_uniform_control(tmp_path, run):
+    # a non-uniform control has no [i(I), k(S)] fixed point to start from
+    data = json.loads((REPO_CONFIGS / f"p0_{run}.json").read_text())
+    data[run]["x0"] = "stationary"
+    data[run]["control"] = {"type": "explicit", "target_I": [1, 2], "target_S": [1, 1]}
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == [f"{run}.x0"]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+    data[run]["control"] = {"type": "explicit", "target_I": [2, 2], "target_S": [1, 1]}
+    assert getattr(parse_config_dict(data), run).control == StationaryControl.mixed(2, 1, 0)
+
+
+@pytest.mark.parametrize("run, where", [("simulate", "simulate.grid"),
+                                        ("turnpike", "turnpike.grid"),
+                                        ("nplayer", "nplayer.t_end")])
+def test_grid_budget_rejects_huge_default_grid(tmp_path, run, where):
+    # lambda = 1e6 and T = 50 on the default step 0.1/lambda: 5e8 nodes x 4 states
+    data = json.loads((REPO_CONFIGS / f"p0_{run}.json").read_text())
+    data["model"]["lambda"] = 1e6
+    if run == "nplayer":
+        data[run].update(t_end=50.0, n_list=[10], replications=2)
+    else:
+        data[run]["grid"] = {"t_start": 0.0, "t_end": 50.0}
+    tracemalloc.start()
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20  # refused before any path is allocated
+    assert [e.split(":")[0] for e in err.value.errors] == [where]
+    assert "500000001 nodes x 4 states" in err.value.errors[0]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+def test_grid_budget_boundary():
+    data = json.loads((REPO_CONFIGS / "p0_simulate.json").read_text())
+    data["simulate"]["grid"]["n_steps"] = GRID_BUDGET // 4 - 1  # exactly GRID_BUDGET entries
+    assert parse_config_dict(data).simulate.grid.n_steps == GRID_BUDGET // 4 - 1
+    data["simulate"]["grid"]["n_steps"] += 1
+    with pytest.raises(ConfigError, match="grid budget"):
+        parse_config_dict(data)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from sismfg import (
     integrate_backward,
     integrate_forward,
     solve_turnpike,
-    turnpike_metrics,
 )
-from sismfg.dynamics import argmin_flags, integrate_value_forward
-from sismfg.model import TIE_TOL, best_response
+from sismfg.dynamics import argmin_flags
+from sismfg.model import TIE_TOL, best_response, hjb_coupling, hjb_rhs_fn
 from sismfg.stationary import fixed_point_single, hjb_single_exact, solve_candidate
 
 from conftest import P0_GAP, oracle_euler_path
@@ -139,17 +138,28 @@ def test_backward_fixed_equals_adaptive_inside_cone(p0):
     assert np.array_equal(fixed.g_path, adaptive.g_path)  # bitwise
 
 
-def test_backward_forward_reversibility_frozen_coefficients():
+def test_backward_frozen_coefficients_matches_matrix_exponential():
+    # with x frozen the fixed-control value equation is linear, dg/dtau = A g + b,
+    # with the exact solution g(tau) = e^{A tau} (g_T + A^{-1} b) - A^{-1} b
     p = ModelParams(d=2, lam=2.0, delta=0.2, q_plus=[0.5, 0.7], q_minus=[0.6, 0.4],
                     beta=[[0.1, 0.05], [0.05, 0.1]], w_I=[2.0, 3.0], w_S=[1.0, 2.0])
     x, g = stationary_pair(p)
     gT = ValueVector(g.g + np.array([0.0, 0.0, 0.3, 0.2]))
     grid = TimeGrid(0.0, 1.0, 1000)
     x_path = np.tile(x.x, (grid.n_steps + 1, 1))
-    back = integrate_backward(p, gT, x_path, StationaryControl.single(2, 0), grid)
-    g0 = ValueVector(back.g_path[0])
-    forward_terminal = integrate_value_forward(p, g0, x_path, StationaryControl.single(2, 0), grid)
-    assert np.max(np.abs(forward_terminal - gT.g)) <= 1e-9
+    u = StationaryControl.single(2, 0)
+    back = integrate_backward(p, gT, x_path, u, grid)
+    rhs, c = hjb_rhs_fn(p, u), hjb_coupling(p, x.infected)
+    b = rhs(c, np.zeros(4))
+    A = np.column_stack([rhs(c, e) - b for e in np.eye(4)])
+    w, V = np.linalg.eig(A)
+    V_inv = np.linalg.inv(V)
+    shift = np.linalg.solve(A, b)
+    tau = grid.t_end - grid.times()
+    exact = np.real(
+        np.einsum("ij,tj,jk,k->ti", V, np.exp(np.outer(tau, w)), V_inv, gT.g + shift)
+    ) - shift
+    assert np.max(np.abs(back.g_path - exact)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +245,12 @@ def test_turnpike_stationary_inputs(p0):
     assert sol.certified
     assert sol.stats.sup_x_mid <= 1e-9
     assert sol.stats.sup_g_mid <= 1e-9
+    # the stats' anchor is the candidate's stationary solution, bitwise
     eq = solve_candidate(p0, SINGLE1)
-    window = turnpike_metrics(sol, eq)
-    assert window.entry == grid.t_start and window.exit == grid.t_end
-    assert window.inside_fraction == 1.0
+    assert np.array_equal(sol.stats.x_star.x, eq.x_star.x)
+    assert np.array_equal(sol.stats.g_star.g, eq.g.g)
+    assert sol.stats.entry == grid.t_start and sol.stats.exit == grid.t_end
+    assert sol.stats.inside_fraction == 1.0
 
 
 def test_turnpike_p0_long_horizon(p0):
@@ -249,10 +261,8 @@ def test_turnpike_p0_long_horizon(p0):
     assert sol.cone_ok.all() and sol.argmin_ok.all()
     assert sol.stats.sup_g_mid <= 1e-3
     assert sol.stats.sup_x_mid <= 1e-3  # measured ~3.1e-4, transient tail
-    eq = solve_candidate(p0, SINGLE1)
-    window = turnpike_metrics(sol, eq)
-    assert window.inside_fraction >= 0.8
-    assert window.exit == grid.t_end
+    assert sol.stats.inside_fraction >= 0.8
+    assert sol.stats.exit == grid.t_end
 
 
 def test_turnpike_population_path_ignores_terminal_values(p0):
@@ -270,19 +280,9 @@ def test_turnpike_short_horizon_may_never_enter(p0):
     _, g = stationary_pair(p0)
     grid = TimeGrid(0.0, 0.1, 200)
     sol = solve_turnpike(p0, 0, MixedState.uniform(2), g, grid)
-    eq = solve_candidate(p0, SINGLE1)
-    window = turnpike_metrics(sol, eq)
     # x starts far from x*, 0.1 time units cannot close the gap
-    assert window.never_entered
-    assert window.inside_fraction == 0.0
-
-
-def test_turnpike_metrics_control_mismatch(p0):
-    x, g = stationary_pair(p0)
-    sol = solve_turnpike(p0, 0, x, g, TimeGrid(0.0, 1.0, 100))
-    eq = solve_candidate(p0, StationaryControl.single(2, 1))
-    with pytest.raises(ValueError, match="control"):
-        turnpike_metrics(sol, eq)
+    assert sol.stats.never_entered
+    assert sol.stats.inside_fraction == 0.0
 
 
 def test_cone_invariance_random_admissible_draws():

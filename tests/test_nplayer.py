@@ -98,9 +98,9 @@ def test_seed_determinism(p0):
 def test_jump_events_expose_kinds(p0):
     n0 = CountVector.from_fractions(MixedState.uniform(2), 100)
     path = simulate_ctmc(p0, n0, StationaryControl.single(2, 0), 1.0, seed=5)
-    ev = path.event(0)
-    assert ev.kind in KIND_NAMES
-    assert 0 <= ev.from_state < 4 and 0 <= ev.to_state < 4
+    assert path.times[0] > 0.0
+    assert KIND_NAMES[path.kinds[0]] in KIND_NAMES
+    assert 0 <= path.from_state[0] < 4 and 0 <= path.to_state[0] < 4
 
 
 def test_largest_remainder_rounding():

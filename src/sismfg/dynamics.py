@@ -2,7 +2,13 @@
 
 The forward population ODE and the backward discounted value equation are
 integrated with fixed-step classical RK4 (default step min(0.01, 0.1/lam);
-lam sets the stiffness of the backward system).  ``solve_turnpike`` builds
+lam sets the stiffness of both systems).  Grids the user does not fix, the
+LLN reference of ``nplayer.lln_error``, may instead take exponential RK4
+steps forward (``integrate_forward(..., method=ETDRK4)``, Cox-Matthews
+2002): the population RHS is split as x @ M + N(x) with M the constant
+migration generator, e^{hM} and phi_1..phi_3(hM) come from one scaling-
+and-squaring exponential per step size, and the step follows the slow
+infection and recovery rates instead of lam.  ``solve_turnpike`` builds
 the time-dependent solution anchored at an all-to-i stationary solution:
 with the control frozen the population decouples and integrates forward,
 the values integrate backward against that path, and the run is certified
@@ -23,6 +29,8 @@ as a backward recursion so long horizons cannot overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +43,14 @@ from .model import (
     hjb_coupling,
     hjb_rhs_fn,
     kinetic_rhs_fn,
+    migration_generator,
+    net_infection_fn,
 )
 from .stationary import fixed_point_single, hjb_single_exact, small_interaction_margins_single
 
+#: forward step kinds: classical RK4, and exponential RK4 (Cox-Matthews ETDRK4)
+RK4 = "rk4"
+ETDRK4 = "etdrk4"
 #: simplex violation that triggers step halving in the forward integrator
 STEP_REJECT_TOL = 1e-6
 MAX_HALVINGS = 20
@@ -91,9 +104,101 @@ def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _forward_node(rhs, x: np.ndarray, h: float, depth: int = 0) -> np.ndarray:
-    """One grid interval, halving the substep while the state leaves the simplex."""
-    y = _rk4_step(rhs, x, h)
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring: a degree-18 Taylor
+    polynomial (Horner form) at 1-norm <= 1/2, then squared back."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
+    a = a / 2.0**s
+    eye = np.eye(a.shape[0])
+    e = eye + a / 18.0
+    for k in range(17, 0, -1):
+        e = eye + (a @ e) / k
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
+def phi_functions(a: np.ndarray, order: int) -> list[np.ndarray]:
+    """[e^a, phi_1(a), ..., phi_order(a)] for a square matrix a, with
+    phi_k(a) = sum_m a^m / (m + k)!, from one exponential of the block
+    matrix [[a, I, 0, ...], [0, 0, I, ...], ..., [0, ..., 0]]: its first
+    block row is exactly this list.  a may be singular."""
+    n = a.shape[0]
+    block = np.zeros(((order + 1) * n, (order + 1) * n))
+    block[:n, :n] = a
+    for k in range(order):
+        block[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = np.eye(n)
+    top = _expm(block)[:n]
+    return [top[:, k * n:(k + 1) * n] for k in range(order + 1)]
+
+
+class EtdOperators(NamedTuple):
+    """ETDRK4 operators of one step size h for x' = x @ M + net(x) @ S,
+    with S the scatter of the net infection onto the I/S states: the
+    stochastic e^{hM/2} and e^{hM}, S (h/2) phi_1(hM/2), and the stage
+    weights S h (phi_1 - 3 phi_2 + 4 phi_3), S 2h (phi_2 - 2 phi_3) and
+    S h (4 phi_3 - phi_2) of phi_k = phi_k(hM)."""
+
+    e_half: np.ndarray
+    phi_half: np.ndarray
+    e: np.ndarray
+    w1: np.ndarray
+    w23: np.ndarray
+    w4: np.ndarray
+
+
+def etdrk4_operators(m: np.ndarray, h: float) -> EtdOperators:
+    """The operators of step h for the migration generator m (rows sum to
+    zero).
+
+    The rows of both exponentials are renormalized to sum to one: each
+    squaring of ``_expm`` doubles their roundoff, which would otherwise
+    reach 1e-11 at lam * h = 5000."""
+    scatter = np.kron(np.eye(m.shape[0] // 2), [1.0, -1.0])  # net of strategy j -> +jI, -jS
+    e_half, p1_half = phi_functions(0.5 * h * m, 1)
+    e, p1, p2, p3 = phi_functions(h * m, 3)
+    return EtdOperators(
+        e_half=e_half / e_half.sum(axis=1, keepdims=True),
+        phi_half=scatter @ (0.5 * h * p1_half),
+        e=e / e.sum(axis=1, keepdims=True),
+        w1=scatter @ (h * (p1 - 3.0 * p2 + 4.0 * p3)),
+        w23=scatter @ (2.0 * h * (p2 - 2.0 * p3)),
+        w4=scatter @ (h * (4.0 * p3 - p2)),
+    )
+
+
+def _etdrk4_step_fn(p: ModelParams, u: StationaryControl):
+    """Cox-Matthews ETDRK4 step x, h -> x(t + h) of the population ODE split
+    as x' = x @ M + N(x): M the migration generator, N the net infection
+    scattered +/- onto the I/S states.  The migration is solved exactly, so
+    the step need only follow the slow infection and recovery rates.  The
+    operators are computed once per step size and kept."""
+    m = migration_generator(p, u)
+    net = net_infection_fn(p)
+    ops: dict[float, EtdOperators] = {}
+
+    def step(x: np.ndarray, h: float) -> np.ndarray:
+        if h not in ops:
+            ops[h] = etdrk4_operators(m, h)
+        e_half, ph, e, w1, w23, w4 = ops[h]
+        nx = net(x)
+        xe = x @ e_half
+        a = xe + nx @ ph
+        na = net(a)
+        b = xe + na @ ph
+        nb = net(b)
+        c = a @ e_half + (2.0 * nb - nx) @ ph
+        nc = net(c)
+        return x @ e + nx @ w1 + (na + nb) @ w23 + nc @ w4
+
+    return step
+
+
+def _forward_node(step, x: np.ndarray, h: float, depth: int = 0) -> np.ndarray:
+    """One interval of length h with step(x, h), halving the substep while
+    the state leaves the simplex."""
+    y = step(x, h)
     if y.min() > -STEP_REJECT_TOL and abs(y.sum() - 1.0) < STEP_REJECT_TOL:
         return y
     if depth >= MAX_HALVINGS:
@@ -101,26 +206,49 @@ def _forward_node(rhs, x: np.ndarray, h: float, depth: int = 0) -> np.ndarray:
             f"forward integration left the simplex (min {y.min():.3e}) "
             f"after {MAX_HALVINGS} step halvings"
         )
-    half = _forward_node(rhs, x, 0.5 * h, depth + 1)
-    return _forward_node(rhs, half, 0.5 * h, depth + 1)
+    half = _forward_node(step, x, 0.5 * h, depth + 1)
+    return _forward_node(step, half, 0.5 * h, depth + 1)
+
+
+def graded_opening(h: float, lam: float) -> list[float]:
+    """Substeps h/2^k, h/2^k, h/2^(k-1), ..., h/2 that cover one interval of
+    length h, the first no longer than 0.1/lam: they resolve the migration
+    layer that opens a path at rate lam, and double up to the step h.
+    [h] when h is already that short."""
+    k = int(np.ceil(np.log2(h * lam / 0.1))) if h * lam > 0.1 else 0
+    if k == 0:
+        return [h]
+    return [h / 2.0**k] + [h / 2.0**j for j in range(k, 0, -1)]
 
 
 def integrate_forward(
-    p: ModelParams, x0: MixedState, u: StationaryControl, grid: TimeGrid
+    p: ModelParams, x0: MixedState, u: StationaryControl, grid: TimeGrid,
+    method: str = RK4,
 ) -> np.ndarray:
-    """RK4 path of the population ODE; shape (n_steps+1, 2d).
+    """Path of the population ODE on the grid; shape (n_steps+1, 2d).
 
-    Each node is re-projected to the simplex (tiny negatives clipped, then
-    renormalized); a step that leaves the simplex by more than
-    STEP_REJECT_TOL is retried with halved substeps.
+    method RK4 takes classical RK4 steps of the grid's step.  ETDRK4 takes
+    exponential steps (``_etdrk4_step_fn``): the step follows the slow
+    rates instead of lam, and the first interval is covered by
+    ``graded_opening`` substeps.  Each node is re-projected to the simplex
+    (tiny negatives clipped, then renormalized); a step that leaves the
+    simplex by more than STEP_REJECT_TOL is retried with halved substeps.
     """
-    rhs = kinetic_rhs_fn(p, u)
+    h = grid.h
+    if method == RK4:
+        step, opening = partial(_rk4_step, kinetic_rhs_fn(p, u)), [h]
+    elif method == ETDRK4:
+        step, opening = _etdrk4_step_fn(p, u), graded_opening(h, p.lam)
+    else:
+        raise ValueError(f"unknown forward method {method!r}")
     path = np.empty((grid.n_steps + 1, p.n_states))
     path[0] = x0.x
     x = path[0]
-    h = grid.h
     for m in range(grid.n_steps):
-        y = np.maximum(_forward_node(rhs, x, h), 0.0)
+        y = x
+        for sub in opening if m == 0 else (h,):
+            y = _forward_node(step, y, sub)
+        y = np.maximum(y, 0.0)
         x = path[m + 1]
         np.divide(y, y.sum(), out=x)
     return path
@@ -390,11 +518,19 @@ class TrajectorySolution:
     stats: TurnpikeStats
 
 
+def stationary_anchor(p: ModelParams, i: int) -> tuple[MixedState, ValueVector]:
+    """The all-to-i stationary pair (x*, g*) a turnpike is anchored at."""
+    share, x_star = fixed_point_single(p, i)
+    return x_star, hjb_single_exact(p, i, share)
+
+
 def solve_turnpike(
-    p: ModelParams, i: int, x0: MixedState, gT: ValueVector, grid: TimeGrid
+    p: ModelParams, i: int, x0: MixedState, gT: ValueVector, grid: TimeGrid,
+    anchor: tuple[MixedState, ValueVector] | None = None,
 ) -> TrajectorySolution:
     """Construct and certify the frozen-control solution anchored at i.
 
+    ``anchor`` is ``stationary_anchor(p, i)``, solved here when not given.
     Raises TurnpikeHypothesisError when a named hypothesis (including the
     terminal-cone membership of gT) fails.  A cone or argmin violation along
     the integrated path is diagnostic output, not an exception: the solution
@@ -410,8 +546,7 @@ def solve_turnpike(
     certified = bool(ok.all())
     first_violation = None if certified else float(grid.times()[np.argmin(ok)])
 
-    x_star_share, x_star = fixed_point_single(p, i)
-    stats = _turnpike_stats(grid, x_path, back.g_path, x_star, hjb_single_exact(p, i, x_star_share))
+    stats = _turnpike_stats(grid, x_path, back.g_path, *(anchor or stationary_anchor(p, i)))
     return TrajectorySolution(
         control=u,
         grid=grid,

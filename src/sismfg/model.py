@@ -11,8 +11,10 @@ The module provides:
     arrays (the batched stationary kernel and sweep validation use it),
   - the population ODE right-hand side (``kinetic_rhs``): decision-driven
     migration at rate lam plus infection / recovery pressure and pairwise
-    peer infection, and its exact Jacobian (``kinetic_jacobian``, stacked
-    over points by ``kinetic_jacobian_stack``),
+    peer infection, also split into its constant migration generator
+    (``migration_generator``) and net-infection term (``net_infection_fn``),
+    and its exact Jacobian (``kinetic_jacobian``, stacked over points by
+    ``kinetic_jacobian_stack``),
   - the backward right-hand side of the discounted optimal-cost equation
     (``hjb_rhs``, compiled per control by ``hjb_rhs_fn``), with the
     strategy minimum taken explicitly or expanded at a fixed control,
@@ -364,22 +366,44 @@ def _migration(p: ModelParams, u: StationaryControl) -> tuple[np.ndarray, np.nda
     return rate, incidence
 
 
+def migration_generator(p: ModelParams, u: StationaryControl) -> np.ndarray:
+    """Constant generator M of migration under u: x' = x @ M for migration
+    alone.  Row s carries -lam on its diagonal and lam at its target when
+    s moves, and is zero at a target; rows sum to zero, so e^{tM} is
+    stochastic."""
+    rate, incidence = _migration(p, u)
+    return rate[:, None] * incidence - np.diag(rate)
+
+
+def net_infection_fn(p: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
+    """Net infection per strategy, x -> xS_j q~_j - xI_j q_plus_j with
+    q~_j = q_minus_j + sum_k beta[k, j] xI_k: the flow jS -> jI minus the
+    recovery jI -> jS.  The population RHS is x @ M (``migration_generator``)
+    plus this term on the I states and minus it on the S states."""
+    q_plus, q_minus, beta_T = p.q_plus, p.q_minus, p.beta.T
+
+    def net(x: np.ndarray) -> np.ndarray:
+        xI = x[0::2]
+        return x[1::2] * (q_minus + beta_T @ xI) - xI * q_plus
+
+    return net
+
+
 def kinetic_rhs_fn(p: ModelParams, u: StationaryControl) -> Callable[[np.ndarray], np.ndarray]:
     """Compiled-once population RHS for a fixed control, on raw arrays.
 
     Built from mass flows, so the components sum to zero to roundoff and a
     zero coordinate never has a negative rate (the simplex is forward
     invariant).  Migration is the flow lam * x out of every state away from
-    its target, routed in by a 0/1 incidence matrix built once; agents
-    already at their target produce no migration flow.
+    its target, routed in by a 0/1 incidence matrix built once (the flow
+    form of x @ ``migration_generator``); agents already at their target
+    produce no migration flow.  ``net_infection_fn`` gives the rest.
     """
     rate, incidence = _migration(p, u)
-    q_plus, q_minus, beta_T = p.q_plus, p.q_minus, p.beta.T
+    net_infection = net_infection_fn(p)
 
     def rhs(x: np.ndarray) -> np.ndarray:
-        xI = x[0::2]
-        # infection jS -> jI minus recovery jI -> jS
-        net = x[1::2] * (q_minus + beta_T @ xI) - xI * q_plus
+        net = net_infection(x)
         flow = rate * x
         out = flow @ incidence - flow
         out[0::2] += net

@@ -24,6 +24,12 @@ loop's table.  A rate of 0.0 changes neither the total rate nor the
 cumulative sums the pick is compared against, so the path is bitwise the
 one the full table gives.
 
+``lln_error`` compares every replication with the population ODE path at
+fixed compare times.  With no grid given that reference is exponential
+RK4 (ETDRK4), whose step follows the slow rates instead of lam; with a
+grid it is classical RK4 on that grid.  A recorded path (``simulate_ctmc``)
+is refused once its count table would exceed ``config.GRID_BUDGET``.
+
 Randomness: Philox counter-based bit generators.  ``simulate_ctmc`` uses
 Philox([seed]); ``lln_error`` gives replication r at population size N the
 stream Philox([seed, N, r]), so every replication is independently
@@ -37,10 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .model import MixedState, ModelParams, StationaryControl, _migration
-from .dynamics import TimeGrid, default_grid, integrate_forward
+from .dynamics import ETDRK4, RK4, TimeGrid, default_grid, integrate_forward
 
 _RNG_BUFFER = 8192
+#: largest step of the exponential LLN reference (no grid given)
+REFERENCE_MAX_STEP = 0.005
 
 KIND_DECISION = 0
 KIND_PRESSURE = 1
@@ -179,6 +188,17 @@ def _compare(n: list, N: float, times: list, rows: list, gi: int, upto: float, s
     return gi, sup
 
 
+def _check_path_budget(p: ModelParams, n0: CountVector, t_end: float, n_events: int) -> None:
+    """Refuse a recorded path whose count table, (events + 1) x 2d entries
+    (``CtmcPath.counts``), would exceed ``config.GRID_BUDGET``."""
+    if (n_events + 1) * n0.n.size > config.GRID_BUDGET:
+        raise ValueError(
+            f"CTMC path over budget: N={n0.N}, lambda={p.lam:g}, T={t_end:g} recorded "
+            f"{n_events} events, whose count table exceeds the grid budget of "
+            f"{config.GRID_BUDGET} entries (events + 1) x 2d"
+        )
+
+
 def _simulate(
     p: ModelParams,
     chans: list[tuple[int, int, int, float]],
@@ -191,10 +211,12 @@ def _simulate(
     """Drive the jump chain from n0 on [0, t_end] with the draws of Philox(key).
 
     ``events``, a pair of lists, receives the time and the index into
-    ``chans`` of every jump.  ``compare``, a pair (times, rows) of
-    increasing compare times and reference states, makes the run return
-    the sup over those times of max_q |n_q(t)/N - row_q|, n(t) being the
-    counts in force at each time; without it the run returns 0.0.
+    ``chans`` of every jump; at each refill of the draws the recorded path
+    is checked against the budget (``_check_path_budget``).  ``compare``,
+    a pair (times, rows) of increasing compare times and reference states,
+    makes the run return the sup over those times of max_q |n_q(t)/N -
+    row_q|, n(t) being the counts in force at each time; without it the
+    run returns 0.0.
 
     Rates are those of the live channels (see the module docstring), kept
     in plain Python floats: the loop is the hot path and scalar numpy would
@@ -243,6 +265,8 @@ def _simulate(
         if total <= 0.0:
             break
         if i == _RNG_BUFFER:
+            if events is not None:
+                _check_path_budget(p, n0, t_end, len(events[0]))
             exps = rng.standard_exponential(_RNG_BUFFER).tolist()
             unis = rng.random(_RNG_BUFFER).tolist()
             i = 0
@@ -274,7 +298,12 @@ def simulate_ctmc(
     t_end: float,
     seed: int,
 ) -> CtmcPath:
-    """Exact-jump path of the N-agent chain on [0, t_end] (deterministic in seed)."""
+    """Exact-jump path of the N-agent chain on [0, t_end] (deterministic in seed).
+
+    A path whose count table would exceed ``config.GRID_BUDGET`` entries is
+    refused with a ValueError, during the run (checked every _RNG_BUFFER
+    events) or at its end.
+    """
     if n0.d != p.d:
         raise ValueError(f"dimension mismatch: params d={p.d}, counts d={n0.d}")
     if n0.N < 1:
@@ -285,6 +314,7 @@ def simulate_ctmc(
     times: list[float] = []
     picks: list[int] = []
     _simulate(p, chans, n0, t_end, [seed], events=(times, picks))
+    _check_path_budget(p, n0, t_end, len(times))
     table = np.array([ch[:3] for ch in chans], dtype=np.int64)
     picks_arr = np.asarray(picks, dtype=np.int64)
     frm, to, kinds = (table[picks_arr, col] for col in range(3))
@@ -308,14 +338,47 @@ class LlnErrorRow:
 
 @dataclass(frozen=True)
 class LlnErrorTable:
+    """Per-N rows, and the integrator and step count of the ODE reference."""
+
     rows: list[LlnErrorRow]
     replications: int
     t_end: float
+    reference_method: str
+    reference_steps: int
 
     def ratios(self) -> list[float]:
         """Consecutive mean-error ratios between successive N values."""
         means = [r.mean_sup_error for r in self.rows]
         return [means[m] / means[m + 1] for m in range(len(means) - 1)]
+
+
+def _reference(
+    p: ModelParams, u: StationaryControl, x0: MixedState, t_end: float,
+    grid: TimeGrid | None, n_compare: int,
+) -> tuple[list, list, str, int]:
+    """Compare times and ODE rows of ``lln_error``, its integrator and steps.
+
+    The compare times are every stride-th node of ``grid``, or of the
+    default grid when none is given, stride = max(1, nodes // n_compare).
+    On a given grid the reference is classical RK4 on that grid.  Without
+    one it is ETDRK4 from 0 to the last compare time at the step (compare
+    spacing) / k, k the smallest that keeps it <= REFERENCE_MAX_STEP, so
+    every k-th node is a compare time (to rounding).
+    """
+    method = RK4 if grid is not None else ETDRK4
+    nodes = grid if grid is not None else default_grid(p, 0.0, t_end)
+    times = nodes.times()
+    stride = max(1, times.size // n_compare)
+    cmp_times = times[::stride]
+    if method == RK4:
+        x_rows = integrate_forward(p, x0, u, grid)[::stride]
+    else:
+        n_cmp = cmp_times.size - 1
+        t_last = float(cmp_times[-1])
+        k = max(1, int(np.ceil(t_last / (n_cmp * REFERENCE_MAX_STEP) - 1e-9)))
+        nodes = TimeGrid(0.0, t_last, n_cmp * k)
+        x_rows = integrate_forward(p, x0, u, nodes, method=ETDRK4)[::k]
+    return cmp_times.tolist(), x_rows.tolist(), method, nodes.n_steps
 
 
 def lln_error(
@@ -333,19 +396,17 @@ def lln_error(
 
     For each N, averages over ``replications`` independent runs (stream
     Philox([seed, N, r])); errors are expected to shrink like N^{-1/2}.
-    The ODE reference is integrated once on ``grid`` (default grid if None)
-    and compared at ``n_compare`` evenly spaced times.
+    The ODE reference is compared at about ``n_compare`` evenly spaced
+    times.  It is classical RK4 on ``grid`` when one is given; otherwise
+    it is exponential RK4 (ETDRK4), whose step follows the slow rates, and
+    the compare times are those of the default grid (see ``_reference``).
     """
     if not N_list:
         raise ValueError("N_list must be non-empty")
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    if grid is None:
-        grid = default_grid(p, 0.0, t_end)
-    x_path = integrate_forward(p, x0, u, grid)
-    times = grid.times()
-    stride = max(1, times.size // n_compare)
-    compare = (times[::stride].tolist(), x_path[::stride].tolist())
+    cmp_times, cmp_rows, method, steps = _reference(p, u, x0, t_end, grid, n_compare)
+    compare = (cmp_times, cmp_rows)
     chans = _channels(p, u)
     rows = []
     for N in N_list:
@@ -362,4 +423,5 @@ def lln_error(
                 sup_errors=errs,
             )
         )
-    return LlnErrorTable(rows=rows, replications=replications, t_end=float(t_end))
+    return LlnErrorTable(rows=rows, replications=replications, t_end=float(t_end),
+                         reference_method=method, reference_steps=steps)

@@ -1,7 +1,9 @@
 """Run orchestration and result persistence.
 
 Every run writes its artifacts plus a ``manifest.json`` (config echo, tool
-version, timestamps, artifact list, failures).  The manifest is written
+version, timestamps, artifact list, failures, and the run's summary: for
+an ``nplayer`` run with ``n_list`` this includes the integrator and step
+count of the LLN reference).  The manifest is written
 even when the run fails.  Numeric artifacts are deterministic functions of
 (config, seed): floats are serialized with 17 significant digits, JSON keys
 are sorted, and sweep rows are emitted in grid order, so identical runs
@@ -37,6 +39,7 @@ from .dynamics import (
     default_grid,
     integrate_forward,
     solve_turnpike,
+    stationary_anchor,
 )
 from .model import MixedState, ModelParams, StationaryControl, ValueVector
 from .nplayer import CountVector, lln_error, simulate_ctmc
@@ -48,7 +51,6 @@ from .stationary import (
     enumerate_equilibria,
     fixed_point_mixed,
     fixed_point_single,
-    hjb_single_exact,
     solve_points,
 )
 
@@ -232,15 +234,17 @@ def run_turnpike(
     p: ModelParams, cfg: TurnpikeConfig, out_dir: Path, fmt_kind: str
 ) -> tuple[dict[str, Path], dict]:
     i = cfg.strategy
-    u = StationaryControl.single(p.d, i)
-    x0 = _resolve_x0(cfg.x0, p, u)
+    anchor = stationary_anchor(p, i)  # solved once: x0, g_T and the stats may all use it
+    if isinstance(cfg.x0, str) and cfg.x0 == "stationary":
+        x0 = anchor[0]
+    else:
+        x0 = _resolve_x0(cfg.x0, p, StationaryControl.single(p.d, i))
     if isinstance(cfg.g_terminal, str):  # token 'stationary'
-        x_star, _ = fixed_point_single(p, i)
-        gT = hjb_single_exact(p, i, x_star)
+        gT = anchor[1]
     else:
         gT = ValueVector(np.asarray(cfg.g_terminal, dtype=float))
     grid = _resolve_grid(cfg.grid, p)
-    sol = solve_turnpike(p, i, x0, gT, grid)
+    sol = solve_turnpike(p, i, x0, gT, grid, anchor)
     header = (
         ["t"] + _state_labels(p.d, "x") + _state_labels(p.d, "g") + ["cone_ok", "argmin_ok"]
     )
@@ -278,6 +282,9 @@ def run_nplayer(
         artifacts["lln_error"] = _write_table(out_dir, "lln_error", fmt_kind, header, rows)
         summary["mean_sup_errors"] = {str(r.N): r.mean_sup_error for r in table.rows}
         summary["ratios"] = table.ratios()
+        summary["lln_reference"] = {
+            "integrator": table.reference_method, "steps": table.reference_steps,
+        }
     if cfg.n_agents is not None:
         n0 = CountVector.from_fractions(x0, cfg.n_agents)
         ctmc = simulate_ctmc(p, n0, cfg.control, cfg.t_end, seed)
@@ -342,6 +349,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> ResultBundle:
     started = datetime.now(timezone.utc).isoformat()
     bundle = ResultBundle(manifest={})
     fmt_kind = cfg.output.format
+    summary: dict = {}
     try:
         if cfg.run == "equilibria":
             artifacts, summary = run_equilibria(cfg.model, out_dir, fmt_kind)
@@ -373,6 +381,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> ResultBundle:
             "config": cfg.to_dict(),
             "artifacts": sorted(str(p.name) for p in bundle.artifacts.values()),
             "failures": bundle.failures,
+            "summary": summary,
         }
         _write_json(out_dir / "manifest.json", bundle.manifest)
     return bundle

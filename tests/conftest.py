@@ -315,7 +315,10 @@ def _oracle_sup_error_one_run(p, u, N, t_end, compare_times, ode_states, x0, str
 def oracle_lln_sup_errors(p, u, x0, t_end, N_list, replications, seed, grid=None,
                           n_compare: int = 2000) -> list[np.ndarray]:
     """Per-N replication sup errors of the reference engine, with the ODE
-    reference and compare times chosen as ``lln_error`` chooses them."""
+    reference and compare times chosen as ``lln_error`` chooses them on an
+    explicit grid (classical RK4 on that grid).  Without a grid
+    ``lln_error`` takes an exponential reference instead, which this
+    oracle does not reproduce; the bitwise tests pass a grid."""
     from sismfg.dynamics import default_grid, integrate_forward
 
     if grid is None:

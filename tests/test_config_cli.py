@@ -324,6 +324,28 @@ def test_equilibria_run_writes_table(tmp_path):
     assert (tmp_path / "manifest.json").exists()
 
 
+def test_turnpike_run_solves_its_anchor_once(tmp_path, monkeypatch):
+    # x0, g_T = "stationary" and the turnpike stats all use one stationary pair
+    import sismfg.dynamics
+    import sismfg.runs
+    import sismfg.stationary
+
+    calls = {"fixed_point_single": 0, "hjb_single_exact": 0}
+    for name in calls:
+        original = getattr(sismfg.stationary, name)
+
+        def counting(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (sismfg.stationary, sismfg.dynamics, sismfg.runs):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    bundle = run_scenario(parse_config(REPO_CONFIGS / "p0_turnpike.json"), tmp_path)
+    assert not bundle.failures
+    assert calls == {"fixed_point_single": 1, "hjb_single_exact": 1}
+
+
 def test_turnpike_run_csv_contract(tmp_path):
     data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
     data["turnpike"]["grid"]["n_steps"] = 2000  # keep the test quick

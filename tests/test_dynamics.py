@@ -1,5 +1,7 @@
 """Integrators, closed-form gap evolution, turnpike construction and metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,17 @@ from sismfg import (
     integrate_forward,
     solve_turnpike,
 )
-from sismfg.dynamics import argmin_flags
-from sismfg.model import TIE_TOL, best_response, hjb_coupling, hjb_rhs_fn
+from sismfg.dynamics import (
+    ETDRK4,
+    argmin_flags,
+    etdrk4_operators,
+    graded_opening,
+    phi_functions,
+)
+from sismfg.model import TIE_TOL, best_response, hjb_coupling, hjb_rhs_fn, migration_generator
 from sismfg.stationary import fixed_point_single, hjb_single_exact, solve_candidate
 
-from conftest import P0_GAP, oracle_euler_path
+from conftest import P0, P0_GAP, oracle_euler_path, random_control, random_params, random_state
 
 SINGLE1 = StationaryControl.single(2, 0)
 
@@ -103,6 +111,90 @@ def test_forward_order_four(p0):
         err[n] = np.max(np.abs(terminal(n) - terminal(16 * n)))
     ratio = err[50] / err[100]
     assert 2.0 <= ratio / 8.0 <= 2.0 * 2.0  # h^4 within factor 2, i.e. [8, 32]
+
+
+# ---------------------------------------------------------------------------
+# exponential forward integration (ETDRK4)
+
+EXPLICIT_D2 = StationaryControl(target_I=[1, 0], target_S=[0, 0])  # non-uniform
+ETD_STEP = 0.005
+
+
+def _p0_at(lam):
+    return ModelParams(**{**P0, "lam": lam})
+
+
+def etd_error_against_fine_rk4(p, x0, u, T):
+    """Largest node difference between ETDRK4 at ETD_STEP and classical RK4
+    at a step <= 0.02/lam (and <= ETD_STEP/4), compared at the ETD nodes."""
+    n = int(round(T / ETD_STEP))
+    etd = integrate_forward(p, x0, u, TimeGrid(0.0, T, n), method=ETDRK4)
+    k = int(np.ceil(ETD_STEP / min(0.02 / p.lam, ETD_STEP / 4)))
+    fine = integrate_forward(p, x0, u, TimeGrid(0.0, T, n * k))[::k]
+    return float(np.max(np.abs(etd - fine)))
+
+
+@pytest.mark.parametrize("lam, T", [(1.0, 5.0), (100.0, 2.0), (1e4, 0.1)])
+@pytest.mark.parametrize("u", [SINGLE1, StationaryControl.mixed(2, 0, 1), EXPLICIT_D2],
+                         ids=["single1", "mixed12", "explicit"])
+def test_etdrk4_matches_fine_rk4(lam, T, u):
+    # the horizon at lam = 1e4 spans the migration layer and 20 slow steps;
+    # the fine reference there takes 50000 steps
+    err = etd_error_against_fine_rk4(_p0_at(lam), MixedState.uniform(2), u, T)
+    assert err <= 1e-7, err
+
+
+def test_etdrk4_matches_fine_rk4_d3_draw():
+    rng = np.random.default_rng(808)
+    p = random_params(rng, 3)
+    err = etd_error_against_fine_rk4(p, random_state(rng, 3), random_control(rng, 3), 2.0)
+    assert err <= 1e-7, err
+
+
+@pytest.mark.parametrize("lam", [1.0, 100.0, 1e4, 1e6])
+def test_migration_propagator_is_stochastic(lam):
+    p = _p0_at(lam)
+    for u in (SINGLE1, StationaryControl.mixed(2, 0, 1), EXPLICIT_D2):
+        m = migration_generator(p, u)
+        for h in (1e-7, 0.1 / lam, ETD_STEP, 0.5):
+            ops = etdrk4_operators(m, h)
+            for e in (ops.e, ops.e_half):
+                assert np.max(np.abs(e.sum(axis=1) - 1.0)) <= 1e-14
+                assert e.min() >= -1e-15
+
+
+def test_phi_functions_against_series():
+    for a in (-3.0, -1e-3, 0.0, 0.7):
+        got = [float(v[0, 0]) for v in phi_functions(np.array([[a]]), 3)]
+        want = [sum(a**j / math.factorial(j + k) for j in range(40)) for k in range(4)]
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    # a defective matrix: e^J = e^z [[1, 1], [0, 1]] for the Jordan block J
+    z = -2.0
+    e = phi_functions(np.array([[z, 1.0], [0.0, z]]), 1)[0]
+    assert np.allclose(e, np.exp(z) * np.array([[1.0, 1.0], [0.0, 1.0]]), rtol=1e-14, atol=0.0)
+
+
+def test_graded_opening_covers_one_step():
+    assert graded_opening(ETD_STEP, 1.0) == [ETD_STEP]
+    steps = graded_opening(ETD_STEP, 1e4)
+    assert sum(steps) == ETD_STEP
+    assert steps[0] <= 0.1 / 1e4 < 2 * steps[0]
+    assert steps[1:] == [steps[0] * 2**j for j in range(len(steps) - 1)]
+
+
+def test_etdrk4_nodes_stay_on_simplex():
+    for lam in (100.0, 1e6):
+        for u in (SINGLE1, StationaryControl.mixed(2, 0, 1), EXPLICIT_D2):
+            path = integrate_forward(_p0_at(lam), MixedState.uniform(2), u,
+                                     TimeGrid(0.0, 5.0, 1000), method=ETDRK4)
+            assert np.all(path >= 0.0)
+            assert np.max(np.abs(path.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def test_forward_rejects_unknown_method(p0):
+    with pytest.raises(ValueError, match="method"):
+        integrate_forward(p0, MixedState.uniform(2), SINGLE1, TimeGrid(0.0, 1.0, 10),
+                          method="euler")
 
 
 # ---------------------------------------------------------------------------

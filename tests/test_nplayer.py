@@ -15,7 +15,8 @@ from sismfg import (
     lln_error,
     simulate_ctmc,
 )
-from sismfg.nplayer import KIND_NAMES, mean_jump_drift
+from sismfg.dynamics import ETDRK4, RK4, default_grid, integrate_forward
+from sismfg.nplayer import KIND_NAMES, _reference, mean_jump_drift
 from sismfg.stationary import fixed_point_single
 
 from conftest import (
@@ -232,3 +233,55 @@ def test_every_strategy_a_target_engine_bitwise_equal(p0):
     for n0 in (CountVector([30, 30, 0, 0]), CountVector.from_fractions(MixedState.uniform(2), 60)):
         counts = assert_path_equals_oracle(p0, n0, u, 3.0, seed=9)
         assert counts[-1, 2:].sum() > 0
+
+
+# ---------------------------------------------------------------------------
+# the recorded path's budget
+
+
+MOVING = StationaryControl(target_I=[1, 0], target_S=[1, 0])  # keeps agents moving
+SINGLE1 = StationaryControl.single(2, 0)
+
+
+def test_recorded_path_refused_over_budget(p0, monkeypatch):
+    import sismfg.config
+
+    n0 = CountVector.from_fractions(MixedState.uniform(2), 100)
+    monkeypatch.setattr(sismfg.config, "GRID_BUDGET", 4 * 20_000)
+    with pytest.raises(ValueError, match=r"N=100, lambda=100, T=5\b.*budget of 80000"):
+        simulate_ctmc(p0, n0, MOVING, 5.0, seed=3)
+
+
+def test_recorded_path_budget_is_its_count_table(p0, monkeypatch):
+    # checked at every draw refill and at the end: a path fits exactly when
+    # (events + 1) x 2d entries fit, wherever the last refill fell
+    import sismfg.config
+
+    n0 = CountVector.from_fractions(MixedState.uniform(2), 40)
+    events = simulate_ctmc(p0, n0, MOVING, 5.0, seed=4).n_events
+    assert events > 2 * 8192 and events % 8192
+    monkeypatch.setattr(sismfg.config, "GRID_BUDGET", (events + 1) * 4)
+    assert simulate_ctmc(p0, n0, MOVING, 5.0, seed=4).n_events == events
+    monkeypatch.setattr(sismfg.config, "GRID_BUDGET", (events + 1) * 4 - 1)
+    with pytest.raises(ValueError, match="over budget"):
+        simulate_ctmc(p0, n0, MOVING, 5.0, seed=4)
+
+
+# ---------------------------------------------------------------------------
+# the ODE reference without a grid
+
+
+def test_lln_reference_default_is_exponential_at_parent_compare_times(p0):
+    # the nplayer benchmark scenario: P0, single(1), uniform x0, T = 10
+    x0 = MixedState.uniform(2)
+    times, rows, method, steps = _reference(p0, SINGLE1, x0, 10.0, None, 2000)
+    assert (method, steps) == (ETDRK4, 2000)
+    assert times == default_grid(p0, 0.0, 10.0).times()[::5].tolist()  # 2001 times
+    assert len(times) == 2001 and np.allclose(np.diff(times), 0.005, rtol=1e-9, atol=0.0)
+    fine = integrate_forward(p0, x0, SINGLE1, TimeGrid(0.0, 10.0, 50_000))[::25]  # h = 0.02/lam
+    assert np.max(np.abs(np.array(rows) - fine)) <= 1e-7
+    table = lln_error(p0, SINGLE1, x0, 10.0, [20], 1, seed=0)
+    assert (table.reference_method, table.reference_steps) == (ETDRK4, 2000)
+    grid = TimeGrid(0.0, 10.0, 1000)
+    table = lln_error(p0, SINGLE1, x0, 10.0, [20], 1, seed=0, grid=grid)
+    assert (table.reference_method, table.reference_steps) == (RK4, 1000)

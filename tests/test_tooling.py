@@ -35,3 +35,18 @@ def test_spanned_names_resolve():
 
 def test_package_exports_resolve():
     assert [name for name in sismfg.__all__ if not hasattr(sismfg, name)] == []
+
+
+def test_trace_sees_one_reference_integration_with_its_steps(p0):
+    # perfbench books the reference's steps from the grid it sees passed to
+    # integrate_forward, and its time apart from the replications
+    from sismfg import MixedState, StationaryControl, lln_error
+
+    rec = spans.Recorder()
+    with spans.traced(rec):
+        table = lln_error(p0, StationaryControl.single(2, 0), MixedState.uniform(2), 2.0,
+                          [10], 1, seed=0)
+    forward = [idx for idx, name in enumerate(rec.names) if name == "dynamics.integrate_forward"]
+    assert len(forward) == 1
+    assert rec.attrs[forward[0]] == {"steps": table.reference_steps}
+    assert table.reference_method == "etdrk4"

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import default_grid
+from .dynamics import TimeGrid, default_grid, lln_reference_grid
 from .model import SIMPLEX_TOL, ModelParams, ParamStack, StationaryControl
 
 RUN_KINDS = ("equilibria", "simulate", "turnpike", "nplayer", "sweep")
@@ -54,6 +54,12 @@ class GridSpec:
     t_start: float
     t_end: float
     n_steps: int | None = None  # None: default step rule min(0.01, 0.1/lam)
+
+    def resolve(self, p: ModelParams) -> TimeGrid:
+        """The grid this spec names: ``dynamics.default_grid``'s without n_steps."""
+        if self.n_steps is None:
+            return default_grid(p, self.t_start, self.t_end)
+        return TimeGrid(self.t_start, self.t_end, self.n_steps)
 
 
 @dataclass(frozen=True)
@@ -361,16 +367,14 @@ def _parse_grid(data, where: str, col: _Collector) -> GridSpec | None:
     return GridSpec(t_start=t0, t_end=t1, n_steps=n)
 
 
-def _within_budget(model: ModelParams, grid: GridSpec, where: str, col: _Collector) -> bool:
-    """False, with an error, when the grid's nodes x 2d exceed GRID_BUDGET;
-    without n_steps the grid is ``dynamics.default_grid``'s.  Nothing is
+def _within_budget(model: ModelParams, plan, where: str, col: _Collector) -> bool:
+    """False, with an error, when a path on the grid ``plan(model)``
+    returns, nodes x 2d entries, exceeds GRID_BUDGET.  No path is
     allocated."""
-    n_steps = grid.n_steps
-    if n_steps is None:
-        try:
-            n_steps = default_grid(model, grid.t_start, grid.t_end).n_steps
-        except OverflowError:  # the default step underflows: no grid fits
-            n_steps = float("inf")
+    try:
+        n_steps = plan(model).n_steps
+    except OverflowError:  # the default step underflows: no grid fits
+        n_steps = float("inf")
     entries = (n_steps + 1) * model.n_states
     if entries <= GRID_BUDGET:
         return True
@@ -484,7 +488,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
             x0 = _parse_x0(block, model.n_states, where, col, control)
             grid = _parse_grid(block.get("grid"), f"{where}.grid", col)
-            if grid is not None and not _within_budget(model, grid, f"{where}.grid", col):
+            if grid is not None and not _within_budget(model, grid.resolve, f"{where}.grid", col):
                 grid = None
             if control is not None and x0 is not None and grid is not None:
                 simulate = SimulateConfig(control=control, x0=x0, grid=grid)
@@ -500,7 +504,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                 tokens=("stationary",),
             )
             grid = _parse_grid(block.get("grid"), f"{where}.grid", col)
-            if grid is not None and not _within_budget(model, grid, f"{where}.grid", col):
+            if grid is not None and not _within_budget(model, grid.resolve, f"{where}.grid", col):
                 grid = None
             if None not in (strategy, grid) and x0 is not None and gT is not None:
                 turnpike = TurnpikeConfig(strategy=strategy - 1, x0=x0, g_terminal=gT, grid=grid)
@@ -533,7 +537,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                 col.add(f"{where}.t_end", "must be > 0")
                 t_end = None
             if t_end is not None and n_list is not None and not _within_budget(
-                model, GridSpec(0.0, t_end), f"{where}.t_end", col  # the LLN's ODE reference
+                model, lambda m: lln_reference_grid(m, t_end)[1], f"{where}.t_end", col
             ):
                 t_end = None
             if reps is not None and reps < 1:

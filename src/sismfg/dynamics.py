@@ -2,13 +2,14 @@
 
 The forward population ODE and the backward discounted value equation are
 integrated with fixed-step classical RK4 (default step min(0.01, 0.1/lam);
-lam sets the stiffness of both systems).  Grids the user does not fix, the
-LLN reference of ``nplayer.lln_error``, may instead take exponential RK4
-steps forward (``integrate_forward(..., method=ETDRK4)``, Cox-Matthews
-2002): the population RHS is split as x @ M + N(x) with M the constant
-migration generator, e^{hM} and phi_1..phi_3(hM) come from one scaling-
-and-squaring exponential per step size, and the step follows the slow
-infection and recovery rates instead of lam.  ``solve_turnpike`` builds
+lam sets the stiffness of both systems).  The LLN reference of
+``nplayer.lln_error``, on the grid ``lln_reference_grid`` works out,
+instead takes exponential RK4 steps forward (``integrate_forward(...,
+method=ETDRK4)``, Cox-Matthews 2002): the population RHS is split as
+x @ M + N(x) with M the constant migration generator, e^{hM} and
+phi_1..phi_3(hM) come from one scaling-and-squaring exponential per step
+size, and the step follows the slow infection and recovery rates instead
+of lam.  ``solve_turnpike`` builds
 the time-dependent solution anchored at an all-to-i stationary solution:
 with the control frozen the population decouples and integrates forward,
 the values integrate backward against that path, and the run is certified
@@ -51,6 +52,9 @@ from .stationary import fixed_point_single, hjb_single_exact, small_interaction_
 #: forward step kinds: classical RK4, and exponential RK4 (Cox-Matthews ETDRK4)
 RK4 = "rk4"
 ETDRK4 = "etdrk4"
+#: compare times (about) and largest step of the LLN reference
+REFERENCE_COMPARE = 2000
+REFERENCE_MAX_STEP = 0.005
 #: simplex violation that triggers step halving in the forward integrator
 STEP_REJECT_TOL = 1e-6
 MAX_HALVINGS = 20
@@ -90,6 +94,27 @@ def default_grid(p: ModelParams, t_start: float, t_end: float) -> TimeGrid:
     """Grid with the default step min(0.01, 0.1/lam)."""
     h = min(0.01, 0.1 / p.lam)
     return TimeGrid(t_start, t_end, max(1, int(np.ceil((t_end - t_start) / h))))
+
+
+def lln_reference_grid(p: ModelParams, t_end: float) -> tuple[np.ndarray, TimeGrid]:
+    """Compare times and ETDRK4 grid of the LLN reference on [0, t_end].
+
+    The compare times are every stride-th node of ``default_grid``, stride
+    = max(1, nodes // REFERENCE_COMPARE), computed as i * (t_end / n) like
+    ``TimeGrid.times`` without building that grid.  The reference steps
+    from 0 to the last compare time at (compare spacing) / k, k the
+    smallest that keeps it <= REFERENCE_MAX_STEP, so every k-th node is a
+    compare time (to rounding).
+    """
+    n = default_grid(p, 0.0, t_end).n_steps
+    stride = max(1, (n + 1) // REFERENCE_COMPARE)
+    n_cmp = n // stride
+    times = np.arange(n_cmp + 1, dtype=float) * float(stride) * (t_end / n)
+    if n % stride == 0:
+        times[-1] = t_end
+    t_last = float(times[-1])
+    k = max(1, int(np.ceil(t_last / (n_cmp * REFERENCE_MAX_STEP) - 1e-9)))
+    return times, TimeGrid(0.0, t_last, n_cmp * k)
 
 
 # ---------------------------------------------------------------------------

@@ -507,12 +507,12 @@ def hjb_rhs(p: ModelParams, x: MixedState, g: ValueVector) -> np.ndarray:
     return hjb_rhs_fn(p, None)(hjb_coupling(p, x.infected), g.g)
 
 
-def best_response(g: ValueVector, tie_tol: float = TIE_TOL) -> tuple[StationaryControl, bool]:
+def best_response(g: ValueVector) -> tuple[StationaryControl, bool]:
     """Argmin control for a value vector, plus a degeneracy flag.
 
     The minimizing strategy is the same from every current state, so the
     result is always of the uniform [i(I), k(S)] form.  The flag is True
-    when some non-minimal strategy is within tie_tol of the minimum in
+    when some non-minimal strategy is within TIE_TOL of the minimum in
     either compartment (tied argmin, control not unique).
     """
     gI = g.infected_values
@@ -522,7 +522,7 @@ def best_response(g: ValueVector, tie_tol: float = TIE_TOL) -> tuple[StationaryC
     degenerate = False
     for best, vals in ((i, gI), (k, gS)):
         others = np.delete(vals, best)
-        if others.size and others.min() - vals[best] <= tie_tol:
+        if others.size and others.min() - vals[best] <= TIE_TOL:
             degenerate = True
     d = g.d
     return StationaryControl(np.full(d, i), np.full(d, k)), degenerate

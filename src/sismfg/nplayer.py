@@ -25,10 +25,11 @@ cumulative sums the pick is compared against, so the path is bitwise the
 one the full table gives.
 
 ``lln_error`` compares every replication with the population ODE path at
-fixed compare times.  With no grid given that reference is exponential
-RK4 (ETDRK4), whose step follows the slow rates instead of lam; with a
-grid it is classical RK4 on that grid.  A recorded path (``simulate_ctmc``)
-is refused once its count table would exceed ``config.GRID_BUDGET``.
+fixed compare times.  That reference is exponential RK4 (ETDRK4), whose
+step follows the slow rates instead of lam, on the grid that
+``dynamics.lln_reference_grid`` works out; the config layer budgets the
+same grid.  A recorded path (``simulate_ctmc``) is refused once its count
+table would exceed ``config.GRID_BUDGET``.
 
 Randomness: Philox counter-based bit generators.  ``simulate_ctmc`` uses
 Philox([seed]); ``lln_error`` gives replication r at population size N the
@@ -45,11 +46,9 @@ import numpy as np
 
 from . import config
 from .model import MixedState, ModelParams, StationaryControl, _migration
-from .dynamics import ETDRK4, RK4, TimeGrid, default_grid, integrate_forward
+from .dynamics import ETDRK4, integrate_forward, lln_reference_grid
 
 _RNG_BUFFER = 8192
-#: largest step of the exponential LLN reference (no grid given)
-REFERENCE_MAX_STEP = 0.005
 
 KIND_DECISION = 0
 KIND_PRESSURE = 1
@@ -338,12 +337,11 @@ class LlnErrorRow:
 
 @dataclass(frozen=True)
 class LlnErrorTable:
-    """Per-N rows, and the integrator and step count of the ODE reference."""
+    """Per-N rows, and the ETDRK4 step count of the ODE reference."""
 
     rows: list[LlnErrorRow]
     replications: int
     t_end: float
-    reference_method: str
     reference_steps: int
 
     def ratios(self) -> list[float]:
@@ -353,32 +351,14 @@ class LlnErrorTable:
 
 
 def _reference(
-    p: ModelParams, u: StationaryControl, x0: MixedState, t_end: float,
-    grid: TimeGrid | None, n_compare: int,
-) -> tuple[list, list, str, int]:
-    """Compare times and ODE rows of ``lln_error``, its integrator and steps.
-
-    The compare times are every stride-th node of ``grid``, or of the
-    default grid when none is given, stride = max(1, nodes // n_compare).
-    On a given grid the reference is classical RK4 on that grid.  Without
-    one it is ETDRK4 from 0 to the last compare time at the step (compare
-    spacing) / k, k the smallest that keeps it <= REFERENCE_MAX_STEP, so
-    every k-th node is a compare time (to rounding).
-    """
-    method = RK4 if grid is not None else ETDRK4
-    nodes = grid if grid is not None else default_grid(p, 0.0, t_end)
-    times = nodes.times()
-    stride = max(1, times.size // n_compare)
-    cmp_times = times[::stride]
-    if method == RK4:
-        x_rows = integrate_forward(p, x0, u, grid)[::stride]
-    else:
-        n_cmp = cmp_times.size - 1
-        t_last = float(cmp_times[-1])
-        k = max(1, int(np.ceil(t_last / (n_cmp * REFERENCE_MAX_STEP) - 1e-9)))
-        nodes = TimeGrid(0.0, t_last, n_cmp * k)
-        x_rows = integrate_forward(p, x0, u, nodes, method=ETDRK4)[::k]
-    return cmp_times.tolist(), x_rows.tolist(), method, nodes.n_steps
+    p: ModelParams, u: StationaryControl, x0: MixedState, t_end: float
+) -> tuple[list, list, int]:
+    """Compare times and ODE rows of ``lln_error``, and the reference's steps:
+    ETDRK4 on ``lln_reference_grid``, read at every k-th node."""
+    times, grid = lln_reference_grid(p, t_end)
+    k = grid.n_steps // (times.size - 1)
+    x_rows = integrate_forward(p, x0, u, grid, method=ETDRK4)[::k]
+    return times.tolist(), x_rows.tolist(), grid.n_steps
 
 
 def lln_error(
@@ -389,23 +369,20 @@ def lln_error(
     N_list: list[int],
     replications: int,
     seed: int,
-    grid: TimeGrid | None = None,
-    n_compare: int = 2000,
 ) -> LlnErrorTable:
     """Mean sup-norm distance between n(t)/N and the population ODE path.
 
     For each N, averages over ``replications`` independent runs (stream
     Philox([seed, N, r])); errors are expected to shrink like N^{-1/2}.
-    The ODE reference is compared at about ``n_compare`` evenly spaced
-    times.  It is classical RK4 on ``grid`` when one is given; otherwise
-    it is exponential RK4 (ETDRK4), whose step follows the slow rates, and
-    the compare times are those of the default grid (see ``_reference``).
+    The ODE reference is exponential RK4 (ETDRK4), whose step follows the
+    slow rates, compared at about ``dynamics.REFERENCE_COMPARE`` nodes of the
+    default grid (``dynamics.lln_reference_grid``).
     """
     if not N_list:
         raise ValueError("N_list must be non-empty")
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    cmp_times, cmp_rows, method, steps = _reference(p, u, x0, t_end, grid, n_compare)
+    cmp_times, cmp_rows, steps = _reference(p, u, x0, t_end)
     compare = (cmp_times, cmp_rows)
     chans = _channels(p, u)
     rows = []
@@ -424,4 +401,4 @@ def lln_error(
             )
         )
     return LlnErrorTable(rows=rows, replications=replications, t_end=float(t_end),
-                         reference_method=method, reference_steps=steps)
+                         reference_steps=steps)

@@ -33,10 +33,9 @@ from .config import (
     sweep_grid,
 )
 from .dynamics import (
-    TimeGrid,
+    ETDRK4,
     TrajectorySolution,
     TurnpikeHypothesisError,
-    default_grid,
     integrate_forward,
     solve_turnpike,
     stationary_anchor,
@@ -172,12 +171,6 @@ def _resolve_x0(spec, p: ModelParams, u: StationaryControl) -> MixedState:
     return MixedState(np.asarray(spec, dtype=float))
 
 
-def _resolve_grid(spec, p: ModelParams) -> TimeGrid:
-    if spec.n_steps is None:
-        return default_grid(p, spec.t_start, spec.t_end)
-    return TimeGrid(spec.t_start, spec.t_end, spec.n_steps)
-
-
 def run_equilibria(p: ModelParams, out_dir: Path, fmt_kind: str) -> tuple[dict[str, Path], dict]:
     result = enumerate_equilibria(p)
     path = out_dir / "equilibria.json"
@@ -192,13 +185,13 @@ def run_equilibria(p: ModelParams, out_dir: Path, fmt_kind: str) -> tuple[dict[s
 def run_simulate(
     p: ModelParams, cfg: SimulateConfig, out_dir: Path, fmt_kind: str
 ) -> tuple[dict[str, Path], dict]:
-    grid = _resolve_grid(cfg.grid, p)
+    grid = cfg.grid.resolve(p)
     x0 = _resolve_x0(cfg.x0, p, cfg.control)
     x_path = integrate_forward(p, x0, cfg.control, grid)
-    times = grid.times()
     header = ["t"] + _state_labels(p.d, "x")
     rows = (
-        [fmt(times[m])] + [fmt(v) for v in x_path[m]] for m in range(times.size)
+        [format(t, ".17g")] + [format(v, ".17g") for v in x]
+        for t, x in _chunked_rows(grid.times(), x_path)
     )
     path = _write_table(out_dir, "trajectory", fmt_kind, header, rows)
     return {"trajectory": path}, {"terminal": x_path[-1].tolist()}
@@ -243,7 +236,7 @@ def run_turnpike(
         gT = anchor[1]
     else:
         gT = ValueVector(np.asarray(cfg.g_terminal, dtype=float))
-    grid = _resolve_grid(cfg.grid, p)
+    grid = cfg.grid.resolve(p)
     sol = solve_turnpike(p, i, x0, gT, grid, anchor)
     header = (
         ["t"] + _state_labels(p.d, "x") + _state_labels(p.d, "g") + ["cone_ok", "argmin_ok"]
@@ -282,9 +275,7 @@ def run_nplayer(
         artifacts["lln_error"] = _write_table(out_dir, "lln_error", fmt_kind, header, rows)
         summary["mean_sup_errors"] = {str(r.N): r.mean_sup_error for r in table.rows}
         summary["ratios"] = table.ratios()
-        summary["lln_reference"] = {
-            "integrator": table.reference_method, "steps": table.reference_steps,
-        }
+        summary["lln_reference"] = {"integrator": ETDRK4, "steps": table.reference_steps}
     if cfg.n_agents is not None:
         n0 = CountVector.from_fractions(x0, cfg.n_agents)
         ctmc = simulate_ctmc(p, n0, cfg.control, cfg.t_end, seed)
@@ -296,13 +287,11 @@ def run_nplayer(
         )
         artifacts["nplayer_path"] = _write_table(out_dir, "nplayer_path", fmt_kind, header, rows)
         summary["n_events"] = ctmc.n_events
-        summary["terminal_fractions"] = (ctmc.terminal().n / cfg.n_agents).tolist()
+        summary["terminal_fractions"] = (counts[-1] / cfg.n_agents).tolist()
     return artifacts, summary
 
 
-def run_sweep(
-    cfg: ScenarioConfig, out_dir: Path, fmt_kind: str
-) -> tuple[dict[str, Path], dict, list[str], int]:
+def run_sweep(cfg: ScenarioConfig, out_dir: Path, fmt_kind: str) -> tuple[dict[str, Path], dict]:
     """One equilibria summary row per grid point.  The config layer has
     checked every point, and the kernel solves all points' candidates at
     once; per-candidate failures are part of a point's result."""
@@ -339,7 +328,7 @@ def run_sweep(
         )
     path = _write_table(out_dir, "sweep", fmt_kind, header, rows)
     summary = {"n_points": len(points), "n_succeeded": len(points)}
-    return {"sweep": path}, summary, [], len(points)
+    return {"sweep": path}, summary
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> ResultBundle:
@@ -353,23 +342,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> ResultBundle:
     try:
         if cfg.run == "equilibria":
             artifacts, summary = run_equilibria(cfg.model, out_dir, fmt_kind)
-            bundle.n_succeeded = 1
         elif cfg.run == "simulate":
             artifacts, summary = run_simulate(cfg.model, cfg.simulate, out_dir, fmt_kind)
-            bundle.n_succeeded = 1
         elif cfg.run == "turnpike":
             artifacts, summary = run_turnpike(cfg.model, cfg.turnpike, out_dir, fmt_kind)
-            bundle.n_succeeded = 1
         elif cfg.run == "nplayer":
             artifacts, summary = run_nplayer(cfg.model, cfg.nplayer, out_dir, fmt_kind, cfg.seed)
-            bundle.n_succeeded = 1
         elif cfg.run == "sweep":
-            artifacts, summary, failures, n_ok = run_sweep(cfg, out_dir, fmt_kind)
-            bundle.failures.extend(failures)
-            bundle.n_succeeded = n_ok
+            artifacts, summary = run_sweep(cfg, out_dir, fmt_kind)
         else:  # unreachable after validation
             raise ValueError(f"unknown run kind {cfg.run!r}")
         bundle.artifacts.update(artifacts)
+        # a sweep succeeds point by point, every other run once
+        bundle.n_succeeded = summary["n_points"] if cfg.run == "sweep" else 1
     except (TurnpikeHypothesisError, RuntimeError, ValueError) as exc:
         bundle.failures.append(str(exc))
     finally:

@@ -312,24 +312,18 @@ def _oracle_sup_error_one_run(p, u, N, t_end, compare_times, ode_states, x0, str
     return state["sup"]
 
 
-def oracle_lln_sup_errors(p, u, x0, t_end, N_list, replications, seed, grid=None,
-                          n_compare: int = 2000) -> list[np.ndarray]:
-    """Per-N replication sup errors of the reference engine, with the ODE
-    reference and compare times chosen as ``lln_error`` chooses them on an
-    explicit grid (classical RK4 on that grid).  Without a grid
-    ``lln_error`` takes an exponential reference instead, which this
-    oracle does not reproduce; the bitwise tests pass a grid."""
-    from sismfg.dynamics import default_grid, integrate_forward
+def oracle_lln_sup_errors(p, u, x0, t_end, N_list, replications, seed) -> list[np.ndarray]:
+    """Per-N replication sup errors of the reference engine against the
+    compare times and ODE rows of the production reference
+    (``nplayer._reference``), so only the jump and compare loop is checked."""
+    from sismfg.nplayer import _reference
 
-    if grid is None:
-        grid = default_grid(p, 0.0, t_end)
-    x_path = integrate_forward(p, x0, u, grid)
-    times = grid.times()
-    stride = max(1, times.size // n_compare)
+    times, rows, _ = _reference(p, u, x0, t_end)
+    times, rows = np.array(times), np.array(rows)
     out = []
     for N in N_list:
         out.append(np.array([
-            _oracle_sup_error_one_run(p, u, N, t_end, times[::stride], x_path[::stride], x0,
+            _oracle_sup_error_one_run(p, u, N, t_end, times, rows, x0,
                                       _OracleStream([seed, N, r]))
             for r in range(replications)
         ]))

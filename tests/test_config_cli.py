@@ -283,13 +283,17 @@ def test_stationary_x0_needs_uniform_control(tmp_path, run):
                                         ("turnpike", "turnpike.grid"),
                                         ("nplayer", "nplayer.t_end")])
 def test_grid_budget_rejects_huge_default_grid(tmp_path, run, where):
-    # lambda = 1e6 and T = 50 on the default step 0.1/lambda: 5e8 nodes x 4 states
+    # lambda = 1e6 and T = 50 on the default step 0.1/lambda: 5e8 nodes x 4
+    # states; the LLN reference of lambda = 100 and T = 1e5 steps at 50/10^4
+    # between 2001 compare times: 2e7 nodes x 4 states
     data = json.loads((REPO_CONFIGS / f"p0_{run}.json").read_text())
-    data["model"]["lambda"] = 1e6
     if run == "nplayer":
-        data[run].update(t_end=50.0, n_list=[10], replications=2)
+        data[run].update(t_end=1e5, n_list=[10], replications=2)
+        nodes = 20000001
     else:
+        data["model"]["lambda"] = 1e6
         data[run]["grid"] = {"t_start": 0.0, "t_end": 50.0}
+        nodes = 500000001
     tracemalloc.start()
     with pytest.raises(ConfigError) as err:
         parse_config_dict(data)
@@ -297,8 +301,31 @@ def test_grid_budget_rejects_huge_default_grid(tmp_path, run, where):
     tracemalloc.stop()
     assert peak < 1 << 20  # refused before any path is allocated
     assert [e.split(":")[0] for e in err.value.errors] == [where]
-    assert "500000001 nodes x 4 states" in err.value.errors[0]
+    assert f"{nodes} nodes x 4 states" in err.value.errors[0]
     assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+def test_lln_reference_budget_counts_its_own_grid():
+    # the budget is the reference's own path, not the default grid: at
+    # lambda = 1 and T = 40000 the default grid fits (4000001 nodes) but the
+    # reference steps at 20/4000 (8000001 nodes x 4 states) and does not
+    data = json.loads((REPO_CONFIGS / "p0_nplayer.json").read_text())
+    data["model"]["lambda"] = 1.0
+    data["nplayer"].update(t_end=40000.0, n_list=[10], replications=2)
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == ["nplayer.t_end"]
+    assert "8000001 nodes x 4 states" in err.value.errors[0]
+    # at lambda = 1e6 and T = 50 the default grid has 5e8 nodes, the
+    # reference 10^4 steps: accepted, and counted without building either
+    data["model"]["lambda"] = 1e6
+    data["nplayer"]["t_end"] = 50.0
+    tracemalloc.start()
+    cfg = parse_config_dict(data)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert cfg.nplayer.t_end == 50.0 and cfg.nplayer.n_list == (10,)
+    assert peak < 1 << 20
 
 
 def test_grid_budget_boundary():

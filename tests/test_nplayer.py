@@ -1,5 +1,6 @@
 """Finite-N jump simulation: generator link, conservation, seeds, LLN error."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from sismfg import (
     lln_error,
     simulate_ctmc,
 )
-from sismfg.dynamics import ETDRK4, RK4, default_grid, integrate_forward
+from sismfg.dynamics import default_grid, integrate_forward, lln_reference_grid
 from sismfg.nplayer import KIND_NAMES, _reference, mean_jump_drift
 from sismfg.stationary import fixed_point_single
 
@@ -131,13 +132,13 @@ def test_lln_error_shrinks_with_population(p0):
 
 def test_lln_error_zero_for_degenerate_rates():
     # no active transition: both the chain and the population ODE are frozen
-    from sismfg import TimeGrid, lln_error as lln
+    # (one strategy, so every agent already sits at its decision target)
+    from sismfg import lln_error as lln
 
-    stub = SimpleNamespace(d=1, n_states=2, lam=0.0, q_plus=np.zeros(1),
+    stub = SimpleNamespace(d=1, n_states=2, lam=1.0, q_plus=np.zeros(1),
                            q_minus=np.zeros(1), beta=np.zeros((1, 1)))
     table = lln(stub, StationaryControl.single(1, 0), MixedState([0.25, 0.75]),
-                t_end=5.0, N_list=[4, 8], replications=3, seed=0,
-                grid=TimeGrid(0.0, 5.0, 50))
+                t_end=5.0, N_list=[4, 8], replications=3, seed=0)
     assert all(r.mean_sup_error == 0.0 for r in table.rows)
 
 
@@ -201,10 +202,8 @@ def test_lln_error_bitwise_equals_oracle(d):
         p = random_params(rng, d)
         u = random_control(rng, d) if trial else StationaryControl.single(d, int(rng.integers(d)))
         x0 = random_state(rng, d)
-        grid = TimeGrid(0.0, 1.0, 400)
-        table = lln_error(p, u, x0, 1.0, [1, 40, 300], 3, seed=trial, grid=grid, n_compare=150)
-        ref = oracle_lln_sup_errors(p, u, x0, 1.0, [1, 40, 300], 3, trial, grid=grid,
-                                    n_compare=150)
+        table = lln_error(p, u, x0, 1.0, [1, 40, 300], 3, seed=trial)
+        ref = oracle_lln_sup_errors(p, u, x0, 1.0, [1, 40, 300], 3, trial)
         for row, errs in zip(table.rows, ref):
             assert np.array_equal(row.sup_errors, errs)
 
@@ -217,10 +216,8 @@ def test_emptied_strategy_leaves_engine_bitwise_equal(p0):
     counts = assert_path_equals_oracle(p0, n0, u, 3.0, seed=8)
     emptied = np.flatnonzero(counts[:, 2:].sum(axis=1) == 0)
     assert 0 < emptied[0] < counts.shape[0] - 10  # empties mid-run, events follow
-    table = lln_error(p0, u, MixedState.uniform(2), 3.0, [40, 400], 3, seed=8,
-                      grid=TimeGrid(0.0, 3.0, 3000))
-    ref = oracle_lln_sup_errors(p0, u, MixedState.uniform(2), 3.0, [40, 400], 3, 8,
-                                grid=TimeGrid(0.0, 3.0, 3000))
+    table = lln_error(p0, u, MixedState.uniform(2), 3.0, [40, 400], 3, seed=8)
+    ref = oracle_lln_sup_errors(p0, u, MixedState.uniform(2), 3.0, [40, 400], 3, 8)
     for row, errs in zip(table.rows, ref):
         assert np.array_equal(row.sup_errors, errs)
 
@@ -268,20 +265,36 @@ def test_recorded_path_budget_is_its_count_table(p0, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the ODE reference without a grid
+# the ODE reference
 
 
 def test_lln_reference_default_is_exponential_at_parent_compare_times(p0):
     # the nplayer benchmark scenario: P0, single(1), uniform x0, T = 10
     x0 = MixedState.uniform(2)
-    times, rows, method, steps = _reference(p0, SINGLE1, x0, 10.0, None, 2000)
-    assert (method, steps) == (ETDRK4, 2000)
+    times, rows, steps = _reference(p0, SINGLE1, x0, 10.0)
+    assert steps == 2000
     assert times == default_grid(p0, 0.0, 10.0).times()[::5].tolist()  # 2001 times
     assert len(times) == 2001 and np.allclose(np.diff(times), 0.005, rtol=1e-9, atol=0.0)
     fine = integrate_forward(p0, x0, SINGLE1, TimeGrid(0.0, 10.0, 50_000))[::25]  # h = 0.02/lam
     assert np.max(np.abs(np.array(rows) - fine)) <= 1e-7
     table = lln_error(p0, SINGLE1, x0, 10.0, [20], 1, seed=0)
-    assert (table.reference_method, table.reference_steps) == (ETDRK4, 2000)
-    grid = TimeGrid(0.0, 10.0, 1000)
-    table = lln_error(p0, SINGLE1, x0, 10.0, [20], 1, seed=0, grid=grid)
-    assert (table.reference_method, table.reference_steps) == (RK4, 1000)
+    assert table.reference_steps == 2000
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 20.0, 100.0, 1e4])
+def test_lln_reference_compare_times_are_default_grid_nodes(p0, lam):
+    # every stride-th default-grid node, bitwise, without building that grid
+    p = replace(p0, lam=lam)
+    uneven = 0  # grids whose last node is not a compare time
+    for t_end in (0.003, 0.7, 3.0, 10.0, 13.37, 49.99, 123.456):
+        if lam * t_end > 2e5:  # this test builds the default grid: at most 2e6 nodes
+            continue
+        nodes = default_grid(p, 0.0, t_end).times()
+        stride = max(1, nodes.size // 2000)
+        uneven += (nodes.size - 1) % stride != 0
+        times, grid = lln_reference_grid(p, t_end)
+        assert np.array_equal(times, nodes[::stride])
+        k = grid.n_steps // (times.size - 1)
+        assert grid.n_steps == (times.size - 1) * k and grid.t_end == times[-1]
+        assert grid.h <= 0.005 * (1 + 1e-9)
+    assert uneven

@@ -49,4 +49,3 @@ def test_trace_sees_one_reference_integration_with_its_steps(p0):
     forward = [idx for idx, name in enumerate(rec.names) if name == "dynamics.integrate_forward"]
     assert len(forward) == 1
     assert rec.attrs[forward[0]] == {"steps": table.reference_steps}
-    assert table.reference_method == "etdrk4"

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
-
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, parse_config_dict
 from .runs import run_scenario
 
 ENV_OUTPUT_DIR = "SISMFG_OUTPUT_DIR"
@@ -52,13 +50,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        if args.seed is not None:  # validated like the file's own seed
+            cfg = parse_config_dict({**cfg.source, "seed": args.seed})
     except ConfigError as exc:
         print("configuration invalid:", file=sys.stderr)
         for err in exc.errors:
             print(f"  {err}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.validate_only:
         print(f"{args.config}: valid ({cfg.run} run, d={cfg.model.d})")
         return EXIT_OK

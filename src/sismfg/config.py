@@ -1,10 +1,14 @@
-"""Scenario configuration: JSON parsing, validation, canonical form.
+"""Scenario configuration: JSON parsing and validation.
 
 A scenario file is a single JSON object with a ``model`` block, a ``run``
 kind, a ``seed``, an optional ``output`` block and exactly one run-specific
 block named after the run kind (``equilibria`` needs none).  Validation is
 collected: every schema violation and every model-invariant violation is
 reported, not just the first.  Unknown keys are rejected at every level.
+Parsing builds what the run uses (model, controls, grids, explicit
+states) with the runtime's own constructors, whose refusals become errors
+at the block's path, and keeps the validated input as ``source``, which
+the manifest echoes.
 
 Public file conventions: strategies and parameter-path indices are 1-based
 (matching the x_1I / x_1S column labels); the Python API is 0-based.
@@ -12,6 +16,7 @@ Public file conventions: strategies and parameter-path indices are 1-based
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 from dataclasses import dataclass, field
@@ -20,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import TimeGrid, default_grid, lln_reference_grid
-from .model import SIMPLEX_TOL, ModelParams, ParamStack, StationaryControl
+from .model import MixedState, ModelParams, ParamStack, StationaryControl, ValueVector
 
 RUN_KINDS = ("equilibria", "simulate", "turnpike", "nplayer", "sweep")
 OUTPUT_FORMATS = ("csv", "json")
@@ -50,37 +55,24 @@ class OutputConfig:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    t_start: float
-    t_end: float
-    n_steps: int | None = None  # None: default step rule min(0.01, 0.1/lam)
-
-    def resolve(self, p: ModelParams) -> TimeGrid:
-        """The grid this spec names: ``dynamics.default_grid``'s without n_steps."""
-        if self.n_steps is None:
-            return default_grid(p, self.t_start, self.t_end)
-        return TimeGrid(self.t_start, self.t_end, self.n_steps)
-
-
-@dataclass(frozen=True)
 class SimulateConfig:
     control: StationaryControl
-    x0: str | np.ndarray
-    grid: GridSpec
+    x0: MixedState | str  # str: the token 'stationary', solved at run time
+    grid: TimeGrid
 
 
 @dataclass(frozen=True)
 class TurnpikeConfig:
     strategy: int  # 0-based anchor strategy
-    x0: str | np.ndarray
-    g_terminal: str | np.ndarray
-    grid: GridSpec
+    x0: MixedState | str
+    g_terminal: ValueVector | str
+    grid: TimeGrid
 
 
 @dataclass(frozen=True)
 class NPlayerConfig:
     control: StationaryControl
-    x0: str | np.ndarray
+    x0: MixedState | str
     t_end: float
     n_agents: int | None = None
     n_list: tuple[int, ...] | None = None
@@ -103,6 +95,7 @@ class ScenarioConfig:
     model: ModelParams
     run: str
     seed: int
+    source: dict  # the validated scenario object as read
     output: OutputConfig = field(default_factory=OutputConfig)
     simulate: SimulateConfig | None = None
     turnpike: TurnpikeConfig | None = None
@@ -110,81 +103,16 @@ class ScenarioConfig:
     sweep: SweepConfig | None = None
 
     def to_dict(self) -> dict:
-        """Canonical JSON-able echo of the configuration (1-based indices)."""
-        out: dict = {
-            "model": model_to_dict(self.model),
-            "run": self.run,
-            "seed": self.seed,
-            "output": {"dir": self.output.dir, "format": self.output.format},
-        }
-        if self.simulate:
-            out["simulate"] = {
-                "control": _control_to_dict(self.simulate.control),
-                "x0": _state_spec_to_json(self.simulate.x0),
-                "grid": _grid_to_dict(self.simulate.grid),
-            }
-        if self.turnpike:
-            out["turnpike"] = {
-                "strategy": self.turnpike.strategy + 1,
-                "x0": _state_spec_to_json(self.turnpike.x0),
-                "g_terminal": _state_spec_to_json(self.turnpike.g_terminal),
-                "grid": _grid_to_dict(self.turnpike.grid),
-            }
-        if self.nplayer:
-            block: dict = {
-                "control": _control_to_dict(self.nplayer.control),
-                "x0": _state_spec_to_json(self.nplayer.x0),
-                "t_end": self.nplayer.t_end,
-            }
-            if self.nplayer.n_agents is not None:
-                block["n_agents"] = self.nplayer.n_agents
-            if self.nplayer.n_list is not None:
-                block["n_list"] = list(self.nplayer.n_list)
-                block["replications"] = self.nplayer.replications
-            out["nplayer"] = block
-        if self.sweep:
-            out["sweep"] = {
-                "axes": [{"path": a.path, "values": list(a.values)} for a in self.sweep.axes]
-            }
-        return out
+        """The scenario as read, with the seed in force (the manifest's echo)."""
+        return {**self.source, "seed": self.seed}
 
 
-def model_to_dict(p: ModelParams) -> dict:
-    return {
-        "d": p.d,
-        "lambda": p.lam,
-        "delta": p.delta,
-        "q_plus": p.q_plus.tolist(),
-        "q_minus": p.q_minus.tolist(),
-        "beta": p.beta.tolist(),
-        "w_I": p.w_I.tolist(),
-        "w_S": p.w_S.tolist(),
-    }
-
-
-def _grid_to_dict(g: GridSpec) -> dict:
-    out = {"t_start": g.t_start, "t_end": g.t_end}
-    if g.n_steps is not None:
-        out["n_steps"] = g.n_steps
-    return out
-
-
-def _control_to_dict(u: StationaryControl) -> dict:
-    if u.is_single:
-        return {"type": "single", "i": int(u.target_I[0]) + 1}
-    if u.is_mixed:
-        return {"type": "mixed", "i": int(u.target_I[0]) + 1, "k": int(u.target_S[0]) + 1}
-    return {
-        "type": "explicit",
-        "target_I": (u.target_I + 1).tolist(),
-        "target_S": (u.target_S + 1).tolist(),
-    }
-
-
-def _state_spec_to_json(spec):
-    if isinstance(spec, str):
-        return spec
-    return np.asarray(spec).tolist()
+def _leaves(value):
+    if isinstance(value, list):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
 
 
 class _Collector:
@@ -207,28 +135,47 @@ class _Collector:
     def number(self, where: str, obj: dict, key: str, default=None):
         if key not in obj:
             return default
-        v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.add(f"{where}.{key}", f"expected a number, got {type(v).__name__}")
-            return default
-        if not self.finite(f"{where}.{key}", v):
-            return default
-        return float(v)
+        arr = self.numbers(f"{where}.{key}", obj[key])
+        if arr is not None and arr.ndim:
+            self.add(f"{where}.{key}", "expected a number, got a list")
+            arr = None
+        return default if arr is None else float(arr)
 
-    def finite(self, where: str, value) -> bool:
-        """False, with an error, when a number or any entry of a nested list
-        of numbers is infinite or NaN (Python's json parser accepts the
-        Infinity and NaN literals).  Values that are not numeric pass here
-        and are reported by the type and shape checks."""
+    def numbers(self, where: str, value) -> np.ndarray | None:
+        """value, a number or a nested list of numbers, as a float array;
+        None, with an error, when an entry is not an int or a float (a bool
+        is neither), the lists are ragged, or an entry is not finite
+        (Python's json parser accepts the Infinity and NaN literals).  The
+        caller checks the shape."""
+        bad = [v for v in _leaves(value) if isinstance(v, bool) or not isinstance(v, (int, float))]
+        if bad:
+            self.add(where, f"expected numbers, got {type(bad[0]).__name__} {bad[0]!r}")
+            return None
         try:
             arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            return True
+        except ValueError:
+            self.add(where, "expected a number or equally long lists of numbers")
+            return None
+        except OverflowError:
+            self.add(where, "expected finite numbers, got an integer beyond float range")
+            return None
         bad = arr[~np.isfinite(arr)]
         if bad.size:
             self.add(where, f"expected finite numbers, got {bad.flat[0]}")
-            return False
-        return True
+            return None
+        return arr
+
+    def build(self, where: str, make, *args):
+        """make(*args), or None with an error: the runtime's constructors
+        raise ValueError on what they refuse, and the default grid rule
+        OverflowError when its step count is not finite."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            self.add(where, str(exc))
+        except OverflowError as exc:
+            self.add(where, f"no finite number of grid steps ({exc})")
+        return None
 
     def integer(self, where: str, obj: dict, key: str, default=None):
         if key not in obj:
@@ -249,23 +196,15 @@ def _parse_model(data, col: _Collector) -> ModelParams | None:
     if not col.expect_keys(where, data, required, set()):
         return None
     d = col.integer(where, data, "d")
-    if d is None:
-        return None
-    finite = [col.finite(f"{where}.{key}", data[key]) for key in sorted(required - {"d"})]
-    if not all(finite):
+    lam = col.number(where, data, "lambda")
+    delta = col.number(where, data, "delta")
+    arrays = {key: col.numbers(f"{where}.{key}", data[key])
+              for key in ("q_plus", "q_minus", "beta", "w_I", "w_S")}
+    if None in (d, lam, delta) or any(v is None for v in arrays.values()):
         return None
     try:
-        return ModelParams(
-            d=d,
-            lam=data["lambda"],
-            delta=data["delta"],
-            q_plus=data["q_plus"],
-            q_minus=data["q_minus"],
-            beta=data["beta"],
-            w_I=data["w_I"],
-            w_S=data["w_S"],
-        )
-    except (ValueError, TypeError) as exc:
+        return ModelParams(d=d, lam=lam, delta=delta, **arrays)
+    except ValueError as exc:
         for msg in str(exc).split("; "):
             col.add(where, msg)
         return None
@@ -299,56 +238,47 @@ def _parse_control(data, d: int, where: str, col: _Collector) -> StationaryContr
            for key in keys[kind]]
     if any(v is None for v in idx):
         return None
-    try:
-        if kind == "single":
-            return StationaryControl.single(d, *idx)
-        if kind == "mixed":
-            return StationaryControl.mixed(d, *idx)
-        return StationaryControl(*idx)
-    except (ValueError, TypeError) as exc:
-        col.add(where, str(exc))
-        return None
+    if kind == "explicit":
+        return col.build(where, StationaryControl, *idx)
+    return col.build(where, getattr(StationaryControl, kind), d, *idx)
 
 
-def _parse_state_spec(data, n_states: int, where: str, col: _Collector, tokens=("uniform",)):
-    if isinstance(data, str):
-        if data in tokens:
-            return data
+def _parse_state_spec(data, n_states: int, where: str, col: _Collector, tokens):
+    """A token, or a list of n_states finite numbers as a float array."""
+    if isinstance(data, str) and data in tokens:
+        return data
+    if not isinstance(data, list):
         col.add(where, f"expected one of {list(tokens)} or a list of {n_states} numbers")
         return None
-    if isinstance(data, list):
-        try:
-            arr = np.asarray(data, dtype=float)
-        except (TypeError, ValueError):
-            col.add(where, f"expected a list of {n_states} numbers")
-            return None
-        if arr.shape != (n_states,):
-            col.add(where, f"expected {n_states} entries, got {arr.shape}")
-            return None
-        return arr if col.finite(where, arr) else None
-    col.add(where, "expected a string token or a list of numbers")
-    return None
+    arr = col.numbers(where, data)
+    if arr is not None and arr.shape != (n_states,):
+        col.add(where, f"expected {n_states} entries, got shape {arr.shape}")
+        return None
+    return arr
 
 
-def _parse_x0(block: dict, n_states: int, where: str, col: _Collector,
+def _parse_x0(block: dict, d: int, where: str, col: _Collector,
               control: StationaryControl | None = None):
-    """Start state: a token, or a population state as MixedState checks it
-    at run time (entries >= 0 summing to 1 within SIMPLEX_TOL).  The
-    'stationary' token needs a fixed point, which only a uniform control has."""
+    """Start state: a MixedState ('uniform', or a vector MixedState accepts:
+    entries >= 0 summing to 1), or the token 'stationary', the fixed point
+    of the control, which only a uniform control has."""
     where = f"{where}.x0"
-    x0 = _parse_state_spec(block.get("x0"), n_states, where, col, tokens=("uniform", "stationary"))
-    if isinstance(x0, str) and x0 == "stationary" and not (control is None or control.is_uniform):
+    x0 = _parse_state_spec(block.get("x0"), 2 * d, where, col, ("uniform", "stationary"))
+    if isinstance(x0, np.ndarray):
+        return col.build(where, MixedState, x0)
+    if x0 == "uniform":
+        return MixedState.uniform(d)
+    if x0 == "stationary" and not (control is None or control.is_uniform):
         col.add(where, "'stationary' needs a uniform control (all target_I equal and all "
                        "target_S equal)")
-        return None
-    if isinstance(x0, np.ndarray) and (np.any(x0 < 0) or abs(float(x0.sum()) - 1.0) > SIMPLEX_TOL):
-        col.add(where, f"expected entries >= 0 summing to 1 within {SIMPLEX_TOL}, "
-                       f"got min {float(x0.min())!r}, sum {float(x0.sum())!r}")
         return None
     return x0
 
 
-def _parse_grid(data, where: str, col: _Collector) -> GridSpec | None:
+def _parse_grid(data, model: ModelParams, where: str, col: _Collector) -> TimeGrid | None:
+    """The grid the run integrates on: ``TimeGrid(t_start, t_end,
+    n_steps)``, or ``default_grid``'s without n_steps; None, with an error,
+    when it is refused or over the budget."""
     if not isinstance(data, dict):
         col.add(where, "expected an object")
         return None
@@ -356,30 +286,23 @@ def _parse_grid(data, where: str, col: _Collector) -> GridSpec | None:
     t0 = col.number(where, data, "t_start")
     t1 = col.number(where, data, "t_end")
     n = col.integer(where, data, "n_steps")
-    if t0 is None or t1 is None:
+    if t0 is None or t1 is None or (n is None and "n_steps" in data):
         return None
-    if not t1 > t0:
-        col.add(where, f"t_end ({t1}) must be > t_start ({t0})")
-        return None
-    if n is not None and n < 1:
-        col.add(f"{where}.n_steps", "must be >= 1")
-        return None
-    return GridSpec(t_start=t0, t_end=t1, n_steps=n)
+    if n is None:
+        grid = col.build(where, default_grid, model, t0, t1)
+    else:
+        grid = col.build(where, TimeGrid, t0, t1, n)
+    return grid if grid is not None and _within_budget(model, grid, where, col) else None
 
 
-def _within_budget(model: ModelParams, plan, where: str, col: _Collector) -> bool:
-    """False, with an error, when a path on the grid ``plan(model)``
-    returns, nodes x 2d entries, exceeds GRID_BUDGET.  No path is
-    allocated."""
-    try:
-        n_steps = plan(model).n_steps
-    except OverflowError:  # the default step underflows: no grid fits
-        n_steps = float("inf")
-    entries = (n_steps + 1) * model.n_states
+def _within_budget(model: ModelParams, grid: TimeGrid, where: str, col: _Collector) -> bool:
+    """False, with an error, when a path on the grid, nodes x 2d entries,
+    exceeds GRID_BUDGET.  No path is allocated."""
+    entries = (grid.n_steps + 1) * model.n_states
     if entries <= GRID_BUDGET:
         return True
-    col.add(where, f"{n_steps + 1} nodes x {model.n_states} states = {entries} entries exceed "
-                   f"the grid budget of {GRID_BUDGET}")
+    col.add(where, f"{grid.n_steps + 1} nodes x {model.n_states} states = {entries} entries "
+                   f"exceed the grid budget of {GRID_BUDGET}")
     return False
 
 
@@ -486,10 +409,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         elif run == "simulate":
             col.expect_keys(where, block, {"control", "x0", "grid"}, set())
             control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
-            x0 = _parse_x0(block, model.n_states, where, col, control)
-            grid = _parse_grid(block.get("grid"), f"{where}.grid", col)
-            if grid is not None and not _within_budget(model, grid.resolve, f"{where}.grid", col):
-                grid = None
+            x0 = _parse_x0(block, model.d, where, col, control)
+            grid = _parse_grid(block.get("grid"), model, f"{where}.grid", col)
             if control is not None and x0 is not None and grid is not None:
                 simulate = SimulateConfig(control=control, x0=x0, grid=grid)
         elif run == "turnpike":
@@ -498,14 +419,12 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             if strategy is not None and not 1 <= strategy <= model.d:
                 col.add(f"{where}.strategy", f"must be in [1, {model.d}] (1-based)")
                 strategy = None
-            x0 = _parse_x0(block, model.n_states, where, col)
-            gT = _parse_state_spec(
-                block.get("g_terminal"), model.n_states, f"{where}.g_terminal", col,
-                tokens=("stationary",),
-            )
-            grid = _parse_grid(block.get("grid"), f"{where}.grid", col)
-            if grid is not None and not _within_budget(model, grid.resolve, f"{where}.grid", col):
-                grid = None
+            x0 = _parse_x0(block, model.d, where, col)
+            gT = _parse_state_spec(block.get("g_terminal"), model.n_states,
+                                   f"{where}.g_terminal", col, ("stationary",))
+            if isinstance(gT, np.ndarray):
+                gT = col.build(f"{where}.g_terminal", ValueVector, gT)
+            grid = _parse_grid(block.get("grid"), model, f"{where}.grid", col)
             if None not in (strategy, grid) and x0 is not None and gT is not None:
                 turnpike = TurnpikeConfig(strategy=strategy - 1, x0=x0, g_terminal=gT, grid=grid)
         elif run == "nplayer":
@@ -513,7 +432,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                 where, block, {"control", "x0", "t_end"}, {"n_agents", "n_list", "replications"}
             )
             control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
-            x0 = _parse_x0(block, model.n_states, where, col, control)
+            x0 = _parse_x0(block, model.d, where, col, control)
             t_end = col.number(where, block, "t_end")
             n_agents = col.integer(where, block, "n_agents")
             reps = col.integer(where, block, "replications", default=1)
@@ -536,10 +455,10 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             if t_end is not None and t_end <= 0:
                 col.add(f"{where}.t_end", "must be > 0")
                 t_end = None
-            if t_end is not None and n_list is not None and not _within_budget(
-                model, lambda m: lln_reference_grid(m, t_end)[1], f"{where}.t_end", col
-            ):
-                t_end = None
+            if t_end is not None and n_list is not None:
+                ref = col.build(f"{where}.t_end", lln_reference_grid, model, t_end)
+                if ref is None or not _within_budget(model, ref[1], f"{where}.t_end", col):
+                    t_end = None
             if reps is not None and reps < 1:
                 col.add(f"{where}.replications", "must be >= 1")
                 reps = None
@@ -553,6 +472,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             col.expect_keys(where, block, {"axes"}, set())
             axes_raw = block.get("axes")
             axes: list[SweepAxis] = []
+            seen: dict[tuple, int] = {}  # parsed (name, indices) -> first axis
             if not isinstance(axes_raw, list) or not axes_raw:
                 col.add(f"{where}.axes", "expected a non-empty list of axes")
             else:
@@ -568,22 +488,23 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                         col.add(f"{awhere}.path", "expected a string")
                         continue
                     try:
-                        parse_sweep_path(path, model.d)
+                        target = parse_sweep_path(path, model.d)
                     except ValueError as exc:
                         col.add(f"{awhere}.path", str(exc))
                         continue
-                    if (
-                        not isinstance(values, list)
-                        or not values
-                        or not all(
-                            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-                        )
+                    if target in seen:
+                        col.add(f"{awhere}.path", f"'{path}' overrides the same entry as "
+                                                  f"{where}.axes[{seen[target]}]")
+                        continue
+                    seen[target] = a_idx
+                    if not isinstance(values, list) or not values or any(
+                        isinstance(v, list) for v in values
                     ):
                         col.add(f"{awhere}.values", "expected a non-empty list of numbers")
                         continue
-                    if not col.finite(f"{awhere}.values", values):
-                        continue
-                    axes.append(SweepAxis(path=path, values=tuple(float(v) for v in values)))
+                    values = col.numbers(f"{awhere}.values", values)
+                    if values is not None:
+                        axes.append(SweepAxis(path=path, values=tuple(values.tolist())))
                 if len(axes) == len(axes_raw):
                     sweep = SweepConfig(axes=tuple(axes))
                     _stationary_model_errors(model, sweep, col)
@@ -595,6 +516,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         model=model,
         run=run,
         seed=seed,
+        source=copy.deepcopy(data),
         output=output,
         simulate=simulate,
         turnpike=turnpike,

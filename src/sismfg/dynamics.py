@@ -74,9 +74,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not self.t_end > self.t_start:
-            raise ValueError("t_end must be > t_start")
+            raise ValueError(f"t_end ({self.t_end}) must be > t_start ({self.t_start})")
         if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+            raise ValueError(f"n_steps ({self.n_steps}) must be >= 1")
 
     @property
     def h(self) -> float:

@@ -1,10 +1,10 @@
 """Run orchestration and result persistence.
 
-Every run writes its artifacts plus a ``manifest.json`` (config echo, tool
-version, timestamps, artifact list, failures, and the run's summary: for
-an ``nplayer`` run with ``n_list`` this includes the integrator and step
-count of the LLN reference).  The manifest is written
-even when the run fails.  Numeric artifacts are deterministic functions of
+Every run writes its artifacts plus a ``manifest.json`` (the scenario as
+read with the seed in force, tool version, timestamps, artifact list,
+failures, and the run's summary: for an ``nplayer`` run with ``n_list``
+this includes the integrator and step count of the LLN reference).  The
+manifest is written even when the run fails.  Numeric artifacts are deterministic functions of
 (config, seed): floats are serialized with 17 significant digits, JSON keys
 are sorted, and sweep rows are emitted in grid order, so identical runs
 produce byte-identical numeric files (manifest timestamps excluded).
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,7 +41,7 @@ from .dynamics import (
     solve_turnpike,
     stationary_anchor,
 )
-from .model import MixedState, ModelParams, StationaryControl, ValueVector
+from .model import MixedState, ModelParams, StationaryControl
 from .nplayer import CountVector, lln_error, simulate_ctmc
 from .stationary import (
     ACCEPTED,
@@ -86,6 +87,21 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _json_cell(cell):
+    """A table cell as JSON: a number as a JSON number (the 17-digit text
+    parses back to the same double); labels, 'inf' and empty cells stay
+    strings."""
+    if not isinstance(cell, str):
+        return cell
+    for parse in (int, float):
+        try:
+            value = parse(cell)
+        except ValueError:
+            continue
+        return value if math.isfinite(value) else cell
+    return cell
+
+
 def _write_table(out_dir: Path, name: str, fmt_kind: str, header: list[str], rows) -> Path:
     """Bulk numeric table in the configured encoding (csv or json records)."""
     if fmt_kind == "csv":
@@ -93,7 +109,7 @@ def _write_table(out_dir: Path, name: str, fmt_kind: str, header: list[str], row
         _write_csv(path, header, rows)
     else:
         path = out_dir / f"{name}.json"
-        _write_json(path, {"columns": header, "rows": [list(r) for r in rows]})
+        _write_json(path, {"columns": header, "rows": [[_json_cell(c) for c in r] for r in rows]})
     return path
 
 
@@ -158,20 +174,17 @@ def _enumeration_json(result: EnumerationResult) -> dict:
     }
 
 
-def _resolve_x0(spec, p: ModelParams, u: StationaryControl) -> MixedState:
-    if isinstance(spec, str):
-        if spec == "uniform":
-            return MixedState.uniform(p.d)
-        if spec == "stationary":
-            i, k = u.as_pair()
-            if u.is_single:
-                return fixed_point_single(p, i)[1]
-            return fixed_point_mixed(p, i, k)[0]
-        raise ValueError(f"unknown x0 token {spec!r}")
-    return MixedState(np.asarray(spec, dtype=float))
+def _resolve_x0(x0: MixedState | str, p: ModelParams, u: StationaryControl) -> MixedState:
+    """The start state; the token 'stationary' is the fixed point of u."""
+    if not isinstance(x0, str):
+        return x0
+    i, k = u.as_pair()
+    if u.is_single:
+        return fixed_point_single(p, i)[1]
+    return fixed_point_mixed(p, i, k)[0]
 
 
-def run_equilibria(p: ModelParams, out_dir: Path, fmt_kind: str) -> tuple[dict[str, Path], dict]:
+def run_equilibria(p: ModelParams, out_dir: Path) -> tuple[dict[str, Path], dict]:
     result = enumerate_equilibria(p)
     path = out_dir / "equilibria.json"
     _write_json(path, _enumeration_json(result))
@@ -185,13 +198,12 @@ def run_equilibria(p: ModelParams, out_dir: Path, fmt_kind: str) -> tuple[dict[s
 def run_simulate(
     p: ModelParams, cfg: SimulateConfig, out_dir: Path, fmt_kind: str
 ) -> tuple[dict[str, Path], dict]:
-    grid = cfg.grid.resolve(p)
     x0 = _resolve_x0(cfg.x0, p, cfg.control)
-    x_path = integrate_forward(p, x0, cfg.control, grid)
+    x_path = integrate_forward(p, x0, cfg.control, cfg.grid)
     header = ["t"] + _state_labels(p.d, "x")
     rows = (
         [format(t, ".17g")] + [format(v, ".17g") for v in x]
-        for t, x in _chunked_rows(grid.times(), x_path)
+        for t, x in _chunked_rows(cfg.grid.times(), x_path)
     )
     path = _write_table(out_dir, "trajectory", fmt_kind, header, rows)
     return {"trajectory": path}, {"terminal": x_path[-1].tolist()}
@@ -228,16 +240,9 @@ def run_turnpike(
 ) -> tuple[dict[str, Path], dict]:
     i = cfg.strategy
     anchor = stationary_anchor(p, i)  # solved once: x0, g_T and the stats may all use it
-    if isinstance(cfg.x0, str) and cfg.x0 == "stationary":
-        x0 = anchor[0]
-    else:
-        x0 = _resolve_x0(cfg.x0, p, StationaryControl.single(p.d, i))
-    if isinstance(cfg.g_terminal, str):  # token 'stationary'
-        gT = anchor[1]
-    else:
-        gT = ValueVector(np.asarray(cfg.g_terminal, dtype=float))
-    grid = cfg.grid.resolve(p)
-    sol = solve_turnpike(p, i, x0, gT, grid, anchor)
+    x0 = anchor[0] if isinstance(cfg.x0, str) else cfg.x0  # str: the token 'stationary'
+    gT = anchor[1] if isinstance(cfg.g_terminal, str) else cfg.g_terminal
+    sol = solve_turnpike(p, i, x0, gT, cfg.grid, anchor)
     header = (
         ["t"] + _state_labels(p.d, "x") + _state_labels(p.d, "g") + ["cone_ok", "argmin_ok"]
     )
@@ -341,7 +346,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> ResultBundle:
     summary: dict = {}
     try:
         if cfg.run == "equilibria":
-            artifacts, summary = run_equilibria(cfg.model, out_dir, fmt_kind)
+            artifacts, summary = run_equilibria(cfg.model, out_dir)
         elif cfg.run == "simulate":
             artifacts, summary = run_simulate(cfg.model, cfg.simulate, out_dir, fmt_kind)
         elif cfg.run == "turnpike":

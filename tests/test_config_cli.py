@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,10 @@ import pytest
 from sismfg import ConfigError, StationaryControl, parse_config, run_scenario
 from sismfg.cli import main
 from sismfg.config import GRID_BUDGET, parse_config_dict
-from sismfg.stationary import enumerate_equilibria, fixed_point_single
+from sismfg.dynamics import TimeGrid, default_grid, stationary_anchor
+from sismfg.model import MixedState, ValueVector
+from sismfg.runs import fmt
+from sismfg.stationary import enumerate_equilibria, fixed_point_mixed, fixed_point_single
 
 from conftest import P0
 
@@ -560,3 +564,182 @@ def test_cli_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("SISMFG_OUTPUT_DIR", str(tmp_path / "envout"))
     assert main(["solve", str(REPO_CONFIGS / "p0_equilibria.json")]) == 0
     assert (tmp_path / "envout" / "equilibria.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# one number rule, duplicate axes, built objects, the manifest echo
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("model", "lambda", True),
+        ("model", "delta", True),
+        ("model", "lambda", "100"),
+        pytest.param("model", "lambda", 10**400, id="model-lambda-int-beyond-float"),
+        ("model", "q_plus", [True, True]),
+        ("model", "w_I", ["2", "3"]),
+        ("model", "beta", [[True, False], [False, False]]),
+        ("turnpike", "x0", [True, False, False, False]),
+        ("turnpike", "x0", ["0.25", "0.25", "0.25", "0.25"]),
+        ("turnpike", "g_terminal", [True, True, True, True]),
+        ("turnpike", "g_terminal", ["1", "2", "3", "4"]),
+    ],
+)
+def test_numeric_fields_take_only_numbers(tmp_path, block, key, value):
+    # every numeric field takes ints and floats only: json reads true as a
+    # bool and "100" as a string, and neither is a number of the scenario
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data[block][key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == [f"{block}.{key}"]
+    if value == 10**400:
+        assert "finite" in err.value.errors[0]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+def test_cli_seed_override_is_validated(capsys):
+    config = str(REPO_CONFIGS / "p0_nplayer.json")
+    assert main(["solve", config, "--seed", "-1", "--validate-only"]) == 1
+    assert "top level.seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["solve", config, "--seed", "3", "--validate-only"]) == 0
+
+
+@pytest.mark.parametrize(
+    "paths", [("lambda", "lambda"), ("beta[1][1]", "beta[01][01]"), ("w_I[2]", "w_I[02]")]
+)
+def test_duplicate_sweep_axes_rejected(tmp_path, paths):
+    # a later axis on the same entry would overwrite the earlier one
+    data = json.loads((REPO_CONFIGS / "sweep_beta11.json").read_text())
+    values = {"lambda": [[1.0, 2.0], [50.0, 100.0]], "beta": [[0.0, 0.1], [0.2, 0.3]],
+              "w_I": [[3.0, 3.5], [4.0, 4.5]]}[paths[0].split("[")[0]]
+    data["sweep"]["axes"] = [{"path": p, "values": v} for p, v in zip(paths, values)]
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == ["sweep.axes[1].path"]
+    assert "sweep.axes[0]" in err.value.errors[0]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [({"t_start": 1.0, "t_end": 0.0, "n_steps": 10}, "t_end (0.0) must be > t_start (1.0)"),
+     ({"t_start": 0.0, "t_end": 1.0, "n_steps": 0}, "n_steps (0) must be >= 1"),
+     ({"t_start": 1.0, "t_end": 1.0}, "t_end (1.0) must be > t_start (1.0)")],
+)
+def test_grid_refusals_reported_at_grid(grid, message):
+    data = json.loads((REPO_CONFIGS / "p0_simulate.json").read_text())
+    data["simulate"]["grid"] = grid
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert err.value.errors == [f"simulate.grid: {message}"]
+
+
+@pytest.mark.parametrize("run, where", [("simulate", "simulate.grid"),
+                                        ("nplayer", "nplayer.t_end")])
+def test_default_grid_overflow_refused_at_validation(run, where):
+    # at lambda = 1e308 the default step 0.1/lambda leaves no finite step count
+    data = json.loads((REPO_CONFIGS / f"p0_{run}.json").read_text())
+    data["model"]["lambda"] = 1e308
+    if run == "nplayer":
+        data[run].update(n_list=[10], replications=2)
+    else:
+        del data[run]["grid"]["n_steps"]
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == [where]
+
+
+def test_built_states_and_grids(p0):
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    cfg = parse_config_dict(data)
+    assert isinstance(cfg.turnpike.x0, MixedState) and cfg.turnpike.g_terminal == "stationary"
+    assert np.array_equal(cfg.turnpike.x0.x, MixedState.uniform(2).x)
+    assert cfg.turnpike.grid == TimeGrid(0.0, 50.0, 20000)
+    data["turnpike"]["g_terminal"] = [1.0, 2.0, 3.0, 4.0]
+    del data["turnpike"]["grid"]["n_steps"]
+    cfg = parse_config_dict(data)
+    assert isinstance(cfg.turnpike.g_terminal, ValueVector)
+    assert cfg.turnpike.g_terminal.g.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert cfg.turnpike.grid == default_grid(p0, 0.0, 50.0)
+
+
+def test_stationary_x0_under_mixed_control_starts_at_mixed_fixed_point(tmp_path, p0):
+    data = json.loads((REPO_CONFIGS / "p0_simulate.json").read_text())
+    data["simulate"].update(control={"type": "mixed", "i": 1, "k": 2}, x0="stationary",
+                            grid={"t_start": 0.0, "t_end": 1.0, "n_steps": 10})
+    bundle = run_scenario(parse_config_dict(data), tmp_path)
+    assert bundle.n_succeeded == 1
+    first = (tmp_path / "trajectory.csv").read_text().splitlines()[1].split(",")[1:]
+    assert first == [fmt(v) for v in fixed_point_mixed(p0, 0, 1)[0].x]
+
+
+def test_turnpike_explicit_anchor_states_reproduce_token_run(tmp_path, p0):
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["turnpike"].update(x0="stationary", g_terminal="stationary",
+                            grid={"t_start": 0.0, "t_end": 10.0, "n_steps": 2000})
+    assert run_scenario(parse_config_dict(data), tmp_path / "token").n_succeeded == 1
+    x_star, g_star = stationary_anchor(p0, 0)
+    data["turnpike"].update(x0=x_star.x.tolist(), g_terminal=g_star.g.tolist())
+    assert run_scenario(parse_config_dict(data), tmp_path / "explicit").n_succeeded == 1
+    token, explicit = ((tmp_path / d / "turnpike.csv").read_bytes() for d in ("token", "explicit"))
+    assert explicit == token
+
+
+@pytest.mark.parametrize("path", sorted(REPO_CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_echo_as_read(path):
+    data = json.loads(path.read_text())
+    assert parse_config(path).to_dict() == data
+    cfg = parse_config_dict(data)
+    data["model"]["beta"][0][0] = 1e3  # the echo is a copy, not the caller's object
+    assert cfg.to_dict()["model"]["beta"][0][0] != 1e3
+
+
+def test_manifest_echoes_scenario_with_seed_in_force(tmp_path):
+    data = minimal_d1()
+    data["model"]["lambda"] = 2  # an int stays an int; defaults are not filled in
+    cfg = parse_config_dict(data)
+    run_scenario(cfg, tmp_path / "a")
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["config"] == data and "output" not in manifest["config"]
+    run_scenario(replace(cfg, seed=7), tmp_path / "b")
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["config"] == {**data, "seed": 7}
+
+
+def _table_cells_match(csv_path: Path, json_path: Path) -> None:
+    lines = csv_path.read_text().splitlines()
+    table = json.loads(json_path.read_text())
+    assert table["columns"] == lines[0].split(",")
+    assert len(table["rows"]) == len(lines) - 1
+    for line, row in zip(lines[1:], table["rows"]):
+        for text, cell in zip(line.split(","), row, strict=True):
+            try:
+                number = float(text)
+            except ValueError:
+                number = None
+            if number is None or not np.isfinite(number):
+                assert cell == text  # labels, 'inf' and empty cells
+            else:
+                assert type(cell) in (int, float) and cell == number
+
+
+@pytest.mark.parametrize("name, update", [
+    ("p0_simulate", {"simulate": {"control": {"type": "single", "i": 1}, "x0": "uniform",
+                                  "grid": {"t_start": 0.0, "t_end": 2.0, "n_steps": 50}}}),
+    ("p0_nplayer", {"nplayer": {"control": {"type": "single", "i": 1}, "x0": "uniform",
+                                "t_end": 1.0, "n_agents": 40, "n_list": [10, 20],
+                                "replications": 2}}),
+    ("sweep_beta11", {"sweep": {"axes": [{"path": "lambda", "values": [50.0, 100.0]},
+                                         {"path": "beta[2][2]", "values": [0.05, 1e8]}]}}),
+])
+def test_json_tables_hold_numbers(tmp_path, name, update):
+    data = {**json.loads((REPO_CONFIGS / f"{name}.json").read_text()), **update}
+    csv_bundle = run_scenario(parse_config_dict(data), tmp_path / "csv")
+    data["output"] = {"format": "json"}
+    json_bundle = run_scenario(parse_config_dict(data), tmp_path / "json")
+    assert csv_bundle.artifacts.keys() == json_bundle.artifacts.keys()
+    for key, path in csv_bundle.artifacts.items():
+        if path.suffix == ".csv":
+            _table_cells_match(path, json_bundle.artifacts[key])

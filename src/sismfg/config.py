@@ -436,6 +436,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             t_end = col.number(where, block, "t_end")
             n_agents = col.integer(where, block, "n_agents")
             reps = col.integer(where, block, "replications", default=1)
+            # the jump loop holds agent counts as floats, which are exact up to 2**53
+            too_many = "must be <= 2**53, the largest agent count a run holds exactly"
             n_list = None
             if "n_list" in block:
                 raw = block["n_list"]
@@ -445,12 +447,17 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                     or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in raw)
                 ):
                     col.add(f"{where}.n_list", "expected a non-empty list of integers >= 1")
+                elif max(raw) > 2**53:
+                    col.add(f"{where}.n_list", too_many)
                 else:
                     n_list = tuple(raw)
-            if n_agents is None and n_list is None:
+            if "n_agents" not in block and "n_list" not in block:
                 col.add(where, "one of 'n_agents' or 'n_list' is required")
             if n_agents is not None and n_agents < 1:
                 col.add(f"{where}.n_agents", "must be >= 1")
+                n_agents = None
+            if n_agents is not None and n_agents > 2**53:
+                col.add(f"{where}.n_agents", too_many)
                 n_agents = None
             if t_end is not None and t_end <= 0:
                 col.add(f"{where}.t_end", "must be > 0")

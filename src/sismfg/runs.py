@@ -121,12 +121,6 @@ def _control_json(u: StationaryControl) -> dict:
     }
 
 
-def _complex_list(values: np.ndarray | None):
-    if values is None:
-        return None
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex)]
-
-
 def _equilibrium_json(sol: EquilibriumSolution) -> dict:
     m = sol.margins
     return {
@@ -142,9 +136,7 @@ def _equilibrium_json(sol: EquilibriumSolution) -> dict:
             "xi_pairs": None
             if sol.stability.xi_pairs is None
             else sol.stability.xi_pairs.tolist(),
-            "numerical_spectrum": _complex_list(sol.stability.numerical),
-            "closed_form_spectrum": _complex_list(sol.stability.closed_form),
-            "agreement": sol.stability.agreement,
+            "spectrum": [[float(v.real), float(v.imag)] for v in sol.stability.spectrum],
         },
         "margins": {
             "min_margin": m.min_margin,

@@ -12,7 +12,9 @@ asymptotic values and margins are cross-checks.
 All of it is one array kernel.  ``solve_points`` solves every candidate at
 every point of a ``ParamStack`` as one flat batch of (point, candidate)
 pairs: closed-form roots for the single family, a vectorized damped Newton
-for the mixed one, stacked 2x2 solves and stacked ``eigvals``.  The batch
+for the mixed one, stacked 2x2 solves, and spectra from the block-triangular
+Jacobian at a fixed point (``_block_spectra``: one 3x3 ``eigvals`` per mixed
+pair, closed forms for the rest).  The batch
 runs in blocks of at most ENTRY_BUDGET Jacobian entries, which bounds the
 kernel's working memory whatever the number of points or d.  Each pair
 ends with a status (accepted / rejected / failed) and, when it failed, the
@@ -45,12 +47,10 @@ from .model import (
     ValueVector,
     _interleave,
     effective_infection,
+    kinetic_jacobian,
     kinetic_jacobian_stack,
-    state_targets,
 )
 
-#: closed-form vs numerical spectrum disagreement treated as an internal error
-SPECTRUM_ERROR_TOL = 1e-6
 #: Newton convergence threshold on the reduced fixed-point system
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -296,117 +296,102 @@ def _uniform_targets(d: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     return target
 
 
-def _tangent_spectra(s: ParamStack, target: np.ndarray,
-                     x: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
-    """Sorted spectra of the population Jacobian restricted to the simplex
-    tangent space, per pair, and why each could not be computed, or None.
-
-    The tangent basis is e_m - e_last, and the restriction is well defined
-    because the RHS conserves mass.
-    """
-    n = x.shape[1]
-    basis = np.vstack([np.eye(n - 1), -np.ones(n - 1)])
-    gram = np.eye(n - 1) + 1.0  # basis columns share the last coordinate
-    tangent = np.linalg.solve(gram, basis.T @ (kinetic_jacobian_stack(s, target, x) @ basis))
-    failures: list[str | None] = [None] * x.shape[0]
-    try:
-        values = np.linalg.eigvals(tangent).astype(complex)
-    except np.linalg.LinAlgError:  # find the matrices that fail, one by one
-        values = np.full((x.shape[0], n - 1), np.nan, dtype=complex)
-        for m in range(x.shape[0]):
-            try:
-                values[m] = np.linalg.eigvals(tangent[m])
-            except np.linalg.LinAlgError as exc:
-                failures[m] = str(exc)
-    return _sorted_spectrum(values), failures
+def _tangent_map(jac: np.ndarray) -> np.ndarray:
+    """Stacked mass-conserving Jacobians restricted to the simplex tangent
+    space, in the basis e_a - e_last: J[:-1, :-1] - J[:-1, -1:]."""
+    return jac[..., :-1, :-1] - jac[..., :-1, -1:]
 
 
-def _single_closed_form(s: ParamStack, i: np.ndarray, x_star: np.ndarray, numerical: np.ndarray):
-    """Closed-form single-family spectrum and its check against the sorted
-    numerical one, per pair: (xi, pairs, sorted closed form, agreement,
-    mask of disagreements).
+def _block_spectra(s: ParamStack, i: np.ndarray, k: np.ndarray, x: np.ndarray):
+    """Sorted tangent spectra at the fixed points x of the controls
+    [i(I), k(S)], per pair: (spectra, xi_principal, xi_pairs, failures).
 
-    The principal eigenvalue is xi = (1 - 2 x_star) beta_ii - q_minus_i -
-    q_plus_i, and every j != i adds the pair (-lam - (q_plus_j + q_minus_j +
-    x_star beta_ij), -lam).  A disagreement beyond SPECTRUM_ERROR_TOL, or
-    beyond the rate roundoff when that is larger, is an error: eigvals
-    rounds at about eps times the largest Jacobian entry, which grows with
-    lam.
+    At such a fixed point every strategy other than i and k is empty, so
+    the Jacobian (``model.kinetic_jacobian_stack``) is block-triangular: the
+    occupied states (iI, iS, and kI, kS for the mixed family) form one
+    mass-conserving block, and each empty strategy j a 2x2 block with
+    eigenvalues -lam and -lam - (q_plus_j + q~_j).  The spectrum is that of
+    the occupied block's tangent map (1x1 for the single family, where it
+    is the principal eigenvalue xi; 3x3 for the mixed family) plus those
+    pairs.  xi_principal and xi_pairs, the pairs (-lam - (q_plus_j + q~_j),
+    -lam) of j != i, are NaN on mixed pairs.  failures[m] says why the
+    spectrum of pair m could not be computed, or is None.
     """
     m, d = i.size, s.d
     r = np.arange(m)
-    xi = (1.0 - 2.0 * x_star) * s.beta[r, i, i] - s.q_minus[r, i] - s.q_plus[r, i]
-    slow = -s.lam[:, None] - (s.q_plus + s.q_minus + x_star[:, None] * s.beta[r, i, :])
-    slow = slow[np.arange(d) != i[:, None]].reshape(m, d - 1)
+    sgl, mix = np.flatnonzero(i == k), np.flatnonzero(i != k)
+    occupied = np.stack([2 * i, 2 * i + 1, 2 * k, 2 * k + 1], axis=1)
+    jac = kinetic_jacobian_stack(s, _uniform_targets(d, i, k), x)
+    block = jac[r[:, None, None], occupied[:, :, None], occupied[:, None, :]]
+    slow = -s.lam[:, None] - (s.q_plus + effective_infection(s, x))
     pairs = np.stack([slow, np.broadcast_to(-s.lam[:, None], slow.shape)], axis=2)
-    closed = _sorted_spectrum(
-        np.concatenate([xi[:, None], pairs.reshape(m, 2 * d - 2)], axis=1).astype(complex)
-    )
-    agreement = np.abs(closed - numerical).max(axis=1)
-    bad = agreement > np.maximum(SPECTRUM_ERROR_TOL, s.rate_roundoff())
-    return xi, pairs, closed, agreement, bad
+    strategies = np.arange(d)
+    empty = (strategies != i[:, None]) & (strategies != k[:, None])
 
-
-def _disagreement(agreement: float, i: int) -> str:
-    return (f"closed-form and numerical spectra disagree by {agreement:.3e} "
-            f"at the single({i + 1}) fixed point")
+    values = np.empty((m, 2 * d - 1), dtype=complex)
+    xi_principal = np.full(m, np.nan)
+    xi_pairs = np.full((m, d - 1, 2), np.nan)
+    failures: list[str | None] = [None] * m
+    xi_principal[sgl] = _tangent_map(block[sgl, :2, :2])[:, 0, 0]
+    xi_pairs[sgl] = pairs[sgl][empty[sgl]].reshape(sgl.size, d - 1, 2)
+    values[sgl, 0] = xi_principal[sgl]
+    values[sgl, 1:] = xi_pairs[sgl].reshape(sgl.size, 2 * d - 2)
+    if mix.size:
+        values[mix, 3:] = pairs[mix][empty[mix]].reshape(mix.size, 2 * d - 4)
+        tangent = _tangent_map(block[mix])
+        try:
+            values[mix, :3] = np.linalg.eigvals(tangent)
+        except np.linalg.LinAlgError:  # find the matrices that fail, one by one
+            for q, t in zip(mix, tangent):
+                try:
+                    values[q, :3] = np.linalg.eigvals(t)
+                except np.linalg.LinAlgError as exc:
+                    values[q, :3] = np.nan
+                    failures[q] = str(exc)
+    return _sorted_spectrum(values), xi_principal, xi_pairs, failures
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Linearization spectrum at a fixed point, restricted to the simplex.
+    """Linearization spectrum at a fixed point, restricted to the simplex
+    tangent space and sorted by real part, then imaginary part.
 
-    closed_form / xi_principal / xi_pairs are populated for the single
-    family only; the mixed family is classified from the numerical spectrum.
-    Spectra are sorted by real part, then imaginary part.
+    xi_principal and xi_pairs (see ``_block_spectra``) are populated for the
+    single family only.
     """
 
-    numerical: np.ndarray
-    closed_form: np.ndarray | None
+    spectrum: np.ndarray
     xi_principal: float | None
     xi_pairs: np.ndarray | None
     max_real_part: float
     stable: bool
-    agreement: float | None
 
 
-def _stability_report(numerical: np.ndarray, closed_form=None, xi_principal=None, xi_pairs=None,
-                      agreement=None) -> StabilityReport:
-    """The report of one spectrum; the closed-form fields are given for
+def _stability_report(spectrum: np.ndarray, xi_principal=None, xi_pairs=None) -> StabilityReport:
+    """The report of one spectrum; xi_principal and xi_pairs are given for
     the single family only."""
-    max_real = float(max(v.real.max() for v in (numerical, closed_form) if v is not None))
+    max_real = float(spectrum.real.max())
     return StabilityReport(
-        numerical=numerical, closed_form=closed_form,
+        spectrum=spectrum,
         xi_principal=None if xi_principal is None else float(xi_principal), xi_pairs=xi_pairs,
         max_real_part=max_real, stable=max_real < 0.0,
-        agreement=None if agreement is None else float(agreement),
     )
 
 
-def _spectrum(s: ParamStack, target: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_tangent_spectra`` of one pair; RuntimeError when it fails."""
-    numerical, failures = _tangent_spectra(s, target, x)
-    if failures[0] is not None:
-        raise RuntimeError(failures[0])
-    return numerical
-
-
 def stability_single(p: ModelParams, i: int, x_star: float) -> StabilityReport:
-    """Spectrum at the single-family fixed point: the numerical tangent
-    spectrum, cross-checked against the closed form (``_single_closed_form``);
-    RuntimeError when they disagree."""
+    """Spectrum at the single-family fixed point with infected share x_star
+    (``_block_spectra`` of one pair)."""
     (i_,) = _pair(i)
-    s, shares = ParamStack.tile(p), np.array([x_star], dtype=float)
-    numerical = _spectrum(s, _uniform_targets(p.d, i_, i_), _single_states(p.d, i_, shares))
-    xi, pairs, closed, agreement, bad = _single_closed_form(s, i_, shares, numerical)
-    if bad[0]:
-        raise RuntimeError(_disagreement(agreement[0], i))
-    return _stability_report(numerical[0], closed[0], xi[0], pairs[0], agreement[0])
+    x = _single_states(p.d, i_, np.array([x_star], dtype=float))
+    spectrum, xi, pairs, _ = _block_spectra(ParamStack.tile(p), i_, i_, x)
+    return _stability_report(spectrum[0], xi[0], pairs[0])
 
 
 def stability_numerical(p: ModelParams, u: StationaryControl, x: MixedState) -> StabilityReport:
-    """Numerical-only spectrum (used for the mixed family)."""
-    return _stability_report(_spectrum(ParamStack.tile(p), state_targets(u)[None], x.x[None])[0])
+    """Spectrum of the population Jacobian restricted to the simplex tangent
+    space at any state x, by a dense eigen-solve of its tangent map."""
+    tangent = _tangent_map(kinetic_jacobian(p, u, x.x))
+    return _stability_report(_sorted_spectrum(np.linalg.eigvals(tangent).astype(complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -860,8 +845,8 @@ class PairSolutions:
     ``solved`` is False when a stage of the solve failed (``failure`` then
     says why and the numbers are not meaningful); a solved pair can still be
     FAILED when its margins accept it but the best response disagrees.
-    Single-family columns (closed_form, xi_principal, xi_pairs, agreement)
-    are NaN on mixed pairs.
+    The single-family columns xi_principal and xi_pairs are NaN on mixed
+    pairs.
     """
 
     i: np.ndarray
@@ -874,11 +859,9 @@ class PairSolutions:
     min_margin: np.ndarray
     degenerate: np.ndarray
     residual: np.ndarray
-    numerical: np.ndarray
-    closed_form: np.ndarray
+    spectrum: np.ndarray
     xi_principal: np.ndarray
     xi_pairs: np.ndarray
-    agreement: np.ndarray
     max_real_part: np.ndarray
 
     @classmethod
@@ -907,13 +890,12 @@ class PairSolutions:
     def solution(self, s: ParamStack, r: int, control: StationaryControl) -> "EquilibriumSolution":
         """The full solution of pair r; s holds the constants of its point."""
         i, k = int(self.i[r]), int(self.k[r])
-        closed = (self.closed_form[r], self.xi_principal[r], self.xi_pairs[r],
-                  self.agreement[r]) if i == k else ()
+        single = (self.xi_principal[r], self.xi_pairs[r]) if i == k else ()
         return EquilibriumSolution(
             control=control,
             x_star=MixedState(self.x[r]),
             g=ValueVector(self.g[r]),
-            stability=_stability_report(self.numerical[r], *closed),
+            stability=_stability_report(self.spectrum[r], *single),
             margins=_margins(s, i, k, self.x[r][None], self.g[r][None]),
             residual=float(self.residual[r]),
             degenerate=bool(self.degenerate[r]),
@@ -967,24 +949,17 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
     margin_I, margin_S = _exact_margins(i, k, g)
     min_margin, degenerate = _margin_summary(i, k, margin_I, margin_S)
 
-    # spectra, with the closed form of the single family
-    numerical = np.full((m, 2 * d - 1), np.nan, dtype=complex)
-    closed_form = np.full((m, 2 * d - 1), np.nan, dtype=complex)
+    # spectra
+    spectrum = np.full((m, 2 * d - 1), np.nan, dtype=complex)
     xi_principal = np.full(m, np.nan)
     xi_pairs = np.full((m, d - 1, 2), np.nan)
-    agreement = np.full(m, np.nan)
     live = np.flatnonzero(alive())
-    numerical[live], spectrum_failures = _tangent_spectra(
-        s.take(live), _uniform_targets(d, i[live], k[live]), x[live]
+    spectrum[live], xi_principal[live], xi_pairs[live], spectrum_failures = _block_spectra(
+        s.take(live), i[live], k[live], x[live]
     )
     for q, why in zip(live, spectrum_failures):
         failure[q] = why
-    sgl = live[single[live]]
-    xi_principal[sgl], xi_pairs[sgl], closed_form[sgl], agreement[sgl], bad = _single_closed_form(
-        s.take(sgl), i[sgl], x[sgl, 2 * i[sgl]], numerical[sgl]
-    )
-    fail(np.isin(r, sgl[bad]), lambda q: _disagreement(agreement[q], int(i[q])))
-    max_real_part = np.fmax(numerical.real.max(axis=1), closed_form.real.max(axis=1))
+    max_real_part = spectrum.real.max(axis=1)
 
     # stationarity residual: population RHS, value defect, best-response gap
     residual = np.maximum.reduce([
@@ -1005,8 +980,8 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
     return PairSolutions(
         i=i, k=k, status=status, solved=solved, failure=failure, x=x, g=g,
         min_margin=min_margin, degenerate=degenerate, residual=residual,
-        numerical=numerical, closed_form=closed_form, xi_principal=xi_principal,
-        xi_pairs=xi_pairs, agreement=agreement, max_real_part=max_real_part,
+        spectrum=spectrum, xi_principal=xi_principal, xi_pairs=xi_pairs,
+        max_real_part=max_real_part,
     )
 
 

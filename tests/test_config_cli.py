@@ -170,6 +170,23 @@ def test_negative_seed_rejected(tmp_path):
     assert parse_config_dict(data).seed == 0
 
 
+@pytest.mark.parametrize(
+    "key, value", [("n_agents", 10**20), ("n_agents", 2**53 + 1), ("n_list", [10, 10**20])]
+)
+def test_agent_counts_beyond_exact_floats_rejected(tmp_path, key, value):
+    # the jump loop holds agent counts and N as floats, exact up to 2**53;
+    # 10**20 overflowed the int64 counts and failed as "agent counts must be >= 0"
+    data = json.loads((REPO_CONFIGS / "p0_nplayer.json").read_text())
+    del data["nplayer"]["n_agents"]
+    data["nplayer"][key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == [f"nplayer.{key}"]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+    data["nplayer"][key] = 2**53 if key == "n_agents" else [10, 2**53]
+    assert parse_config_dict(data).nplayer is not None
+
+
 @pytest.mark.parametrize("run", ["simulate", "turnpike", "nplayer"])
 @pytest.mark.parametrize(
     "x0", [[0.5, 0.5, 0.5, 0.5], [0.75, 0.25, 0.25, -0.25], [0.25, 0.25, 0.25, 0.25 + 1e-9]]

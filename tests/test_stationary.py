@@ -14,9 +14,8 @@ from sismfg import (
 )
 from sismfg import stationary
 from sismfg.config import SweepAxis, sweep_grid
-from sismfg.model import ModelParams
+from sismfg.model import ModelParams, ParamStack
 from sismfg.stationary import (
-    SPECTRUM_ERROR_TOL,
     consistency_mixed,
     consistency_single,
     enumerate_equilibria,
@@ -39,11 +38,19 @@ from conftest import (
     P0_G1S,
     P0_XI_PRINCIPAL,
     P0_XSTAR,
+    _oracle_rate_roundoff,
+    _oracle_spectrum,
     oracle_enumerate,
     oracle_stationary_values,
     oracle_xstar,
     random_params,
 )
+
+
+def single_dense_gap(p, i, state, rep):
+    """Largest gap between a single-family spectrum and the dense reference."""
+    dense = _oracle_spectrum(p, StationaryControl.single(p.d, i), state.x)
+    return float(np.max(np.abs(rep.spectrum - dense)))
 
 
 def quadratic_value(p, i, y):
@@ -105,13 +112,13 @@ def test_fixed_point_certificates_random_draws():
 
 
 def test_stability_p0_principal_eigenvalue(p0):
-    x_star, _ = fixed_point_single(p0, 0)
+    x_star, state = fixed_point_single(p0, 0)
     rep = stability_single(p0, 0, x_star)
     assert rep.xi_principal == pytest.approx(P0_XI_PRINCIPAL, abs=1e-12)
     # spec-level arithmetic: (1 - 2 * 0.54951) * 0.2 - 1.0
     assert rep.xi_principal == pytest.approx(-1.01980, abs=1e-4)
     assert rep.stable
-    assert rep.agreement <= 1e-8
+    assert single_dense_gap(p0, 0, state, rep) <= 1e-8
 
 
 def test_stability_interaction_free_formula():
@@ -142,9 +149,9 @@ def test_stability_spectra_agree_large_lambda():
                         q_minus=rng.uniform(0.05, 2.0, d), beta=rng.uniform(0.0, 0.5, (d, d)),
                         w_I=w_S + rng.uniform(0.1, 3.0, d), w_S=w_S)
         for i in range(d):
-            x_star, _ = fixed_point_single(p, i)
+            x_star, state = fixed_point_single(p, i)
             rep = stability_single(p, i, x_star)
-            assert rep.agreement <= SPECTRUM_ERROR_TOL
+            assert single_dense_gap(p, i, state, rep) <= 1e-6
             assert rep.stable
 
 
@@ -153,9 +160,9 @@ def test_stability_spectra_agree_random_draws():
     for _ in range(60):
         p = random_params(rng)
         for i in range(p.d):
-            x_star, _ = fixed_point_single(p, i)
+            x_star, state = fixed_point_single(p, i)
             rep = stability_single(p, i, x_star)
-            assert rep.agreement <= 1e-8
+            assert single_dense_gap(p, i, state, rep) <= 1e-8
             assert rep.stable
 
 
@@ -442,8 +449,8 @@ def test_enumerate_finds_mixed_equilibrium():
     sol = mixed[0]
     assert sol.control == StationaryControl.mixed(2, 0, 1)
     assert not sol.degenerate and sol.margins.min_margin > 1e-3
-    assert sol.stability.stable  # numerically computed spectrum
-    assert sol.stability.closed_form is None
+    assert sol.stability.stable
+    assert sol.stability.xi_principal is None
     br, tie = best_response(sol.g)
     assert br == sol.control and not tie
 
@@ -489,9 +496,9 @@ def test_enumerate_accepts_single_at_large_lambda_small_discount():
 
 
 def test_enumerate_huge_lambda_spectra_within_rate_roundoff():
-    # eigvals rounds at about eps * lam: at lam = 1e10 the closed-form and
-    # numerical single-family spectra differ by 3.8e-6, above the absolute
-    # SPECTRUM_ERROR_TOL, which is not a failure of the candidate
+    # a dense eigen-solve rounds at about eps * lam: at lam = 1e10 it differs
+    # from the block spectrum of either single candidate by 3.8e-6, which is
+    # not a failure of the candidate
     p = ModelParams(**{**P0, "lam": 1e10})
     res = enumerate_equilibria(p)
     by_label = {r.control.label(): r for r in res.reports}
@@ -500,9 +507,9 @@ def test_enumerate_huge_lambda_spectra_within_rate_roundoff():
     assert by_label["single(1)"].status == "accepted"
     assert "single(1)" in [s.control.label() for s in res.equilibria]
     for i in range(2):
-        x_star, _ = fixed_point_single(p, i)
+        x_star, state = fixed_point_single(p, i)
         rep = stability_single(p, i, x_star)
-        assert rep.agreement <= 64 * np.finfo(float).eps * p.lam
+        assert single_dense_gap(p, i, state, rep) <= 64 * np.finfo(float).eps * p.lam
 
 
 def test_each_mixed_candidate_solved_once(p0, monkeypatch):
@@ -531,10 +538,11 @@ def test_each_mixed_candidate_solved_once(p0, monkeypatch):
 # batched kernel against the per-candidate oracle
 
 
-def assert_matches_oracle(p):
+def assert_matches_oracle(p, spectrum_tol=1e-10):
     """Same statuses and details as the pre-kernel loop, bitwise x and g
     for accepted candidates, other numbers to 1e-12 of the value scale and
-    spectra to 1e-10."""
+    spectra (against the dense and, for the single family, the closed-form
+    reference) to spectrum_tol."""
     res = enumerate_equilibria(p)
     expected = oracle_enumerate(p)
     assert [r.control for r in res.reports] == [e["control"] for e in expected]
@@ -554,11 +562,12 @@ def assert_matches_oracle(p):
         ref = exp["solution"]
         assert np.array_equal(sol.x_star.x, ref["x"])
         assert np.array_equal(sol.g.g, ref["g"])
-        assert np.max(np.abs(sol.stability.numerical - ref["numerical"])) <= 1e-10
-        assert sol.stability.max_real_part == pytest.approx(ref["max_real_part"], rel=0, abs=1e-10)
+        assert np.max(np.abs(sol.stability.spectrum - ref["numerical"])) <= spectrum_tol
+        assert sol.stability.max_real_part == pytest.approx(
+            ref["max_real_part"], rel=0, abs=spectrum_tol
+        )
         if ref["closed_form"] is not None:
-            assert np.max(np.abs(sol.stability.closed_form - ref["closed_form"])) <= 1e-10
-            assert sol.stability.agreement == pytest.approx(ref["agreement"], rel=0, abs=1e-10)
+            assert np.max(np.abs(sol.stability.spectrum - ref["closed_form"])) <= spectrum_tol
         assert sol.degenerate == ref["degenerate"]
     return res
 
@@ -581,7 +590,9 @@ def test_kernel_matches_oracle_failed_candidates(p0):
 
 
 def test_kernel_matches_oracle_huge_lambda():
-    assert_matches_oracle(ModelParams(**{**P0, "lam": 1e10}))
+    # the dense reference itself rounds at about eps * lam here
+    p = ModelParams(**{**P0, "lam": 1e10})
+    assert_matches_oracle(p, spectrum_tol=max(1e-10, _oracle_rate_roundoff(p)))
 
 
 def test_mixed_tie_not_rejected_on_value_residual():
@@ -605,12 +616,58 @@ def test_scalar_views_equal_kernel_rows(p0):
         i, k = sol.control.as_pair()
         one = stationary.solve_candidate(p0, sol.control)
         assert np.array_equal(one.x_star.x, sol.x_star.x) and np.array_equal(one.g.g, sol.g.g)
-        assert np.array_equal(one.stability.numerical, sol.stability.numerical)
+        assert np.array_equal(one.stability.spectrum, sol.stability.spectrum)
         margins = (consistency_single(p0, i, sol.x_star.x[2 * i], sol.g) if i == k
                    else consistency_mixed(p0, i, k, sol.x_star, sol.g))
         for name in ("margin_I", "margin_S", "asymptotic_margin_I", "asymptotic_margin_S",
                      "small_interaction_margin_I", "small_interaction_margin_S"):
             assert np.array_equal(getattr(margins, name), getattr(sol.margins, name))
+
+
+def assert_solved_pairs_match_dense(p):
+    """Every solved pair's spectrum, accepted or rejected, equals the dense
+    reference at its fixed point to 1e-10; returns the (mixed, status) seen."""
+    sol = solve_points(ParamStack.tile(p))
+    controls = stationary.candidate_controls(p.d)
+    seen = set()
+    for r in np.flatnonzero(sol.solved):
+        dense = _oracle_spectrum(p, controls[r], sol.x[r])
+        assert np.max(np.abs(sol.spectrum[r] - dense)) <= 1e-10
+        assert sol.max_real_part[r] == pytest.approx(dense.real.max(), rel=0, abs=1e-10)
+        seen.add((controls[r].is_mixed, stationary.STATUS_NAMES[sol.status[r]]))
+    return seen
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_every_solved_pair_matches_dense_spectrum(d):
+    rng = np.random.default_rng(300 + d)
+    seen = set()
+    for _ in range(10):
+        seen |= assert_solved_pairs_match_dense(random_params(rng, d))
+    families = (False,) if d == 1 else (False, True)
+    statuses = ("accepted",) if d == 1 else ("accepted", "rejected")
+    assert {(mixed, status) for mixed in families for status in statuses} <= seen
+
+
+def test_mixed_pair_with_six_empty_strategies_matches_dense_spectrum():
+    seen = assert_solved_pairs_match_dense(random_params(np.random.default_rng(308), 8))
+    assert (True, "rejected") in seen
+
+
+def test_kernel_eigen_solves_are_at_most_3x3(monkeypatch):
+    # a candidate's spectrum comes from its block-triangular Jacobian, so no
+    # dense (2d-1) x (2d-1) eigen-solve runs in the kernel
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        shapes.append(np.shape(a)[-2:])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    res = enumerate_equilibria(random_params(np.random.default_rng(406), 6))
+    assert len(res.reports) == 36
+    assert shapes and max(max(shape) for shape in shapes) <= 3
 
 
 #: the d = 3 model of the sweep benchmark: across (lambda, delta) its

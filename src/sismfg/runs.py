@@ -173,7 +173,7 @@ def _resolve_x0(x0: MixedState | str, p: ModelParams, u: StationaryControl) -> M
     i, k = u.as_pair()
     if u.is_single:
         return fixed_point_single(p, i)[1]
-    return fixed_point_mixed(p, i, k)[0]
+    return fixed_point_mixed(p, i, k)
 
 
 def run_equilibria(p: ModelParams, out_dir: Path) -> tuple[dict[str, Path], dict]:

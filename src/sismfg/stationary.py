@@ -11,12 +11,13 @@ asymptotic values and margins are cross-checks.
 
 All of it is one array kernel.  ``solve_points`` solves every candidate at
 every point of a ``ParamStack`` as one flat batch of (point, candidate)
-pairs: closed-form roots for the single family, a vectorized damped Newton
-for the mixed one, stacked 2x2 solves, and spectra from the block-triangular
-Jacobian at a fixed point (``_block_spectra``: one 3x3 ``eigvals`` per mixed
-pair, closed forms for the rest).  The batch
-runs in blocks of at most ENTRY_BUDGET Jacobian entries, which bounds the
-kernel's working memory whatever the number of points or d.  Each pair
+pairs: closed-form roots for the single family, a bracketed bisection for
+the mixed one (its stationary state always exists), stacked 2x2 solves, and
+spectra from the block-triangular Jacobian at a fixed point
+(``_block_spectra``: one 3x3 ``eigvals`` per mixed pair, closed forms for
+the rest).  The batch runs in blocks whose per-pair copies of beta hold at
+most ENTRY_BUDGET entries, which bounds the kernel's working memory
+whatever the number of points or d.  Each pair
 ends with a status (accepted / rejected / failed) and, when it failed, the
 reason.  ``enumerate_equilibria`` runs the kernel on one model, and a sweep
 (``runs.run_sweep``) on all of its grid points at once.  The scalar
@@ -33,6 +34,7 @@ exceptions.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -51,16 +53,12 @@ from .model import (
     kinetic_jacobian_stack,
 )
 
-#: Newton convergence threshold on the reduced fixed-point system
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 100
-NEWTON_MAX_HALVINGS = 30
 #: residual bound certifying an exact linear solve of the stationary values
 VALUE_RESIDUAL_TOL = 1e-10
 #: residual bound for accepting an equilibrium
 EQUILIBRIUM_RESIDUAL_TOL = 1e-8
-#: most Jacobian entries the kernel holds at once: a block takes
-#: max(1, ENTRY_BUDGET // (2d)^2) pairs
+#: most entries of beta a block holds, one d x d copy per pair (``ParamStack.take``):
+#: a block takes max(1, ENTRY_BUDGET // d^2) pairs
 ENTRY_BUDGET = 1 << 15
 
 #: status codes of a solved pair, indexes into STATUS_NAMES
@@ -92,40 +90,35 @@ def _roundoff_floor(s: ParamStack, g: np.ndarray) -> np.ndarray:
     return s.rate_roundoff() * np.maximum(1.0, np.abs(g).max(axis=1))
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked solve of a[m] y = b[m] for vectors b, and the mask of the
-    systems that were not singular (their solutions are NaN)."""
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked solve of a[m] y = b[m] for vectors b; the solutions of
+    singular systems are NaN."""
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(a.shape[0], dtype=bool)
+        return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:  # some matrix is singular: find which, one by one
         out = np.full(b.shape, np.nan)
-        ok = np.ones(a.shape[0], dtype=bool)
         for m in range(a.shape[0]):
-            try:
+            with contextlib.suppress(np.linalg.LinAlgError):
                 out[m] = np.linalg.solve(a[m], b[m])
-            except np.linalg.LinAlgError:
-                ok[m] = False
-        return out, ok
+        return out
 
 
 # ---------------------------------------------------------------------------
 # fixed points
 
 
-def _share_quadratic(s: ParamStack, i: np.ndarray, k: np.ndarray):
+def _share_quadratic(s: ParamStack, i: np.ndarray):
     """Per pair, the coefficients (a, b, c) of a y^2 + b y + c for the
-    stationary infected share, with pressure pair (q_plus[i], q_minus[k])
-    and self-interaction beta[i, k]."""
+    stationary infected share of the all-to-i control."""
     r = np.arange(s.n)
-    beta = s.beta[r, i, k]
-    return beta, s.q_plus[r, i] - beta + s.q_minus[r, k], -s.q_minus[r, k]
+    beta = s.beta[r, i, i]
+    return beta, s.q_plus[r, i] - beta + s.q_minus[r, i], -s.q_minus[r, i]
 
 
-def infected_share_quadratic(p: ModelParams, i: int, k: int) -> tuple[float, float, float]:
+def infected_share_quadratic(p: ModelParams, i: int) -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the reduced quadratic a y^2 + b y + c for the
-    stationary infected share, with the pressure pair (q_plus[i], q_minus[k])
-    and self-interaction beta[i, k].  The single-control case is k == i."""
-    a, b, c = _share_quadratic(ParamStack.tile(p), *_pair(i, k))
+    stationary infected share under the all-to-i control."""
+    a, b, c = _share_quadratic(ParamStack.tile(p), *_pair(i))
     return float(a[0]), float(b[0]), float(c[0])
 
 
@@ -160,82 +153,43 @@ def fixed_point_single(p: ModelParams, i: int) -> tuple[float, MixedState]:
     all mass sits on strategy i, and every other coordinate is zero.
     """
     (i_,) = _pair(i)
-    x_star = _quadratic_root_unit(*_share_quadratic(ParamStack.tile(p), i_, i_))
+    x_star = _quadratic_root_unit(*_share_quadratic(ParamStack.tile(p), i_))
     return float(x_star[0]), MixedState(_single_states(p.d, i_, x_star)[0])
 
 
-@dataclass(frozen=True)
-class NewtonInfo:
-    iterations: int
-    residual: float
-
-
-def _newton_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray):
-    """Damped Newton for the reduced mixed fixed point, entry by entry.
+def _mixed_shares(s: ParamStack, i: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x_iI, x_kI) of the mixed fixed point, per pair, by bisection.
 
     Only strategies i and k are populated and the reduction forces
-    x_kI = x_iS and x_kS = 1 - x_iI - 2 x_kI, leaving two equations in
-    (x_iI, x_kI), seeded with the large-lam asymptotics: x_iI from the
-    reduced quadratic with the (q_plus[i], q_minus[k]) pressure pair,
-    x_kI = x_iI q_plus[i] / lam.  Each entry keeps its own step halvings and
-    stops when its residual is below NEWTON_TOL.  Returns x_iI, x_kI, the
-    iteration counts, the residuals and the mask of entries whose Newton
-    matrix was singular.
+    x_iS = x_kI = y and x_kS = 1 - x_iI - 2y.  The first equation gives
+    x_iI(y) = y (q_minus_i + lam + beta_ki y) / (q_plus_i - beta_ii y), and
+    the second becomes one scalar equation
+        f(y) = x_kS (q_minus_k + beta_kk y + beta_ik x_iI) - (lam + q_plus_k) y.
+    f(0) = q_minus_k > 0 and f(y_b) < 0 at the smaller positive root y_b of
+    (q_plus_i - beta_ii y) x_kS(y), and every point of [0, y_b] is on the
+    simplex, so a root is bracketed there.  y_b takes the cancellation-free
+    form of ``_quadratic_root_unit``.  The bisection runs until every
+    midpoint equals an endpoint (an endpoint keeps its sign of f, so a pair
+    that is done stays put) and returns the lower ends, where f > 0 and so
+    x_kS > 0.
     """
     r = np.arange(s.n)
-    coef = np.stack([  # one row per coefficient, one column per entry
-        s.lam, s.q_plus[r, i], s.q_plus[r, k], s.q_minus[r, i], s.q_minus[r, k],
-        s.beta[r, i, i], s.beta[r, k, i], s.beta[r, i, k], s.beta[r, k, k],
-    ])
+    qpi, qmk = s.q_plus[r, i], s.q_minus[r, k]
+    bii, bki, bik, bkk = s.beta[r, i, i], s.beta[r, k, i], s.beta[r, i, k], s.beta[r, k, k]
+    inflow_i, outflow_k = s.q_minus[r, i] + s.lam, s.lam + s.q_plus[r, k]
 
-    def residual(c, v):
-        lam, qpi, qpk, qmi, qmk, bii, bki, bik, bkk = c
-        xiI, xkI = v
-        xkS = 1.0 - xiI - 2.0 * xkI
-        return np.array([
-            xkI * qmi - xiI * qpi + xkI * xiI * bii + xkI * xkI * bki + lam * xkI,
-            xkS * (qmk + xkI * bkk + xiI * bik) - (lam + qpk) * xkI,
-        ])
+    def share_i(y):
+        return y * (inflow_i + bki * y) / (qpi - bii * y)
 
-    def jacobian(c, v):
-        lam, qpi, qpk, qmi, qmk, bii, bki, bik, bkk = c
-        xiI, xkI = v
-        xkS = 1.0 - xiI - 2.0 * xkI
-        press = qmk + xkI * bkk + xiI * bik
-        return np.array([
-            [-qpi + xkI * bii, qmi + xiI * bii + 2.0 * xkI * bki + lam],
-            [-press + xkS * bik, -2.0 * press + xkS * bkk - (lam + qpk)],
-        ]).transpose(2, 0, 1)
-
-    x_iI = _quadratic_root_unit(*_share_quadratic(s, i, k))
-    v = np.array([x_iI, x_iI * coef[1] / coef[0]])  # (x_iI, x_kI) per column
-    res = residual(coef, v)
-    norm = np.abs(res).max(axis=0)
-    iterations = np.zeros(s.n, dtype=np.int64)
-    singular = np.zeros(s.n, dtype=bool)
-    live = r
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        iterations[live] = it
-        live = live[~(norm[live] < NEWTON_TOL)]
-        if not live.size:
-            break
-        step, ok = _solve_stack(jacobian(coef[:, live], v[:, live]), res[:, live].T)
-        singular[live[~ok]] = True
-        live, step = live[ok], step[ok].T
-        c, v_old, norm_old = coef[:, live], v[:, live], norm[live]
-        v_new = v_old - step  # the full step, then halvings for the entries it does not improve
-        res_new = residual(c, v_new)
-        norm_new = np.abs(res_new).max(axis=0)
-        pending = np.flatnonzero(~(norm_new < norm_old))
-        for halving in range(1, NEWTON_MAX_HALVINGS):
-            if not pending.size:
-                break
-            v_new[:, pending] = v_old[:, pending] - 0.5 ** halving * step[:, pending]
-            res_new[:, pending] = residual(c[:, pending], v_new[:, pending])
-            norm_new[pending] = np.abs(res_new[:, pending]).max(axis=0)
-            pending = pending[~(norm_new[pending] < norm_old[pending])]
-        v[:, live], res[:, live], norm[live] = v_new, res_new, norm_new
-    return v[0], v[1], iterations, norm, singular
+    b = bii + 2.0 * qpi + inflow_i
+    lo, hi = np.zeros(s.n), 2.0 * qpi / (b + np.sqrt(b * b - 4.0 * (2.0 * bii - bki) * qpi))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return share_i(lo), lo
+        xiI = share_i(mid)
+        up = (1.0 - xiI - 2.0 * mid) * (qmk + bkk * mid + bik * xiI) - outflow_k * mid > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
 
 
 def _mixed_states(d: int, i: np.ndarray, k: np.ndarray, x_iI: np.ndarray,
@@ -249,33 +203,13 @@ def _mixed_states(d: int, i: np.ndarray, k: np.ndarray, x_iI: np.ndarray,
     return x
 
 
-def _mixed_failures(i, k, x, iterations, norm, singular) -> list[str | None]:
-    """Why each mixed fixed point is unusable, or None."""
-    out: list[str | None] = [None] * i.size
-    for r in np.flatnonzero(singular | (norm >= NEWTON_TOL) | np.any(x < 0, axis=1)):
-        if singular[r]:
-            out[r] = "Singular matrix"
-        elif norm[r] >= NEWTON_TOL:
-            out[r] = (f"mixed fixed point Newton did not converge for (i={i[r]}, k={k[r]}); "
-                      f"residual {norm[r]:.3e} after {iterations[r]} iterations")
-        else:
-            out[r] = f"mixed fixed point left the simplex for (i={i[r]}, k={k[r]}): {x[r].tolist()}"
-    return out
-
-
-def fixed_point_mixed(p: ModelParams, i: int, k: int) -> tuple[MixedState, NewtonInfo]:
+def fixed_point_mixed(p: ModelParams, i: int, k: int) -> MixedState:
     """Stationary state under the mixed control [i(I), k(S)], k != i, by the
-    damped Newton of the kernel (see ``_newton_mixed``); RuntimeError when
-    it does not converge or leaves the simplex."""
+    bisection of the kernel (see ``_mixed_shares``); one always exists."""
     if k == i:
         raise ValueError("mixed fixed point requires k != i")
     i_, k_ = _pair(i, k)
-    x_iI, x_kI, iterations, norm, singular = _newton_mixed(ParamStack.tile(p), i_, k_)
-    x = _mixed_states(p.d, i_, k_, x_iI, x_kI)
-    failure = _mixed_failures(i_, k_, x, iterations, norm, singular)[0]
-    if failure is not None:
-        raise RuntimeError(failure)
-    return MixedState(x[0]), NewtonInfo(iterations=int(iterations[0]), residual=float(norm[0]))
+    return MixedState(_mixed_states(p.d, i_, k_, *_mixed_shares(ParamStack.tile(p), i_, k_))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +220,6 @@ def _sorted_spectrum(values: np.ndarray) -> np.ndarray:
     """Each row sorted by real part, then imaginary part."""
     order = np.lexsort((values.imag, values.real), axis=-1)
     return np.take_along_axis(values, order, axis=-1)
-
-
-def _uniform_targets(d: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """``model.state_targets`` of the control [i(I), k(S)], per pair."""
-    target = np.empty((i.size, 2 * d), dtype=np.int64)
-    target[:, 0::2] = 2 * i[:, None]
-    target[:, 1::2] = 2 * k[:, None] + 1
-    return target
 
 
 def _tangent_map(jac: np.ndarray) -> np.ndarray:
@@ -307,22 +233,28 @@ def _block_spectra(s: ParamStack, i: np.ndarray, k: np.ndarray, x: np.ndarray):
     [i(I), k(S)], per pair: (spectra, xi_principal, xi_pairs, failures).
 
     At such a fixed point every strategy other than i and k is empty, so
-    the Jacobian (``model.kinetic_jacobian_stack``) is block-triangular: the
-    occupied states (iI, iS, and kI, kS for the mixed family) form one
-    mass-conserving block, and each empty strategy j a 2x2 block with
-    eigenvalues -lam and -lam - (q_plus_j + q~_j).  The spectrum is that of
-    the occupied block's tangent map (1x1 for the single family, where it
-    is the principal eigenvalue xi; 3x3 for the mixed family) plus those
-    pairs.  xi_principal and xi_pairs, the pairs (-lam - (q_plus_j + q~_j),
-    -lam) of j != i, are NaN on mixed pairs.  failures[m] says why the
-    spectrum of pair m could not be computed, or is None.
+    the Jacobian is block-triangular: the occupied states (iI, iS, and kI,
+    kS for the mixed family) form one mass-conserving block, and each empty
+    strategy j a 2x2 block with eigenvalues -lam and -lam - (q_plus_j + q~_j).
+    The occupied block is the Jacobian (``model.kinetic_jacobian_stack``) of
+    the two-strategy sub-model (i, k) under the control [0(I), 1(S)], with
+    the duplicate strategy of a single pair empty.  The spectrum is that of
+    its tangent map (1x1 for the single family, where it is the principal
+    eigenvalue xi; 3x3 for the mixed family) plus those pairs.
+    xi_principal and xi_pairs, the pairs (-lam - (q_plus_j + q~_j), -lam)
+    of j != i, are NaN on mixed pairs.  failures[m] says why the spectrum
+    of pair m could not be computed, or is None.
     """
     m, d = i.size, s.d
-    r = np.arange(m)
     sgl, mix = np.flatnonzero(i == k), np.flatnonzero(i != k)
-    occupied = np.stack([2 * i, 2 * i + 1, 2 * k, 2 * k + 1], axis=1)
-    jac = kinetic_jacobian_stack(s, _uniform_targets(d, i, k), x)
-    block = jac[r[:, None, None], occupied[:, :, None], occupied[:, None, :]]
+    ik, rows = np.stack([i, k], axis=1), np.arange(m)[:, None]
+    sub = ParamStack(s.lam, s.delta, s.q_plus[rows, ik], s.q_minus[rows, ik],
+                     s.beta[rows[..., None], ik[:, :, None], ik[:, None, :]],
+                     s.w_I[rows, ik], s.w_S[rows, ik])
+    sub_x = x[rows, np.stack([2 * i, 2 * i + 1, 2 * k, 2 * k + 1], axis=1)]
+    sub_x[sgl, 2:] = 0.0
+    targets = np.broadcast_to([0, 3, 0, 3], (m, 4))  # ``state_targets`` of [0(I), 1(S)]
+    block = kinetic_jacobian_stack(sub, targets, sub_x)
     slow = -s.lam[:, None] - (s.q_plus + effective_infection(s, x))
     pairs = np.stack([slow, np.broadcast_to(-s.lam[:, None], slow.shape)], axis=2)
     strategies = np.arange(d)
@@ -465,7 +397,7 @@ def _values_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray,
     mat[..., 1, 0] = -qt
     mat[..., 1, 1] = lam + delta + qt
     rhs = np.stack([lam * g_iI[:, None] + s.w_I, lam * g_kS[:, None] + s.w_S], axis=2)
-    g = _solve_stack(mat.reshape(-1, 2, 2), rhs.reshape(-1, 2))[0].reshape(i.size, 2 * s.d)
+    g = _solve_stack(mat.reshape(-1, 2, 2), rhs.reshape(-1, 2)).reshape(i.size, 2 * s.d)
     g[r, 2 * i], g[r, 2 * i + 1] = g_iI, g_iS
     g[r, 2 * k], g[r, 2 * k + 1] = g_kI, g_kS
     return g, det == 0.0
@@ -906,8 +838,8 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
     """Solve the pairs of one block: row m of s holds the constants of pair
     m, whose candidate is [i[m](I), k[m](S)].
 
-    The stages and their failures follow one pair's solve in order: fixed
-    point, values and their certificate, spectrum, residual, acceptance.
+    The stages follow one pair's solve in order: fixed point (which always
+    exists), values and their certificate, spectrum, residual, acceptance.
     The first failure of a pair is its detail, and later stages skip it.
     """
     m, d = i.size, s.d
@@ -926,21 +858,15 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
     # fixed points
     x = np.zeros((m, 2 * d))
     sgl, mix = np.flatnonzero(single), np.flatnonzero(~single)
-    shares = _quadratic_root_unit(*_share_quadratic(s.take(sgl), i[sgl], i[sgl]))
-    x[sgl] = _single_states(d, i[sgl], shares)
-    if mix.size:
-        x_iI, x_kI, *newton = _newton_mixed(s.take(mix), i[mix], k[mix])
-        x[mix] = _mixed_states(d, i[mix], k[mix], x_iI, x_kI)
-        for q, why in zip(mix, _mixed_failures(i[mix], k[mix], x[mix], *newton)):
-            failure[q] = why
+    s_sgl, s_mix = s.take(sgl), s.take(mix)
+    x[sgl] = _single_states(d, i[sgl], _quadratic_root_unit(*_share_quadratic(s_sgl, i[sgl])))
+    x[mix] = _mixed_states(d, i[mix], k[mix], *_mixed_shares(s_mix, i[mix], k[mix]))
 
     # values, certified by the value defect
     qt = effective_infection(s, x)
-    g = np.full((m, 2 * d), np.nan)
-    finite = alive() & np.isfinite(x).all(axis=1)
-    sgl, mix = np.flatnonzero(finite & single), np.flatnonzero(finite & ~single)
-    g[sgl] = _values_single(s.take(sgl), i[sgl], x[sgl, 2 * i[sgl]])
-    g[mix], singular = _values_mixed(s.take(mix), i[mix], k[mix], qt[mix])
+    g = np.empty((m, 2 * d))
+    g[sgl] = _values_single(s_sgl, i[sgl], x[sgl, 2 * i[sgl]])
+    g[mix], singular = _values_mixed(s_mix, i[mix], k[mix], qt[mix])
     fail(np.isin(r, mix[singular]), lambda q: _SINGULAR_VALUES)
     fail(~np.isfinite(g).all(axis=1), lambda q: "value vector entries must be finite")
     with np.errstate(invalid="ignore"):
@@ -1022,15 +948,16 @@ def solve_points(points: ParamStack) -> PairSolutions:
 
     Pairs are in point order, and within a point in the order of
     ``candidate_pairs``.  They are solved in blocks of at most
-    max(1, ENTRY_BUDGET // (2d)^2) pairs, so the working memory is bounded
-    whatever the number of points.
+    max(1, ENTRY_BUDGET // d^2) pairs, as each pair holds its own copy of
+    the d x d beta, so the working memory is bounded whatever the number
+    of points.
     """
     if not np.all(points.delta > 0):
         raise ValueError(_NEEDS_DISCOUNT)
     d = points.d
     cand_i, cand_k = candidate_pairs(d)
     n_pairs = points.n * cand_i.size
-    per_block = max(1, ENTRY_BUDGET // (2 * d) ** 2)
+    per_block = max(1, ENTRY_BUDGET // d**2)
     blocks = []
     for start in range(0, n_pairs, per_block):
         point, cand = np.divmod(np.arange(start, min(start + per_block, n_pairs)), cand_i.size)

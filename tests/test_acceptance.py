@@ -76,7 +76,7 @@ def draw_certificates():
         p = random_params(rng)
         for i in range(p.d):
             x_star, state = fixed_point_single(p, i)
-            a, b, c = infected_share_quadratic(p, i, i)
+            a, b, c = infected_share_quadratic(p, i)
             worst["quadratic"] = max(
                 worst["quadratic"], abs(a * x_star * x_star + b * x_star + c)
             )
@@ -90,8 +90,8 @@ def draw_certificates():
                 if k == i:
                     continue
                 try:
-                    x, _ = fixed_point_mixed(p, i, k)
-                except RuntimeError:
+                    x = fixed_point_mixed(p, i, k)
+                except ValueError:  # the state left the simplex
                     worst["failures"] += 1
                     continue
                 if x.x_I(k) != x.x_S(i):
@@ -139,7 +139,7 @@ def test_criterion_03_asymptotic_order():
         exact = hjb_single_exact(p, 0, x_star)
         asym = hjb_single_asymptotic(p, 0, x_star)
         errs_single.append(np.max(np.abs(exact.g[2:] - asym.values.g[2:])))
-        x, _ = fixed_point_mixed(p, 0, 1)
+        x = fixed_point_mixed(p, 0, 1)
         m_exact = hjb_mixed_exact(p, 0, 1, x)
         m_asym = hjb_mixed_asymptotic(p, 0, 1, x)
         errs_mixed.append(np.max(np.abs(m_exact.g - m_asym.values.g)))
@@ -170,7 +170,7 @@ def test_criterion_04_zero_discount_degeneracy():
                         beta=q.beta, w_I=q.w_I, w_S=q.w_S)
         )
     for p in cases:
-        x, _ = fixed_point_mixed(p, 0, 1)
+        x = fixed_point_mixed(p, 0, 1)
         fo = hjb_mixed_asymptotic(p, 0, 1, x).first_order
         worst = max(worst, abs(fo.cross_margin_I), abs(fo.cross_margin_S))
     ok = worst <= 1e-10

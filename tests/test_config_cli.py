@@ -12,7 +12,7 @@ from sismfg import ConfigError, StationaryControl, parse_config, run_scenario
 from sismfg.cli import main
 from sismfg.config import GRID_BUDGET, parse_config_dict
 from sismfg.dynamics import TimeGrid, default_grid, stationary_anchor
-from sismfg.model import MixedState, ValueVector
+from sismfg.model import MixedState, ModelParams, ValueVector
 from sismfg.runs import fmt
 from sismfg.stationary import enumerate_equilibria, fixed_point_mixed, fixed_point_single
 
@@ -463,8 +463,9 @@ def test_sweep_run_monotone_share(tmp_path):
 def test_sweep_rows_equal_per_point_enumeration(tmp_path, monkeypatch):
     # the kernel solves all points' candidates in blocks; with a small
     # budget the grid spans many blocks, and every row must still be the
-    # summary of enumerate_equilibria at that point (beta[2][2] = 1e8 makes
-    # both mixed candidates fail, lam = 1e4 is the large-lam end)
+    # summary of enumerate_equilibria at that point (at beta[2][2] = 1e8 a
+    # damped Newton left the simplex for both mixed candidates, lam = 1e4 is
+    # the large-lam end)
     from sismfg import stationary
     from sismfg.model import ModelParams
     from sismfg.runs import fmt
@@ -476,7 +477,7 @@ def test_sweep_rows_equal_per_point_enumeration(tmp_path, monkeypatch):
         blocks.append(i.size)
         return solve_block(s, i, k)
 
-    monkeypatch.setattr(stationary, "ENTRY_BUDGET", 5 * 16)  # d = 2: 5 pairs a block
+    monkeypatch.setattr(stationary, "ENTRY_BUDGET", 5 * 4)  # d = 2: 5 pairs a block
     monkeypatch.setattr(stationary, "_solve_block", counted)
     lams, betas = [50.0, 100.0, 1e4], [0.0, 0.1, 0.2, 1e8]
     data = json.loads((REPO_CONFIGS / "sweep_beta11.json").read_text())
@@ -689,7 +690,30 @@ def test_stationary_x0_under_mixed_control_starts_at_mixed_fixed_point(tmp_path,
     bundle = run_scenario(parse_config_dict(data), tmp_path)
     assert bundle.n_succeeded == 1
     first = (tmp_path / "trajectory.csv").read_text().splitlines()[1].split(",")[1:]
-    assert first == [fmt(v) for v in fixed_point_mixed(p0, 0, 1)[0].x]
+    assert first == [fmt(v) for v in fixed_point_mixed(p0, 0, 1).x]
+
+
+#: a small-lam, large-beta model whose mixed candidates a damped Newton
+#: reported as off the simplex; both have a stationary state
+STRONG_INTERACTION = {"d": 2, "lambda": 1.57, "delta": 0.1, "q_plus": [1.8, 0.85],
+                      "q_minus": [1.06, 1.77], "beta": [[20.2, 2.8], [4.1, 29.7]],
+                      "w_I": [2.0, 3.0], "w_S": [1.0, 2.5]}
+
+
+def test_stationary_x0_under_strong_interaction_stays_at_mixed_fixed_point(tmp_path):
+    p = ModelParams(**{"lam" if k == "lambda" else k: v for k, v in STRONG_INTERACTION.items()})
+    by_label = {r.control.label(): r.status for r in enumerate_equilibria(p).reports}
+    assert by_label["mixed(1,2)"] == by_label["mixed(2,1)"] == "rejected"
+    data = json.loads((REPO_CONFIGS / "p0_simulate.json").read_text())
+    data["model"] = STRONG_INTERACTION
+    data["simulate"].update(control={"type": "mixed", "i": 1, "k": 2}, x0="stationary",
+                            grid={"t_start": 0.0, "t_end": 10.0, "n_steps": 1000})
+    bundle = run_scenario(parse_config_dict(data), tmp_path)
+    assert bundle.n_succeeded == 1 and bundle.failures == []
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)[:, 1:]
+    x_star = fixed_point_mixed(p, 0, 1).x
+    assert np.array_equal(rows[0], x_star)
+    assert np.max(np.abs(rows - x_star)) <= 1e-12
 
 
 def test_turnpike_explicit_anchor_states_reproduce_token_run(tmp_path, p0):

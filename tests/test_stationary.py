@@ -1,6 +1,7 @@
 """Stationary equilibria: fixed points, spectra, values, margins, enumeration."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sismfg import (
 )
 from sismfg import stationary
 from sismfg.config import SweepAxis, sweep_grid
-from sismfg.model import ModelParams, ParamStack
+from sismfg.model import SIMPLEX_TOL, ModelParams, ParamStack, effective_infection
 from sismfg.stationary import (
     consistency_mixed,
     consistency_single,
@@ -54,7 +55,7 @@ def single_dense_gap(p, i, state, rep):
 
 
 def quadratic_value(p, i, y):
-    a, b, c = infected_share_quadratic(p, i, i)
+    a, b, c = infected_share_quadratic(p, i)
     return a * y * y + b * y + c
 
 
@@ -64,7 +65,7 @@ def single_margins(p, i):
 
 
 def mixed_margins(p, i, k):
-    x, _ = fixed_point_mixed(p, i, k)
+    x = fixed_point_mixed(p, i, k)
     return consistency_mixed(p, i, k, x, hjb_mixed_exact(p, i, k, x))
 
 
@@ -281,10 +282,10 @@ def test_consistency_p0_dominated_strategy_fails(p0):
 def test_mixed_fixed_point_interaction_free_limit():
     p = ModelParams(d=2, lam=1e6, delta=0.1, q_plus=[0.5, 0.6], q_minus=[0.5, 0.3],
                     beta=np.zeros((2, 2)), w_I=[2.0, 3.0], w_S=[1.0, 2.5])
-    x, info = fixed_point_mixed(p, 0, 1)
+    x = fixed_point_mixed(p, 0, 1)
     # x_iI -> q_minus_k / (q_minus_k + q_plus_i) = 0.3 / 0.8
     assert x.x_I(0) == pytest.approx(0.375, abs=1e-5)
-    assert info.residual < 1e-12
+    assert np.max(np.abs(kinetic_rhs(p, x, StationaryControl.mixed(2, 0, 1)))) <= 1e-12
 
 
 def test_mixed_fixed_point_share_ratio_approaches_one(p0):
@@ -292,17 +293,16 @@ def test_mixed_fixed_point_share_ratio_approaches_one(p0):
                 beta=[[0.2, 0.05], [0.05, 0.05]], w_I=[2.0, 3.0], w_S=[1.0, 2.5])
     for lam in (100.0, 1000.0, 10000.0):
         p = ModelParams(lam=lam, **base)
-        x, _ = fixed_point_mixed(p, 0, 1)
+        x = fixed_point_mixed(p, 0, 1)
         ratio = x.x_I(1) * lam / (x.x_I(0) * 0.5)
         assert abs(ratio - 1.0) <= 2.0 / lam
 
 
 def test_mixed_fixed_point_forced_identity_and_residual(p0):
-    x, info = fixed_point_mixed(p0, 0, 1)
+    x = fixed_point_mixed(p0, 0, 1)
     assert x.x_I(1) == x.x_S(0)  # exact, by construction
-    assert info.residual < 1e-12
     u = StationaryControl.mixed(2, 0, 1)
-    assert np.max(np.abs(kinetic_rhs(p0, x, u))) <= 1e-10
+    assert np.max(np.abs(kinetic_rhs(p0, x, u))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +310,7 @@ def test_mixed_fixed_point_forced_identity_and_residual(p0):
 
 
 def test_mixed_values_certificate_and_dense_oracle(p0):
-    x, _ = fixed_point_mixed(p0, 0, 1)
+    x = fixed_point_mixed(p0, 0, 1)
     g = hjb_mixed_exact(p0, 0, 1, x)
     dense = oracle_stationary_values(p0, StationaryControl.mixed(2, 0, 1), x)
     assert np.max(np.abs(g.g - dense)) <= 1e-9 * max(1.0, np.max(np.abs(dense)))
@@ -322,7 +322,7 @@ def test_mixed_values_compartment_differences_shrink(p0):
     diffs = []
     for lam in (100.0, 1000.0):
         p = ModelParams(lam=lam, **base)
-        x, _ = fixed_point_mixed(p, 0, 1)
+        x = fixed_point_mixed(p, 0, 1)
         g = hjb_mixed_exact(p, 0, 1, x)
         diffs.append((abs(g.g_S(0) - g.g_S(1)), abs(g.g_I(1) - g.g_I(0))))
     for a, b in zip(diffs[0], diffs[1]):
@@ -330,7 +330,7 @@ def test_mixed_values_compartment_differences_shrink(p0):
 
 
 def test_mixed_asymptotic_structural_equalities(p0):
-    x, _ = fixed_point_mixed(p0, 0, 1)
+    x = fixed_point_mixed(p0, 0, 1)
     asym = hjb_mixed_asymptotic(p0, 0, 1, x)
     g0 = asym.g0
     assert g0[1] == g0[3]  # g0(iS) = g0(kS), exactly
@@ -343,7 +343,7 @@ def test_mixed_asymptotic_error_scales_inverse_square():
     errs = []
     for lam in (50.0, 100.0, 200.0):
         p = ModelParams(lam=lam, **base)
-        x, _ = fixed_point_mixed(p, 0, 1)
+        x = fixed_point_mixed(p, 0, 1)
         exact = hjb_mixed_exact(p, 0, 1, x)
         asym = hjb_mixed_asymptotic(p, 0, 1, x)
         errs.append(np.max(np.abs(exact.g - asym.values.g)))
@@ -354,7 +354,7 @@ def test_mixed_asymptotic_error_scales_inverse_square():
 def test_mixed_first_order_degenerates_at_zero_discount():
     p = ModelParams(d=2, lam=100.0, delta=0.0, q_plus=[0.5, 0.6], q_minus=[0.5, 0.3],
                     beta=[[0.2, 0.05], [0.05, 0.05]], w_I=[2.0, 3.0], w_S=[1.0, 2.5])
-    x, _ = fixed_point_mixed(p, 0, 1)
+    x = fixed_point_mixed(p, 0, 1)
     asym = hjb_mixed_asymptotic(p, 0, 1, x)
     assert asym.values is None  # values blow up like 1/delta
     assert abs(asym.first_order.cross_margin_I) <= 1e-10
@@ -463,19 +463,29 @@ def test_enumerate_deterministic_order(p0):
     assert keys == sorted(keys)
 
 
-def test_enumerate_huge_self_interaction_fails_as_report(p0):
-    # with beta_22 = 1e8 both mixed fixed points leave the simplex; those
-    # candidates must become failed reports, not exceptions out of the
-    # enumeration.  single(2) has b < 0 in its quadratic, and its infected
-    # share 1 - 6e-9 must survive the root formula
+def assert_mixed_states_on_simplex(p):
+    """Every mixed candidate of p has its fixed point on the simplex."""
+    for i in range(p.d):
+        for k in range(p.d):
+            if k != i:
+                x = fixed_point_mixed(p, i, k).x  # MixedState also checks both
+                assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= SIMPLEX_TOL
+
+
+def test_enumerate_huge_self_interaction_solves_mixed_candidates(p0):
+    # with beta_22 = 1e8 a damped Newton left the simplex for both mixed
+    # candidates; the bracketed root solves both, and they are rejected on
+    # their margins.  single(2) has b < 0 in its quadratic, and its
+    # infected share 1 - 6e-9 must survive the root formula
     beta = np.array(p0.beta)
     beta[1, 1] = 1e8
     p = dataclasses.replace(p0, beta=beta)
     res = enumerate_equilibria(p)
     assert len(res.reports) == 4
     by_label = {r.control.label(): r for r in res.reports}
-    assert by_label["mixed(1,2)"].status == "failed"
-    assert by_label["mixed(2,1)"].status == "failed"
+    assert by_label["mixed(1,2)"].status == "rejected"
+    assert by_label["mixed(2,1)"].status == "rejected"
+    assert_mixed_states_on_simplex(p)
     assert by_label["single(1)"].status == "accepted"
     assert by_label["single(2)"].status != "failed"
     x_star, _ = fixed_point_single(p, 1)
@@ -513,9 +523,9 @@ def test_enumerate_huge_lambda_spectra_within_rate_roundoff():
 
 
 def test_each_mixed_candidate_solved_once(p0, monkeypatch):
-    # the kernel's mixed Newton and mixed value solve see every mixed
+    # the kernel's mixed bisection and mixed value solve see every mixed
     # candidate exactly once (counted in pairs, as they take whole blocks)
-    calls = {"_newton_mixed": 0, "_values_mixed": 0}
+    calls = {"_mixed_shares": 0, "_values_mixed": 0}
 
     def counted(name):
         fn = getattr(stationary, name)
@@ -531,37 +541,103 @@ def test_each_mixed_candidate_solved_once(p0, monkeypatch):
     res = enumerate_equilibria(p0)
     n_mixed = sum(1 for r in res.reports if r.control.is_mixed)
     assert n_mixed == 2
-    assert calls == {"_newton_mixed": n_mixed, "_values_mixed": n_mixed}
+    assert calls == {"_mixed_shares": n_mixed, "_values_mixed": n_mixed}
+
+
+def test_wide_draws_every_mixed_candidate_solved_on_simplex():
+    # lam log-uniform in [0.1, 1e9], delta in [1e-8, 10], beta up to 100,
+    # d <= 6: a damped Newton left the simplex for 77 of these 3334 mixed
+    # candidates; every one has a bracketed stationary state
+    rng = np.random.default_rng(2026)
+    n_mixed = 0
+    for _ in range(300):
+        d = int(rng.integers(1, 7))
+        w_S = rng.uniform(0.0, 4.0, d)
+        p = ModelParams(d=d, lam=float(10 ** rng.uniform(-1, 9)),
+                        delta=float(10 ** rng.uniform(-8, 1)),
+                        q_plus=rng.uniform(0.05, 2.0, d), q_minus=rng.uniform(0.05, 2.0, d),
+                        beta=rng.uniform(0.0, 100.0, (d, d)),
+                        w_I=w_S + rng.uniform(0.1, 3.0, d), w_S=w_S)
+        sol = solve_points(ParamStack.tile(p))
+        mix = np.flatnonzero(sol.i != sol.k)
+        n_mixed += mix.size
+        assert not np.any(sol.status[mix] == stationary.FAILED), [sol.detail(r) for r in mix]
+        x, s = sol.x[mix], ParamStack.tile(p, mix.size)
+        assert np.all(x >= 0.0) and np.all(np.abs(x.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+        defect = stationary._kinetic_defect(s, sol.i[mix], sol.k[mix], x,
+                                            effective_infection(s, x))
+        assert np.all(defect <= 4.0 * s.rate_roundoff()), (p, defect.max())
+    assert n_mixed == 3334
+
+
+def test_spectrum_failure_becomes_report(p0, monkeypatch):
+    # a LAPACK error in one candidate's spectrum fails that candidate alone
+    expected = enumerate_equilibria(p0).reports
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def flaky(a):
+        calls.append(np.ndim(a))
+        if np.ndim(a) == 3 or calls.count(2) == 1:  # the batch, then mixed(1,2)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", flaky)
+    reports = enumerate_equilibria(p0).reports
+    assert [r.control.label() for r in reports] == ["single(1)", "mixed(1,2)", "mixed(2,1)",
+                                                     "single(2)"]
+    assert (reports[1].status, reports[1].detail) == ("failed", "Eigenvalues did not converge")
+    assert reports[1].min_margin is None and reports[1].residual is None
+    assert reports[:1] + reports[2:] == expected[:1] + expected[2:]
 
 
 # ---------------------------------------------------------------------------
 # batched kernel against the per-candidate oracle
 
 
+#: details with which the oracle's mixed Newton raised
+ORACLE_NEWTON_FAILURES = ("mixed fixed point", "Singular matrix")
+NUMBER = re.compile(r"-?\d\.\d+e[-+]\d+")
+
+
 def assert_matches_oracle(p, spectrum_tol=1e-10):
-    """Same statuses and details as the pre-kernel loop, bitwise x and g
-    for accepted candidates, other numbers to 1e-12 of the value scale and
-    spectra (against the dense and, for the single family, the closed-form
-    reference) to spectrum_tol."""
+    """Same statuses and details as the pre-kernel loop (the numbers in a
+    mixed candidate's detail may differ in their last digit), other numbers
+    to 1e-12 of the value scale, and spectra of accepted candidates (against
+    the dense and, for the single family, the closed-form reference) to
+    spectrum_tol.  Single candidates have bitwise equal x and g; mixed
+    ones, whose fixed point the oracle finds by Newton to a residual of
+    1e-12, x to 1e-11 and g to 1e-12 of the value scale.  Where the
+    oracle's Newton raised, the kernel must solve the candidate."""
     res = enumerate_equilibria(p)
+    rows = solve_points(ParamStack.tile(p))
     expected = oracle_enumerate(p)
     assert [r.control for r in res.reports] == [e["control"] for e in expected]
-    assert [(r.status, r.detail) for r in res.reports] == [
-        (e["status"], e["detail"]) for e in expected
-    ]
-    for rep, exp in zip(res.reports, expected):
+    for r, (rep, exp) in enumerate(zip(res.reports, expected)):
+        if exp["detail"].startswith(ORACLE_NEWTON_FAILURES):
+            assert rep.status != "failed", rep.detail
+            continue
+        assert rep.status == exp["status"]
+        if rep.control.is_mixed:
+            assert NUMBER.sub("#", rep.detail) == NUMBER.sub("#", exp["detail"])
+        else:
+            assert rep.detail == exp["detail"]
         if exp["solution"] is None:
             assert rep.min_margin is None and rep.residual is None
             continue
-        scale = max(1.0, float(np.max(np.abs(exp["solution"]["g"]))))
+        ref = exp["solution"]
+        scale = max(1.0, float(np.max(np.abs(ref["g"]))))
         assert rep.min_margin == pytest.approx(exp["min_margin"], rel=0, abs=1e-12 * scale)
         assert rep.residual == pytest.approx(exp["residual"], rel=0, abs=1e-12 * scale)
+        if rep.control.is_single:
+            assert np.array_equal(rows.x[r], ref["x"]) and np.array_equal(rows.g[r], ref["g"])
+        else:
+            assert np.max(np.abs(rows.x[r] - ref["x"])) <= 1e-11
+            assert np.max(np.abs(rows.g[r] - ref["g"])) <= 1e-12 * scale
     accepted = [e for e in expected if e["status"] == "accepted"]
     assert [s.control for s in res.equilibria] == [e["control"] for e in accepted]
     for sol, exp in zip(res.equilibria, accepted):
         ref = exp["solution"]
-        assert np.array_equal(sol.x_star.x, ref["x"])
-        assert np.array_equal(sol.g.g, ref["g"])
         assert np.max(np.abs(sol.stability.spectrum - ref["numerical"])) <= spectrum_tol
         assert sol.stability.max_real_part == pytest.approx(
             ref["max_real_part"], rel=0, abs=spectrum_tol
@@ -585,8 +661,11 @@ def test_kernel_matches_oracle_random_draws(d):
 def test_kernel_matches_oracle_failed_candidates(p0):
     beta = np.array(p0.beta)
     beta[1, 1] = 1e8
-    res = assert_matches_oracle(dataclasses.replace(p0, beta=beta))
-    assert [r.status for r in res.reports].count("failed") == 2
+    p = dataclasses.replace(p0, beta=beta)
+    assert [e["status"] for e in oracle_enumerate(p)].count("failed") == 2
+    res = assert_matches_oracle(p)
+    assert [r.status for r in res.reports if r.control.is_mixed] == ["rejected"] * 2
+    assert_mixed_states_on_simplex(p)
 
 
 def test_kernel_matches_oracle_huge_lambda():

@@ -12,7 +12,7 @@ asymptotic values and margins are cross-checks.
 All of it is one array kernel.  ``solve_points`` solves every candidate at
 every point of a ``ParamStack`` as one flat batch of (point, candidate)
 pairs: closed-form roots for the single family, a bracketed bisection for
-the mixed one (its stationary state always exists), stacked 2x2 solves, and
+the mixed one (its stationary state always exists), closed-form values, and
 spectra from the block-triangular Jacobian at a fixed point
 (``_block_spectra``: one 3x3 ``eigvals`` per mixed pair, closed forms for
 the rest).  The batch runs in blocks whose per-pair copies of beta hold at
@@ -34,7 +34,6 @@ exceptions.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -66,7 +65,6 @@ ACCEPTED, REJECTED, FAILED = 0, 1, 2
 STATUS_NAMES = ("accepted", "rejected", "failed")
 
 _NEEDS_DISCOUNT = "stationary discounted values require delta > 0"
-_SINGULAR_VALUES = "singular 2x2 system for the mixed stationary values"
 
 
 def _require_positive_discount(p: ModelParams) -> None:
@@ -88,19 +86,6 @@ def _roundoff_floor(s: ParamStack, g: np.ndarray) -> np.ndarray:
     and small discount.  Both certificates allow max(their bound, floor).
     """
     return s.rate_roundoff() * np.maximum(1.0, np.abs(g).max(axis=1))
-
-
-def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked solve of a[m] y = b[m] for vectors b; the solutions of
-    singular systems are NaN."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # some matrix is singular: find which, one by one
-        out = np.full(b.shape, np.nan)
-        for m in range(a.shape[0]):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[m] = np.linalg.solve(a[m], b[m])
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +213,10 @@ def _tangent_map(jac: np.ndarray) -> np.ndarray:
     return jac[..., :-1, :-1] - jac[..., :-1, -1:]
 
 
-def _block_spectra(s: ParamStack, i: np.ndarray, k: np.ndarray, x: np.ndarray):
+def _block_spectra(s: ParamStack, i: np.ndarray, k: np.ndarray, x: np.ndarray, qt: np.ndarray):
     """Sorted tangent spectra at the fixed points x of the controls
-    [i(I), k(S)], per pair: (spectra, xi_principal, xi_pairs, failures).
+    [i(I), k(S)], per pair, where the effective infection rate is qt
+    (``model.effective_infection``): (spectra, xi_principal, xi_pairs, failures).
 
     At such a fixed point every strategy other than i and k is empty, so
     the Jacobian is block-triangular: the occupied states (iI, iS, and kI,
@@ -255,7 +241,7 @@ def _block_spectra(s: ParamStack, i: np.ndarray, k: np.ndarray, x: np.ndarray):
     sub_x[sgl, 2:] = 0.0
     targets = np.broadcast_to([0, 3, 0, 3], (m, 4))  # ``state_targets`` of [0(I), 1(S)]
     block = kinetic_jacobian_stack(sub, targets, sub_x)
-    slow = -s.lam[:, None] - (s.q_plus + effective_infection(s, x))
+    slow = -s.lam[:, None] - (s.q_plus + qt)
     pairs = np.stack([slow, np.broadcast_to(-s.lam[:, None], slow.shape)], axis=2)
     strategies = np.arange(d)
     empty = (strategies != i[:, None]) & (strategies != k[:, None])
@@ -314,8 +300,8 @@ def stability_single(p: ModelParams, i: int, x_star: float) -> StabilityReport:
     """Spectrum at the single-family fixed point with infected share x_star
     (``_block_spectra`` of one pair)."""
     (i_,) = _pair(i)
-    x = _single_states(p.d, i_, np.array([x_star], dtype=float))
-    spectrum, xi, pairs, _ = _block_spectra(ParamStack.tile(p), i_, i_, x)
+    s, x = ParamStack.tile(p), _single_states(p.d, i_, np.array([x_star], dtype=float))
+    spectrum, xi, pairs, _ = _block_spectra(s, i_, i_, x, effective_infection(s, x))
     return _stability_report(spectrum[0], xi[0], pairs[0])
 
 
@@ -343,32 +329,45 @@ def _single_block(s: ParamStack, i: np.ndarray, x_star: np.ndarray):
     return gap_i, g_iI, g_iI - gap_i
 
 
+def _residual_values(s: ParamStack, qt: np.ndarray, gap: np.ndarray,
+                     g_iI: np.ndarray) -> np.ndarray:
+    """Values of the residual strategies j (not i or k) under the control
+    [i(I), k(S)], per pair, from g(iI) and gap = g(iI) - g(kS); qt is the
+    effective infection rate.  Each j is the 2x2 system
+    [[lam + delta + q_plus_j, -q_plus_j], [-q~_j, lam + delta + q~_j]] with
+    determinant (lam + delta)(lam + delta + q_plus_j + q~_j) > 0, solved as
+        gap_j = g(jI) - g(jS) = (w_I_j - w_S_j + lam gap) / (lam + q_plus_j + q~_j + delta)
+        g(jI) = (lam g(iI) + w_I_j - q_plus_j gap_j) / (lam + delta).
+    The entries of i and k are left to the caller.
+    """
+    lam, delta = s.lam[:, None], s.delta[:, None]
+    gap_j = (s.w_I - s.w_S + lam * gap[:, None]) / (lam + s.q_plus + qt + delta)
+    g_I = (lam * g_iI[:, None] + s.w_I - s.q_plus * gap_j) / (lam + delta)
+    return _interleave(g_I, g_I - gap_j)
+
+
 def _values_single(s: ParamStack, i: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     """Exact stationary values under the all-to-i control, per pair.
 
-    The (iI, iS) block decouples (``_single_block``); each j != i block is
-    then a 2x2 linear solve given (g(iI), g(iS)), in closed form.
+    The (iI, iS) block decouples (``_single_block``); each j != i block
+    then follows from (g(iI), gap_i) in closed form (``_residual_values``).
     """
     r = np.arange(i.size)
-    lam, delta = s.lam[:, None], s.delta[:, None]
     gap_i, g_iI, g_iS = _single_block(s, i, x_star)
     qt = s.q_minus + s.beta[r, i, :] * x_star[:, None]
-    gap = (s.w_I - s.w_S + lam * gap_i[:, None]) / (lam + s.q_plus + qt + delta)
-    g_I = (lam * g_iI[:, None] + s.w_I - s.q_plus * gap) / (lam + delta)
-    g = _interleave(g_I, g_I - gap)
+    g = _residual_values(s, qt, gap_i, g_iI)
     g[r, 2 * i] = g_iI
     g[r, 2 * i + 1] = g_iS
     return g
 
 
-def _values_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray,
-                  qt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact stationary values under the mixed control [i(I), k(S)] per
-    pair, and the mask of pairs whose reduced system is singular.
+def _values_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray, qt: np.ndarray) -> np.ndarray:
+    """Exact stationary values under the mixed control [i(I), k(S)], per pair.
 
     The four (i, k)-block equations reduce to a 2x2 system in
-    (g(iI), g(kS)); g(iS) and g(kI) follow by direct substitution and each
-    residual strategy j is a decoupled 2x2 solve.  qt is the effective
+    (g(iI), g(kS)), solved by Cramer's rule (a zero determinant leaves the
+    values non-finite); g(iS) and g(kI) follow by direct substitution and
+    the residual strategies by ``_residual_values``.  qt is the effective
     infection rate at the fixed point (``model.effective_infection``).
     """
     r = np.arange(i.size)
@@ -385,22 +384,14 @@ def _values_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray,
     a22 = lam * (qtk + delta) + delta * (qtk + qpk + delta)
     b2 = wkI * qtk + wkS * (lam + delta + qpk)
     det = a11 * a22 - a12 * a21
-    with np.errstate(divide="ignore", invalid="ignore"):  # singular pairs are reported
-        g_iI = (b1 * a22 - a12 * b2) / det
-        g_kS = (a11 * b2 - b1 * a21) / det
+    g_iI = (b1 * a22 - a12 * b2) / det
+    g_kS = (a11 * b2 - b1 * a21) / det
     g_iS = g_iI + (delta * g_iI - wiI) / qpi
     g_kI = g_kS + (delta * g_kS - wkS) / qtk
-    lam, delta = lam[:, None], delta[:, None]
-    mat = np.empty(qt.shape + (2, 2))
-    mat[..., 0, 0] = lam + delta + s.q_plus
-    mat[..., 0, 1] = -s.q_plus
-    mat[..., 1, 0] = -qt
-    mat[..., 1, 1] = lam + delta + qt
-    rhs = np.stack([lam * g_iI[:, None] + s.w_I, lam * g_kS[:, None] + s.w_S], axis=2)
-    g = _solve_stack(mat.reshape(-1, 2, 2), rhs.reshape(-1, 2)).reshape(i.size, 2 * s.d)
+    g = _residual_values(s, qt, g_iI - g_kS, g_iI)
     g[r, 2 * i], g[r, 2 * i + 1] = g_iI, g_iS
     g[r, 2 * k], g[r, 2 * k + 1] = g_kI, g_kS
-    return g, det == 0.0
+    return g
 
 
 def _value_certificate(s: ParamStack, i: np.ndarray, k: np.ndarray, g: np.ndarray,
@@ -452,10 +443,7 @@ def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVecto
     if k == i:
         raise ValueError("mixed values require k != i")
     s, xs = ParamStack.tile(p), x.x[None]
-    g, singular = _values_mixed(s, *_pair(i, k), effective_infection(s, xs))
-    if singular[0]:
-        raise RuntimeError(_SINGULAR_VALUES)
-    return _certified(s, i, k, xs, g)
+    return _certified(s, i, k, xs, _values_mixed(s, *_pair(i, k), effective_infection(s, xs)))
 
 
 @dataclass(frozen=True)
@@ -774,17 +762,14 @@ class PairSolutions:
     """The kernel's results for a flat batch of (point, candidate) pairs,
     one row per pair.
 
-    ``solved`` is False when a stage of the solve failed (``failure`` then
-    says why and the numbers are not meaningful); a solved pair can still be
-    FAILED when its margins accept it but the best response disagrees.
-    The single-family columns xi_principal and xi_pairs are NaN on mixed
-    pairs.
+    A pair's status is FAILED exactly when a stage of its solve failed;
+    ``failure`` then says why and its numbers are not meaningful.  The
+    single-family columns xi_principal and xi_pairs are NaN on mixed pairs.
     """
 
     i: np.ndarray
     k: np.ndarray
     status: np.ndarray
-    solved: np.ndarray
     failure: list
     x: np.ndarray
     g: np.ndarray
@@ -814,7 +799,7 @@ class PairSolutions:
         return f"residual {self.residual[r]:.3e} above tolerance"
 
     def report(self, r: int, control: StationaryControl) -> "CandidateReport":
-        if not self.solved[r]:
+        if self.status[r] == FAILED:
             return CandidateReport(control, "failed", None, None, self.failure[r])
         return CandidateReport(control, STATUS_NAMES[self.status[r]], float(self.min_margin[r]),
                                float(self.residual[r]), self.detail(r))
@@ -839,11 +824,11 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
     m, whose candidate is [i[m](I), k[m](S)].
 
     The stages follow one pair's solve in order: fixed point (which always
-    exists), values and their certificate, spectrum, residual, acceptance.
-    The first failure of a pair is its detail, and later stages skip it.
+    exists), values and their certificate, margins, residual, acceptance
+    test, spectrum.  The first failure of a pair is its detail, and later
+    stages skip it; a pair is FAILED exactly when a stage failed.
     """
     m, d = i.size, s.d
-    r = np.arange(m)
     single = i == k
     failure: list[str | None] = [None] * m
 
@@ -862,49 +847,43 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
     x[sgl] = _single_states(d, i[sgl], _quadratic_root_unit(*_share_quadratic(s_sgl, i[sgl])))
     x[mix] = _mixed_states(d, i[mix], k[mix], *_mixed_shares(s_mix, i[mix], k[mix]))
 
-    # values, certified by the value defect
+    # values, certified by the value defect, margins, stationarity residual (population
+    # RHS, value defect, best-response gap) and acceptance; a failed pair's values may
+    # be non-finite, and its detail reports it
     qt = effective_infection(s, x)
     g = np.empty((m, 2 * d))
-    g[sgl] = _values_single(s_sgl, i[sgl], x[sgl, 2 * i[sgl]])
-    g[mix], singular = _values_mixed(s_mix, i[mix], k[mix], qt[mix])
-    fail(np.isin(r, mix[singular]), lambda q: _SINGULAR_VALUES)
-    fail(~np.isfinite(g).all(axis=1), lambda q: "value vector entries must be finite")
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g[sgl] = _values_single(s_sgl, i[sgl], x[sgl, 2 * i[sgl]])
+        g[mix] = _values_mixed(s_mix, i[mix], k[mix], qt[mix])
+        fail(~np.isfinite(g).all(axis=1), lambda q: "value vector entries must be finite")
         defect, uncertified = _value_certificate(s, i, k, g, qt)
-    fail(uncertified, lambda q: _certificate_failure(defect[q]))
-    margin_I, margin_S = _exact_margins(i, k, g)
-    min_margin, degenerate = _margin_summary(i, k, margin_I, margin_S)
+        fail(uncertified, lambda q: _certificate_failure(defect[q]))
+        margin_I, margin_S = _exact_margins(i, k, g)
+        min_margin, degenerate = _margin_summary(i, k, margin_I, margin_S)
+        residual = np.maximum.reduce([
+            _kinetic_defect(s, i, k, x, qt), defect, -margin_I.min(axis=1), -margin_S.min(axis=1)
+        ])
+        # a kept pair not degenerate has argmin (i, k): another argmin would have a margin
+        # <= 0, and kept bounds it below by -TIE_TOL
+        kept = (min_margin >= -TIE_TOL) & (
+            residual <= np.maximum(EQUILIBRIUM_RESIDUAL_TOL, _roundoff_floor(s, g))
+        )
 
-    # spectra
+    # spectra of the pairs whose values hold
     spectrum = np.full((m, 2 * d - 1), np.nan, dtype=complex)
     xi_principal = np.full(m, np.nan)
     xi_pairs = np.full((m, d - 1, 2), np.nan)
     live = np.flatnonzero(alive())
     spectrum[live], xi_principal[live], xi_pairs[live], spectrum_failures = _block_spectra(
-        s.take(live), i[live], k[live], x[live]
+        s.take(live), i[live], k[live], x[live], qt[live]
     )
     for q, why in zip(live, spectrum_failures):
         failure[q] = why
     max_real_part = spectrum.real.max(axis=1)
 
-    # stationarity residual: population RHS, value defect, best-response gap
-    residual = np.maximum.reduce([
-        _kinetic_defect(s, i, k, x, qt), defect, -margin_I.min(axis=1), -margin_S.min(axis=1)
-    ])
-
-    # acceptance
-    solved = alive()
-    with np.errstate(invalid="ignore"):
-        kept = (min_margin >= -TIE_TOL) & (
-            residual <= np.maximum(EQUILIBRIUM_RESIDUAL_TOL, _roundoff_floor(s, g))
-        )
-    # residual control gap can be positive only through tie-level noise here
-    best_response = (np.argmin(g[:, 0::2], axis=1) == i) & (np.argmin(g[:, 1::2], axis=1) == k)
-    disagrees = solved & kept & ~(best_response | degenerate)
-    fail(disagrees, lambda q: "margins accepted but best response disagrees")
-    status = np.where(~solved | disagrees, FAILED, np.where(kept, ACCEPTED, REJECTED))
+    status = np.where(alive(), np.where(kept, ACCEPTED, REJECTED), FAILED)
     return PairSolutions(
-        i=i, k=k, status=status, solved=solved, failure=failure, x=x, g=g,
+        i=i, k=k, status=status, failure=failure, x=x, g=g,
         min_margin=min_margin, degenerate=degenerate, residual=residual,
         spectrum=spectrum, xi_principal=xi_principal, xi_pairs=xi_pairs,
         max_real_part=max_real_part,
@@ -1003,7 +982,7 @@ def solve_candidate(p: ModelParams, u: StationaryControl) -> EquilibriumSolution
     _require_positive_discount(p)
     s = ParamStack.tile(p)
     sol = _solve_block(s, *_pair(*u.as_pair()))
-    if not sol.solved[0]:
+    if sol.status[0] == FAILED:
         raise RuntimeError(sol.failure[0])
     return sol.solution(s, 0, u)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -559,6 +560,7 @@ def test_wide_draws_every_mixed_candidate_solved_on_simplex():
                         beta=rng.uniform(0.0, 100.0, (d, d)),
                         w_I=w_S + rng.uniform(0.1, 3.0, d), w_S=w_S)
         sol = solve_points(ParamStack.tile(p))
+        assert_accepted_are_best_responses(sol)
         mix = np.flatnonzero(sol.i != sol.k)
         n_mixed += mix.size
         assert not np.any(sol.status[mix] == stationary.FAILED), [sol.detail(r) for r in mix]
@@ -568,6 +570,31 @@ def test_wide_draws_every_mixed_candidate_solved_on_simplex():
                                             effective_infection(s, x))
         assert np.all(defect <= 4.0 * s.rate_roundoff()), (p, defect.max())
     assert n_mixed == 3334
+
+
+def assert_accepted_are_best_responses(sol):
+    """Every accepted pair's (i, k) is the argmin of g in both compartments,
+    or the pair is degenerate (a margin within TIE_TOL of zero)."""
+    acc = np.flatnonzero(sol.status == stationary.ACCEPTED)
+    argmin = (np.argmin(sol.g[acc, 0::2], axis=1) == sol.i[acc]) & (
+        np.argmin(sol.g[acc, 1::2], axis=1) == sol.k[acc]
+    )
+    assert np.all(argmin | sol.degenerate[acc])
+
+
+def test_vanishing_discount_fails_every_candidate_as_report(p0):
+    # at delta = 1e-310 the values overflow and the mixed 2x2 determinant
+    # underflows to zero: every candidate is a failed report, with no
+    # exception and no floating-point warning
+    p = dataclasses.replace(p0, delta=1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = enumerate_equilibria(p).reports
+        sol = solve_points(ParamStack.tile(p))
+    finite = "value vector entries must be finite"
+    assert [(r.status, r.detail) for r in reports] == [("failed", finite)] * 4
+    assert np.all(sol.status == stationary.FAILED)
+    assert [sol.detail(r) for r in range(4)] == [finite] * 4
 
 
 def test_spectrum_failure_becomes_report(p0, monkeypatch):
@@ -611,6 +638,7 @@ def assert_matches_oracle(p, spectrum_tol=1e-10):
     oracle's Newton raised, the kernel must solve the candidate."""
     res = enumerate_equilibria(p)
     rows = solve_points(ParamStack.tile(p))
+    assert_accepted_are_best_responses(rows)
     expected = oracle_enumerate(p)
     assert [r.control for r in res.reports] == [e["control"] for e in expected]
     for r, (rep, exp) in enumerate(zip(res.reports, expected)):
@@ -709,7 +737,7 @@ def assert_solved_pairs_match_dense(p):
     sol = solve_points(ParamStack.tile(p))
     controls = stationary.candidate_controls(p.d)
     seen = set()
-    for r in np.flatnonzero(sol.solved):
+    for r in np.flatnonzero(sol.status != stationary.FAILED):
         dense = _oracle_spectrum(p, controls[r], sol.x[r])
         assert np.max(np.abs(sol.spectrum[r] - dense)) <= 1e-10
         assert sol.max_real_part[r] == pytest.approx(dense.real.max(), rel=0, abs=1e-10)

@@ -88,6 +88,8 @@ class SweepAxis:
 @dataclass(frozen=True)
 class SweepConfig:
     axes: tuple[SweepAxis, ...]
+    points: np.ndarray  # the grid points (``sweep_grid``), one column per axis
+    stack: ParamStack  # the model at every grid point
 
 
 @dataclass(frozen=True)
@@ -344,21 +346,25 @@ def sweep_grid(model: ModelParams, axes) -> tuple[np.ndarray, ParamStack]:
     return points, stack
 
 
-def _stationary_model_errors(model: ModelParams, sweep: SweepConfig | None, col: _Collector) -> None:
-    """Reject what the stationary solver would refuse later: an equilibria
-    or turnpike model (the turnpike anchors at the stationary values), or
-    any sweep grid point, that breaks a model invariant or has delta = 0
-    (stationary discounted values need delta > 0)."""
-    if sweep is None:
-        for msg, _ in ParamStack.tile(model).violations(positive_discount=True):
-            col.add("model", msg)
-        return
-    points, stack = sweep_grid(model, sweep.axes)
-    for msg, bad in stack.violations(positive_discount=True):
+def _stationary_model_errors(model: ModelParams, col: _Collector) -> None:
+    """Reject an equilibria or turnpike model (the turnpike anchors at the
+    stationary values) that the stationary solver would refuse: one that
+    breaks a model invariant or has delta = 0."""
+    for msg, _ in ParamStack.tile(model).violations(positive_discount=True):
+        col.add("model", msg)
+
+
+def _sweep_config(model: ModelParams, axes: tuple[SweepAxis, ...],
+                  col: _Collector) -> SweepConfig | None:
+    """The sweep with its grid, or None when a grid point breaks a model
+    invariant or has delta = 0 (each such error is reported)."""
+    points, stack = sweep_grid(model, axes)
+    violations = stack.violations(positive_discount=True)
+    for msg, bad in violations:
         first = int(np.argmax(bad))
-        at = ", ".join(f"{axis.path}={float(points[first, a])!r}"
-                       for a, axis in enumerate(sweep.axes))
+        at = ", ".join(f"{axis.path}={float(points[first, a])!r}" for a, axis in enumerate(axes))
         col.add("sweep.axes", f"{msg} at grid point {at} ({int(bad.sum())} of {len(points)} points)")
+    return None if violations else SweepConfig(axes=axes, points=points, stack=stack)
 
 
 def parse_config_dict(data: dict) -> ScenarioConfig:
@@ -400,7 +406,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
 
     simulate = turnpike = nplayer = sweep = None
     if model is not None and run in ("equilibria", "turnpike"):
-        _stationary_model_errors(model, None, col)
+        _stationary_model_errors(model, col)
     if model is not None and run is not None and run in data:
         block = data[run]
         where = run
@@ -513,8 +519,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                     if values is not None:
                         axes.append(SweepAxis(path=path, values=tuple(values.tolist())))
                 if len(axes) == len(axes_raw):
-                    sweep = SweepConfig(axes=tuple(axes))
-                    _stationary_model_errors(model, sweep, col)
+                    sweep = _sweep_config(model, tuple(axes), col)
 
     if col.errors:
         raise ConfigError(col.errors)

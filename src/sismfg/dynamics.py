@@ -39,6 +39,7 @@ from .model import (
     TIE_TOL,
     MixedState,
     ModelParams,
+    ParamStack,
     StationaryControl,
     ValueVector,
     hjb_coupling,
@@ -47,7 +48,7 @@ from .model import (
     migration_generator,
     net_infection_fn,
 )
-from .stationary import fixed_point_single, hjb_single_exact, small_interaction_margins_single
+from .stationary import _small_interaction_single, fixed_point_single, hjb_single_exact
 
 #: forward step kinds: classical RK4, and exponential RK4 (Cox-Matthews ETDRK4)
 RK4 = "rk4"
@@ -431,7 +432,7 @@ def check_turnpike_hypotheses(
     Named checks, for every j != i:
       strict-consistency-I(j)/S(j): strict interaction-free stationary
         optimality conditions for strategy i
-        (``small_interaction_margins_single``);
+        (``stationary._small_interaction_single``);
       rate-ordering-q-plus(j)/q-minus(j): q_plus_j > q_plus_i and
         q_minus_i > q_minus_j;
       terminal-cone-*: gT has g(jI) >= g(jS) everywhere and strategy i
@@ -453,7 +454,8 @@ def check_turnpike_hypotheses(
     den0 = float(p.q_plus[i] + p.q_minus[i] + p.delta)
     gT_gap = gT.g_I(i) - gT.g_S(i)
     envelope = gT_gap + w_gap / den0  # bound on g(iI) - g(iS) along the run
-    strict_I, strict_S = small_interaction_margins_single(p, i)
+    strict = _small_interaction_single(ParamStack.tile(p), np.array([i]))
+    strict_I, strict_S = (m[0] for m in strict)  # row 0: the one pair
     for j in range(p.d):
         if j == i:
             continue

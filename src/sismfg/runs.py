@@ -5,11 +5,17 @@ read with the seed in force, tool version, timestamps, artifact list,
 failures, and the run's summary: for an ``nplayer`` run with ``n_list``
 this includes the integrator and step count of the LLN reference).  The
 manifest is written even when the run fails.  Numeric artifacts are deterministic functions of
-(config, seed): floats are serialized with 17 significant digits, JSON keys
-are sorted, and sweep rows are emitted in grid order, so identical runs
-produce byte-identical numeric files (manifest timestamps excluded).
+(config, seed): JSON keys are sorted and sweep rows are emitted in grid
+order, so identical runs produce byte-identical numeric files (manifest
+timestamps excluded).
 
-Trajectory CSV column contract:
+Tables (``_write_table``) take rows of Python numbers and strings.  In a CSV
+table a float carries 17 significant digits (round-trip exact).  In a JSON
+table a cell is a JSON number typed by its column (float columns hold
+floats; counts, N and the flags hold integers); a non-finite float
+(``inf``) and an empty cell are strings.
+
+Trajectory column contract:
     t, x_1I, x_1S, ..., x_dI, x_dS[, g_1I, g_1S, ..., cone_ok, argmin_ok]
 with the g/flag columns present for turnpike runs; flags are 1/0.
 """
@@ -31,11 +37,9 @@ from .config import (
     ScenarioConfig,
     SimulateConfig,
     TurnpikeConfig,
-    sweep_grid,
 )
 from .dynamics import (
     ETDRK4,
-    TrajectorySolution,
     TurnpikeHypothesisError,
     integrate_forward,
     solve_turnpike,
@@ -76,40 +80,31 @@ def _state_labels(d: int, prefix: str) -> list[str]:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _json_cell(cell):
-    """A table cell as JSON: a number as a JSON number (the 17-digit text
-    parses back to the same double); labels, 'inf' and empty cells stay
-    strings."""
-    if not isinstance(cell, str):
-        return cell
-    for parse in (int, float):
-        try:
-            value = parse(cell)
-        except ValueError:
-            continue
-        return value if math.isfinite(value) else cell
-    return cell
-
-
 def _write_table(out_dir: Path, name: str, fmt_kind: str, header: list[str], rows) -> Path:
-    """Bulk numeric table in the configured encoding (csv or json records)."""
+    """Bulk numeric table in the configured encoding (csv or json records).
+
+    rows hold Python numbers and strings.  CSV writes a float with fmt's
+    17-digit rule and any other cell as str() does (the csv module's own
+    conversion); JSON keeps numbers as numbers and writes a non-finite
+    float as its text ('inf').
+    """
     if fmt_kind == "csv":
         path = out_dir / f"{name}.csv"
-        _write_csv(path, header, rows)
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(
+                [format(c, ".17g") if isinstance(c, float) else c for c in r] for r in rows
+            )
     else:
         path = out_dir / f"{name}.json"
-        _write_json(path, {"columns": header, "rows": [[_json_cell(c) for c in r] for r in rows]})
+        rows = [[fmt(c) if isinstance(c, float) and not math.isfinite(c) else c for c in r]
+                for r in rows]
+        _write_json(path, {"columns": header, "rows": rows})
     return path
 
 
@@ -193,10 +188,7 @@ def run_simulate(
     x0 = _resolve_x0(cfg.x0, p, cfg.control)
     x_path = integrate_forward(p, x0, cfg.control, cfg.grid)
     header = ["t"] + _state_labels(p.d, "x")
-    rows = (
-        [format(t, ".17g")] + [format(v, ".17g") for v in x]
-        for t, x in _chunked_rows(cfg.grid.times(), x_path)
-    )
+    rows = _chunked_rows(cfg.grid.times(), x_path)
     path = _write_table(out_dir, "trajectory", fmt_kind, header, rows)
     return {"trajectory": path}, {"terminal": x_path[-1].tolist()}
 
@@ -206,25 +198,17 @@ ROW_CHUNK = 256
 
 
 def _chunked_rows(*columns: np.ndarray):
-    """Rows of equally long column arrays as Python objects.
+    """Flat rows of equally long column arrays (one value or one array row
+    per column) as Python numbers.
 
-    .tolist() gives Python floats and ints, which take fmt's 17-digit rule
-    and str() without a per-value conversion; converting a chunk of rows at
-    a time keeps the whole table from existing as Python objects at once.
+    An object array gives Python floats and ints, typed by their column,
+    without a per-value conversion; converting a chunk of rows at a time
+    keeps the whole table from existing as Python objects at once.
     """
-    for start in range(0, columns[0].shape[0], ROW_CHUNK):
-        yield from zip(*(c[start:start + ROW_CHUNK].tolist() for c in columns))
-
-
-def _turnpike_rows(sol: TrajectorySolution):
-    columns = (sol.grid.times(), sol.x_path, sol.g_path, sol.cone_ok, sol.argmin_ok)
-    for t, x, g, cone, argmin in _chunked_rows(*columns):
-        yield (
-            [format(t, ".17g")]
-            + [format(v, ".17g") for v in x]
-            + [format(v, ".17g") for v in g]
-            + [int(cone), int(argmin)]
-        )
+    blocks = [c.reshape(c.shape[0], -1) for c in columns]
+    for start in range(0, blocks[0].shape[0], ROW_CHUNK):
+        chunk = [b[start:start + ROW_CHUNK].astype(object) for b in blocks]
+        yield from np.concatenate(chunk, axis=1).tolist()
 
 
 def run_turnpike(
@@ -238,7 +222,9 @@ def run_turnpike(
     header = (
         ["t"] + _state_labels(p.d, "x") + _state_labels(p.d, "g") + ["cone_ok", "argmin_ok"]
     )
-    path = _write_table(out_dir, "turnpike", fmt_kind, header, _turnpike_rows(sol))
+    rows = _chunked_rows(sol.grid.times(), sol.x_path, sol.g_path,
+                         sol.cone_ok.astype(int), sol.argmin_ok.astype(int))
+    path = _write_table(out_dir, "turnpike", fmt_kind, header, rows)
     summary = {
         "certified": sol.certified,
         "first_violation_time": sol.first_violation_time,
@@ -265,10 +251,7 @@ def run_nplayer(
             p, cfg.control, x0, cfg.t_end, list(cfg.n_list), cfg.replications, seed
         )
         header = ["N", "mean_sup_error", "std_error", "replications"]
-        rows = [
-            [str(r.N), fmt(r.mean_sup_error), fmt(r.std_error), str(table.replications)]
-            for r in table.rows
-        ]
+        rows = [[r.N, r.mean_sup_error, r.std_error, table.replications] for r in table.rows]
         artifacts["lln_error"] = _write_table(out_dir, "lln_error", fmt_kind, header, rows)
         summary["mean_sup_errors"] = {str(r.N): r.mean_sup_error for r in table.rows}
         summary["ratios"] = table.ratios()
@@ -279,10 +262,9 @@ def run_nplayer(
         counts = ctmc.counts()
         header = ["t"] + _state_labels(p.d, "n")
         times = np.concatenate([[0.0], ctmc.times])
-        rows = (
-            [format(t, ".17g")] + [str(v) for v in n] for t, n in _chunked_rows(times, counts)
+        artifacts["nplayer_path"] = _write_table(
+            out_dir, "nplayer_path", fmt_kind, header, _chunked_rows(times, counts)
         )
-        artifacts["nplayer_path"] = _write_table(out_dir, "nplayer_path", fmt_kind, header, rows)
         summary["n_events"] = ctmc.n_events
         summary["terminal_fractions"] = (counts[-1] / cfg.n_agents).tolist()
     return artifacts, summary
@@ -292,9 +274,8 @@ def run_sweep(cfg: ScenarioConfig, out_dir: Path, fmt_kind: str) -> tuple[dict[s
     """One equilibria summary row per grid point.  The config layer has
     checked every point, and the kernel solves all points' candidates at
     once; per-candidate failures are part of a point's result."""
-    axes = cfg.sweep.axes
-    points, stack = sweep_grid(cfg.model, axes)
-    sol = solve_points(stack)
+    axes, points = cfg.sweep.axes, cfg.sweep.points
+    sol = solve_points(cfg.sweep.stack)
     controls = candidate_controls(cfg.model.d)
     labels = [u.label() for u in controls]
     single = np.array([u.is_single for u in controls])
@@ -311,17 +292,13 @@ def run_sweep(cfg: ScenarioConfig, out_dir: Path, fmt_kind: str) -> tuple[dict[s
     rows = []
     for n, (coords, found) in enumerate(zip(points.tolist(), accepted)):
         found = np.flatnonzero(found)
-        x_star = min_margin = max_real = ""
+        first = ["", "", ""]  # x_star, min_margin, max_real_part of the first single equilibrium
         singles = found[single[found]]
         if singles.size:
             r = n * len(controls) + singles[0]
-            x_star = fmt(sol.x[r, 2 * sol.i[r]])
-            min_margin = fmt(sol.min_margin[r]) if np.isfinite(sol.min_margin[r]) else "inf"
-            max_real = fmt(sol.max_real_part[r])
+            first = [sol.x[r, 2 * sol.i[r]], sol.min_margin[r], sol.max_real_part[r]]
         rows.append(
-            [fmt(v) for v in coords]
-            + ["ok", str(found.size), ";".join(labels[c] for c in found), x_star, min_margin,
-               max_real]
+            coords + ["ok", found.size, ";".join(labels[c] for c in found)] + first
         )
     path = _write_table(out_dir, "sweep", fmt_kind, header, rows)
     summary = {"n_points": len(points), "n_succeeded": len(points)}

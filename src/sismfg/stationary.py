@@ -16,14 +16,18 @@ the mixed one (its stationary state always exists), closed-form values, and
 spectra from the block-triangular Jacobian at a fixed point
 (``_block_spectra``: one 3x3 ``eigvals`` per mixed pair, closed forms for
 the rest).  The batch runs in blocks whose per-pair copies of beta hold at
-most ENTRY_BUDGET entries, which bounds the kernel's working memory
-whatever the number of points or d.  Each pair
+most ENTRY_BUDGET entries.  The budget bounds those O(d^2) copies only:
+each pair's O(d) arrays (state, values, spectrum, temporaries) come on top,
+and at small d, where a block holds thousands of pairs, they are most of
+the kernel's working memory.  Each pair
 ends with a status (accepted / rejected / failed) and, when it failed, the
 reason.  ``enumerate_equilibria`` runs the kernel on one model, and a sweep
 (``runs.run_sweep``) on all of its grid points at once.  The scalar
-functions (``fixed_point_single``, ``hjb_single_exact``,
-``stability_single``, ``consistency_mixed``, ``solve_candidate``, ...) are
-one-pair views of the same kernel pieces, so every formula has one source.
+functions ``fixed_point_single`` / ``_mixed``, ``hjb_single_exact`` /
+``_mixed_exact``, ``hjb_single_asymptotic`` / ``_mixed_asymptotic``,
+``consistency_single`` / ``_mixed``, ``stability_single``,
+``stability_numerical`` and ``solve_candidate`` are one-pair views of the
+same kernel pieces, so every formula has one source.
 
 Acceptance of a candidate is decided on exact margins and the stationarity
 residual only; the asymptotic formulas are diagnostics.  Margins within
@@ -57,7 +61,7 @@ VALUE_RESIDUAL_TOL = 1e-10
 #: residual bound for accepting an equilibrium
 EQUILIBRIUM_RESIDUAL_TOL = 1e-8
 #: most entries of beta a block holds, one d x d copy per pair (``ParamStack.take``):
-#: a block takes max(1, ENTRY_BUDGET // d^2) pairs
+#: a block takes max(1, ENTRY_BUDGET // d^2) pairs; their O(d) arrays come on top
 ENTRY_BUDGET = 1 << 15
 
 #: status codes of a solved pair, indexes into STATUS_NAMES
@@ -98,13 +102,6 @@ def _share_quadratic(s: ParamStack, i: np.ndarray):
     r = np.arange(s.n)
     beta = s.beta[r, i, i]
     return beta, s.q_plus[r, i] - beta + s.q_minus[r, i], -s.q_minus[r, i]
-
-
-def infected_share_quadratic(p: ModelParams, i: int) -> tuple[float, float, float]:
-    """Coefficients (a, b, c) of the reduced quadratic a y^2 + b y + c for the
-    stationary infected share under the all-to-i control."""
-    a, b, c = _share_quadratic(ParamStack.tile(p), *_pair(i))
-    return float(a[0]), float(b[0]), float(c[0])
 
 
 def _quadratic_root_unit(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -346,15 +343,16 @@ def _residual_values(s: ParamStack, qt: np.ndarray, gap: np.ndarray,
     return _interleave(g_I, g_I - gap_j)
 
 
-def _values_single(s: ParamStack, i: np.ndarray, x_star: np.ndarray) -> np.ndarray:
-    """Exact stationary values under the all-to-i control, per pair.
+def _values_single(s: ParamStack, i: np.ndarray, x_star: np.ndarray,
+                   qt: np.ndarray) -> np.ndarray:
+    """Exact stationary values under the all-to-i control, per pair, at
+    infected share x_star and effective infection rate qt.
 
     The (iI, iS) block decouples (``_single_block``); each j != i block
     then follows from (g(iI), gap_i) in closed form (``_residual_values``).
     """
     r = np.arange(i.size)
     gap_i, g_iI, g_iS = _single_block(s, i, x_star)
-    qt = s.q_minus + s.beta[r, i, :] * x_star[:, None]
     g = _residual_values(s, qt, gap_i, g_iI)
     g[r, 2 * i] = g_iI
     g[r, 2 * i + 1] = g_iS
@@ -419,10 +417,11 @@ def _certificate_failure(defect: float) -> str:
     return f"stationary value solve failed its certificate: defect {defect:.3e}"
 
 
-def _certified(s: ParamStack, i: int, k: int, x: np.ndarray, g: np.ndarray) -> ValueVector:
-    """One pair's values, checked finite and certified (the scalar views)."""
+def _certified(s: ParamStack, i: int, k: int, qt: np.ndarray, g: np.ndarray) -> ValueVector:
+    """One pair's values, checked finite and certified at the effective
+    infection rate qt (the scalar views)."""
     values = ValueVector(g[0])
-    defect, bad = _value_certificate(s, *_pair(i, k), g, effective_infection(s, x))
+    defect, bad = _value_certificate(s, *_pair(i, k), g, qt)
     if bad[0]:
         raise RuntimeError(_certificate_failure(defect[0]))
     return values
@@ -433,7 +432,8 @@ def hjb_single_exact(p: ModelParams, i: int, x_star: float) -> ValueVector:
     certified by the value defect."""
     _require_positive_discount(p)
     s, (i_,), shares = ParamStack.tile(p), _pair(i), np.array([x_star], dtype=float)
-    return _certified(s, i, i, _single_states(p.d, i_, shares), _values_single(s, i_, shares))
+    qt = effective_infection(s, _single_states(p.d, i_, shares))
+    return _certified(s, i, i, qt, _values_single(s, i_, shares, qt))
 
 
 def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVector:
@@ -442,8 +442,9 @@ def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVecto
     _require_positive_discount(p)
     if k == i:
         raise ValueError("mixed values require k != i")
-    s, xs = ParamStack.tile(p), x.x[None]
-    return _certified(s, i, k, xs, _values_mixed(s, *_pair(i, k), effective_infection(s, xs)))
+    s = ParamStack.tile(p)
+    qt = effective_infection(s, x.x[None])
+    return _certified(s, i, k, qt, _values_mixed(s, *_pair(i, k), qt))
 
 
 @dataclass(frozen=True)
@@ -528,13 +529,6 @@ def _mixed_first_order(s: ParamStack, i: np.ndarray, k: np.ndarray,
     )
 
 
-def mixed_first_order(p: ModelParams, i: int, k: int, qt: np.ndarray) -> MixedFirstOrder:
-    """First-order (in 1/lam) coefficients of the mixed stationary values
-    (see ``_mixed_first_order``); qt is the effective infection rate."""
-    fo = _mixed_first_order(ParamStack.tile(p), *_pair(i, k), np.asarray(qt, dtype=float)[None])
-    return MixedFirstOrder(*(float(getattr(fo, f.name)[0]) for f in fields(fo)))
-
-
 @dataclass(frozen=True)
 class MixedAsymptotics:
     """Zeroth/first order stationary values for the mixed control.
@@ -552,14 +546,15 @@ class MixedAsymptotics:
 
 
 def hjb_mixed_asymptotic(p: ModelParams, i: int, k: int, x: MixedState) -> MixedAsymptotics:
-    """Zeroth/first order values from ``mixed_first_order``; the residual
+    """Zeroth/first order values from ``_mixed_first_order``; the residual
     strategies' 1/lam coefficients are the asymptotic margins of
     ``_families_mixed``."""
     if k == i:
         raise ValueError("mixed values require k != i")
     s, pair = ParamStack.tile(p), _pair(i, k)
     qt = effective_infection(s, x.x[None])
-    fo = mixed_first_order(p, i, k, qt[0])
+    fo_pair = _mixed_first_order(s, *pair, qt)
+    fo = MixedFirstOrder(*(float(getattr(fo_pair, f.name)[0]) for f in fields(fo_pair)))
     if p.delta == 0.0:
         return MixedAsymptotics(first_order=fo, g0=None, values=None)
     lam, delta = p.lam, p.delta
@@ -572,7 +567,7 @@ def hjb_mixed_asymptotic(p: ModelParams, i: int, k: int, x: MixedState) -> Mixed
     g1_kI = g1_kS * (qt[0, k] + delta) / qt[0, k]
     # residual strategy j: g(jI) = g(iI) + corr_I[j], g(jS) = g(kS) + corr_S[j]; the margins
     # are zero at the bases and the cross entries are overwritten below
-    corr_I, corr_S = (c[0] / lam for c in _families_mixed(s, *pair, qt)[:2])
+    corr_I, corr_S = (c[0] / lam for c in _families_mixed(s, *pair, qt, fo_pair)[:2])
     g = _interleave(g0_iI + g1_iI / lam + corr_I, g0_kS + g1_kS / lam + corr_S)
     g[2 * i + 1] = g0_kS + g1_iS / lam
     g[2 * k] = g0_iI + g1_kI / lam
@@ -649,13 +644,6 @@ def _small_interaction_single(s: ParamStack, i: np.ndarray) -> tuple[np.ndarray,
     return np.where(others, sm_I, 0.0), np.where(others, sm_S, 0.0)
 
 
-def small_interaction_margins_single(p: ModelParams, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interaction-free strict optimality conditions for the all-to-i
-    candidate (see ``_small_interaction_single``)."""
-    sm_I, sm_S = _small_interaction_single(ParamStack.tile(p), *_pair(i))
-    return sm_I[0], sm_S[0]
-
-
 def _families_single(s: ParamStack, i: np.ndarray, x_star: np.ndarray):
     """Asymptotic and small-interaction margins of the all-to-i candidate
     with infected share x_star, per pair.  The asymptotic margins are the
@@ -676,9 +664,11 @@ def _families_single(s: ParamStack, i: np.ndarray, x_star: np.ndarray):
             *_small_interaction_single(s, i))
 
 
-def _families_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray, qt: np.ndarray):
+def _families_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray, qt: np.ndarray,
+                    fo: MixedFirstOrder):
     """Asymptotic and small-interaction margins of the mixed candidate
-    [i(I), k(S)], per pair.
+    [i(I), k(S)], per pair, from its first-order data fo
+    (``_mixed_first_order`` at the effective infection rate qt).
 
     Asymptotic margins: the scaled first-order cross conditions for
     g(iI) <= g(kI) and g(kS) <= g(iS) (which vanish identically at
@@ -698,7 +688,6 @@ def _families_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray, qt: np.ndarray)
     r = np.arange(i.size)
     strategies = np.arange(s.d)
     rest = (strategies != i[:, None]) & (strategies != k[:, None])
-    fo = _mixed_first_order(s, i, k, qt)
     asy_I = np.where(rest, s.w_I - fo.G0_iI[:, None] - s.q_plus * fo.gap0[:, None], 0.0)
     asy_S = np.where(rest, s.w_S - fo.G0_kS[:, None] + qt * fo.gap0[:, None], 0.0)
     asy_I[r, k] = fo.cross_margin_I
@@ -727,7 +716,8 @@ def _margins(s: ParamStack, i: int, k: int, x: np.ndarray, g: np.ndarray) -> Con
     if i == k:
         families = _families_single(s, i_, x[:, 2 * i])
     else:
-        families = _families_mixed(s, i_, k_, effective_infection(s, x))
+        qt = effective_infection(s, x)
+        families = _families_mixed(s, i_, k_, qt, _mixed_first_order(s, i_, k_, qt))
     margin_I, margin_S = _exact_margins(i_, k_, g)
     min_margin, degenerate = _margin_summary(i_, k_, margin_I, margin_S)
     return ConsistencyMargins(
@@ -853,7 +843,7 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
     qt = effective_infection(s, x)
     g = np.empty((m, 2 * d))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g[sgl] = _values_single(s_sgl, i[sgl], x[sgl, 2 * i[sgl]])
+        g[sgl] = _values_single(s_sgl, i[sgl], x[sgl, 2 * i[sgl]], qt[sgl])
         g[mix] = _values_mixed(s_mix, i[mix], k[mix], qt[mix])
         fail(~np.isfinite(g).all(axis=1), lambda q: "value vector entries must be finite")
         defect, uncertified = _value_certificate(s, i, k, g, qt)

@@ -87,11 +87,19 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def oracle_xstar(p: ModelParams, i: int) -> float:
-    """Bisection root of the reduced stationary quadratic on (0, 1)."""
+def oracle_share_quadratic(p: ModelParams, i: int) -> tuple[float, float, float]:
+    """Coefficients (a, b, c) of the reduced stationary quadratic
+    a y^2 + b y + c in the infected share y under the all-to-i control:
+    (beta_ii, q_plus_i - beta_ii + q_minus_i, -q_minus_i)."""
     b_ii = float(p.beta[i, i])
     qp, qm = float(p.q_plus[i]), float(p.q_minus[i])
-    return bisect_root(lambda y: b_ii * y * y + y * (qp - b_ii + qm) - qm, 0.0, 1.0)
+    return b_ii, qp - b_ii + qm, -qm
+
+
+def oracle_xstar(p: ModelParams, i: int) -> float:
+    """Bisection root of the reduced stationary quadratic on (0, 1)."""
+    a, b, c = oracle_share_quadratic(p, i)
+    return bisect_root(lambda y: a * y * y + b * y + c, 0.0, 1.0)
 
 
 def _dense_rows(p: ModelParams, u: StationaryControl, x: MixedState):

@@ -38,12 +38,11 @@ from sismfg.stationary import (
     hjb_mixed_exact,
     hjb_single_asymptotic,
     hjb_single_exact,
-    infected_share_quadratic,
     stability_single,
 )
 from sismfg.model import kinetic_rhs
 
-from conftest import P0, _oracle_spectrum, random_params
+from conftest import P0, _oracle_spectrum, oracle_share_quadratic, random_params
 
 N_DRAWS = 1000
 SINGLE1 = StationaryControl.single(2, 0)
@@ -76,7 +75,7 @@ def draw_certificates():
         p = random_params(rng)
         for i in range(p.d):
             x_star, state = fixed_point_single(p, i)
-            a, b, c = infected_share_quadratic(p, i)
+            a, b, c = oracle_share_quadratic(p, i)
             worst["quadratic"] = max(
                 worst["quadratic"], abs(a * x_star * x_star + b * x_star + c)
             )

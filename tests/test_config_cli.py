@@ -1,6 +1,8 @@
 """Configuration parsing, run orchestration, CLI contract."""
 
+import csv
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -749,13 +751,20 @@ def test_manifest_echoes_scenario_with_seed_in_force(tmp_path):
     assert manifest["config"] == {**data, "seed": 7}
 
 
+def _csv_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a CSV table (labels such as mixed(1,2) are quoted)."""
+    with path.open(newline="") as fh:
+        header, *lines = csv.reader(fh)
+    return header, lines
+
+
 def _table_cells_match(csv_path: Path, json_path: Path) -> None:
-    lines = csv_path.read_text().splitlines()
+    header, lines = _csv_table(csv_path)
     table = json.loads(json_path.read_text())
-    assert table["columns"] == lines[0].split(",")
-    assert len(table["rows"]) == len(lines) - 1
-    for line, row in zip(lines[1:], table["rows"]):
-        for text, cell in zip(line.split(","), row, strict=True):
+    assert table["columns"] == header
+    assert len(table["rows"]) == len(lines)
+    for line, row in zip(lines, table["rows"]):
+        for text, cell in zip(line, row, strict=True):
             try:
                 number = float(text)
             except ValueError:
@@ -766,7 +775,8 @@ def _table_cells_match(csv_path: Path, json_path: Path) -> None:
                 assert type(cell) in (int, float) and cell == number
 
 
-@pytest.mark.parametrize("name, update", [
+#: the shipped table scenarios, shrunk; every table column kind occurs
+TABLE_SCENARIOS = [
     ("p0_simulate", {"simulate": {"control": {"type": "single", "i": 1}, "x0": "uniform",
                                   "grid": {"t_start": 0.0, "t_end": 2.0, "n_steps": 50}}}),
     ("p0_nplayer", {"nplayer": {"control": {"type": "single", "i": 1}, "x0": "uniform",
@@ -774,13 +784,47 @@ def _table_cells_match(csv_path: Path, json_path: Path) -> None:
                                 "replications": 2}}),
     ("sweep_beta11", {"sweep": {"axes": [{"path": "lambda", "values": [50.0, 100.0]},
                                          {"path": "beta[2][2]", "values": [0.05, 1e8]}]}}),
-])
-def test_json_tables_hold_numbers(tmp_path, name, update):
+    ("p0_turnpike", {"turnpike": {"strategy": 1, "x0": "uniform", "g_terminal": "stationary",
+                                  "grid": {"t_start": 0.0, "t_end": 2.0, "n_steps": 50}}}),
+]
+
+
+def _csv_and_json_tables(tmp_path, name: str, update: dict) -> list[tuple[Path, Path]]:
+    """Run a shipped scenario once per table format: (csv, json) per table."""
     data = {**json.loads((REPO_CONFIGS / f"{name}.json").read_text()), **update}
     csv_bundle = run_scenario(parse_config_dict(data), tmp_path / "csv")
     data["output"] = {"format": "json"}
     json_bundle = run_scenario(parse_config_dict(data), tmp_path / "json")
     assert csv_bundle.artifacts.keys() == json_bundle.artifacts.keys()
-    for key, path in csv_bundle.artifacts.items():
-        if path.suffix == ".csv":
-            _table_cells_match(path, json_bundle.artifacts[key])
+    return [(path, json_bundle.artifacts[key]) for key, path in csv_bundle.artifacts.items()
+            if path.suffix == ".csv"]
+
+
+@pytest.mark.parametrize("name, update", TABLE_SCENARIOS)
+def test_json_tables_hold_numbers(tmp_path, name, update):
+    for csv_path, json_path in _csv_and_json_tables(tmp_path, name, update):
+        _table_cells_match(csv_path, json_path)
+
+
+#: integer columns: counts (n_jI / n_jS), N, replications, n_equilibria, the flags
+INT_COLUMN = re.compile(r"(n_\d+[IS]|N|replications|n_equilibria|cone_ok|argmin_ok)")
+TEXT_COLUMNS = {"status", "controls"}
+
+
+@pytest.mark.parametrize("name, update", TABLE_SCENARIOS)
+def test_json_table_cells_typed_by_column(tmp_path, name, update):
+    """A JSON cell is its CSV cell as a number of its column's type (a float
+    column holds floats at integral values too), or the same text: labels,
+    'inf' and empty cells."""
+    for csv_path, json_path in _csv_and_json_tables(tmp_path, name, update):
+        header, lines = _csv_table(csv_path)
+        table = json.loads(json_path.read_text())
+        assert table["columns"] == header and len(table["rows"]) == len(lines)
+        for line, row in zip(lines, table["rows"]):
+            for column, text, cell in zip(header, line, row, strict=True):
+                if column in TEXT_COLUMNS or text in ("inf", ""):
+                    assert cell == text, (column, text, cell)
+                elif INT_COLUMN.fullmatch(column):
+                    assert type(cell) is int and cell == int(text), (column, text, cell)
+                else:
+                    assert type(cell) is float and cell == float(text), (column, text, cell)

@@ -27,8 +27,6 @@ from sismfg.stationary import (
     hjb_mixed_exact,
     hjb_single_asymptotic,
     hjb_single_exact,
-    infected_share_quadratic,
-    mixed_first_order,
     solve_points,
     stability_single,
 )
@@ -43,6 +41,7 @@ from conftest import (
     _oracle_rate_roundoff,
     _oracle_spectrum,
     oracle_enumerate,
+    oracle_share_quadratic,
     oracle_stationary_values,
     oracle_xstar,
     random_params,
@@ -56,7 +55,7 @@ def single_dense_gap(p, i, state, rep):
 
 
 def quadratic_value(p, i, y):
-    a, b, c = infected_share_quadratic(p, i)
+    a, b, c = oracle_share_quadratic(p, i)
     return a * y * y + b * y + c
 
 
@@ -367,8 +366,8 @@ def test_mixed_first_order_symmetric_boundary():
     # q_minus equal): the first cross condition sits exactly on its boundary
     p = ModelParams(d=2, lam=100.0, delta=0.3, q_plus=[0.5, 0.5], q_minus=[0.4, 0.4],
                     beta=np.zeros((2, 2)), w_I=[2.0, 2.0], w_S=[1.0, 1.5])
-    qt = p.q_minus.copy()
-    fo = mixed_first_order(p, 0, 1, qt)
+    # beta = 0, so q~ is q_minus
+    fo = hjb_mixed_asymptotic(p, 0, 1, fixed_point_mixed(p, 0, 1)).first_order
     assert abs(fo.cross_margin_I) <= 1e-12
 
 

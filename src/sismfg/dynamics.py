@@ -9,7 +9,18 @@ method=ETDRK4)``, Cox-Matthews 2002): the population RHS is split as
 x @ M + N(x) with M the constant migration generator, e^{hM} and
 phi_1..phi_3(hM) come from one scaling-and-squaring exponential per step
 size, and the step follows the slow infection and recovery rates instead
-of lam.  ``solve_turnpike`` builds
+of lam.
+
+Under a frozen control the value equation is linear, so its RK4 step is
+an affine map g -> g + D_m g + r_m.  ``integrate_backward`` builds these
+maps for a block of steps at once, by stepping a few probe vectors (a
+column coloring of D_m's sparsity pattern, which ``step_pattern`` reads
+off the control), and then runs the sequential recursion with one sparse
+update per node.  Coupling rows and flags are computed per block of steps
+or nodes, so the sweep's working memory is bounded by
+``stationary.ENTRY_BUDGET`` whatever the number of steps.
+
+``solve_turnpike`` builds
 the time-dependent solution anchored at an all-to-i stationary solution:
 with the control frozen the population decouples and integrates forward,
 the values integrate backward against that path, and the run is certified
@@ -42,13 +53,20 @@ from .model import (
     ParamStack,
     StationaryControl,
     ValueVector,
+    _check_dims,
     hjb_coupling,
     hjb_rhs_fn,
     kinetic_rhs_fn,
     migration_generator,
     net_infection_fn,
+    state_targets,
 )
-from .stationary import _small_interaction_single, fixed_point_single, hjb_single_exact
+from .stationary import (
+    ENTRY_BUDGET,
+    _small_interaction_single,
+    fixed_point_single,
+    hjb_single_exact,
+)
 
 #: forward step kinds: classical RK4, and exponential RK4 (Cox-Matthews ETDRK4)
 RK4 = "rk4"
@@ -326,11 +344,85 @@ def argmin_flags(g_path: np.ndarray, u: StationaryControl) -> np.ndarray:
     return flags
 
 
-def _coupling_rows(p: ModelParams, x_path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value-equation coupling rows at the nodes and at the step midpoints
-    (population interpolated linearly), computed once per sweep."""
-    xI = x_path[:, 0::2]
-    return hjb_coupling(p, xI), hjb_coupling(p, 0.5 * (xI[:-1] + xI[1:]))
+def _rk4_backward_step(rhs, c_hi, c_mid, c_lo, g: np.ndarray, h: float) -> np.ndarray:
+    """Increment of one classical RK4 step of the value equation from node
+    m + 1 (coupling row c_hi) to node m (c_lo), c_mid at the midpoint.
+    With the states on the first axis, coupling rows of shape (n, 1, steps)
+    and value vectors as the columns of g, shape (n, probes, 1), it takes
+    every step of a block for every probe at once."""
+    k1 = rhs(c_hi, g)
+    k2 = rhs(c_mid, g + 0.5 * h * k1)
+    k3 = rhs(c_mid, g + 0.5 * h * k2)
+    k4 = rhs(c_lo, g + h * k3)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class StepPattern(NamedTuple):
+    """Sparsity of the fixed-control RK4 step g -> g + D g + r and its probes.
+
+    probes holds one column per color, the sum of that color's unit
+    vectors, and a last column of zeros, whose step gives r.  idx[:, s]
+    lists the columns of row s of D and color[:, s] the probe that reads
+    each; a short row is padded with column s read off the zero probe, so
+    its padding entries of D are r - r = 0."""
+
+    idx: np.ndarray
+    color: np.ndarray
+    probes: np.ndarray
+
+
+def step_pattern(u: StationaryControl) -> StepPattern:
+    """The pattern of a fixed-control RK4 step under u, and probes to read it.
+
+    One RHS evaluation couples state s to s, its partner and its target
+    under u, so the four stages of a step reach at most four such hops.
+    Columns are colored greedily so that no row meets two columns of one
+    color (Curtis-Powell-Reid, 1974): the step of a color's probe, less r,
+    then holds in each row the one entry of D in that color.  Under
+    single(i) that is 4 colors whatever d is.
+    """
+    n = 2 * u.target_I.size
+    hop = np.stack([np.arange(n), np.arange(n) ^ 1, state_targets(u)], axis=1)
+    reach = [{s} for s in range(n)]
+    for _ in range(4):
+        reach = [set(hop[list(r)].ravel().tolist()) for r in reach]
+    rows_of = [[] for _ in range(n)]
+    for s, r in enumerate(reach):
+        for j in r:
+            rows_of[j].append(s)
+    color = np.full(n, -1)
+    for j in range(n):
+        taken = {color[k] for s in rows_of[j] for k in reach[s]}
+        color[j] = min(set(range(n)) - taken)
+    cols = [sorted(r) for r in reach]
+    width, zero = max(map(len, cols)), color.max() + 1
+    idx = np.array([c + [s] * (width - len(c)) for s, c in enumerate(cols)]).T.copy()
+    entry_color = np.array([color[c].tolist() + [zero] * (width - len(c)) for c in cols]).T.copy()
+    probes = np.zeros((n, zero + 1))
+    probes[np.arange(n), color] = 1.0
+    return StepPattern(idx=idx, color=entry_color, probes=probes)
+
+
+def sweep_block(n: int, width: int) -> int:
+    """Steps per block of the backward sweep that steps width value vectors
+    of n entries: a block's step results hold at most ENTRY_BUDGET entries."""
+    return max(1, ENTRY_BUDGET // (width * n))
+
+
+def _affine_steps(D: np.ndarray, r: np.ndarray, idx: np.ndarray, g: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """The nodes of a block from its top node's g down: out[m] = g + (D[m] g
+    + r[m]), with D[m] g summed over the pattern idx, one update per node.
+    Returns out[0]."""
+    terms = np.empty(idx.shape)
+    for m in range(len(out) - 1, -1, -1):
+        row = out[m]
+        np.multiply(D[m], g[idx], out=terms)
+        np.add.reduce(terms, axis=0, out=row)
+        row += r[m]
+        row += g
+        g = row
+    return g
 
 
 def integrate_backward(
@@ -348,29 +440,58 @@ def integrate_backward(
     population path is taken on the same grid and interpolated linearly at
     stage midpoints.  In either mode u is the reference control for the
     per-node argmin flags; cone flags use its I-target.
+
+    Both modes take classical RK4 steps, in blocks of ``sweep_block`` steps
+    whose coupling rows are computed per block, and the flags are taken in
+    chunks of nodes after the sweep, so the working memory is bounded
+    whatever n_steps is.  Under the frozen control a step is affine,
+    g -> g + D_m g + r_m: the fixed mode steps the ``step_pattern`` probes
+    of a whole block at once, reads the sparse D_m and r_m off them, and
+    then runs one sparse update per node.  The adaptive mode steps node by
+    node.
     """
     if mode not in ("fixed", "adaptive"):
         raise ValueError(f"unknown backward mode {mode!r}")
+    _check_dims(p, gT, u)
     if x_path.shape != (grid.n_steps + 1, p.n_states):
         raise ValueError("x_path does not match the grid")
-    rhs = hjb_rhs_fn(p, u if mode == "fixed" else None)
-    c, c_mid = _coupling_rows(p, x_path)
-    h = grid.h
+    fixed = mode == "fixed"
+    rhs = hjb_rhs_fn(p, u if fixed else None)
+    per_node = sweep_block(p.n_states, 1)
+    if fixed:
+        idx, color, probes = step_pattern(u)
+        block = sweep_block(p.n_states, probes.shape[1])
+    else:
+        block = per_node
+    h, n_steps = grid.h, grid.n_steps
+    xI = x_path[:, 0::2]
     g_path = np.empty_like(x_path)
-    g = gT.g.copy()
-    g_path[grid.n_steps] = g
-    for m in range(grid.n_steps - 1, -1, -1):
-        k1 = rhs(c[m + 1], g)
-        k2 = rhs(c_mid[m], g + 0.5 * h * k1)
-        k3 = rhs(c_mid[m], g + 0.5 * h * k2)
-        k4 = rhs(c[m], g + h * k3)
-        g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        g_path[m] = g
-    del c, c_mid  # the flags' temporaries reuse this memory
-    i = int(u.target_I[0]) if u.is_uniform else int(np.argmin(g_path[-1][0::2]))
-    return BackwardSolution(
-        g_path=g_path, cone_ok=cone_flags(g_path, i), argmin_ok=argmin_flags(g_path, u)
-    )
+    g = g_path[n_steps] = gT.g
+    for top in range(n_steps, 0, -block):  # steps lo..top-1, nodes lo..top
+        lo = max(0, top - block)
+        c = hjb_coupling(p, xI[lo:top + 1])
+        c_mid = hjb_coupling(p, 0.5 * (xI[lo:top] + xI[lo + 1:top + 1]))
+        if fixed:
+            c_col, c_mid_col = c.T[:, None].copy(), c_mid.T[:, None].copy()
+            maps = _rk4_backward_step(  # maps[s, probe, m]
+                rhs, c_col[..., 1:], c_mid_col, c_col[..., :-1], probes[:, :, None], h
+            )
+            r = maps[:, -1]
+            D = maps[np.arange(p.n_states), color] - r  # D[k, s, m]
+            g = _affine_steps(D.transpose(2, 0, 1).copy(), r.T.copy(), idx, g, g_path[lo:top])
+        else:
+            for m in range(top - lo - 1, -1, -1):
+                g = g_path[lo + m] = g + _rk4_backward_step(
+                    rhs, c[m + 1], c_mid[m], c[m], g, h
+                )
+    i = int(u.target_I[0]) if u.is_uniform else int(np.argmin(gT.g[0::2]))
+    cone_ok = np.empty(n_steps + 1, dtype=bool)
+    argmin_ok = np.empty(n_steps + 1, dtype=bool)
+    for lo in range(0, n_steps + 1, per_node):
+        nodes = slice(lo, lo + per_node)
+        cone_ok[nodes] = cone_flags(g_path[nodes], i)
+        argmin_ok[nodes] = argmin_flags(g_path[nodes], u)
+    return BackwardSolution(g_path=g_path, cone_ok=cone_ok, argmin_ok=argmin_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -479,7 +479,10 @@ def hjb_rhs_fn(
         lam * (best(s) - g(s)) + c(s) * (g(s') - g(s)) + w(s) - delta * g(s).
 
     With u=None best(s) is the explicit strategy minimum of g over the
-    compartment of s; otherwise it is g at the target of s under u.
+    compartment of s; otherwise it is g at the target of s under u.  g is
+    one value vector, or many stacked along trailing axes with the states on
+    the first axis (g[s, ...], so every gather is numpy's plain row index);
+    c broadcasts against it.
     """
     if u is not None:
         _check_dims(p, u)
@@ -491,8 +494,12 @@ def hjb_rhs_fn(
     lam, delta = p.lam, p.delta
 
     def rhs(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-        best = g.reshape(-1, 2).min(axis=0)[parity] if u is None else g[target]
-        return lam * (best - g) + c * (g[partner] - g) + w - delta * g
+        w_g = w if g.ndim == 1 else w.reshape(w.shape + (1,) * (g.ndim - 1))
+        if u is None:
+            best = g.reshape(-1, 2, *g.shape[1:]).min(axis=0)[parity]
+        else:
+            best = g[target]
+        return lam * (best - g) + c * (g[partner] - g) + w_g - delta * g
 
     return rhs
 

@@ -98,7 +98,7 @@ def _write_table(out_dir: Path, name: str, fmt_kind: str, header: list[str], row
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(
-                [format(c, ".17g") if isinstance(c, float) else c for c in r] for r in rows
+                ["%.17g" % c if isinstance(c, float) else c for c in r] for r in rows
             )
     else:
         path = out_dir / f"{name}.json"

@@ -166,6 +166,31 @@ def oracle_euler_path(p: ModelParams, x0: np.ndarray, u: StationaryControl, t_en
     return x
 
 
+def oracle_backward_fixed(p: ModelParams, gT: ValueVector, x_path: np.ndarray,
+                          u: StationaryControl, h: float) -> np.ndarray:
+    """Reference fixed-control backward sweep: the classical RK4 stage loop,
+    four ``hjb_rhs_fn`` calls per step, with the coupling rows of the whole
+    path at the nodes and at the step midpoints (population interpolated
+    linearly)."""
+    from sismfg.model import hjb_coupling, hjb_rhs_fn
+
+    rhs = hjb_rhs_fn(p, u)
+    xI = x_path[:, 0::2]
+    c, c_mid = hjb_coupling(p, xI), hjb_coupling(p, 0.5 * (xI[:-1] + xI[1:]))
+    n_steps = x_path.shape[0] - 1
+    g_path = np.empty_like(x_path)
+    g = gT.g.copy()
+    g_path[n_steps] = g
+    for m in range(n_steps - 1, -1, -1):
+        k1 = rhs(c[m + 1], g)
+        k2 = rhs(c_mid[m], g + 0.5 * h * k1)
+        k3 = rhs(c_mid[m], g + 0.5 * h * k2)
+        k4 = rhs(c[m], g + h * k3)
+        g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        g_path[m] = g
+    return g_path
+
+
 # ---------------------------------------------------------------------------
 # reference jump engine: the per-event loop of the exact-jump simulation as it
 # stood before the live channel table, kept verbatim so the library engine

@@ -1,6 +1,7 @@
 """Integrators, closed-form gap evolution, turnpike construction and metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,21 @@ from sismfg.dynamics import (
     etdrk4_operators,
     graded_opening,
     phi_functions,
+    step_pattern,
+    sweep_block,
 )
 from sismfg.model import TIE_TOL, best_response, hjb_coupling, hjb_rhs_fn, migration_generator
-from sismfg.stationary import fixed_point_single, hjb_single_exact, solve_candidate
+from sismfg.stationary import ENTRY_BUDGET, fixed_point_single, hjb_single_exact, solve_candidate
 
-from conftest import P0, P0_GAP, oracle_euler_path, random_control, random_params, random_state
+from conftest import (
+    P0,
+    P0_GAP,
+    oracle_backward_fixed,
+    oracle_euler_path,
+    random_control,
+    random_params,
+    random_state,
+)
 
 SINGLE1 = StationaryControl.single(2, 0)
 
@@ -227,7 +238,86 @@ def test_backward_fixed_equals_adaptive_inside_cone(p0):
     fixed = integrate_backward(p0, g, x_path, SINGLE1, grid, mode="fixed")
     adaptive = integrate_backward(p0, g, x_path, SINGLE1, grid, mode="adaptive")
     assert fixed.argmin_ok.all()
-    assert np.array_equal(fixed.g_path, adaptive.g_path)  # bitwise
+    # the two modes step the same RK4, the fixed mode through its affine step maps
+    scale = max(1.0, float(np.abs(adaptive.g_path).max()))
+    assert np.max(np.abs(fixed.g_path - adaptive.g_path)) <= 1e-12 * scale
+
+
+def _linear_path(p, x1, n_steps):
+    """Population path from the uniform state to x1, linear in time (on the
+    simplex at every node, and moving, so every step has its own coupling)."""
+    s = np.linspace(0.0, 1.0, n_steps + 1)[:, None]
+    return (1.0 - s) * MixedState.uniform(p.d).x + s * x1
+
+
+def _oracle_case(name):
+    rng = np.random.default_rng(1500)
+    if name == "P0 single(1)":
+        p = ModelParams(**P0)
+        u, gT = SINGLE1, stationary_pair(p)[1]
+    elif name == "d=3 mixed(1,2)":
+        p, u = random_params(rng, 3), StationaryControl.mixed(3, 0, 1)
+        gT = ValueVector(rng.uniform(0.0, 5.0, 6))
+    elif name == "d=3 non-uniform":
+        p, u = random_params(rng, 3), StationaryControl([0, 2, 1], [1, 1, 0])
+        gT = ValueVector(rng.uniform(0.0, 5.0, 6))
+    else:
+        p, u = random_params(rng, 20), StationaryControl.single(20, 0)
+        gT = ValueVector(rng.uniform(0.0, 5.0, 40))
+    return p, u, gT, random_state(rng, p.d).x
+
+
+ORACLE_CASES = ("P0 single(1)", "d=3 mixed(1,2)", "d=3 non-uniform", "d=20 single(1)")
+
+
+@pytest.mark.parametrize(
+    "name, steps",
+    [("P0 single(1)", 20000)]
+    + [(name, steps) for name in ORACLE_CASES for steps in ("1", "block-1", "block+1")],
+)
+def test_backward_fixed_matches_stage_loop_oracle(name, steps):
+    p, u, gT, x1 = _oracle_case(name)
+    if isinstance(steps, str):  # around the sweep's block size under u
+        block = sweep_block(p.n_states, step_pattern(u).probes.shape[1])
+        steps = {"1": 1, "block-1": block - 1, "block+1": block + 1}[steps]
+    grid = TimeGrid(0.0, 0.005 * steps, steps)
+    x_path = _linear_path(p, x1, steps)
+    back = integrate_backward(p, gT, x_path, u, grid, mode="fixed")
+    expected = oracle_backward_fixed(p, gT, x_path, u, grid.h)
+    scale = max(1.0, float(np.abs(expected).max()))
+    assert np.max(np.abs(back.g_path - expected)) <= 1e-12 * scale
+
+
+def test_step_pattern_single_needs_four_probes_at_any_d():
+    for d in (1, 2, 3, 20, 60):
+        for i in {0, d - 1}:
+            pattern = step_pattern(StationaryControl.single(d, i))
+            assert pattern.probes.shape == (2 * d, min(4, 2 * d) + 1)
+            assert pattern.idx.shape[0] == min(4, 2 * d)
+
+
+def test_backward_memory_bounded_by_entry_budget(p0):
+    # whatever n_steps is, the sweep holds block-sized arrays besides what it
+    # returns: its stage and step-map arrays, coupling rows and flag temporaries
+    x, g = stationary_pair(p0)
+    grid = TimeGrid(0.0, 1000.0, 200_000)
+    x_path = _linear_path(p0, x.x, grid.n_steps)
+    tracemalloc.start()
+    try:
+        back = integrate_backward(p0, g, x_path, SINGLE1, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = back.g_path.nbytes + back.cone_ok.nbytes + back.argmin_ok.nbytes
+    assert peak - returned <= 16 * ENTRY_BUDGET * 8
+
+
+def test_backward_rejects_dimension_mismatch(p0):
+    grid = TimeGrid(0.0, 1.0, 10)
+    x_path = np.tile(MixedState.uniform(2).x, (grid.n_steps + 1, 1))
+    for mode in ("fixed", "adaptive"):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            integrate_backward(p0, ValueVector(np.zeros(6)), x_path, SINGLE1, grid, mode=mode)
 
 
 def test_backward_frozen_coefficients_matches_matrix_exponential():

@@ -222,6 +222,21 @@ def test_hjb_fixed_control_matches_explicit_min_at_best_response(seed):
     assert np.array_equal(explicit, expanded)
 
 
+def test_hjb_rhs_stacked_values_equal_one_by_one():
+    # the backward sweep evaluates the value equation on stacked probes, states first
+    rng = np.random.default_rng(15)
+    for d in (1, 3):
+        p = random_params(rng, d)
+        c = hjb_coupling(p, rng.uniform(0.0, 0.5, (4, d)))  # one coupling row per step
+        g = rng.normal(size=(2 * d, 3, 4))  # g[:, k, m]: probe k at step m
+        for u in (None, StationaryControl.single(d, 0), random_control(rng, d)):
+            rhs = hjb_rhs_fn(p, u)
+            stacked = rhs(c.T[:, None], g)
+            for k in range(3):
+                for m in range(4):
+                    assert np.array_equal(stacked[:, k, m], rhs(c[m], g[:, k, m]))
+
+
 # ---------------------------------------------------------------------------
 # best_response
 

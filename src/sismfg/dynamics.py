@@ -5,18 +5,18 @@ integrated with fixed-step classical RK4 (default step min(0.01, 0.1/lam);
 lam sets the stiffness of both systems).  The LLN reference of
 ``nplayer.lln_error``, on the grid ``lln_reference_grid`` works out,
 instead takes exponential RK4 steps forward (``integrate_forward(...,
-method=ETDRK4)``, Cox-Matthews 2002): the population RHS is split as
-x @ M + N(x) with M the constant migration generator, e^{hM} and
-phi_1..phi_3(hM) come from one scaling-and-squaring exponential per step
-size, and the step follows the slow infection and recovery rates instead
-of lam.
+method=ETDRK4)``, Cox-Matthews 2002): the population RHS x Q(x) is split
+as x @ M + N(x) with M the constant generator of the decisions
+(``model.Generator.decisions``), e^{hM} and phi_1..phi_3(hM) come from one
+scaling-and-squaring exponential per step size, and the step follows the
+slow infection and recovery rates instead of lam.
 
 Under a frozen control the value equation is linear, so its RK4 step is
 an affine map g -> g + D_m g + r_m.  ``integrate_backward`` builds these
 maps for a block of steps at once, by stepping a few probe vectors (a
 column coloring of D_m's sparsity pattern, which ``step_pattern`` reads
 off the control), and then runs the sequential recursion with one sparse
-update per node.  Coupling rows and flags are computed per block of steps
+update per node.  Switch rates and flags are computed per block of steps
 or nodes, so the sweep's working memory is bounded by
 ``stationary.ENTRY_BUDGET`` whatever the number of steps.
 
@@ -48,17 +48,15 @@ import numpy as np
 
 from .model import (
     TIE_TOL,
+    Generator,
     MixedState,
     ModelParams,
     ParamStack,
     StationaryControl,
     ValueVector,
     _check_dims,
-    hjb_coupling,
     hjb_rhs_fn,
     kinetic_rhs_fn,
-    migration_generator,
-    net_infection_fn,
     state_targets,
 )
 from .stationary import (
@@ -179,7 +177,7 @@ def phi_functions(a: np.ndarray, order: int) -> list[np.ndarray]:
 
 class EtdOperators(NamedTuple):
     """ETDRK4 operators of one step size h for x' = x @ M + net(x) @ S,
-    with S the scatter of the net infection onto the I/S states: the
+    with S the scatter of the net exchange onto the I/S states: the
     stochastic e^{hM/2} and e^{hM}, S (h/2) phi_1(hM/2), and the stage
     weights S h (phi_1 - 3 phi_2 + 4 phi_3), S 2h (phi_2 - 2 phi_3) and
     S h (4 phi_3 - phi_2) of phi_k = phi_k(hM)."""
@@ -193,7 +191,7 @@ class EtdOperators(NamedTuple):
 
 
 def etdrk4_operators(m: np.ndarray, h: float) -> EtdOperators:
-    """The operators of step h for the migration generator m (rows sum to
+    """The operators of step h for the decision generator m (rows sum to
     zero).
 
     The rows of both exponentials are renormalized to sum to one: each
@@ -214,12 +212,14 @@ def etdrk4_operators(m: np.ndarray, h: float) -> EtdOperators:
 
 def _etdrk4_step_fn(p: ModelParams, u: StationaryControl):
     """Cox-Matthews ETDRK4 step x, h -> x(t + h) of the population ODE split
-    as x' = x @ M + N(x): M the migration generator, N the net infection
-    scattered +/- onto the I/S states.  The migration is solved exactly, so
-    the step need only follow the slow infection and recovery rates.  The
-    operators are computed once per step size and kept."""
-    m = migration_generator(p, u)
-    net = net_infection_fn(p)
+    as x' = x @ M + N(x): M the generator of the decisions under u
+    (``model.Generator.decisions``), N the net exchange of each strategy
+    (``model.Generator.exchange``) scattered +/- onto the I/S states.  The
+    decisions are solved exactly, so the step need only follow the slow
+    infection and recovery rates.  The operators are computed once per step
+    size and kept."""
+    gen = Generator.of(p, u)
+    m, net = gen.decisions, gen.exchange
     ops: dict[float, EtdOperators] = {}
 
     def step(x: np.ndarray, h: float) -> np.ndarray:
@@ -346,8 +346,8 @@ def argmin_flags(g_path: np.ndarray, u: StationaryControl) -> np.ndarray:
 
 def _rk4_backward_step(rhs, c_hi, c_mid, c_lo, g: np.ndarray, h: float) -> np.ndarray:
     """Increment of one classical RK4 step of the value equation from node
-    m + 1 (coupling row c_hi) to node m (c_lo), c_mid at the midpoint.
-    With the states on the first axis, coupling rows of shape (n, 1, steps)
+    m + 1 (switch rates c_hi) to node m (c_lo), c_mid at the midpoint.
+    With the states on the first axis, switch rates of shape (n, 1, steps)
     and value vectors as the columns of g, shape (n, probes, 1), it takes
     every step of a block for every probe at once."""
     k1 = rhs(c_hi, g)
@@ -442,7 +442,7 @@ def integrate_backward(
     per-node argmin flags; cone flags use its I-target.
 
     Both modes take classical RK4 steps, in blocks of ``sweep_block`` steps
-    whose coupling rows are computed per block, and the flags are taken in
+    whose switch rates are computed per block, and the flags are taken in
     chunks of nodes after the sweep, so the working memory is bounded
     whatever n_steps is.  Under the frozen control a step is affine,
     g -> g + D_m g + r_m: the fixed mode steps the ``step_pattern`` probes
@@ -464,13 +464,13 @@ def integrate_backward(
     else:
         block = per_node
     h, n_steps = grid.h, grid.n_steps
-    xI = x_path[:, 0::2]
+    switch_rates = Generator.of(p).switch_rates
     g_path = np.empty_like(x_path)
     g = g_path[n_steps] = gT.g
     for top in range(n_steps, 0, -block):  # steps lo..top-1, nodes lo..top
         lo = max(0, top - block)
-        c = hjb_coupling(p, xI[lo:top + 1])
-        c_mid = hjb_coupling(p, 0.5 * (xI[lo:top] + xI[lo + 1:top + 1]))
+        c = switch_rates(x_path[lo:top + 1])
+        c_mid = switch_rates(0.5 * (x_path[lo:top] + x_path[lo + 1:top + 1]))
         if fixed:
             c_col, c_mid_col = c.T[:, None].copy(), c_mid.T[:, None].copy()
             maps = _rk4_backward_step(  # maps[s, probe, m]

@@ -1,29 +1,36 @@
-"""Data model and right-hand sides of the strategic SIS game.
+"""Data model and the generator of the strategic SIS game.
 
 Agents occupy one of 2d states (j, I) or (j, S): strategy j in {0..d-1}
 combined with an infected or susceptible compartment.  Vectors over states
 use the fixed interleaved order (0I, 0S, 1I, 1S, ...); public file formats
 label the same order 1-based (x_1I, x_1S, ...).
 
-The module provides:
-  - parameter / state / control / value containers with their invariants,
-    and ``ParamStack``, the constants of many parameter points stacked as
-    arrays (the batched stationary kernel and sweep validation use it),
-  - the population ODE right-hand side (``kinetic_rhs``): decision-driven
-    migration at rate lam plus infection / recovery pressure and pairwise
-    peer infection, also split into its constant migration generator
-    (``migration_generator``) and net-infection term (``net_infection_fn``),
-    and its exact Jacobian (``kinetic_jacobian``, stacked over points by
-    ``kinetic_jacobian_stack``),
-  - the backward right-hand side of the discounted optimal-cost equation
-    (``hjb_rhs``, compiled per control by ``hjb_rhs_fn``), with the
-    strategy minimum taken explicitly or expanded at a fixed control,
-  - the best-response operator and the scalar stationarity certificate
-    ``consistency_residual``.
+The population is a nonlinear Markov chain on these states (Kolokoltsov,
+*Nonlinear Markov Processes and Kinetic Equations*, 2010), and the module
+writes its dynamics once, as the generator
+Q(x) = Q0 + sum_k x_kI Q_k: Q0 holds the decisions at rate lam and the
+pressure and recovery rates, Q_k the peer edges jS -> jI at beta[k, j].
+``Generator`` holds its edge table, at one point or stacked over the
+points of a ``ParamStack``, and reads off it every product the package
+uses:
+  - the population ODE right-hand side x Q(x) (``Generator.forward``,
+    compiled per control by ``kinetic_rhs_fn``; ``kinetic_rhs``), its
+    exact Jacobian, and its split into the constant generator of the
+    decisions and the exchange for the exponential integrator,
+  - Q(x) g, and with it the backward right-hand side of the discounted
+    optimal-cost equation (``Generator.value_rhs``; ``hjb_rhs_fn`` and
+    ``hjb_rhs``), where the Hamiltonian puts the explicit strategy minimum
+    in place of the values at the targets,
+  - the channel table of the N-agent jump chain.
+It also provides the parameter / state / control / value containers with
+their invariants, ``ParamStack`` (the constants of many parameter points
+stacked as arrays), the best-response operator and the scalar
+stationarity certificate ``consistency_residual``.
 
 All functions are pure; containers are frozen and hold read-only arrays
-(``ParamStack`` excepted: a sweep writes its axes into one), so
-everything here is safe under unrestricted concurrent use.
+(``ParamStack`` excepted: a sweep writes its axes into one), and a
+``Generator`` is never changed after it is built, so everything here is
+safe under unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -353,64 +360,168 @@ def state_targets(u: StationaryControl) -> np.ndarray:
     return _interleave(2 * u.target_I, 2 * u.target_S + 1)
 
 
-def _migration(p: ModelParams, u: StationaryControl) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state migration rate (lam away from the target, 0 at it) and the
-    0/1 incidence matrix whose row s has its one at the target of s."""
-    _check_dims(p, u)
-    n = 2 * p.d
-    target = state_targets(u)
-    moves = target != np.arange(n)
-    rate = np.where(moves, p.lam, 0.0)
-    incidence = np.zeros((n, n))
-    incidence[moves, target[moves]] = 1.0
-    return rate, incidence
+def effective_infection(s, xI: np.ndarray) -> np.ndarray:
+    """Effective infection rate q~_j = q_minus_j + sum_k beta[k, j] xI_k of
+    every strategy at infected shares xI: one row per point of a
+    ``ParamStack`` (or ``Generator``) s, or any leading axes at one point of
+    a ``Generator``."""
+    if s.beta.ndim == 2:
+        return s.q_minus + xI @ s.beta
+    return s.q_minus + np.matmul(xI[:, None], s.beta)[:, 0]
 
 
-def migration_generator(p: ModelParams, u: StationaryControl) -> np.ndarray:
-    """Constant generator M of migration under u: x' = x @ M for migration
-    alone.  Row s carries -lam on its diagonal and lam at its target when
-    s moves, and is zero at a target; rows sum to zero, so e^{tM} is
-    stochastic."""
-    rate, incidence = _migration(p, u)
-    return rate[:, None] * incidence - np.diag(rate)
+#: edge kinds of the generator, in the order of one strategy's edges
+DECISION, PRESSURE, RECOVERY, PEER = range(4)
+KIND_NAMES = ("decision", "pressure", "recovery", "peer")
 
 
-def net_infection_fn(p: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Net infection per strategy, x -> xS_j q~_j - xI_j q_plus_j with
-    q~_j = q_minus_j + sum_k beta[k, j] xI_k: the flow jS -> jI minus the
-    recovery jI -> jS.  The population RHS is x @ M (``migration_generator``)
-    plus this term on the I states and minus it on the S states."""
-    q_plus, q_minus, beta_T = p.q_plus, p.q_minus, p.beta.T
+class Generator:
+    """The generator Q(x) = Q0 + sum_k x_kI Q_k of the population chain, at
+    the points of a ``ParamStack`` s under per-point state targets
+    (``state_targets``, shape (n, 2d)).  ``Generator.of(p, u)`` is the
+    one-point stack, whose arrays carry no point axis.
 
-    def net(x: np.ndarray) -> np.ndarray:
-        xI = x[0::2]
-        return x[1::2] * (q_minus + beta_T @ xI) - xI * q_plus
+    Its edge table (``edges``) lists every transition.  Strategy j owns
+    five edges, in this order: its I and S decisions, to their targets at
+    rate lam (to == frm and rate 0 where a state is its own target);
+    pressure jS -> jI at q_minus_j; recovery jI -> jS at q_plus_j; and peer
+    jS -> jI, the edge of the Q_k, at rate sum_k beta[k, j] x_kI (constant
+    rate 0).  The decision edges, one per state, are each state's decision
+    rate ``decide`` toward its target; every other edge joins a state to
+    its partner, the other compartment of its strategy, so those make one
+    net ``exchange`` per strategy.  The products below and the jump chain's
+    ``channels`` are read off these.
 
-    return net
+    Population states x are rows, as in x Q(x): the states on the last
+    axis, one row per point (at one point, ``exchange`` and
+    ``switch_rates`` also take leading axes).  Value vectors g are columns,
+    as in Q(x) g: the states on the first axis, one column per point (at
+    one point, any trailing axes).
+    """
+
+    def __init__(self, s: ParamStack, target: np.ndarray):
+        points, d = target.shape[:-1], s.d
+
+        def per_point(a: np.ndarray) -> np.ndarray:
+            return a.reshape(points + a.shape[1:])
+
+        self.s, self.target = s, target
+        self.lam, self.delta = per_point(s.lam), per_point(s.delta)
+        self.q_plus, self.q_minus = per_point(s.q_plus), per_point(s.q_minus)
+        self.beta = per_point(s.beta)
+        self.w = _interleave(per_point(s.w_I), per_point(s.w_S)).T  # a column per point
+        self.decide = np.where(target != np.arange(2 * d), self.lam[..., None], 0.0)
+        # the target of every state as an index into the flattened rows of all points
+        rows = np.arange(0, target.size, 2 * d).reshape(points + (1,))
+        self._target_flat = (target + rows).ravel()
+
+    @classmethod
+    def of(cls, p: ModelParams, u: StationaryControl | None = None) -> "Generator":
+        """The generator of p under control u; without u nobody decides (every
+        state is its own target), so only the compartment edges remain."""
+        if u is None:
+            return cls(ParamStack.tile(p), np.arange(2 * p.d))
+        _check_dims(p, u)
+        return cls(ParamStack.tile(p), state_targets(u))
+
+    @property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The edge table (frm, to, kind, rate), strategy by strategy in the
+        order above: edge e moves an agent from state frm[e] to state
+        to[..., e] at the constant rate rate[..., e]; kind[e] says why."""
+        d = self.q_plus.shape[-1]
+        I, S = np.arange(0, 2 * d, 2), np.arange(1, 2 * d, 2)
+        frm = np.stack([I, S, S, I, S], axis=1).ravel()
+        kind = np.tile([DECISION, DECISION, PRESSURE, RECOVERY, PEER], d)
+        # a decision leads to the target, every other edge to the partner state
+        to = np.where(kind == DECISION, self.target[..., frm], frm ^ 1)
+        rate = np.stack([self.decide[..., 0::2], self.decide[..., 1::2], self.q_minus, self.q_plus,
+                         np.zeros_like(self.q_plus)], axis=-1)
+        return frm, to, kind, rate.reshape(to.shape)
+
+    @property
+    def decisions(self) -> np.ndarray:
+        """The constant generator M of the decision edges alone: row s holds
+        -lam on its diagonal and lam at its target when s moves, and is zero
+        at a target; rows sum to zero, so e^{tM} is stochastic."""
+        n = self.target.shape[-1]
+        m = (self.target[..., None] == np.arange(n)) * self.decide[..., None]
+        m[..., np.arange(n), np.arange(n)] -= self.decide
+        return m
+
+    def exchange(self, x: np.ndarray) -> np.ndarray:
+        """Net flow over each strategy's compartment edges, jS -> jI (pressure
+        and peer) minus jI -> jS (recovery): x_jS q~_j - x_jI q_plus_j with
+        q~ the ``effective_infection``."""
+        xI = x[..., 0::2]
+        return x[..., 1::2] * effective_infection(self, xI) - xI * self.q_plus
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The population RHS x Q(x), built from mass flows so that the
+        components sum to zero to roundoff and a zero coordinate never has a
+        negative rate (the simplex is forward invariant): each state's
+        decision flow decide * x moves to its target, and each strategy's
+        ``exchange`` moves from jS to jI."""
+        flow = self.decide * x
+        out = np.bincount(self._target_flat, flow.ravel(), flow.size).reshape(flow.shape) - flow
+        net = self.exchange(x)
+        out[..., 0::2] += net
+        out[..., 1::2] -= net
+        return out
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Exact Jacobian of ``forward`` at x: entry [..., a, b] is the
+        derivative of component a in x_b.  The decisions are linear and
+        enter as ``decisions`` transposed; the exchange of strategy j,
+        x_jS q~_j - x_jI q_plus_j with q~_j = q_minus_j + sum_k beta[k, j] x_kI,
+        is quadratic."""
+        d = self.q_plus.shape[-1]
+        eye = np.eye(d)
+        jac = np.swapaxes(self.decisions, -1, -2)
+        net = np.empty(x.shape[:-1] + (d, 2 * d))  # derivatives of the exchange per strategy
+        net[..., 0::2] = (x[..., 1::2, None] * np.swapaxes(self.beta, -1, -2)
+                          - eye * self.q_plus[..., None, :])
+        net[..., 1::2] = eye * effective_infection(self, x[..., 0::2])[..., None]
+        jac[..., 0::2, :] += net
+        jac[..., 1::2, :] -= net
+        return jac
+
+    def switch_rates(self, x: np.ndarray) -> np.ndarray:
+        """Q(x)[s, s'] with s' the partner of s: q_plus from the I states,
+        the effective infection rate from the S states."""
+        qt = effective_infection(self, x[..., 0::2])
+        return _interleave(np.broadcast_to(self.q_plus, qt.shape), qt)
+
+    def backward(self, c: np.ndarray, g: np.ndarray, best: np.ndarray | None = None) -> np.ndarray:
+        """Q(x) g row by row, lam (g(target) - g) + c (g(s') - g), at the
+        switch rates c (``switch_rates`` as columns, broadcasting against g).
+        ``best`` replaces g at the targets: the strategy minimum makes this
+        the Hamiltonian."""
+        if best is None:
+            best = (g[self.target] if self.target.ndim == 1
+                    else np.take_along_axis(g, self.target.T, axis=0))
+        return self.lam * (best - g) + c * (g[np.arange(g.shape[0]) ^ 1] - g)
+
+    def value_rhs(self, c: np.ndarray, g: np.ndarray, best: np.ndarray | None = None) -> np.ndarray:
+        """Backward-time RHS of the discounted value equation,
+        ``backward`` + w - delta g; a stationary value vector gives zero."""
+        w = self.w.reshape(self.w.shape + (1,) * (g.ndim - self.w.ndim))
+        return self.backward(c, g, best) + w - self.delta * g
+
+    def channels(self) -> list[tuple[int, int, int, float]]:
+        """The channel table of the N-agent jump chain at one point: (from,
+        to, kind, coefficient) per edge that moves an agent, in edge order.
+        A channel's rate is its coefficient times the count of its
+        from-state; a peer channel carries its strategy j instead, as its
+        per-agent rate sum_k beta[k, j] n_kI / N moves with the counts."""
+        table = zip(*(column.tolist() for column in self.edges))
+        return [(f, t, k, f // 2 if k == PEER else r) for f, t, k, r in table if t != f]
 
 
 def kinetic_rhs_fn(p: ModelParams, u: StationaryControl) -> Callable[[np.ndarray], np.ndarray]:
-    """Compiled-once population RHS for a fixed control, on raw arrays.
-
-    Built from mass flows, so the components sum to zero to roundoff and a
-    zero coordinate never has a negative rate (the simplex is forward
-    invariant).  Migration is the flow lam * x out of every state away from
-    its target, routed in by a 0/1 incidence matrix built once (the flow
-    form of x @ ``migration_generator``); agents already at their target
-    produce no migration flow.  ``net_infection_fn`` gives the rest.
-    """
-    rate, incidence = _migration(p, u)
-    net_infection = net_infection_fn(p)
-
-    def rhs(x: np.ndarray) -> np.ndarray:
-        net = net_infection(x)
-        flow = rate * x
-        out = flow @ incidence - flow
-        out[0::2] += net
-        out[1::2] -= net
-        return out
-
-    return rhs
+    """Compiled-once population RHS x -> x Q(x) under a fixed control, on raw
+    arrays (``Generator.forward``)."""
+    return Generator.of(p, u).forward
 
 
 def kinetic_rhs(p: ModelParams, x: MixedState, u: StationaryControl) -> np.ndarray:
@@ -419,87 +530,26 @@ def kinetic_rhs(p: ModelParams, x: MixedState, u: StationaryControl) -> np.ndarr
     return kinetic_rhs_fn(p, u)(x.x)
 
 
-def effective_infection(s: ParamStack, x: np.ndarray) -> np.ndarray:
-    """Effective infection rate q~_j = q_minus_j + sum_k beta[k, j] xI_k of
-    every strategy, at stacked points s and raw states x (one row each)."""
-    return s.q_minus + np.matmul(np.swapaxes(s.beta, 1, 2), x[:, 0::2, None])[..., 0]
-
-
-def kinetic_jacobian_stack(s: ParamStack, target: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact Jacobians of the population RHS at stacked points: row m of the
-    stacked constants s, the state targets target[m] (``state_targets``) and
-    the raw state x[m].  Entry [m, a, b] is the derivative of component a in
-    x_b.
-
-    Migration is linear: lam on the target row and -lam on the diagonal of
-    every column whose state moves.  The net infection of strategy j,
-    xS_j q~_j - xI_j q_plus_j with q~_j = q_minus_j + sum_k beta[k, j] xI_k,
-    is quadratic.
-    """
-    m, n = x.shape
-    rows, states = np.arange(m)[:, None], np.arange(n)
-    rate = np.where(target != states, s.lam[:, None], 0.0)
-    jac = np.zeros((m, n, n))
-    jac[rows, target, states] = rate
-    jac[rows, states, states] -= rate
-    eye = np.eye(n // 2)
-    beta_T = np.swapaxes(s.beta, 1, 2)
-    net = np.empty((m, n // 2, n))  # derivatives of the net infection per strategy
-    net[:, :, 0::2] = x[:, 1::2, None] * beta_T - eye * s.q_plus[:, None, :]
-    net[:, :, 1::2] = eye * effective_infection(s, x)[:, :, None]
-    jac[:, 0::2] += net
-    jac[:, 1::2] -= net
-    return jac
-
-
-def kinetic_jacobian(p: ModelParams, u: StationaryControl, x: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of ``kinetic_rhs_fn(p, u)`` at the raw state x (the
-    one-point case of ``kinetic_jacobian_stack``)."""
-    _check_dims(p, u)
-    return kinetic_jacobian_stack(ParamStack.tile(p), state_targets(u)[None], x[None])[0]
-
-
-def hjb_coupling(p: ModelParams, xI: np.ndarray) -> np.ndarray:
-    """Compartment-switch rate per state for the value equation: q_plus on
-    the I rows, the effective infection rate q_minus + xI @ beta on the S
-    rows.  xI has shape (..., d), one row per population state."""
-    xI = np.asarray(xI, dtype=float)
-    return _interleave(np.broadcast_to(p.q_plus, xI.shape), p.q_minus + xI @ p.beta)
-
-
 def hjb_rhs_fn(
     p: ModelParams, u: StationaryControl | None
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Compiled-once backward-time value RHS dg/dtau (tau = time to horizon).
 
-    The returned ``rhs(c, g)`` takes the coupling row c = hjb_coupling(p, xI)
-    and evaluates, per state s with partner s' (the other compartment of the
-    same strategy),
-
-        lam * (best(s) - g(s)) + c(s) * (g(s') - g(s)) + w(s) - delta * g(s).
-
-    With u=None best(s) is the explicit strategy minimum of g over the
-    compartment of s; otherwise it is g at the target of s under u.  g is
-    one value vector, or many stacked along trailing axes with the states on
-    the first axis (g[s, ...], so every gather is numpy's plain row index);
-    c broadcasts against it.
+    The returned ``rhs(c, g)`` takes the switch rates c
+    (``Generator.switch_rates``) and evaluates ``Generator.value_rhs``:
+    under u the generator's own backward product, with u=None the
+    Hamiltonian, where each state decides for the strategy minimum of g
+    over its compartment.  g is one value vector, or many stacked along
+    trailing axes with the states on the first axis (g[s, ...], so every
+    gather is numpy's plain row index); c broadcasts against it.
     """
+    gen = Generator.of(p, u)
     if u is not None:
-        _check_dims(p, u)
-        target = state_targets(u)
-    n = 2 * p.d
-    partner = np.arange(n) ^ 1
-    parity = np.arange(n) % 2
-    w = _interleave(p.w_I, p.w_S)
-    lam, delta = p.lam, p.delta
+        return gen.value_rhs
+    parity = np.arange(2 * p.d) % 2
 
     def rhs(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-        w_g = w if g.ndim == 1 else w.reshape(w.shape + (1,) * (g.ndim - 1))
-        if u is None:
-            best = g.reshape(-1, 2, *g.shape[1:]).min(axis=0)[parity]
-        else:
-            best = g[target]
-        return lam * (best - g) + c * (g[partner] - g) + w_g - delta * g
+        return gen.value_rhs(c, g, g.reshape(-1, 2, *g.shape[1:]).min(axis=0)[parity])
 
     return rhs
 
@@ -511,7 +561,7 @@ def hjb_rhs(p: ModelParams, x: MixedState, g: ValueVector) -> np.ndarray:
     vector therefore gives the zero vector.
     """
     _check_dims(p, x, g)
-    return hjb_rhs_fn(p, None)(hjb_coupling(p, x.infected), g.g)
+    return hjb_rhs_fn(p, None)(Generator.of(p).switch_rates(x.x), g.g)
 
 
 def best_response(g: ValueVector) -> tuple[StationaryControl, bool]:
@@ -550,8 +600,9 @@ def consistency_residual(
     by lam in the value equation.
     """
     _check_dims(p, x, g, u)
-    kin = float(np.max(np.abs(kinetic_rhs(p, x, u))))
-    hjb = float(np.max(np.abs(hjb_rhs_fn(p, u)(hjb_coupling(p, x.infected), g.g))))
+    gen = Generator.of(p, u)
+    kin = float(np.max(np.abs(gen.forward(x.x))))
+    hjb = float(np.max(np.abs(gen.value_rhs(gen.switch_rates(x.x), g.g))))
     # best-response gap: g at u's targets above the strategy minimum, per compartment
     gI, gS = g.infected_values, g.susceptible_values
     br = max((gI[u.target_I] - gI.min()).max(), (gS[u.target_S] - gS.min()).max())

@@ -10,11 +10,12 @@ kinds per strategy j:
   recovery   (j,I) -> (j,S) at rate q_plus[j] per agent,
   peer       (j,S) -> (j,I) at rate sum_k beta[k,j] n_kI / N per agent.
 
-One channel table (``_channels``) lists them; the jump loop, the event
-decoding of ``simulate_ctmc`` and ``mean_jump_drift`` all read it.  The 1/N
-normalization of the peer channel makes the expected drift of n/N equal
-the population ODE right-hand side exactly, at every count state, which is
-the defining link to the mean-field limit (checked by tests).
+They are the edges of the population generator that move an agent, and
+``model.Generator.channels`` lists them; the jump loop and the event
+decoding of ``simulate_ctmc`` read that table.  The 1/N normalization of
+the peer channel makes the expected drift of n/N equal the population ODE
+right-hand side exactly, at every count state, which is the defining link
+to the mean-field limit (checked by tests).
 
 The jump loop (Gillespie's direct method) evaluates the live channels only.
 Only decisions move agents between strategies, so a strategy that no
@@ -45,16 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .model import MixedState, ModelParams, StationaryControl, _migration
+from .model import DECISION, PEER, Generator, MixedState, ModelParams, StationaryControl
 from .dynamics import ETDRK4, integrate_forward, lln_reference_grid
 
 _RNG_BUFFER = 8192
-
-KIND_DECISION = 0
-KIND_PRESSURE = 1
-KIND_RECOVERY = 2
-KIND_PEER = 3
-KIND_NAMES = ("decision", "pressure", "recovery", "peer")
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,7 @@ class CtmcPath:
     times: np.ndarray        # (m,), strictly increasing event times
     from_state: np.ndarray   # (m,), state index the moving agent leaves
     to_state: np.ndarray     # (m,)
-    kinds: np.ndarray        # (m,), int codes into KIND_NAMES
+    kinds: np.ndarray        # (m,), int codes into model.KIND_NAMES
     t_end: float
 
     @property
@@ -131,46 +126,6 @@ class CtmcPath:
         np.subtract.at(n, self.from_state, 1)
         np.add.at(n, self.to_state, 1)
         return CountVector(n)
-
-
-def _channels(p: ModelParams, u: StationaryControl) -> list[tuple[int, int, int, float]]:
-    """Channel table: (from_state, to_state, kind, coefficient) per channel,
-    strategy by strategy in the order decision I, decision S, pressure,
-    recovery, peer.
-
-    A channel's rate is its coefficient times the count of its from-state.
-    Peer channels carry their strategy j in place of the coefficient: their
-    per-agent rate sum_k beta[k, j] n_kI / N moves with the counts.
-    Decision targets and rates are the migration of the population RHS.
-    """
-    rate, incidence = _migration(p, u)
-    moves = incidence.any(axis=1)
-    target = incidence.argmax(axis=1)
-    chans: list[tuple[int, int, int, float]] = []
-    for j in range(p.d):
-        for s in (2 * j, 2 * j + 1):
-            if moves[s]:
-                chans.append((s, int(target[s]), KIND_DECISION, float(rate[s])))
-        chans.append((2 * j + 1, 2 * j, KIND_PRESSURE, float(p.q_minus[j])))
-        chans.append((2 * j, 2 * j + 1, KIND_RECOVERY, float(p.q_plus[j])))
-        chans.append((2 * j + 1, 2 * j, KIND_PEER, j))
-    return chans
-
-
-def mean_jump_drift(p: ModelParams, counts: CountVector, u: StationaryControl) -> np.ndarray:
-    """Expected instantaneous drift of n/N at a count state.
-
-    Equals kinetic_rhs at x = n/N exactly; exposed so tests can check the
-    generator against the population ODE.
-    """
-    n = counts.n.astype(float)
-    peer = p.beta.T @ n[0::2] / counts.N  # per-susceptible peer-infection rate
-    drift = np.zeros(p.n_states)
-    for frm, to, kind, coef in _channels(p, u):
-        r = (peer[coef] if kind == KIND_PEER else coef) * n[frm]
-        drift[frm] -= r
-        drift[to] += r
-    return drift / counts.N
 
 
 def _compare(n: list, N: float, times: list, rows: list, gi: int, upto: float, sup: float):
@@ -209,6 +164,7 @@ def _simulate(
 ) -> float:
     """Drive the jump chain from n0 on [0, t_end] with the draws of Philox(key).
 
+    ``chans`` is the channel table (``model.Generator.channels``).
     ``events``, a pair of lists, receives the time and the index into
     ``chans`` of every jump; at each refill of the draws the recorded path
     is checked against the budget (``_check_path_budget``).  ``compare``,
@@ -228,7 +184,7 @@ def _simulate(
     N = float(n0.N)
     # bcols[j][k] = beta[k, j]: the peer sum of strategy j runs over k in order
     bcols = [[float(p.beta[k, j]) for k in range(d)] for j in range(d)]
-    fed = {to // 2 for _, to, kind, _ in chans if kind == KIND_DECISION}
+    fed = {to // 2 for _, to, kind, _ in chans if kind == DECISION}
     # mortal[s]: nothing migrates into the strategy of state s, so once its
     # two states are empty they stay empty
     mortal = [s // 2 not in fed for s in range(2 * d)]
@@ -239,7 +195,7 @@ def _simulate(
         infected = [2 * k for k in alive]
         # peer slots of coef are overwritten before every use
         peer = [(slot, [bcols[chans[c][3]][q // 2] for q in infected])
-                for slot, c in enumerate(ids) if chans[c][2] == KIND_PEER]
+                for slot, c in enumerate(ids) if chans[c][2] == PEER]
         return (ids, [chans[c][0] for c in ids], [chans[c][1] for c in ids],
                 [chans[c][3] for c in ids], peer, infected)
 
@@ -309,7 +265,7 @@ def simulate_ctmc(
         raise ValueError("at least one agent is required")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    chans = _channels(p, u)
+    chans = Generator.of(p, u).channels()
     times: list[float] = []
     picks: list[int] = []
     _simulate(p, chans, n0, t_end, [seed], events=(times, picks))
@@ -384,7 +340,7 @@ def lln_error(
         raise ValueError("replications must be >= 1")
     cmp_times, cmp_rows, steps = _reference(p, u, x0, t_end)
     compare = (cmp_times, cmp_rows)
-    chans = _channels(p, u)
+    chans = Generator.of(p, u).channels()
     rows = []
     for N in N_list:
         n0 = CountVector.from_fractions(x0, N)

@@ -45,6 +45,7 @@ import numpy as np
 
 from .model import (
     TIE_TOL,
+    Generator,
     MixedState,
     ModelParams,
     ParamStack,
@@ -52,8 +53,6 @@ from .model import (
     ValueVector,
     _interleave,
     effective_infection,
-    kinetic_jacobian,
-    kinetic_jacobian_stack,
 )
 
 #: residual bound certifying an exact linear solve of the stationary values
@@ -79,6 +78,12 @@ def _require_positive_discount(p: ModelParams) -> None:
 def _pair(*values: int) -> tuple[np.ndarray, ...]:
     """One-pair index arrays for the scalar views."""
     return tuple(np.array([v]) for v in values)
+
+
+def _generator(s: ParamStack, i: np.ndarray, k: np.ndarray) -> Generator:
+    """The generator of the control [i[m](I), k[m](S)] at each point m of s."""
+    ones = np.ones(s.d, dtype=np.int64)
+    return Generator(s, _interleave(np.outer(2 * i, ones), np.outer(2 * k + 1, ones)))
 
 
 def _roundoff_floor(s: ParamStack, g: np.ndarray) -> np.ndarray:
@@ -219,7 +224,7 @@ def _block_spectra(s: ParamStack, i: np.ndarray, k: np.ndarray, x: np.ndarray, q
     the Jacobian is block-triangular: the occupied states (iI, iS, and kI,
     kS for the mixed family) form one mass-conserving block, and each empty
     strategy j a 2x2 block with eigenvalues -lam and -lam - (q_plus_j + q~_j).
-    The occupied block is the Jacobian (``model.kinetic_jacobian_stack``) of
+    The occupied block is the Jacobian (``model.Generator.jacobian``) of
     the two-strategy sub-model (i, k) under the control [0(I), 1(S)], with
     the duplicate strategy of a single pair empty.  The spectrum is that of
     its tangent map (1x1 for the single family, where it is the principal
@@ -236,8 +241,7 @@ def _block_spectra(s: ParamStack, i: np.ndarray, k: np.ndarray, x: np.ndarray, q
                      s.w_I[rows, ik], s.w_S[rows, ik])
     sub_x = x[rows, np.stack([2 * i, 2 * i + 1, 2 * k, 2 * k + 1], axis=1)]
     sub_x[sgl, 2:] = 0.0
-    targets = np.broadcast_to([0, 3, 0, 3], (m, 4))  # ``state_targets`` of [0(I), 1(S)]
-    block = kinetic_jacobian_stack(sub, targets, sub_x)
+    block = _generator(sub, np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)).jacobian(sub_x)
     slow = -s.lam[:, None] - (s.q_plus + qt)
     pairs = np.stack([slow, np.broadcast_to(-s.lam[:, None], slow.shape)], axis=2)
     strategies = np.arange(d)
@@ -298,14 +302,14 @@ def stability_single(p: ModelParams, i: int, x_star: float) -> StabilityReport:
     (``_block_spectra`` of one pair)."""
     (i_,) = _pair(i)
     s, x = ParamStack.tile(p), _single_states(p.d, i_, np.array([x_star], dtype=float))
-    spectrum, xi, pairs, _ = _block_spectra(s, i_, i_, x, effective_infection(s, x))
+    spectrum, xi, pairs, _ = _block_spectra(s, i_, i_, x, effective_infection(s, x[:, 0::2]))
     return _stability_report(spectrum[0], xi[0], pairs[0])
 
 
 def stability_numerical(p: ModelParams, u: StationaryControl, x: MixedState) -> StabilityReport:
     """Spectrum of the population Jacobian restricted to the simplex tangent
     space at any state x, by a dense eigen-solve of its tangent map."""
-    tangent = _tangent_map(kinetic_jacobian(p, u, x.x))
+    tangent = _tangent_map(Generator.of(p, u).jacobian(x.x))
     return _stability_report(_sorted_spectrum(np.linalg.eigvals(tangent).astype(complex)))
 
 
@@ -392,36 +396,28 @@ def _values_mixed(s: ParamStack, i: np.ndarray, k: np.ndarray, qt: np.ndarray) -
     return g
 
 
-def _value_certificate(s: ParamStack, i: np.ndarray, k: np.ndarray, g: np.ndarray,
-                       qt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _value_certificate(gen: Generator, x: np.ndarray,
+                       g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The value defect per pair and the mask of pairs that fail the
     certificate max(VALUE_RESIDUAL_TOL, roundoff floor).
 
-    The defect is the sup-norm of the stationary value equation at the
-    values g under the control [i(I), k(S)]: the RHS of ``model.hjb_rhs_fn``
-    at that control, lam (best - g) + c (g(partner) - g) + w - delta g.
+    The defect is the sup-norm of the stationary value equation
+    (``model.Generator.value_rhs``) at the fixed points x and values g, under
+    the pairs' generator gen.
     """
-    r = np.arange(i.size)
-    best = np.empty_like(g)
-    best[:, 0::2] = g[r, 2 * i][:, None]
-    best[:, 1::2] = g[r, 2 * k + 1][:, None]
-    c = _interleave(s.q_plus, qt)
-    w = _interleave(s.w_I, s.w_S)
-    partner = g[:, np.arange(g.shape[1]) ^ 1]
-    rhs = s.lam[:, None] * (best - g) + c * (partner - g) + w - s.delta[:, None] * g
-    defect = np.abs(rhs).max(axis=1)
-    return defect, defect > np.maximum(VALUE_RESIDUAL_TOL, _roundoff_floor(s, g))
+    defect = np.abs(gen.value_rhs(gen.switch_rates(x).T, g.T)).max(axis=0)
+    return defect, defect > np.maximum(VALUE_RESIDUAL_TOL, _roundoff_floor(gen.s, g))
 
 
 def _certificate_failure(defect: float) -> str:
     return f"stationary value solve failed its certificate: defect {defect:.3e}"
 
 
-def _certified(s: ParamStack, i: int, k: int, qt: np.ndarray, g: np.ndarray) -> ValueVector:
-    """One pair's values, checked finite and certified at the effective
-    infection rate qt (the scalar views)."""
+def _certified(s: ParamStack, i: int, k: int, x: np.ndarray, g: np.ndarray) -> ValueVector:
+    """One pair's values, checked finite and certified at its fixed point x
+    (the scalar views)."""
     values = ValueVector(g[0])
-    defect, bad = _value_certificate(s, *_pair(i, k), g, qt)
+    defect, bad = _value_certificate(_generator(s, *_pair(i, k)), x, g)
     if bad[0]:
         raise RuntimeError(_certificate_failure(defect[0]))
     return values
@@ -432,8 +428,8 @@ def hjb_single_exact(p: ModelParams, i: int, x_star: float) -> ValueVector:
     certified by the value defect."""
     _require_positive_discount(p)
     s, (i_,), shares = ParamStack.tile(p), _pair(i), np.array([x_star], dtype=float)
-    qt = effective_infection(s, _single_states(p.d, i_, shares))
-    return _certified(s, i, i, qt, _values_single(s, i_, shares, qt))
+    x = _single_states(p.d, i_, shares)
+    return _certified(s, i, i, x, _values_single(s, i_, shares, effective_infection(s, x[:, 0::2])))
 
 
 def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVector:
@@ -443,8 +439,8 @@ def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVecto
     if k == i:
         raise ValueError("mixed values require k != i")
     s = ParamStack.tile(p)
-    qt = effective_infection(s, x.x[None])
-    return _certified(s, i, k, qt, _values_mixed(s, *_pair(i, k), qt))
+    qt = effective_infection(s, x.x[None, 0::2])
+    return _certified(s, i, k, x.x[None], _values_mixed(s, *_pair(i, k), qt))
 
 
 @dataclass(frozen=True)
@@ -552,7 +548,7 @@ def hjb_mixed_asymptotic(p: ModelParams, i: int, k: int, x: MixedState) -> Mixed
     if k == i:
         raise ValueError("mixed values require k != i")
     s, pair = ParamStack.tile(p), _pair(i, k)
-    qt = effective_infection(s, x.x[None])
+    qt = effective_infection(s, x.x[None, 0::2])
     fo_pair = _mixed_first_order(s, *pair, qt)
     fo = MixedFirstOrder(*(float(getattr(fo_pair, f.name)[0]) for f in fields(fo_pair)))
     if p.delta == 0.0:
@@ -716,7 +712,7 @@ def _margins(s: ParamStack, i: int, k: int, x: np.ndarray, g: np.ndarray) -> Con
     if i == k:
         families = _families_single(s, i_, x[:, 2 * i])
     else:
-        qt = effective_infection(s, x)
+        qt = effective_infection(s, x[:, 0::2])
         families = _families_mixed(s, i_, k_, qt, _mixed_first_order(s, i_, k_, qt))
     margin_I, margin_S = _exact_margins(i_, k_, g)
     min_margin, degenerate = _margin_summary(i_, k_, margin_I, margin_S)
@@ -840,19 +836,21 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
     # values, certified by the value defect, margins, stationarity residual (population
     # RHS, value defect, best-response gap) and acceptance; a failed pair's values may
     # be non-finite, and its detail reports it
-    qt = effective_infection(s, x)
+    qt = effective_infection(s, x[:, 0::2])
     g = np.empty((m, 2 * d))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         g[sgl] = _values_single(s_sgl, i[sgl], x[sgl, 2 * i[sgl]], qt[sgl])
         g[mix] = _values_mixed(s_mix, i[mix], k[mix], qt[mix])
         fail(~np.isfinite(g).all(axis=1), lambda q: "value vector entries must be finite")
-        defect, uncertified = _value_certificate(s, i, k, g, qt)
+        gen = _generator(s, i, k)
+        defect, uncertified = _value_certificate(gen, x, g)
+        kinetic = np.abs(gen.forward(x)).max(axis=1)
+        del gen  # its per-pair arrays would otherwise stay alive through the spectra
         fail(uncertified, lambda q: _certificate_failure(defect[q]))
         margin_I, margin_S = _exact_margins(i, k, g)
         min_margin, degenerate = _margin_summary(i, k, margin_I, margin_S)
-        residual = np.maximum.reduce([
-            _kinetic_defect(s, i, k, x, qt), defect, -margin_I.min(axis=1), -margin_S.min(axis=1)
-        ])
+        residual = np.maximum.reduce(
+            [kinetic, defect, -margin_I.min(axis=1), -margin_S.min(axis=1)])
         # a kept pair not degenerate has argmin (i, k): another argmin would have a margin
         # <= 0, and kept bounds it below by -TIE_TOL
         kept = (min_margin >= -TIE_TOL) & (
@@ -878,23 +876,6 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
         spectrum=spectrum, xi_principal=xi_principal, xi_pairs=xi_pairs,
         max_real_part=max_real_part,
     )
-
-
-def _kinetic_defect(s: ParamStack, i: np.ndarray, k: np.ndarray, x: np.ndarray,
-                    qt: np.ndarray) -> np.ndarray:
-    """Sup-norm of the population RHS (``model.kinetic_rhs_fn``) under the
-    control [i(I), k(S)] at the states x, per pair."""
-    r = np.arange(i.size)
-    strategies = np.arange(s.d)
-    lam = s.lam[:, None]
-    x_I, x_S = x[:, 0::2], x[:, 1::2]
-    flow_I = np.where(strategies == i[:, None], 0.0, lam * x_I)
-    flow_S = np.where(strategies == k[:, None], 0.0, lam * x_S)
-    out_I, out_S = -flow_I, -flow_S
-    out_I[r, i] += flow_I.sum(axis=1)
-    out_S[r, k] += flow_S.sum(axis=1)
-    net = x_S * qt - x_I * s.q_plus  # infection jS -> jI minus recovery jI -> jS
-    return np.maximum(np.abs(out_I + net).max(axis=1), np.abs(out_S - net).max(axis=1))
 
 
 def candidate_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the library's solution
 paths: quadratic roots come from bisection, stationary values from a
-generically assembled dense linear solve, Jacobians from central
+generically assembled dense linear solve, the population generator and
+the value equation from state-by-state assembly, Jacobians from central
 differences, and reference trajectories from a plain fine-step Euler loop.
 """
 
@@ -136,15 +137,43 @@ def oracle_stationary_values(p: ModelParams, u: StationaryControl, x: MixedState
     return np.linalg.solve(A, b)
 
 
+def oracle_generator(p: ModelParams, u: StationaryControl) -> tuple[np.ndarray, np.ndarray]:
+    """Dense Q0 and Q_k of the population generator Q(x) = Q0 + sum_k x_kI Q_k
+    under u, assembled state by state: each (j, C) moves to its target at lam
+    when that differs from j, (j, S) to (j, I) at q_minus_j and, in Q_k, at
+    beta[k, j], and (j, I) to (j, S) at q_plus_j."""
+    d = p.d
+    Q0 = np.zeros((2 * d, 2 * d))
+    Qk = np.zeros((d, 2 * d, 2 * d))
+
+    def edge(q, s, t, rate):
+        q[s, t] += rate
+        q[s, s] -= rate
+
+    for j in range(d):
+        for s, t in ((2 * j, 2 * int(u.target_I[j])), (2 * j + 1, 2 * int(u.target_S[j]) + 1)):
+            if t != s:
+                edge(Q0, s, t, p.lam)
+        edge(Q0, 2 * j + 1, 2 * j, p.q_minus[j])
+        edge(Q0, 2 * j, 2 * j + 1, p.q_plus[j])
+        for k in range(d):
+            edge(Qk[k], 2 * j + 1, 2 * j, p.beta[k, j])
+    return Q0, Qk
+
+
+def oracle_kinetic_rhs(p: ModelParams, u: StationaryControl):
+    """x -> x Q(x) with the dense ``oracle_generator``."""
+    Q0, Qk = oracle_generator(p, u)
+    return lambda x: x @ Q0 + x[0::2] @ (x @ Qk)
+
+
 def oracle_kinetic_jacobian(p: ModelParams, u: StationaryControl, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of the population RHS, column by column.
 
     The RHS is quadratic in x, so the difference quotient is exact at any
     step; a unit step keeps its roundoff at a few eps times the rates.
     """
-    from sismfg.model import kinetic_rhs_fn
-
-    rhs = kinetic_rhs_fn(p, u)
+    rhs = oracle_kinetic_rhs(p, u)
     jac = np.empty((x.size, x.size))
     for m in range(x.size):
         e = np.zeros(x.size)
@@ -156,9 +185,7 @@ def oracle_kinetic_jacobian(p: ModelParams, u: StationaryControl, x: np.ndarray)
 def oracle_euler_path(p: ModelParams, x0: np.ndarray, u: StationaryControl, t_end: float,
                       n_steps: int) -> np.ndarray:
     """Plain forward-Euler terminal state at a fine step (reference flow)."""
-    from sismfg.model import kinetic_rhs_fn
-
-    rhs = kinetic_rhs_fn(p, u)
+    rhs = oracle_kinetic_rhs(p, u)
     h = t_end / n_steps
     x = x0.copy()
     for _ in range(n_steps):
@@ -166,26 +193,36 @@ def oracle_euler_path(p: ModelParams, x0: np.ndarray, u: StationaryControl, t_en
     return x
 
 
+def oracle_value_rhs(p: ModelParams, u: StationaryControl, xI: np.ndarray,
+                     g: np.ndarray) -> np.ndarray:
+    """Backward-time value RHS under u at infected shares xI, state by state
+    from the per-state balance: lam (g(target) - g(state)) + switch rate
+    (g(other compartment) - g(state)) + w - delta g(state)."""
+    qt = p.q_minus + p.beta.T @ xI
+    out = np.empty(g.size)
+    for j in range(p.d):
+        for s, t, rate, w in ((2 * j, 2 * int(u.target_I[j]), p.q_plus[j], p.w_I[j]),
+                              (2 * j + 1, 2 * int(u.target_S[j]) + 1, qt[j], p.w_S[j])):
+            out[s] = p.lam * (g[t] - g[s]) + rate * (g[s ^ 1] - g[s]) + w - p.delta * g[s]
+    return out
+
+
 def oracle_backward_fixed(p: ModelParams, gT: ValueVector, x_path: np.ndarray,
                           u: StationaryControl, h: float) -> np.ndarray:
     """Reference fixed-control backward sweep: the classical RK4 stage loop,
-    four ``hjb_rhs_fn`` calls per step, with the coupling rows of the whole
-    path at the nodes and at the step midpoints (population interpolated
-    linearly)."""
-    from sismfg.model import hjb_coupling, hjb_rhs_fn
-
-    rhs = hjb_rhs_fn(p, u)
+    four ``oracle_value_rhs`` calls per step, at the infected shares of the
+    nodes and of the step midpoints (population interpolated linearly)."""
     xI = x_path[:, 0::2]
-    c, c_mid = hjb_coupling(p, xI), hjb_coupling(p, 0.5 * (xI[:-1] + xI[1:]))
     n_steps = x_path.shape[0] - 1
     g_path = np.empty_like(x_path)
     g = gT.g.copy()
     g_path[n_steps] = g
     for m in range(n_steps - 1, -1, -1):
-        k1 = rhs(c[m + 1], g)
-        k2 = rhs(c_mid[m], g + 0.5 * h * k1)
-        k3 = rhs(c_mid[m], g + 0.5 * h * k2)
-        k4 = rhs(c[m], g + h * k3)
+        mid = 0.5 * (xI[m] + xI[m + 1])
+        k1 = oracle_value_rhs(p, u, xI[m + 1], g)
+        k2 = oracle_value_rhs(p, u, mid, g + 0.5 * h * k1)
+        k3 = oracle_value_rhs(p, u, mid, g + 0.5 * h * k2)
+        k4 = oracle_value_rhs(p, u, xI[m], g + h * k3)
         g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         g_path[m] = g
     return g_path
@@ -457,9 +494,7 @@ def _oracle_fixed_point_mixed(p, i: int, k: int) -> MixedState:
 
 
 def _oracle_certify(p, x: MixedState, u: StationaryControl, g: ValueVector) -> None:
-    from sismfg.model import hjb_coupling, hjb_rhs_fn
-
-    defect = float(np.max(np.abs(hjb_rhs_fn(p, u)(hjb_coupling(p, x.infected), g.g))))
+    defect = float(np.max(np.abs(oracle_value_rhs(p, u, x.infected, g.g))))
     if defect > max(_ORACLE_VALUE_TOL, _oracle_floor(p, g.g)):
         raise RuntimeError(f"stationary value solve failed its certificate: defect {defect:.3e}")
 
@@ -515,17 +550,12 @@ def _oracle_values_mixed(p, i: int, k: int, x: MixedState) -> np.ndarray:
 
 
 def _oracle_kinetic_jacobian(p, u: StationaryControl, x: np.ndarray) -> np.ndarray:
-    """The exact Jacobian as one dense matrix per call (the pre-kernel form)."""
-    from sismfg.model import _migration
-
-    rate, incidence = _migration(p, u)
-    xI, xS = x[0::2], x[1::2]
-    jac = (rate[:, None] * incidence).T - np.diag(rate)
-    net = np.empty((p.d, 2 * p.d))
-    net[:, 0::2] = xS[:, None] * p.beta.T - np.diag(p.q_plus)
-    net[:, 1::2] = np.diag(p.q_minus + p.beta.T @ xI)
-    jac[0::2] += net
-    jac[1::2] -= net
+    """The exact Jacobian as one dense matrix per call: Q(x) transposed, plus
+    on column kI the derivative x Q_k of x Q(x) through the entries of Q(x)
+    (``oracle_generator``)."""
+    Q0, Qk = oracle_generator(p, u)
+    jac = (Q0 + np.tensordot(x[0::2], Qk, 1)).T
+    jac[:, 0::2] += (x @ Qk).T
     return jac
 
 

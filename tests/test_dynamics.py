@@ -29,7 +29,7 @@ from sismfg.dynamics import (
     step_pattern,
     sweep_block,
 )
-from sismfg.model import TIE_TOL, best_response, hjb_coupling, hjb_rhs_fn, migration_generator
+from sismfg.model import TIE_TOL, Generator, best_response, hjb_rhs_fn
 from sismfg.stationary import ENTRY_BUDGET, fixed_point_single, hjb_single_exact, solve_candidate
 
 from conftest import (
@@ -166,7 +166,7 @@ def test_etdrk4_matches_fine_rk4_d3_draw():
 def test_migration_propagator_is_stochastic(lam):
     p = _p0_at(lam)
     for u in (SINGLE1, StationaryControl.mixed(2, 0, 1), EXPLICIT_D2):
-        m = migration_generator(p, u)
+        m = Generator.of(p, u).decisions
         for h in (1e-7, 0.1 / lam, ETD_STEP, 0.5):
             ops = etdrk4_operators(m, h)
             for e in (ops.e, ops.e_half):
@@ -298,7 +298,7 @@ def test_step_pattern_single_needs_four_probes_at_any_d():
 
 def test_backward_memory_bounded_by_entry_budget(p0):
     # whatever n_steps is, the sweep holds block-sized arrays besides what it
-    # returns: its stage and step-map arrays, coupling rows and flag temporaries
+    # returns: its stage and step-map arrays, switch rates and flag temporaries
     x, g = stationary_pair(p0)
     grid = TimeGrid(0.0, 1000.0, 200_000)
     x_path = _linear_path(p0, x.x, grid.n_steps)
@@ -331,7 +331,7 @@ def test_backward_frozen_coefficients_matches_matrix_exponential():
     x_path = np.tile(x.x, (grid.n_steps + 1, 1))
     u = StationaryControl.single(2, 0)
     back = integrate_backward(p, gT, x_path, u, grid)
-    rhs, c = hjb_rhs_fn(p, u), hjb_coupling(p, x.infected)
+    rhs, c = hjb_rhs_fn(p, u), Generator.of(p).switch_rates(x.x)
     b = rhs(c, np.zeros(4))
     A = np.column_stack([rhs(c, e) - b for e in np.eye(4)])
     w, V = np.linalg.eig(A)

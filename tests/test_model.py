@@ -1,5 +1,6 @@
-"""Core model: containers, kinetic/value right-hand sides, best response."""
+"""Core model: containers, the generator and its products, best response."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,11 +18,12 @@ from sismfg import (
     hjb_rhs,
     kinetic_rhs,
 )
-from sismfg.model import hjb_coupling, hjb_rhs_fn, kinetic_jacobian, kinetic_rhs_fn
+from sismfg.model import PEER, Generator, ParamStack, hjb_rhs_fn, kinetic_rhs_fn, state_targets
 from sismfg.stationary import fixed_point_single, hjb_single_exact
 
 from conftest import (
     P0_XSTAR,
+    oracle_generator,
     oracle_kinetic_jacobian,
     oracle_stationary_values,
     oracle_xstar,
@@ -79,7 +81,7 @@ def test_tilde_rates_dominate_base_rates(p0):
     rng = rng_of(7)
     for _ in range(20):
         x = random_state(rng, p0.d)
-        qt = hjb_coupling(p0, x.infected)[1::2]  # the S rows
+        qt = Generator.of(p0).switch_rates(x.x)[1::2]  # the S rows
         assert np.all(qt >= p0.q_minus)
 
 
@@ -93,9 +95,12 @@ def test_kinetic_absorbing_state_no_pressure():
     stub = SimpleNamespace(
         d=1,
         lam=3.0,
+        delta=0.1,
         q_plus=np.array([0.5]),
         q_minus=np.array([0.0]),
         beta=np.zeros((1, 1)),
+        w_I=np.array([2.0]),
+        w_S=np.array([1.0]),
     )
     u = StationaryControl.single(1, 0)
     rhs = kinetic_rhs_fn(stub, u)(np.array([0.0, 1.0]))
@@ -141,7 +146,7 @@ def test_kinetic_jacobian_matches_central_differences(seed):
                     w_I=w_S + rng.uniform(0.1, 3.0, d), w_S=w_S)
     u = random_control(rng, d)
     x = random_state(rng, d).x
-    err = np.max(np.abs(kinetic_jacobian(p, u, x) - oracle_kinetic_jacobian(p, u, x)))
+    err = np.max(np.abs(Generator.of(p, u).jacobian(x) - oracle_kinetic_jacobian(p, u, x)))
     assert err <= 16.0 * np.finfo(float).eps * max(1.0, p.lam)
 
 
@@ -177,10 +182,10 @@ def test_hjb_constant_values_flat_costs():
         w_S=np.full(2, 3.25),
     )
     g = np.full(4, 11.0)
-    out = hjb_rhs_fn(stub, None)(hjb_coupling(stub, np.zeros(2)), g)
+    out = hjb_rhs_fn(stub, None)(Generator.of(stub).switch_rates(np.zeros(4)), g)
     assert np.all(out == 3.25)
     stub.w_I = stub.w_S = np.zeros(2)
-    assert np.all(hjb_rhs_fn(stub, None)(hjb_coupling(stub, np.zeros(2)), g) == 0.0)
+    assert np.all(hjb_rhs_fn(stub, None)(Generator.of(stub).switch_rates(np.zeros(4)), g) == 0.0)
 
 
 def test_hjb_constant_values_admissible_costs():
@@ -218,7 +223,7 @@ def test_hjb_fixed_control_matches_explicit_min_at_best_response(seed):
     g = ValueVector(rng.normal(size=2 * p.d))
     u, _ = best_response(g)
     explicit = hjb_rhs(p, x, g)
-    expanded = hjb_rhs_fn(p, u)(hjb_coupling(p, x.infected), g.g)
+    expanded = hjb_rhs_fn(p, u)(Generator.of(p).switch_rates(x.x), g.g)
     assert np.array_equal(explicit, expanded)
 
 
@@ -227,7 +232,7 @@ def test_hjb_rhs_stacked_values_equal_one_by_one():
     rng = np.random.default_rng(15)
     for d in (1, 3):
         p = random_params(rng, d)
-        c = hjb_coupling(p, rng.uniform(0.0, 0.5, (4, d)))  # one coupling row per step
+        c = Generator.of(p).switch_rates(rng.uniform(0.0, 0.5, (4, 2 * d)))  # one row per step
         g = rng.normal(size=(2 * d, 3, 4))  # g[:, k, m]: probe k at step m
         for u in (None, StationaryControl.single(d, 0), random_control(rng, d)):
             rhs = hjb_rhs_fn(p, u)
@@ -235,6 +240,75 @@ def test_hjb_rhs_stacked_values_equal_one_by_one():
             for k in range(3):
                 for m in range(4):
                     assert np.array_equal(stacked[:, k, m], rhs(c[m], g[:, k, m]))
+
+
+# ---------------------------------------------------------------------------
+# the generator
+
+
+def _draws(seed):
+    """(params, control, state, rng) at several d, targets per state."""
+    rng = np.random.default_rng(seed)
+    for d in (1, 2, 3, 5):
+        for _ in range(10):
+            p = random_params(rng, d)
+            yield p, random_control(rng, d), random_state(rng, d).x, rng
+
+
+def test_generator_rows_sum_to_zero_with_nonnegative_off_diagonal():
+    # Q(x) read off the backward product (column t is Q(x) e_t) is the matrix
+    # of the edge table and of the state-by-state oracle
+    for p, u, x, _ in _draws(21):
+        gen = Generator.of(p, u)
+        q = gen.backward(gen.switch_rates(x)[:, None], np.eye(x.size))
+        roundoff = ParamStack.tile(p).rate_roundoff()[0]
+        assert q[~np.eye(x.size, dtype=bool)].min() >= 0.0
+        assert np.max(np.abs(q.sum(axis=1))) <= roundoff
+        frm, to, kind, rate = gen.edges
+        rate[kind == PEER] = p.beta.T @ x[0::2]
+        table = np.zeros_like(q)
+        np.add.at(table, (frm, to), rate)
+        np.add.at(table, (frm, frm), -rate)
+        Q0, Qk = oracle_generator(p, u)
+        for ref in (table, Q0 + np.tensordot(x[0::2], Qk, 1)):
+            assert np.max(np.abs(q - ref)) <= roundoff
+
+
+def test_generator_forward_backward_duality():
+    # <x Q(x), g> = <x, Q(x) g>
+    for p, u, x, rng in _draws(22):
+        gen = Generator.of(p, u)
+        g = rng.normal(scale=10.0, size=x.size)
+        gap = gen.forward(x) @ g - x @ gen.backward(gen.switch_rates(x), g)
+        assert abs(gap) <= ParamStack.tile(p).rate_roundoff()[0] * np.abs(g).max()
+
+
+def test_generator_jacobian_matches_central_differences_of_forward():
+    for p, u, x, _ in _draws(23):
+        gen = Generator.of(p, u)
+        diff = np.column_stack([(gen.forward(x + e) - gen.forward(x - e)) / 2.0
+                                for e in np.eye(x.size)])
+        assert np.max(np.abs(gen.jacobian(x) - diff)) <= 16.0 * np.finfo(float).eps * max(1.0, p.lam)
+
+
+def test_stacked_generator_rows_equal_one_point_generators():
+    rng = np.random.default_rng(24)
+    d = 3
+    points = [(random_params(rng, d), random_control(rng, d)) for _ in range(6)]
+    tiles = [ParamStack.tile(p) for p, _ in points]
+    stack = ParamStack(*(np.concatenate([getattr(t, f.name) for t in tiles])
+                         for f in dataclasses.fields(ParamStack)))
+    gen = Generator(stack, np.stack([state_targets(u) for _, u in points]))
+    x = np.stack([random_state(rng, d).x for _ in points])
+    g = rng.normal(size=x.shape)
+    c = gen.switch_rates(x)
+    for m, (p, u) in enumerate(points):
+        one = Generator.of(p, u)
+        roundoff = tiles[m].rate_roundoff()[0]
+        assert np.array_equal(c[m], one.switch_rates(x[m]))
+        assert np.max(np.abs(gen.forward(x)[m] - one.forward(x[m]))) <= roundoff
+        assert np.max(np.abs(gen.jacobian(x)[m] - one.jacobian(x[m]))) <= roundoff
+        assert np.max(np.abs(gen.value_rhs(c.T, g.T)[:, m] - one.value_rhs(c[m], g[m]))) <= roundoff
 
 
 # ---------------------------------------------------------------------------

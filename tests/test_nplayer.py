@@ -17,7 +17,8 @@ from sismfg import (
     simulate_ctmc,
 )
 from sismfg.dynamics import default_grid, integrate_forward, lln_reference_grid
-from sismfg.nplayer import KIND_NAMES, _reference, mean_jump_drift
+from sismfg.model import KIND_NAMES, PEER, Generator
+from sismfg.nplayer import _reference
 from sismfg.stationary import fixed_point_single
 
 from conftest import (
@@ -32,8 +33,8 @@ from conftest import (
 def test_zero_rates_constant_path():
     # all channel rates zero sits outside the ModelParams invariants; the
     # engine itself must treat the state as absorbing
-    stub = SimpleNamespace(d=2, lam=0.0, q_plus=np.zeros(2), q_minus=np.zeros(2),
-                           beta=np.zeros((2, 2)))
+    stub = SimpleNamespace(d=2, lam=0.0, delta=0.1, q_plus=np.zeros(2), q_minus=np.zeros(2),
+                           beta=np.zeros((2, 2)), w_I=np.ones(2), w_S=np.zeros(2))
     n0 = CountVector([3, 4, 2, 1])
     path = simulate_ctmc(stub, n0, StationaryControl.single(2, 0), 10.0, seed=1)
     assert path.n_events == 0
@@ -71,7 +72,15 @@ def test_generator_drift_equals_kinetic_rhs():
         p = random_params(rng)
         u = random_control(rng, p.d)
         counts = CountVector(rng.integers(0, 50, 2 * p.d) + 1)
-        drift = mean_jump_drift(p, counts, u)
+        # expected drift of n/N over the channel table
+        n, N = counts.n.astype(float), counts.N
+        peer = p.beta.T @ n[0::2] / N  # per-susceptible peer-infection rate
+        drift = np.zeros(p.n_states)
+        for frm, to, kind, coef in Generator.of(p, u).channels():
+            r = (peer[coef] if kind == PEER else coef) * n[frm]
+            drift[frm] -= r
+            drift[to] += r
+        drift /= N
         rhs = kinetic_rhs(p, counts.fractions(), u)
         assert np.max(np.abs(drift - rhs)) <= 1e-12
 
@@ -135,8 +144,9 @@ def test_lln_error_zero_for_degenerate_rates():
     # (one strategy, so every agent already sits at its decision target)
     from sismfg import lln_error as lln
 
-    stub = SimpleNamespace(d=1, n_states=2, lam=1.0, q_plus=np.zeros(1),
-                           q_minus=np.zeros(1), beta=np.zeros((1, 1)))
+    stub = SimpleNamespace(d=1, n_states=2, lam=1.0, delta=0.1, q_plus=np.zeros(1),
+                           q_minus=np.zeros(1), beta=np.zeros((1, 1)), w_I=np.ones(1),
+                           w_S=np.zeros(1))
     table = lln(stub, StationaryControl.single(1, 0), MixedState([0.25, 0.75]),
                 t_end=5.0, N_list=[4, 8], replications=3, seed=0)
     assert all(r.mean_sup_error == 0.0 for r in table.rows)

@@ -16,7 +16,7 @@ from sismfg import (
 )
 from sismfg import stationary
 from sismfg.config import SweepAxis, sweep_grid
-from sismfg.model import SIMPLEX_TOL, ModelParams, ParamStack, effective_infection
+from sismfg.model import SIMPLEX_TOL, ModelParams, ParamStack
 from sismfg.stationary import (
     consistency_mixed,
     consistency_single,
@@ -565,8 +565,7 @@ def test_wide_draws_every_mixed_candidate_solved_on_simplex():
         assert not np.any(sol.status[mix] == stationary.FAILED), [sol.detail(r) for r in mix]
         x, s = sol.x[mix], ParamStack.tile(p, mix.size)
         assert np.all(x >= 0.0) and np.all(np.abs(x.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
-        defect = stationary._kinetic_defect(s, sol.i[mix], sol.k[mix], x,
-                                            effective_infection(s, x))
+        defect = np.abs(stationary._generator(s, sol.i[mix], sol.k[mix]).forward(x)).max(axis=1)
         assert np.all(defect <= 4.0 * s.rate_roundoff()), (p, defect.max())
     assert n_mixed == 3334
 

@@ -49,3 +49,16 @@ def test_trace_sees_one_reference_integration_with_its_steps(p0):
     forward = [idx for idx, name in enumerate(rec.names) if name == "dynamics.integrate_forward"]
     assert len(forward) == 1
     assert rec.attrs[forward[0]] == {"steps": table.reference_steps}
+
+
+def test_trace_counts_every_forward_rhs_evaluation(p0):
+    # perfbench counts model.kinetic_rhs_evals through the closures that
+    # kinetic_rhs_fn returns, so a forward path that stops calling them would
+    # read 0; one classical RK4 step is four evaluations
+    from sismfg import MixedState, StationaryControl, TimeGrid, integrate_forward
+
+    rec = spans.Recorder()
+    with spans.traced(rec):
+        integrate_forward(p0, MixedState.uniform(2), StationaryControl.single(2, 0),
+                          TimeGrid(0.0, 2.0, 2000))
+    assert rec.counts[spans.RHS_EVALS] == 4 * 2000

@@ -2,7 +2,11 @@
 
 The forward population ODE and the backward discounted value equation are
 integrated with fixed-step classical RK4 (default step min(0.01, 0.1/lam);
-lam sets the stiffness of both systems).  The LLN reference of
+lam sets the stiffness of both systems).  A forward RK4 stage is one call
+of the one-point product ``model.kinetic_rhs_fn`` (one matmul), and each
+node is checked once, by its min and its sum: it is clipped only when an
+entry is <= 0, and retried with halved substeps only when it leaves the
+simplex by more than STEP_REJECT_TOL.  The LLN reference of
 ``nplayer.lln_error``, on the grid ``lln_reference_grid`` works out,
 instead takes exponential RK4 steps forward (``integrate_forward(...,
 method=ETDRK4)``, Cox-Matthews 2002): the population RHS x Q(x) is split
@@ -239,18 +243,19 @@ def _etdrk4_step_fn(p: ModelParams, u: StationaryControl):
     return step
 
 
-def _forward_node(step, x: np.ndarray, h: float, depth: int = 0) -> np.ndarray:
+def _forward_node(step, x: np.ndarray, h: float, depth: int = 0):
     """One interval of length h with step(x, h), halving the substep while
-    the state leaves the simplex."""
+    the state leaves the simplex; returns the state with its min and sum."""
     y = step(x, h)
-    if y.min() > -STEP_REJECT_TOL and abs(y.sum() - 1.0) < STEP_REJECT_TOL:
-        return y
+    lo, total = y.min(), y.sum()
+    if lo > -STEP_REJECT_TOL and abs(total - 1.0) < STEP_REJECT_TOL:
+        return y, lo, total
     if depth >= MAX_HALVINGS:
         raise RuntimeError(
-            f"forward integration left the simplex (min {y.min():.3e}) "
+            f"forward integration left the simplex (min {lo:.3e}) "
             f"after {MAX_HALVINGS} step halvings"
         )
-    half = _forward_node(step, x, 0.5 * h, depth + 1)
+    half = _forward_node(step, x, 0.5 * h, depth + 1)[0]
     return _forward_node(step, half, 0.5 * h, depth + 1)
 
 
@@ -274,9 +279,10 @@ def integrate_forward(
     method RK4 takes classical RK4 steps of the grid's step.  ETDRK4 takes
     exponential steps (``_etdrk4_step_fn``): the step follows the slow
     rates instead of lam, and the first interval is covered by
-    ``graded_opening`` substeps.  Each node is re-projected to the simplex
-    (tiny negatives clipped, then renormalized); a step that leaves the
-    simplex by more than STEP_REJECT_TOL is retried with halved substeps.
+    ``graded_opening`` substeps.  Each node is renormalized to sum to one,
+    after clipping when an entry is <= 0 (tiny negatives and -0.0 become
+    +0.0); a step that leaves the simplex by more than STEP_REJECT_TOL is
+    retried with halved substeps (``_forward_node``).
     """
     h = grid.h
     if method == RK4:
@@ -291,10 +297,12 @@ def integrate_forward(
     for m in range(grid.n_steps):
         y = x
         for sub in opening if m == 0 else (h,):
-            y = _forward_node(step, y, sub)
-        y = np.maximum(y, 0.0)
+            y, lo, total = _forward_node(step, y, sub)
+        if lo <= 0.0:  # also turns -0.0 into +0.0
+            y = np.maximum(y, 0.0)
+            total = y.sum()
         x = path[m + 1]
-        np.divide(y, y.sum(), out=x)
+        np.divide(y, total, out=x)
     return path
 
 

@@ -9,8 +9,10 @@ manifest is written even when the run fails.  Numeric artifacts are deterministi
 order, so identical runs produce byte-identical numeric files (manifest
 timestamps excluded).
 
-Tables (``_write_table``) take rows of Python numbers and strings.  In a CSV
-table a float carries 17 significant digits (round-trip exact).  In a JSON
+Tables (``_write_table``) take rows of Python numbers and strings, or the
+float and integer columns of a number table (``_Columns``).  In a CSV
+table a float carries 17 significant digits (round-trip exact); a number
+table is written with one %-format per row.  In a JSON
 table a cell is a JSON number typed by its column (float columns hold
 floats; counts, N and the flags hold integers); a non-finite float
 (``inf``) and an empty cell are strings.
@@ -84,12 +86,19 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+#: the CSV cell rule by numpy dtype kind: a float carries 17 significant
+#: digits, an integer is written as str() writes it
+CELL_FORMAT = {"f": "%.17g", "i": "%d"}
+
+
 def _write_table(out_dir: Path, name: str, fmt_kind: str, header: list[str], rows) -> Path:
     """Bulk numeric table in the configured encoding (csv or json records).
 
-    rows hold Python numbers and strings.  CSV writes a float with fmt's
-    17-digit rule and any other cell as str() does (the csv module's own
-    conversion); JSON keeps numbers as numbers and writes a non-finite
+    rows hold Python numbers and strings, or are ``_Columns``.  CSV writes
+    a float with the 17-digit rule and any other cell as str() does (the
+    csv module's own conversion); ``_Columns`` rows are written with one
+    %-format per row, their columns' cell rules joined, which gives the
+    same bytes.  JSON keeps numbers as numbers and writes a non-finite
     float as its text ('inf').
     """
     if fmt_kind == "csv":
@@ -97,9 +106,14 @@ def _write_table(out_dir: Path, name: str, fmt_kind: str, header: list[str], row
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(
-                ["%.17g" % c if isinstance(c, float) else c for c in r] for r in rows
-            )
+            if isinstance(rows, _Columns):
+                dialect = writer.dialect
+                row_format = dialect.delimiter.join(rows.formats) + dialect.lineterminator
+                fh.writelines(row_format % tuple(r) for r in rows)
+            else:
+                writer.writerows(
+                    [CELL_FORMAT["f"] % c if isinstance(c, float) else c for c in r] for r in rows
+                )
     else:
         path = out_dir / f"{name}.json"
         rows = [[fmt(c) if isinstance(c, float) and not math.isfinite(c) else c for c in r]
@@ -188,7 +202,7 @@ def run_simulate(
     x0 = _resolve_x0(cfg.x0, p, cfg.control)
     x_path = integrate_forward(p, x0, cfg.control, cfg.grid)
     header = ["t"] + _state_labels(p.d, "x")
-    rows = _chunked_rows(cfg.grid.times(), x_path)
+    rows = _Columns(cfg.grid.times(), x_path)
     path = _write_table(out_dir, "trajectory", fmt_kind, header, rows)
     return {"trajectory": path}, {"terminal": x_path[-1].tolist()}
 
@@ -197,18 +211,25 @@ def run_simulate(
 ROW_CHUNK = 256
 
 
-def _chunked_rows(*columns: np.ndarray):
-    """Flat rows of equally long column arrays (one value or one array row
-    per column) as Python numbers.
+class _Columns:
+    """A table of equally long float or integer column arrays (one value or
+    one array row per column).
 
-    An object array gives Python floats and ints, typed by their column,
-    without a per-value conversion; converting a chunk of rows at a time
-    keeps the whole table from existing as Python objects at once.
+    Iterated, it gives flat rows as Python numbers: an object array gives
+    Python floats and ints, typed by their column, without a per-value
+    conversion, and converting a chunk of rows at a time keeps the whole
+    table from existing as Python objects at once.  ``formats`` holds the
+    CSV cell rule of every column (``CELL_FORMAT`` of its dtype).
     """
-    blocks = [c.reshape(c.shape[0], -1) for c in columns]
-    for start in range(0, blocks[0].shape[0], ROW_CHUNK):
-        chunk = [b[start:start + ROW_CHUNK].astype(object) for b in blocks]
-        yield from np.concatenate(chunk, axis=1).tolist()
+
+    def __init__(self, *columns: np.ndarray):
+        self.blocks = [c.reshape(c.shape[0], -1) for c in columns]
+        self.formats = [CELL_FORMAT[b.dtype.kind] for b in self.blocks for _ in range(b.shape[1])]
+
+    def __iter__(self):
+        for start in range(0, self.blocks[0].shape[0], ROW_CHUNK):
+            chunk = [b[start:start + ROW_CHUNK].astype(object) for b in self.blocks]
+            yield from np.concatenate(chunk, axis=1).tolist()
 
 
 def run_turnpike(
@@ -222,8 +243,8 @@ def run_turnpike(
     header = (
         ["t"] + _state_labels(p.d, "x") + _state_labels(p.d, "g") + ["cone_ok", "argmin_ok"]
     )
-    rows = _chunked_rows(sol.grid.times(), sol.x_path, sol.g_path,
-                         sol.cone_ok.astype(int), sol.argmin_ok.astype(int))
+    rows = _Columns(sol.grid.times(), sol.x_path, sol.g_path,
+                    sol.cone_ok.astype(int), sol.argmin_ok.astype(int))
     path = _write_table(out_dir, "turnpike", fmt_kind, header, rows)
     summary = {
         "certified": sol.certified,
@@ -263,7 +284,7 @@ def run_nplayer(
         header = ["t"] + _state_labels(p.d, "n")
         times = np.concatenate([[0.0], ctmc.times])
         artifacts["nplayer_path"] = _write_table(
-            out_dir, "nplayer_path", fmt_kind, header, _chunked_rows(times, counts)
+            out_dir, "nplayer_path", fmt_kind, header, _Columns(times, counts)
         )
         summary["n_events"] = ctmc.n_events
         summary["terminal_fractions"] = (counts[-1] / cfg.n_agents).tolist()

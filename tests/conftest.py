@@ -9,6 +9,9 @@ differences, and reference trajectories from a plain fine-step Euler loop.
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -226,6 +229,19 @@ def oracle_backward_fixed(p: ModelParams, gT: ValueVector, x_path: np.ndarray,
         g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         g_path[m] = g
     return g_path
+
+
+def oracle_csv_table(header: list[str], *columns: np.ndarray) -> bytes:
+    """CSV bytes of a table of number columns (one value or one array row
+    per column), written cell by cell with Python's csv module: a float as
+    "%.17g", an integer as str() writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for m in range(len(columns[0])):
+        cells = [v for c in columns for v in np.atleast_1d(c[m]).tolist()]
+        writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in cells])
+    return buf.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------

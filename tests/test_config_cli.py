@@ -15,10 +15,10 @@ from sismfg.cli import main
 from sismfg.config import GRID_BUDGET, parse_config_dict
 from sismfg.dynamics import TimeGrid, default_grid, stationary_anchor
 from sismfg.model import MixedState, ModelParams, ValueVector
-from sismfg.runs import fmt
+from sismfg.runs import _Columns, _write_table, fmt
 from sismfg.stationary import enumerate_equilibria, fixed_point_mixed, fixed_point_single
 
-from conftest import P0
+from conftest import P0, oracle_csv_table
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -372,6 +372,22 @@ def test_equilibria_run_writes_table(tmp_path):
     labels = [e["control"]["label"] for e in data["equilibria"]]
     assert "single(1)" in labels
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_row_format_writer_matches_csv_module(tmp_path):
+    # one %-format per row against the csv module cell by cell, on the
+    # floats and integers whose text is easiest to get wrong
+    floats = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                       1e-310, 1.0 / 3.0, -1e300, 0.1, 20000.0])
+    n = floats.size
+    t = np.linspace(0.0, 40.0, n)
+    x = np.column_stack([floats, floats[::-1], -floats])
+    counts = np.column_stack([np.full(n, 2**63 - 1), np.full(n, -(2**63))]).astype(np.int64)
+    flags = np.arange(n) % 2, (np.arange(n) // 2) % 2
+    columns = (t, x, counts, *flags)
+    header = ["t", "x_1", "x_2", "x_3", "n_1", "n_2", "cone_ok", "argmin_ok"]
+    path = _write_table(tmp_path, "table", "csv", header, _Columns(*columns))
+    assert path.read_bytes() == oracle_csv_table(header, *columns)
 
 
 def test_turnpike_run_solves_its_anchor_once(tmp_path, monkeypatch):

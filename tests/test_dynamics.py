@@ -20,8 +20,11 @@ from sismfg import (
     integrate_forward,
     solve_turnpike,
 )
+from sismfg import dynamics
 from sismfg.dynamics import (
     ETDRK4,
+    MAX_HALVINGS,
+    STEP_REJECT_TOL,
     argmin_flags,
     etdrk4_operators,
     graded_opening,
@@ -106,6 +109,44 @@ def test_forward_substep_halving_recovers_coarse_grid(p0):
     assert np.all(coarse[-1] >= 0.0)
     assert abs(coarse[-1].sum() - 1.0) <= 1e-12
     assert np.max(np.abs(coarse[-1] - fine[-1])) <= 0.05
+
+
+def _stub_forward(monkeypatch, p0, stub, n_steps=1):
+    """integrate_forward on P0 with the RK4 step replaced by stub(x, h)."""
+    monkeypatch.setattr(dynamics, "_rk4_step", lambda rhs, x, h: stub(x, h))
+    return integrate_forward(p0, MixedState.uniform(2), SINGLE1, TimeGrid(0.0, 1.0, n_steps))
+
+
+@pytest.mark.parametrize("low", [-1e-9, -0.0])
+def test_forward_node_clips_and_renormalizes(monkeypatch, p0, low):
+    y = np.array([low, 0.3, 0.3, 0.4 + 1e-9])
+    node = _stub_forward(monkeypatch, p0, lambda x, h: y.copy())[1]
+    assert node[0] == 0.0 and not np.signbit(node[0])
+    assert np.array_equal(node, np.maximum(y, 0.0) / np.maximum(y, 0.0).sum())
+
+
+def test_forward_node_halves_a_step_off_the_simplex(monkeypatch, p0):
+    calls = []
+
+    def stub(x, h):  # the full step loses mass, each half step keeps it
+        calls.append(h)
+        return x * (1.0 - 2.0 * STEP_REJECT_TOL) if h == 1.0 else x.copy()
+
+    node = _stub_forward(monkeypatch, p0, stub)[1]
+    assert calls == [1.0, 0.5, 0.5]
+    assert np.array_equal(node, MixedState.uniform(2).x)
+
+
+def test_forward_node_raises_after_max_halvings(monkeypatch, p0):
+    calls = []
+
+    def stub(x, h):
+        calls.append(h)
+        return np.array([-2.0 * STEP_REJECT_TOL, 0.5, 0.5, 2.0 * STEP_REJECT_TOL])
+
+    with pytest.raises(RuntimeError, match=f"after {MAX_HALVINGS} step halvings"):
+        _stub_forward(monkeypatch, p0, stub)
+    assert min(calls) == 0.5**MAX_HALVINGS and len(calls) == MAX_HALVINGS + 1
 
 
 def test_forward_order_four(p0):

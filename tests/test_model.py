@@ -25,6 +25,7 @@ from conftest import (
     P0_XSTAR,
     oracle_generator,
     oracle_kinetic_jacobian,
+    oracle_kinetic_rhs,
     oracle_stationary_values,
     oracle_xstar,
     random_control,
@@ -148,6 +149,27 @@ def test_kinetic_jacobian_matches_central_differences(seed):
     x = random_state(rng, d).x
     err = np.max(np.abs(Generator.of(p, u).jacobian(x) - oracle_kinetic_jacobian(p, u, x)))
     assert err <= 16.0 * np.finfo(float).eps * max(1.0, p.lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_one_point_product_matches_generator_forward_and_oracle(seed):
+    # the one-matmul product of kinetic_rhs_fn against the flow form and the
+    # dense oracle: lam log-uniform up to 1e6, d up to 5, per-state targets,
+    # states on the simplex and (as RK4 stages meet) off it
+    rng = rng_of(seed)
+    d = int(rng.integers(1, 6))
+    w_S = rng.uniform(0.0, 4.0, d)
+    p = ModelParams(d=d, lam=float(10.0 ** rng.uniform(-0.3, 6.0)),
+                    delta=float(rng.uniform(0.01, 1.0)), q_plus=rng.uniform(0.05, 2.0, d),
+                    q_minus=rng.uniform(0.05, 2.0, d), beta=rng.uniform(0.0, 0.5, (d, d)),
+                    w_I=w_S + rng.uniform(0.1, 3.0, d), w_S=w_S)
+    u = random_control(rng, d)
+    x = random_state(rng, d).x + rng.normal(scale=0.1, size=2 * d) * rng.integers(0, 2)
+    product = kinetic_rhs_fn(p, u)(x)
+    bound = 16.0 * np.finfo(float).eps * max(1.0, p.lam) * np.max(np.abs(x))
+    for ref in (Generator.of(p, u).forward(x), oracle_kinetic_rhs(p, u)(x)):
+        assert np.max(np.abs(product - ref)) <= bound
 
 
 def test_kinetic_vanishes_at_p0_fixed_point(p0):

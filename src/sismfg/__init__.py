@@ -35,7 +35,6 @@ from .dynamics import (
     TurnpikeHypothesisError,
     check_turnpike_hypotheses,
     default_grid,
-    gap_closed_form,
     integrate_backward,
     integrate_forward,
     solve_turnpike,
@@ -72,7 +71,6 @@ __all__ = [
     "default_grid",
     "integrate_forward",
     "integrate_backward",
-    "gap_closed_form",
     "solve_turnpike",
     "check_turnpike_hypotheses",
     "TrajectorySolution",

@@ -2,9 +2,11 @@
 
 A scenario file is a single JSON object with a ``model`` block, a ``run``
 kind, a ``seed``, an optional ``output`` block and exactly one run-specific
-block named after the run kind (``equilibria`` needs none).  Validation is
-collected: every schema violation and every model-invariant violation is
-reported, not just the first.  Unknown keys are rejected at every level.
+block named after the run kind (``equilibria`` needs none).  ``BLOCKS``
+maps each run kind to the parser of that block, and the parsed block is
+``ScenarioConfig.block``.  Validation is collected: every schema violation
+and every model-invariant violation is reported, not just the first.
+Unknown keys are rejected at every level.
 Parsing builds what the run uses (model, controls, grids, explicit
 states) with the runtime's own constructors, whose refusals become errors
 at the block's path, and keeps the validated input as ``source``, which
@@ -24,18 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import TimeGrid, default_grid, lln_reference_grid
 from .model import MixedState, ModelParams, ParamStack, StationaryControl, ValueVector
 
-RUN_KINDS = ("equilibria", "simulate", "turnpike", "nplayer", "sweep")
 OUTPUT_FORMATS = ("csv", "json")
 
 #: parameter paths a sweep may override, with the index arity they take
 SWEEPABLE = {"lambda": 0, "delta": 0, "q_plus": 1, "q_minus": 1, "w_I": 1, "w_S": 1, "beta": 2}
-
-#: most entries (nodes x 2d) of a trajectory grid: one float64 path of this
-#: size takes 128 MiB
-GRID_BUDGET = 1 << 24
 
 _PATH_RE = re.compile(r"^([A-Za-z_]+)((?:\[\d+\])*)$")
 
@@ -99,10 +97,8 @@ class ScenarioConfig:
     seed: int
     source: dict  # the validated scenario object as read
     output: OutputConfig = field(default_factory=OutputConfig)
-    simulate: SimulateConfig | None = None
-    turnpike: TurnpikeConfig | None = None
-    nplayer: NPlayerConfig | None = None
-    sweep: SweepConfig | None = None
+    #: the run kind's block (``BLOCKS``); None for equilibria
+    block: SimulateConfig | TurnpikeConfig | NPlayerConfig | SweepConfig | None = None
 
     def to_dict(self) -> dict:
         """The scenario as read, with the seed in force (the manifest's echo)."""
@@ -231,7 +227,7 @@ def _parse_control(data, d: int, where: str, col: _Collector) -> StationaryContr
         return None
     kind = data.get("type")
     keys = {"single": ("i",), "mixed": ("i", "k"), "explicit": ("target_I", "target_S")}
-    if kind not in keys:
+    if not isinstance(kind, str) or kind not in keys:  # a list or an object is unhashable
         col.add(f"{where}.type", "expected 'single', 'mixed' or 'explicit'")
         return None
     if not col.expect_keys(where, data, {"type", *keys[kind]}, set()):
@@ -299,12 +295,12 @@ def _parse_grid(data, model: ModelParams, where: str, col: _Collector) -> TimeGr
 
 def _within_budget(model: ModelParams, grid: TimeGrid, where: str, col: _Collector) -> bool:
     """False, with an error, when a path on the grid, nodes x 2d entries,
-    exceeds GRID_BUDGET.  No path is allocated."""
+    exceeds ``dynamics.GRID_BUDGET``.  No path is allocated."""
     entries = (grid.n_steps + 1) * model.n_states
-    if entries <= GRID_BUDGET:
+    if entries <= dynamics.GRID_BUDGET:
         return True
     col.add(where, f"{grid.n_steps + 1} nodes x {model.n_states} states = {entries} entries "
-                   f"exceed the grid budget of {GRID_BUDGET}")
+                   f"exceed the grid budget of {dynamics.GRID_BUDGET}")
     return False
 
 
@@ -346,25 +342,147 @@ def sweep_grid(model: ModelParams, axes) -> tuple[np.ndarray, ParamStack]:
     return points, stack
 
 
-def _stationary_model_errors(model: ModelParams, col: _Collector) -> None:
-    """Reject an equilibria or turnpike model (the turnpike anchors at the
-    stationary values) that the stationary solver would refuse: one that
-    breaks a model invariant or has delta = 0."""
-    for msg, _ in ParamStack.tile(model).violations(positive_discount=True):
-        col.add("model", msg)
+def _parse_output(data, col: _Collector) -> OutputConfig:
+    if not isinstance(data, dict):
+        col.add("output", "expected an object")
+        return OutputConfig()
+    col.expect_keys("output", data, set(), {"dir", "format"})
+    fmt, dir_ = data.get("format", "csv"), data.get("dir")
+    if fmt not in OUTPUT_FORMATS:
+        col.add("output.format", f"expected one of {list(OUTPUT_FORMATS)}")
+    if dir_ is not None and not isinstance(dir_, str):
+        col.add("output.dir", "expected a string")
+    return OutputConfig(dir=dir_, format=fmt)
 
 
-def _sweep_config(model: ModelParams, axes: tuple[SweepAxis, ...],
-                  col: _Collector) -> SweepConfig | None:
-    """The sweep with its grid, or None when a grid point breaks a model
-    invariant or has delta = 0 (each such error is reported)."""
+def _parse_simulate(block: dict, model: ModelParams, col: _Collector) -> SimulateConfig | None:
+    col.expect_keys("simulate", block, {"control", "x0", "grid"}, set())
+    control = _parse_control(block.get("control"), model.d, "simulate.control", col)
+    x0 = _parse_x0(block, model.d, "simulate", col, control)
+    grid = _parse_grid(block.get("grid"), model, "simulate.grid", col)
+    return None if col.errors else SimulateConfig(control=control, x0=x0, grid=grid)
+
+
+def _parse_turnpike(block: dict, model: ModelParams, col: _Collector) -> TurnpikeConfig | None:
+    where = "turnpike"
+    col.expect_keys(where, block, {"strategy", "x0", "g_terminal", "grid"}, set())
+    strategy = col.integer(where, block, "strategy")
+    if strategy is not None and not 1 <= strategy <= model.d:
+        col.add(f"{where}.strategy", f"must be in [1, {model.d}] (1-based)")
+    x0 = _parse_x0(block, model.d, where, col)
+    gT = _parse_state_spec(block.get("g_terminal"), model.n_states,
+                           f"{where}.g_terminal", col, ("stationary",))
+    if isinstance(gT, np.ndarray):
+        gT = col.build(f"{where}.g_terminal", ValueVector, gT)
+    grid = _parse_grid(block.get("grid"), model, f"{where}.grid", col)
+    if col.errors:
+        return None
+    return TurnpikeConfig(strategy=strategy - 1, x0=x0, g_terminal=gT, grid=grid)
+
+
+def _parse_nplayer(block: dict, model: ModelParams, col: _Collector) -> NPlayerConfig | None:
+    where = "nplayer"
+    col.expect_keys(where, block, {"control", "x0", "t_end"},
+                    {"n_agents", "n_list", "replications"})
+    control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
+    x0 = _parse_x0(block, model.d, where, col, control)
+    t_end = col.number(where, block, "t_end")
+    n_agents = col.integer(where, block, "n_agents")
+    reps = col.integer(where, block, "replications", default=1)
+    # the jump loop holds agent counts as floats, which are exact up to 2**53
+    too_many = "must be <= 2**53, the largest agent count a run holds exactly"
+    n_list = None
+    if "n_list" in block:
+        raw = block["n_list"]
+        if (
+            not isinstance(raw, list)
+            or not raw
+            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in raw)
+        ):
+            col.add(f"{where}.n_list", "expected a non-empty list of integers >= 1")
+        elif max(raw) > 2**53:
+            col.add(f"{where}.n_list", too_many)
+        else:
+            n_list = tuple(raw)
+    if "n_agents" not in block and "n_list" not in block:
+        col.add(where, "one of 'n_agents' or 'n_list' is required")
+    if n_agents is not None and n_agents < 1:
+        col.add(f"{where}.n_agents", "must be >= 1")
+    elif n_agents is not None and n_agents > 2**53:
+        col.add(f"{where}.n_agents", too_many)
+    if t_end is not None and t_end <= 0:
+        col.add(f"{where}.t_end", "must be > 0")
+        t_end = None
+    if t_end is not None and n_list is not None:
+        ref = col.build(f"{where}.t_end", lln_reference_grid, model, t_end)
+        if ref is not None:
+            _within_budget(model, ref[1], f"{where}.t_end", col)
+    if reps is not None and reps < 1:
+        col.add(f"{where}.replications", "must be >= 1")
+    if col.errors:
+        return None
+    return NPlayerConfig(control=control, x0=x0, t_end=t_end, n_agents=n_agents,
+                         n_list=n_list, replications=reps)
+
+
+def _parse_sweep(block: dict, model: ModelParams, col: _Collector) -> SweepConfig | None:
+    """The sweep with its grid, which is checked once every axis parsed: a
+    grid point that breaks a model invariant or has delta = 0 is an error."""
+    where = "sweep"
+    col.expect_keys(where, block, {"axes"}, set())
+    axes_raw = block.get("axes")
+    if not isinstance(axes_raw, list) or not axes_raw:
+        col.add(f"{where}.axes", "expected a non-empty list of axes")
+        return None
+    axes: list[SweepAxis] = []
+    seen: dict[tuple, int] = {}  # parsed (name, indices) -> first axis
+    for a_idx, axis in enumerate(axes_raw):
+        awhere = f"{where}.axes[{a_idx}]"
+        if not isinstance(axis, dict):
+            col.add(awhere, "expected an object")
+            continue
+        col.expect_keys(awhere, axis, {"path", "values"}, set())
+        path = axis.get("path")
+        values = axis.get("values")
+        if not isinstance(path, str):
+            col.add(f"{awhere}.path", "expected a string")
+            continue
+        try:
+            target = parse_sweep_path(path, model.d)
+        except ValueError as exc:
+            col.add(f"{awhere}.path", str(exc))
+            continue
+        if target in seen:
+            col.add(f"{awhere}.path", f"'{path}' overrides the same entry as "
+                                      f"{where}.axes[{seen[target]}]")
+            continue
+        seen[target] = a_idx
+        if not isinstance(values, list) or not values or any(isinstance(v, list) for v in values):
+            col.add(f"{awhere}.values", "expected a non-empty list of numbers")
+            continue
+        values = col.numbers(f"{awhere}.values", values)
+        if values is not None:
+            axes.append(SweepAxis(path=path, values=tuple(values.tolist())))
+    if len(axes) < len(axes_raw):
+        return None
     points, stack = sweep_grid(model, axes)
     violations = stack.violations(positive_discount=True)
     for msg, bad in violations:
         first = int(np.argmax(bad))
         at = ", ".join(f"{axis.path}={float(points[first, a])!r}" for a, axis in enumerate(axes))
         col.add("sweep.axes", f"{msg} at grid point {at} ({int(bad.sum())} of {len(points)} points)")
-    return None if violations else SweepConfig(axes=axes, points=points, stack=stack)
+    return None if col.errors else SweepConfig(axes=tuple(axes), points=points, stack=stack)
+
+
+#: run kind -> parser of its block, ``(block, model, col)`` -> the block's
+#: config, or None when an error was collected (``equilibria`` has no block)
+BLOCKS = {
+    "equilibria": None,
+    "simulate": _parse_simulate,
+    "turnpike": _parse_turnpike,
+    "nplayer": _parse_nplayer,
+    "sweep": _parse_sweep,
+}
 
 
 def parse_config_dict(data: dict) -> ScenarioConfig:
@@ -373,168 +491,32 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a JSON object"])
     run = data.get("run")
-    if run not in RUN_KINDS:
-        col.add("run", f"expected one of {list(RUN_KINDS)}, got {run!r}")
+    if not isinstance(run, str) or run not in BLOCKS:
+        col.add("run", f"expected one of {list(BLOCKS)}, got {run!r}")
         run = None
-    top_required = {"model", "run", "seed"}
-    top_optional = {"output"}
-    if run not in (None, "equilibria"):
-        top_required.add(run)
-    col.expect_keys("top level", data, top_required, top_optional)
+    parse_block = BLOCKS.get(run)
+    top_required = {"model", "run", "seed"} | ({run} if parse_block else set())
+    col.expect_keys("top level", data, top_required, {"output"})
     model = _parse_model(data.get("model"), col) if "model" in data else None
     seed = col.integer("top level", data, "seed", default=None)
     if seed is not None and seed < 0:
         # the seed keys the Philox streams, which take non-negative integers
         col.add("top level.seed", f"must be >= 0, got {seed}")
-        seed = None
-    output = OutputConfig()
-    if "output" in data:
-        odata = data["output"]
-        if not isinstance(odata, dict):
-            col.add("output", "expected an object")
-        else:
-            col.expect_keys("output", odata, set(), {"dir", "format"})
-            fmt = odata.get("format", "csv")
-            if fmt not in OUTPUT_FORMATS:
-                col.add("output.format", f"expected one of {list(OUTPUT_FORMATS)}")
-                fmt = "csv"
-            dir_ = odata.get("dir")
-            if dir_ is not None and not isinstance(dir_, str):
-                col.add("output.dir", "expected a string")
-                dir_ = None
-            output = OutputConfig(dir=dir_, format=fmt)
-
-    simulate = turnpike = nplayer = sweep = None
+    output = _parse_output(data.get("output", {}), col)
+    block = None
     if model is not None and run in ("equilibria", "turnpike"):
-        _stationary_model_errors(model, col)
+        # the stationary solver, which also anchors a turnpike, refuses delta = 0
+        for msg, _ in ParamStack.tile(model).violations(positive_discount=True):
+            col.add("model", msg)
     if model is not None and run is not None and run in data:
-        block = data[run]
-        where = run
-        if not isinstance(block, dict):
-            col.add(where, "expected an object")
-        elif run == "simulate":
-            col.expect_keys(where, block, {"control", "x0", "grid"}, set())
-            control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
-            x0 = _parse_x0(block, model.d, where, col, control)
-            grid = _parse_grid(block.get("grid"), model, f"{where}.grid", col)
-            if control is not None and x0 is not None and grid is not None:
-                simulate = SimulateConfig(control=control, x0=x0, grid=grid)
-        elif run == "turnpike":
-            col.expect_keys(where, block, {"strategy", "x0", "g_terminal", "grid"}, set())
-            strategy = col.integer(where, block, "strategy")
-            if strategy is not None and not 1 <= strategy <= model.d:
-                col.add(f"{where}.strategy", f"must be in [1, {model.d}] (1-based)")
-                strategy = None
-            x0 = _parse_x0(block, model.d, where, col)
-            gT = _parse_state_spec(block.get("g_terminal"), model.n_states,
-                                   f"{where}.g_terminal", col, ("stationary",))
-            if isinstance(gT, np.ndarray):
-                gT = col.build(f"{where}.g_terminal", ValueVector, gT)
-            grid = _parse_grid(block.get("grid"), model, f"{where}.grid", col)
-            if None not in (strategy, grid) and x0 is not None and gT is not None:
-                turnpike = TurnpikeConfig(strategy=strategy - 1, x0=x0, g_terminal=gT, grid=grid)
-        elif run == "nplayer":
-            col.expect_keys(
-                where, block, {"control", "x0", "t_end"}, {"n_agents", "n_list", "replications"}
-            )
-            control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
-            x0 = _parse_x0(block, model.d, where, col, control)
-            t_end = col.number(where, block, "t_end")
-            n_agents = col.integer(where, block, "n_agents")
-            reps = col.integer(where, block, "replications", default=1)
-            # the jump loop holds agent counts as floats, which are exact up to 2**53
-            too_many = "must be <= 2**53, the largest agent count a run holds exactly"
-            n_list = None
-            if "n_list" in block:
-                raw = block["n_list"]
-                if (
-                    not isinstance(raw, list)
-                    or not raw
-                    or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in raw)
-                ):
-                    col.add(f"{where}.n_list", "expected a non-empty list of integers >= 1")
-                elif max(raw) > 2**53:
-                    col.add(f"{where}.n_list", too_many)
-                else:
-                    n_list = tuple(raw)
-            if "n_agents" not in block and "n_list" not in block:
-                col.add(where, "one of 'n_agents' or 'n_list' is required")
-            if n_agents is not None and n_agents < 1:
-                col.add(f"{where}.n_agents", "must be >= 1")
-                n_agents = None
-            if n_agents is not None and n_agents > 2**53:
-                col.add(f"{where}.n_agents", too_many)
-                n_agents = None
-            if t_end is not None and t_end <= 0:
-                col.add(f"{where}.t_end", "must be > 0")
-                t_end = None
-            if t_end is not None and n_list is not None:
-                ref = col.build(f"{where}.t_end", lln_reference_grid, model, t_end)
-                if ref is None or not _within_budget(model, ref[1], f"{where}.t_end", col):
-                    t_end = None
-            if reps is not None and reps < 1:
-                col.add(f"{where}.replications", "must be >= 1")
-                reps = None
-            if control is not None and x0 is not None and t_end is not None and reps is not None:
-                if n_agents is not None or n_list is not None:
-                    nplayer = NPlayerConfig(
-                        control=control, x0=x0, t_end=t_end,
-                        n_agents=n_agents, n_list=n_list, replications=reps,
-                    )
-        elif run == "sweep":
-            col.expect_keys(where, block, {"axes"}, set())
-            axes_raw = block.get("axes")
-            axes: list[SweepAxis] = []
-            seen: dict[tuple, int] = {}  # parsed (name, indices) -> first axis
-            if not isinstance(axes_raw, list) or not axes_raw:
-                col.add(f"{where}.axes", "expected a non-empty list of axes")
-            else:
-                for a_idx, axis in enumerate(axes_raw):
-                    awhere = f"{where}.axes[{a_idx}]"
-                    if not isinstance(axis, dict):
-                        col.add(awhere, "expected an object")
-                        continue
-                    col.expect_keys(awhere, axis, {"path", "values"}, set())
-                    path = axis.get("path")
-                    values = axis.get("values")
-                    if not isinstance(path, str):
-                        col.add(f"{awhere}.path", "expected a string")
-                        continue
-                    try:
-                        target = parse_sweep_path(path, model.d)
-                    except ValueError as exc:
-                        col.add(f"{awhere}.path", str(exc))
-                        continue
-                    if target in seen:
-                        col.add(f"{awhere}.path", f"'{path}' overrides the same entry as "
-                                                  f"{where}.axes[{seen[target]}]")
-                        continue
-                    seen[target] = a_idx
-                    if not isinstance(values, list) or not values or any(
-                        isinstance(v, list) for v in values
-                    ):
-                        col.add(f"{awhere}.values", "expected a non-empty list of numbers")
-                        continue
-                    values = col.numbers(f"{awhere}.values", values)
-                    if values is not None:
-                        axes.append(SweepAxis(path=path, values=tuple(values.tolist())))
-                if len(axes) == len(axes_raw):
-                    sweep = _sweep_config(model, tuple(axes), col)
-
+        if not isinstance(data[run], dict):
+            col.add(run, "expected an object")
+        elif parse_block:
+            block = parse_block(data[run], model, col)
     if col.errors:
         raise ConfigError(col.errors)
-    assert model is not None and run is not None and seed is not None
-    return ScenarioConfig(
-        model=model,
-        run=run,
-        seed=seed,
-        source=copy.deepcopy(data),
-        output=output,
-        simulate=simulate,
-        turnpike=turnpike,
-        nplayer=nplayer,
-        sweep=sweep,
-    )
+    return ScenarioConfig(model=model, run=run, seed=seed, source=copy.deepcopy(data),
+                          output=output, block=block)
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:

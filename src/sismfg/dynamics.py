@@ -35,11 +35,6 @@ by checking at every node that the value vector stays in the cone
 and that the frozen control is the actual argmin.  Inside the cone the
 fixed-control and explicit-minimum evolutions coincide, which is what makes
 the frozen-control solution a solution of the full consistency problem.
-
-``gap_closed_form`` evaluates the closed-form evolution of
-g(iI) - g(iS) driven by a(t) = q_plus_i + q_minus_i + delta
-+ sum_k beta_ki x_kI(t), with trapezoid quadrature on the grid, organized
-as a backward recursion so long horizons cannot overflow.
 """
 
 from __future__ import annotations
@@ -83,6 +78,9 @@ MAX_HALVINGS = 20
 DEFAULT_WINDOW_EPS = 1e-3
 #: fraction trimmed from each end for the mid-horizon statistics
 MID_WINDOW_TRIM = 0.1
+#: most entries (nodes x 2d) of a trajectory grid or a recorded CTMC
+#: path: one float64 path of this size takes 128 MiB
+GRID_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -500,33 +498,6 @@ def integrate_backward(
         cone_ok[nodes] = cone_flags(g_path[nodes], i)
         argmin_ok[nodes] = argmin_flags(g_path[nodes], u)
     return BackwardSolution(g_path=g_path, cone_ok=cone_ok, argmin_ok=argmin_ok)
-
-
-# ---------------------------------------------------------------------------
-# closed-form gap evolution
-
-
-def gap_closed_form(
-    p: ModelParams, i: int, x_path: np.ndarray, gT_gap: float, grid: TimeGrid
-) -> np.ndarray:
-    """Closed-form g(iI) - g(iS) along a population path, per node.
-
-    gap(t) = e^{-int_t^T a} gT_gap + (w_I_i - w_S_i) int_t^T e^{-int_t^s a} ds
-    with a(s) = q_plus_i + q_minus_i + delta + sum_k beta_ki x_kI(s).
-    Both integrals use trapezoid quadrature on the grid; the evaluation runs
-    as a backward recursion so only order-one exponentials ever appear.
-    """
-    if gT_gap < 0:
-        raise ValueError("terminal gap must be >= 0")
-    a = p.q_plus[i] + p.q_minus[i] + p.delta + x_path[:, 0::2] @ p.beta[:, i]
-    w_gap = float(p.w_I[i] - p.w_S[i])
-    h = grid.h
-    gap = np.empty(grid.n_steps + 1)
-    gap[grid.n_steps] = gT_gap
-    for m in range(grid.n_steps - 1, -1, -1):
-        decay = np.exp(-0.5 * h * (a[m] + a[m + 1]))
-        gap[m] = decay * gap[m + 1] + w_gap * 0.5 * h * (1.0 + decay)
-    return gap
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ fixed compare times.  That reference is exponential RK4 (ETDRK4), whose
 step follows the slow rates instead of lam, on the grid that
 ``dynamics.lln_reference_grid`` works out; the config layer budgets the
 same grid.  A recorded path (``simulate_ctmc``) is refused once its count
-table would exceed ``config.GRID_BUDGET``.
+table would exceed ``dynamics.GRID_BUDGET``.
 
 Randomness: Philox counter-based bit generators.  ``simulate_ctmc`` uses
 Philox([seed]); ``lln_error`` gives replication r at population size N the
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
+from . import dynamics
 from .model import DECISION, PEER, Generator, MixedState, ModelParams, StationaryControl
 from .dynamics import ETDRK4, integrate_forward, lln_reference_grid
 
@@ -144,12 +144,12 @@ def _compare(n: list, N: float, times: list, rows: list, gi: int, upto: float, s
 
 def _check_path_budget(p: ModelParams, n0: CountVector, t_end: float, n_events: int) -> None:
     """Refuse a recorded path whose count table, (events + 1) x 2d entries
-    (``CtmcPath.counts``), would exceed ``config.GRID_BUDGET``."""
-    if (n_events + 1) * n0.n.size > config.GRID_BUDGET:
+    (``CtmcPath.counts``), would exceed ``dynamics.GRID_BUDGET``."""
+    if (n_events + 1) * n0.n.size > dynamics.GRID_BUDGET:
         raise ValueError(
             f"CTMC path over budget: N={n0.N}, lambda={p.lam:g}, T={t_end:g} recorded "
             f"{n_events} events, whose count table exceeds the grid budget of "
-            f"{config.GRID_BUDGET} entries (events + 1) x 2d"
+            f"{dynamics.GRID_BUDGET} entries (events + 1) x 2d"
         )
 
 
@@ -255,7 +255,7 @@ def simulate_ctmc(
 ) -> CtmcPath:
     """Exact-jump path of the N-agent chain on [0, t_end] (deterministic in seed).
 
-    A path whose count table would exceed ``config.GRID_BUDGET`` entries is
+    A path whose count table would exceed ``dynamics.GRID_BUDGET`` entries is
     refused with a ValueError, during the run (checked every _RNG_BUFFER
     events) or at its end.
     """

@@ -1,13 +1,16 @@
 """Run orchestration and result persistence.
 
-Every run writes its artifacts plus a ``manifest.json`` (the scenario as
-read with the seed in force, tool version, timestamps, artifact list,
-failures, and the run's summary: for an ``nplayer`` run with ``n_list``
-this includes the integrator and step count of the LLN reference).  The
-manifest is written even when the run fails.  Numeric artifacts are deterministic functions of
-(config, seed): JSON keys are sorted and sweep rows are emitted in grid
-order, so identical runs produce byte-identical numeric files (manifest
-timestamps excluded).
+Each run kind has one runner, ``run_<kind>(cfg, out_dir)``, which reads
+what it needs from the scenario (``cfg.block`` is the run kind's block);
+``run_scenario`` picks it by ``cfg.run``.  Every run writes its artifacts
+plus a ``manifest.json`` (the scenario as read with the seed in force,
+tool version, timestamps, artifact list, failures, and the run's summary:
+for an ``nplayer`` run with ``n_list`` this includes the integrator and
+step count of the LLN reference).  The manifest is written even when the
+run fails.  Numeric artifacts are deterministic functions of (config,
+seed): JSON keys are sorted and sweep rows are emitted in grid order, so
+identical runs produce byte-identical numeric files (manifest timestamps
+excluded).
 
 Tables (``_write_table``) take rows of Python numbers and strings, or the
 float and integer columns of a number table (``_Columns``).  In a CSV
@@ -34,12 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    NPlayerConfig,
-    ScenarioConfig,
-    SimulateConfig,
-    TurnpikeConfig,
-)
+from .config import ScenarioConfig
 from .dynamics import (
     ETDRK4,
     TurnpikeHypothesisError,
@@ -185,8 +183,8 @@ def _resolve_x0(x0: MixedState | str, p: ModelParams, u: StationaryControl) -> M
     return fixed_point_mixed(p, i, k)
 
 
-def run_equilibria(p: ModelParams, out_dir: Path) -> tuple[dict[str, Path], dict]:
-    result = enumerate_equilibria(p)
+def run_equilibria(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:
+    result = enumerate_equilibria(cfg.model)
     path = out_dir / "equilibria.json"
     _write_json(path, _enumeration_json(result))
     summary = {
@@ -196,14 +194,13 @@ def run_equilibria(p: ModelParams, out_dir: Path) -> tuple[dict[str, Path], dict
     return {"equilibria": path}, summary
 
 
-def run_simulate(
-    p: ModelParams, cfg: SimulateConfig, out_dir: Path, fmt_kind: str
-) -> tuple[dict[str, Path], dict]:
-    x0 = _resolve_x0(cfg.x0, p, cfg.control)
-    x_path = integrate_forward(p, x0, cfg.control, cfg.grid)
+def run_simulate(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:
+    p, sim = cfg.model, cfg.block
+    x0 = _resolve_x0(sim.x0, p, sim.control)
+    x_path = integrate_forward(p, x0, sim.control, sim.grid)
     header = ["t"] + _state_labels(p.d, "x")
-    rows = _Columns(cfg.grid.times(), x_path)
-    path = _write_table(out_dir, "trajectory", fmt_kind, header, rows)
+    rows = _Columns(sim.grid.times(), x_path)
+    path = _write_table(out_dir, "trajectory", cfg.output.format, header, rows)
     return {"trajectory": path}, {"terminal": x_path[-1].tolist()}
 
 
@@ -232,20 +229,19 @@ class _Columns:
             yield from np.concatenate(chunk, axis=1).tolist()
 
 
-def run_turnpike(
-    p: ModelParams, cfg: TurnpikeConfig, out_dir: Path, fmt_kind: str
-) -> tuple[dict[str, Path], dict]:
-    i = cfg.strategy
+def run_turnpike(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:
+    p, tp = cfg.model, cfg.block
+    i = tp.strategy
     anchor = stationary_anchor(p, i)  # solved once: x0, g_T and the stats may all use it
-    x0 = anchor[0] if isinstance(cfg.x0, str) else cfg.x0  # str: the token 'stationary'
-    gT = anchor[1] if isinstance(cfg.g_terminal, str) else cfg.g_terminal
-    sol = solve_turnpike(p, i, x0, gT, cfg.grid, anchor)
+    x0 = anchor[0] if isinstance(tp.x0, str) else tp.x0  # str: the token 'stationary'
+    gT = anchor[1] if isinstance(tp.g_terminal, str) else tp.g_terminal
+    sol = solve_turnpike(p, i, x0, gT, tp.grid, anchor)
     header = (
         ["t"] + _state_labels(p.d, "x") + _state_labels(p.d, "g") + ["cone_ok", "argmin_ok"]
     )
     rows = _Columns(sol.grid.times(), sol.x_path, sol.g_path,
                     sol.cone_ok.astype(int), sol.argmin_ok.astype(int))
-    path = _write_table(out_dir, "turnpike", fmt_kind, header, rows)
+    path = _write_table(out_dir, "turnpike", cfg.output.format, header, rows)
     summary = {
         "certified": sol.certified,
         "first_violation_time": sol.first_violation_time,
@@ -261,25 +257,23 @@ def run_turnpike(
     return {"turnpike": path, "turnpike_summary": spath}, summary
 
 
-def run_nplayer(
-    p: ModelParams, cfg: NPlayerConfig, out_dir: Path, fmt_kind: str, seed: int
-) -> tuple[dict[str, Path], dict]:
-    x0 = _resolve_x0(cfg.x0, p, cfg.control)
+def run_nplayer(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:
+    p, npl, fmt_kind = cfg.model, cfg.block, cfg.output.format
+    x0 = _resolve_x0(npl.x0, p, npl.control)
     artifacts: dict[str, Path] = {}
     summary: dict = {}
-    if cfg.n_list is not None:
-        table = lln_error(
-            p, cfg.control, x0, cfg.t_end, list(cfg.n_list), cfg.replications, seed
-        )
+    if npl.n_list is not None:
+        table = lln_error(p, npl.control, x0, npl.t_end, list(npl.n_list), npl.replications,
+                          cfg.seed)
         header = ["N", "mean_sup_error", "std_error", "replications"]
         rows = [[r.N, r.mean_sup_error, r.std_error, table.replications] for r in table.rows]
         artifacts["lln_error"] = _write_table(out_dir, "lln_error", fmt_kind, header, rows)
         summary["mean_sup_errors"] = {str(r.N): r.mean_sup_error for r in table.rows}
         summary["ratios"] = table.ratios()
         summary["lln_reference"] = {"integrator": ETDRK4, "steps": table.reference_steps}
-    if cfg.n_agents is not None:
-        n0 = CountVector.from_fractions(x0, cfg.n_agents)
-        ctmc = simulate_ctmc(p, n0, cfg.control, cfg.t_end, seed)
+    if npl.n_agents is not None:
+        n0 = CountVector.from_fractions(x0, npl.n_agents)
+        ctmc = simulate_ctmc(p, n0, npl.control, npl.t_end, cfg.seed)
         counts = ctmc.counts()
         header = ["t"] + _state_labels(p.d, "n")
         times = np.concatenate([[0.0], ctmc.times])
@@ -287,16 +281,16 @@ def run_nplayer(
             out_dir, "nplayer_path", fmt_kind, header, _Columns(times, counts)
         )
         summary["n_events"] = ctmc.n_events
-        summary["terminal_fractions"] = (counts[-1] / cfg.n_agents).tolist()
+        summary["terminal_fractions"] = (counts[-1] / npl.n_agents).tolist()
     return artifacts, summary
 
 
-def run_sweep(cfg: ScenarioConfig, out_dir: Path, fmt_kind: str) -> tuple[dict[str, Path], dict]:
+def run_sweep(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:
     """One equilibria summary row per grid point.  The config layer has
     checked every point, and the kernel solves all points' candidates at
     once; per-candidate failures are part of a point's result."""
-    axes, points = cfg.sweep.axes, cfg.sweep.points
-    sol = solve_points(cfg.sweep.stack)
+    axes, points = cfg.block.axes, cfg.block.points
+    sol = solve_points(cfg.block.stack)
     controls = candidate_controls(cfg.model.d)
     labels = [u.label() for u in controls]
     single = np.array([u.is_single for u in controls])
@@ -321,7 +315,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: Path, fmt_kind: str) -> tuple[dict[s
         rows.append(
             coords + ["ok", found.size, ";".join(labels[c] for c in found)] + first
         )
-    path = _write_table(out_dir, "sweep", fmt_kind, header, rows)
+    path = _write_table(out_dir, "sweep", cfg.output.format, header, rows)
     summary = {"n_points": len(points), "n_succeeded": len(points)}
     return {"sweep": path}, summary
 
@@ -332,24 +326,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> ResultBundle:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     bundle = ResultBundle(manifest={})
-    fmt_kind = cfg.output.format
     summary: dict = {}
+    # built at each call, so a runner replaced at module level (a tracer's
+    # wrapper) is the one called
+    runners = {"equilibria": run_equilibria, "simulate": run_simulate,
+               "turnpike": run_turnpike, "nplayer": run_nplayer, "sweep": run_sweep}
     try:
-        if cfg.run == "equilibria":
-            artifacts, summary = run_equilibria(cfg.model, out_dir)
-        elif cfg.run == "simulate":
-            artifacts, summary = run_simulate(cfg.model, cfg.simulate, out_dir, fmt_kind)
-        elif cfg.run == "turnpike":
-            artifacts, summary = run_turnpike(cfg.model, cfg.turnpike, out_dir, fmt_kind)
-        elif cfg.run == "nplayer":
-            artifacts, summary = run_nplayer(cfg.model, cfg.nplayer, out_dir, fmt_kind, cfg.seed)
-        elif cfg.run == "sweep":
-            artifacts, summary = run_sweep(cfg, out_dir, fmt_kind)
-        else:  # unreachable after validation
-            raise ValueError(f"unknown run kind {cfg.run!r}")
+        artifacts, summary = runners[cfg.run](cfg, out_dir)
         bundle.artifacts.update(artifacts)
         # a sweep succeeds point by point, every other run once
-        bundle.n_succeeded = summary["n_points"] if cfg.run == "sweep" else 1
+        bundle.n_succeeded = summary.get("n_succeeded", 1)
     except (TurnpikeHypothesisError, RuntimeError, ValueError) as exc:
         bundle.failures.append(str(exc))
     finally:

@@ -46,8 +46,7 @@ def random_params(rng: np.random.Generator, d: int | None = None) -> ModelParams
     """A random admissible parameter set at desk scale (lam below 50).
 
     Absolute bounds of the tests that use it assume rates of this size, as
-    roundoff grows with lam: the 1e-14 of ``test_kinetic_mass_conservation``
-    and the 1e-8 spectral agreement of
+    roundoff grows with lam: the 1e-8 spectral agreement of
     ``test_stability_spectra_agree_random_draws``, for example.  Tests of
     large lam draw their own parameters.
     """
@@ -229,6 +228,27 @@ def oracle_backward_fixed(p: ModelParams, gT: ValueVector, x_path: np.ndarray,
         g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         g_path[m] = g
     return g_path
+
+
+def oracle_gap_closed_form(p: ModelParams, i: int, x_path: np.ndarray, gT_gap: float,
+                           h: float) -> np.ndarray:
+    """Closed-form g(iI) - g(iS) under single(i) along a population path, per
+    node of a grid of step h.
+
+    gap(t) = e^{-int_t^T a} gT_gap + (w_I_i - w_S_i) int_t^T e^{-int_t^s a} ds
+    with a(s) = q_plus_i + q_minus_i + delta + sum_k beta_ki x_kI(s).
+    Both integrals use trapezoid quadrature on the grid; the evaluation runs
+    as a backward recursion so only order-one exponentials ever appear.
+    """
+    a = p.q_plus[i] + p.q_minus[i] + p.delta + x_path[:, 0::2] @ p.beta[:, i]
+    w_gap = float(p.w_I[i] - p.w_S[i])
+    n_steps = x_path.shape[0] - 1
+    gap = np.empty(n_steps + 1)
+    gap[n_steps] = gT_gap
+    for m in range(n_steps - 1, -1, -1):
+        decay = np.exp(-0.5 * h * (a[m] + a[m + 1]))
+        gap[m] = decay * gap[m + 1] + w_gap * 0.5 * h * (1.0 + decay)
+    return gap
 
 
 def oracle_csv_table(header: list[str], *columns: np.ndarray) -> bytes:

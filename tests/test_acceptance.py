@@ -20,7 +20,6 @@ from sismfg import (
     TurnpikeHypothesisError,
     ValueVector,
     best_response,
-    gap_closed_form,
     integrate_forward,
     lln_error,
     simulate_ctmc,
@@ -42,7 +41,13 @@ from sismfg.stationary import (
 )
 from sismfg.model import kinetic_rhs
 
-from conftest import P0, _oracle_spectrum, oracle_share_quadratic, random_params
+from conftest import (
+    P0,
+    _oracle_spectrum,
+    oracle_gap_closed_form,
+    oracle_share_quadratic,
+    random_params,
+)
 
 N_DRAWS = 1000
 SINGLE1 = StationaryControl.single(2, 0)
@@ -257,7 +262,7 @@ def test_turnpike_estimate_rejects_slower_decay(p0):
 def test_criterion_06_turnpike(p0, turnpike_run):
     sol, gT = turnpike_run
     flags_ok = bool(sol.cone_ok.all() and sol.argmin_ok.all())
-    gap_cf = gap_closed_form(p0, 0, sol.x_path, gT.g[0] - gT.g[1], sol.grid)
+    gap_cf = oracle_gap_closed_form(p0, 0, sol.x_path, gT.g[0] - gT.g[1], sol.grid.h)
     gap_int = sol.g_path[:, 0] - sol.g_path[:, 1]
     gap_err = float(np.max(np.abs(gap_cf - gap_int)))
     omega, amp = turnpike_constants(p0)

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sismfg import ConfigError, StationaryControl, parse_config, run_scenario
+from sismfg import ConfigError, StationaryControl, parse_config, run_scenario, runs
 from sismfg.cli import main
-from sismfg.config import GRID_BUDGET, parse_config_dict
-from sismfg.dynamics import TimeGrid, default_grid, stationary_anchor
+from sismfg.config import BLOCKS, parse_config_dict
+from sismfg.dynamics import GRID_BUDGET, TimeGrid, default_grid, stationary_anchor
 from sismfg.model import MixedState, ModelParams, ValueVector
 from sismfg.runs import _Columns, _write_table, fmt
 from sismfg.stationary import enumerate_equilibria, fixed_point_mixed, fixed_point_single
@@ -186,7 +186,7 @@ def test_agent_counts_beyond_exact_floats_rejected(tmp_path, key, value):
     assert [e.split(":")[0] for e in err.value.errors] == [f"nplayer.{key}"]
     assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
     data["nplayer"][key] = 2**53 if key == "n_agents" else [10, 2**53]
-    assert parse_config_dict(data).nplayer is not None
+    assert parse_config_dict(data).block is not None
 
 
 @pytest.mark.parametrize("run", ["simulate", "turnpike", "nplayer"])
@@ -231,6 +231,17 @@ def test_non_integer_control_indices_rejected(tmp_path, control, where):
     assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
 
 
+@pytest.mark.parametrize("kind", ["simplex", ["single"], {"type": "single"}, None])
+def test_unknown_control_type_rejected(tmp_path, kind):
+    # a list or an object as the type was a TypeError, not a ConfigError
+    data = json.loads((REPO_CONFIGS / "p0_nplayer.json").read_text())
+    data["nplayer"]["control"]["type"] = kind
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert err.value.errors == ["nplayer.control.type: expected 'single', 'mixed' or 'explicit'"]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
 def test_integer_control_indices_parse():
     data = json.loads((REPO_CONFIGS / "p0_nplayer.json").read_text())
     for control, expected in (
@@ -240,7 +251,7 @@ def test_integer_control_indices_parse():
          StationaryControl(np.array([0, 1]), np.array([1, 1]))),
     ):
         data["nplayer"]["control"] = control
-        assert parse_config_dict(data).nplayer.control == expected
+        assert parse_config_dict(data).block.control == expected
 
 
 @pytest.mark.parametrize(
@@ -299,7 +310,7 @@ def test_stationary_x0_needs_uniform_control(tmp_path, run):
     assert [e.split(":")[0] for e in err.value.errors] == [f"{run}.x0"]
     assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
     data[run]["control"] = {"type": "explicit", "target_I": [2, 2], "target_S": [1, 1]}
-    assert getattr(parse_config_dict(data), run).control == StationaryControl.mixed(2, 1, 0)
+    assert parse_config_dict(data).block.control == StationaryControl.mixed(2, 1, 0)
 
 
 @pytest.mark.parametrize("run, where", [("simulate", "simulate.grid"),
@@ -347,14 +358,14 @@ def test_lln_reference_budget_counts_its_own_grid():
     cfg = parse_config_dict(data)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert cfg.nplayer.t_end == 50.0 and cfg.nplayer.n_list == (10,)
+    assert cfg.block.t_end == 50.0 and cfg.block.n_list == (10,)
     assert peak < 1 << 20
 
 
 def test_grid_budget_boundary():
     data = json.loads((REPO_CONFIGS / "p0_simulate.json").read_text())
     data["simulate"]["grid"]["n_steps"] = GRID_BUDGET // 4 - 1  # exactly GRID_BUDGET entries
-    assert parse_config_dict(data).simulate.grid.n_steps == GRID_BUDGET // 4 - 1
+    assert parse_config_dict(data).block.grid.n_steps == GRID_BUDGET // 4 - 1
     data["simulate"]["grid"]["n_steps"] += 1
     with pytest.raises(ConfigError, match="grid budget"):
         parse_config_dict(data)
@@ -690,15 +701,15 @@ def test_default_grid_overflow_refused_at_validation(run, where):
 def test_built_states_and_grids(p0):
     data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
     cfg = parse_config_dict(data)
-    assert isinstance(cfg.turnpike.x0, MixedState) and cfg.turnpike.g_terminal == "stationary"
-    assert np.array_equal(cfg.turnpike.x0.x, MixedState.uniform(2).x)
-    assert cfg.turnpike.grid == TimeGrid(0.0, 50.0, 20000)
+    assert isinstance(cfg.block.x0, MixedState) and cfg.block.g_terminal == "stationary"
+    assert np.array_equal(cfg.block.x0.x, MixedState.uniform(2).x)
+    assert cfg.block.grid == TimeGrid(0.0, 50.0, 20000)
     data["turnpike"]["g_terminal"] = [1.0, 2.0, 3.0, 4.0]
     del data["turnpike"]["grid"]["n_steps"]
     cfg = parse_config_dict(data)
-    assert isinstance(cfg.turnpike.g_terminal, ValueVector)
-    assert cfg.turnpike.g_terminal.g.tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert cfg.turnpike.grid == default_grid(p0, 0.0, 50.0)
+    assert isinstance(cfg.block.g_terminal, ValueVector)
+    assert cfg.block.g_terminal.g.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert cfg.block.grid == default_grid(p0, 0.0, 50.0)
 
 
 def test_stationary_x0_under_mixed_control_starts_at_mixed_fixed_point(tmp_path, p0):
@@ -753,6 +764,38 @@ def test_shipped_configs_echo_as_read(path):
     cfg = parse_config_dict(data)
     data["model"]["beta"][0][0] = 1e3  # the echo is a copy, not the caller's object
     assert cfg.to_dict()["model"]["beta"][0][0] != 1e3
+
+
+#: block entries that shorten the shipped configs' runs
+SHORT_RUNS = {
+    "simulate": {"grid": {"t_start": 0.0, "t_end": 5.0, "n_steps": 500}},
+    "turnpike": {"grid": {"t_start": 0.0, "t_end": 5.0, "n_steps": 500}},
+    "nplayer": {"t_end": 1.0, "n_agents": 100},
+}
+
+
+@pytest.mark.parametrize("run", list(BLOCKS))
+def test_every_run_kind_has_a_shipped_config_and_a_runner(tmp_path, monkeypatch, run):
+    # config.BLOCKS and the runner table of run_scenario list the same kinds:
+    # a kind added to one and not the other fails here, not at run time
+    shipped = [path for path in sorted(REPO_CONFIGS.glob("*.json"))
+               if json.loads(path.read_text())["run"] == run]
+    assert shipped, f"no config in configs/ has run {run!r}"
+    data = json.loads(shipped[0].read_text())
+    data.get(run, {}).update(SHORT_RUNS.get(run, {}))
+    cfg = parse_config_dict(data)
+    assert run_scenario(cfg, tmp_path / "run").n_succeeded >= 1
+    # the table maps the kind to runs.run_<kind> as the module holds it at
+    # the call, which is what a tracer that wraps the runners relies on
+    called = []
+
+    def stub(cfg, out_dir):
+        called.append(run)
+        return {}, {}
+
+    monkeypatch.setattr(runs, f"run_{run}", stub)
+    run_scenario(cfg, tmp_path / "stub")
+    assert called == [run]
 
 
 def test_manifest_echoes_scenario_with_seed_in_force(tmp_path):

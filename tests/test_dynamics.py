@@ -15,7 +15,6 @@ from sismfg import (
     ValueVector,
     check_turnpike_hypotheses,
     default_grid,
-    gap_closed_form,
     integrate_backward,
     integrate_forward,
     solve_turnpike,
@@ -40,6 +39,7 @@ from conftest import (
     P0_GAP,
     oracle_backward_fixed,
     oracle_euler_path,
+    oracle_gap_closed_form,
     random_control,
     random_params,
     random_state,
@@ -268,7 +268,7 @@ def test_backward_zero_terminal_gap_matches_closed_form(p0):
     x_path = np.tile(x.x, (grid.n_steps + 1, 1))
     back = integrate_backward(p0, ValueVector(np.zeros(4)), x_path, SINGLE1, grid)
     gap_int = back.g_path[:, 0] - back.g_path[:, 1]
-    gap_cf = gap_closed_form(p0, 0, x_path, 0.0, grid)
+    gap_cf = oracle_gap_closed_form(p0, 0, x_path, 0.0, grid.h)
     assert np.max(np.abs(gap_int - gap_cf)) <= 1e-8
 
 
@@ -396,7 +396,7 @@ def test_gap_constant_path_scalar_solution(p0):
     def sup_error(n):
         grid = TimeGrid(0.0, 50.0, n)
         x_path = np.tile(x.x, (n + 1, 1))
-        gap = gap_closed_form(p0, 0, x_path, 0.0, grid)
+        gap = oracle_gap_closed_form(p0, 0, x_path, 0.0, grid.h)
         times = grid.times()
         exact = (1.0 / a) * (1.0 - np.exp(-a * (50.0 - times)))  # w gap = 1 at P0
         return np.max(np.abs(gap - exact)), gap[0]
@@ -412,7 +412,7 @@ def test_gap_short_horizon_recovers_terminal(p0):
     x, _ = stationary_pair(p0)
     grid = TimeGrid(0.0, 1e-4, 10)
     x_path = np.tile(x.x, (grid.n_steps + 1, 1))
-    gap = gap_closed_form(p0, 0, x_path, 0.7, grid)
+    gap = oracle_gap_closed_form(p0, 0, x_path, 0.7, grid.h)
     assert gap[0] == pytest.approx(0.7, abs=2e-4)
 
 
@@ -420,7 +420,7 @@ def test_gap_envelope_bound(p0):
     grid = TimeGrid(0.0, 30.0, 6000)
     x_path = integrate_forward(p0, MixedState.uniform(2), SINGLE1, grid)
     gT_gap = 0.4
-    gap = gap_closed_form(p0, 0, x_path, gT_gap, grid)
+    gap = oracle_gap_closed_form(p0, 0, x_path, gT_gap, grid.h)
     times = grid.times()
     a_min = 0.5 + 0.5 + 0.1
     bound = np.exp(-a_min * (30.0 - times)) * gT_gap + 1.0 / a_min

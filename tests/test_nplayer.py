@@ -251,10 +251,10 @@ SINGLE1 = StationaryControl.single(2, 0)
 
 
 def test_recorded_path_refused_over_budget(p0, monkeypatch):
-    import sismfg.config
+    import sismfg.dynamics
 
     n0 = CountVector.from_fractions(MixedState.uniform(2), 100)
-    monkeypatch.setattr(sismfg.config, "GRID_BUDGET", 4 * 20_000)
+    monkeypatch.setattr(sismfg.dynamics, "GRID_BUDGET", 4 * 20_000)
     with pytest.raises(ValueError, match=r"N=100, lambda=100, T=5\b.*budget of 80000"):
         simulate_ctmc(p0, n0, MOVING, 5.0, seed=3)
 
@@ -262,14 +262,14 @@ def test_recorded_path_refused_over_budget(p0, monkeypatch):
 def test_recorded_path_budget_is_its_count_table(p0, monkeypatch):
     # checked at every draw refill and at the end: a path fits exactly when
     # (events + 1) x 2d entries fit, wherever the last refill fell
-    import sismfg.config
+    import sismfg.dynamics
 
     n0 = CountVector.from_fractions(MixedState.uniform(2), 40)
     events = simulate_ctmc(p0, n0, MOVING, 5.0, seed=4).n_events
     assert events > 2 * 8192 and events % 8192
-    monkeypatch.setattr(sismfg.config, "GRID_BUDGET", (events + 1) * 4)
+    monkeypatch.setattr(sismfg.dynamics, "GRID_BUDGET", (events + 1) * 4)
     assert simulate_ctmc(p0, n0, MOVING, 5.0, seed=4).n_events == events
-    monkeypatch.setattr(sismfg.config, "GRID_BUDGET", (events + 1) * 4 - 1)
+    monkeypatch.setattr(sismfg.dynamics, "GRID_BUDGET", (events + 1) * 4 - 1)
     with pytest.raises(ValueError, match="over budget"):
         simulate_ctmc(p0, n0, MOVING, 5.0, seed=4)
 

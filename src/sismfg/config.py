@@ -7,10 +7,12 @@ maps each run kind to the parser of that block, and the parsed block is
 ``ScenarioConfig.block``.  Validation is collected: every schema violation
 and every model-invariant violation is reported, not just the first.
 Unknown keys are rejected at every level.
-Parsing builds what the run uses (model, controls, grids, explicit
-states) with the runtime's own constructors, whose refusals become errors
-at the block's path, and keeps the validated input as ``source``, which
-the manifest echoes.
+Parsing builds what the run uses (model, controls, grids, states, and
+the stationary solutions the ``"stationary"`` tokens name, a turnpike's
+anchor among them) with the runtime's own constructors and solvers, whose
+refusals become errors at the block's path: a parsed block holds no
+tokens.  It keeps the validated input as ``source``, which the manifest
+echoes.
 
 Public file conventions: strategies and parameter-path indices are 1-based
 (matching the x_1I / x_1S column labels); the Python API is 0-based.
@@ -27,8 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics
-from .dynamics import TimeGrid, default_grid, lln_reference_grid
+from .dynamics import TimeGrid, default_grid, lln_reference_grid, stationary_anchor
 from .model import MixedState, ModelParams, ParamStack, StationaryControl, ValueVector
+from .nplayer import check_rate_bound
+from .stationary import fixed_point_mixed, fixed_point_single
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -55,22 +59,23 @@ class OutputConfig:
 @dataclass(frozen=True)
 class SimulateConfig:
     control: StationaryControl
-    x0: MixedState | str  # str: the token 'stationary', solved at run time
+    x0: MixedState
     grid: TimeGrid
 
 
 @dataclass(frozen=True)
 class TurnpikeConfig:
     strategy: int  # 0-based anchor strategy
-    x0: MixedState | str
-    g_terminal: ValueVector | str
+    x0: MixedState
+    g_terminal: ValueVector
     grid: TimeGrid
+    anchor: tuple[MixedState, ValueVector]  # ``stationary_anchor(model, strategy)``
 
 
 @dataclass(frozen=True)
 class NPlayerConfig:
     control: StationaryControl
-    x0: MixedState | str
+    x0: MixedState
     t_end: float
     n_agents: int | None = None
     n_list: tuple[int, ...] | None = None
@@ -165,11 +170,12 @@ class _Collector:
 
     def build(self, where: str, make, *args):
         """make(*args), or None with an error: the runtime's constructors
-        raise ValueError on what they refuse, and the default grid rule
+        raise ValueError on what they refuse, a stationary value solve
+        RuntimeError when its certificate fails, and the default grid rule
         OverflowError when its step count is not finite."""
         try:
             return make(*args)
-        except ValueError as exc:
+        except (ValueError, RuntimeError) as exc:
             self.add(where, str(exc))
         except OverflowError as exc:
             self.add(where, f"no finite number of grid steps ({exc})")
@@ -241,10 +247,11 @@ def _parse_control(data, d: int, where: str, col: _Collector) -> StationaryContr
     return col.build(where, getattr(StationaryControl, kind), d, *idx)
 
 
-def _parse_state_spec(data, n_states: int, where: str, col: _Collector, tokens):
-    """A token, or a list of n_states finite numbers as a float array."""
+def _parse_state(data, n_states: int, where: str, col: _Collector, make, tokens):
+    """One of tokens ('uniform' as its MixedState, 'stationary' for the caller
+    to solve), or a list of n_states finite numbers that make accepts."""
     if isinstance(data, str) and data in tokens:
-        return data
+        return MixedState.uniform(n_states // 2) if data == "uniform" else data
     if not isinstance(data, list):
         col.add(where, f"expected one of {list(tokens)} or a list of {n_states} numbers")
         return None
@@ -252,24 +259,28 @@ def _parse_state_spec(data, n_states: int, where: str, col: _Collector, tokens):
     if arr is not None and arr.shape != (n_states,):
         col.add(where, f"expected {n_states} entries, got shape {arr.shape}")
         return None
-    return arr
+    return None if arr is None else col.build(where, make, arr)
 
 
-def _parse_x0(block: dict, d: int, where: str, col: _Collector,
-              control: StationaryControl | None = None):
-    """Start state: a MixedState ('uniform', or a vector MixedState accepts:
-    entries >= 0 summing to 1), or the token 'stationary', the fixed point
-    of the control, which only a uniform control has."""
+def _stationary_state(model: ModelParams, u: StationaryControl) -> MixedState:
+    """The fixed point of u, which only a uniform control has."""
+    if not u.is_uniform:
+        raise ValueError("'stationary' needs a uniform control (all target_I equal and all "
+                         "target_S equal)")
+    i, k = u.as_pair()
+    return fixed_point_single(model, i)[1] if u.is_single else fixed_point_mixed(model, i, k)
+
+
+def _parse_x0(block: dict, model: ModelParams, where: str, col: _Collector,
+              control: StationaryControl | None) -> MixedState | None:
+    """Start state: 'uniform', a vector MixedState accepts (entries >= 0
+    summing to 1), or 'stationary', the fixed point of the control; None,
+    with an error, when it is refused (or the control was)."""
     where = f"{where}.x0"
-    x0 = _parse_state_spec(block.get("x0"), 2 * d, where, col, ("uniform", "stationary"))
-    if isinstance(x0, np.ndarray):
-        return col.build(where, MixedState, x0)
-    if x0 == "uniform":
-        return MixedState.uniform(d)
-    if x0 == "stationary" and not (control is None or control.is_uniform):
-        col.add(where, "'stationary' needs a uniform control (all target_I equal and all "
-                       "target_S equal)")
-        return None
+    x0 = _parse_state(block.get("x0"), model.n_states, where, col, MixedState,
+                      ("uniform", "stationary"))
+    if x0 == "stationary":  # a refused control (None) has its error already
+        x0 = None if control is None else col.build(where, _stationary_state, model, control)
     return x0
 
 
@@ -358,7 +369,7 @@ def _parse_output(data, col: _Collector) -> OutputConfig:
 def _parse_simulate(block: dict, model: ModelParams, col: _Collector) -> SimulateConfig | None:
     col.expect_keys("simulate", block, {"control", "x0", "grid"}, set())
     control = _parse_control(block.get("control"), model.d, "simulate.control", col)
-    x0 = _parse_x0(block, model.d, "simulate", col, control)
+    x0 = _parse_x0(block, model, "simulate", col, control)
     grid = _parse_grid(block.get("grid"), model, "simulate.grid", col)
     return None if col.errors else SimulateConfig(control=control, x0=x0, grid=grid)
 
@@ -369,15 +380,18 @@ def _parse_turnpike(block: dict, model: ModelParams, col: _Collector) -> Turnpik
     strategy = col.integer(where, block, "strategy")
     if strategy is not None and not 1 <= strategy <= model.d:
         col.add(f"{where}.strategy", f"must be in [1, {model.d}] (1-based)")
-    x0 = _parse_x0(block, model.d, where, col)
-    gT = _parse_state_spec(block.get("g_terminal"), model.n_states,
-                           f"{where}.g_terminal", col, ("stationary",))
-    if isinstance(gT, np.ndarray):
-        gT = col.build(f"{where}.g_terminal", ValueVector, gT)
+    x0 = _parse_state(block.get("x0"), model.n_states, f"{where}.x0", col, MixedState,
+                      ("uniform", "stationary"))
+    gT = _parse_state(block.get("g_terminal"), model.n_states, f"{where}.g_terminal", col,
+                      ValueVector, ("stationary",))
     grid = _parse_grid(block.get("grid"), model, f"{where}.grid", col)
-    if col.errors:
+    # the tokens 'stationary' name the anchor, solved once the rest is valid
+    anchor = None if col.errors else col.build(where, stationary_anchor, model, strategy - 1)
+    if anchor is None:
         return None
-    return TurnpikeConfig(strategy=strategy - 1, x0=x0, g_terminal=gT, grid=grid)
+    return TurnpikeConfig(strategy=strategy - 1, x0=anchor[0] if x0 == "stationary" else x0,
+                          g_terminal=anchor[1] if gT == "stationary" else gT,
+                          grid=grid, anchor=anchor)
 
 
 def _parse_nplayer(block: dict, model: ModelParams, col: _Collector) -> NPlayerConfig | None:
@@ -385,7 +399,7 @@ def _parse_nplayer(block: dict, model: ModelParams, col: _Collector) -> NPlayerC
     col.expect_keys(where, block, {"control", "x0", "t_end"},
                     {"n_agents", "n_list", "replications"})
     control = _parse_control(block.get("control"), model.d, f"{where}.control", col)
-    x0 = _parse_x0(block, model.d, where, col, control)
+    x0 = _parse_x0(block, model, where, col, control)
     t_end = col.number(where, block, "t_end")
     n_agents = col.integer(where, block, "n_agents")
     reps = col.integer(where, block, "replications", default=1)
@@ -419,6 +433,10 @@ def _parse_nplayer(block: dict, model: ModelParams, col: _Collector) -> NPlayerC
             _within_budget(model, ref[1], f"{where}.t_end", col)
     if reps is not None and reps < 1:
         col.add(f"{where}.replications", "must be >= 1")
+    if not col.errors:  # checked once the rest is valid, as a turnpike's anchor is
+        for key, N in (("n_agents", n_agents), ("n_list", n_list and max(n_list))):
+            if N:
+                col.build(f"{where}.{key}", check_rate_bound, model, N)
     if col.errors:
         return None
     return NPlayerConfig(control=control, x0=x0, t_end=t_end, n_agents=n_agents,

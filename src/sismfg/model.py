@@ -214,20 +214,9 @@ class MixedState:
         """Infected fractions per strategy (view)."""
         return self.x[0::2]
 
-    @property
-    def susceptible(self) -> np.ndarray:
-        return self.x[1::2]
-
     @classmethod
     def uniform(cls, d: int) -> "MixedState":
         return cls(np.full(2 * d, 1.0 / (2 * d)))
-
-    @classmethod
-    def point(cls, d: int, j: int, compartment: str) -> "MixedState":
-        """Point mass on state (j, compartment), compartment 'I' or 'S'."""
-        x = np.zeros(2 * d)
-        x[2 * j + (0 if compartment == "I" else 1)] = 1.0
-        return cls(x)
 
 
 @dataclass(frozen=True, eq=False)

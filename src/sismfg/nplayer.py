@@ -30,7 +30,8 @@ fixed compare times.  That reference is exponential RK4 (ETDRK4), whose
 step follows the slow rates instead of lam, on the grid that
 ``dynamics.lln_reference_grid`` works out; the config layer budgets the
 same grid.  A recorded path (``simulate_ctmc``) is refused once its count
-table would exceed ``dynamics.GRID_BUDGET``.
+table would exceed ``dynamics.GRID_BUDGET``, and a population whose total
+jump rate could overflow is refused before it runs (``check_rate_bound``).
 
 Randomness: Philox counter-based bit generators.  ``simulate_ctmc`` uses
 Philox([seed]); ``lln_error`` gives replication r at population size N the
@@ -50,6 +51,9 @@ from .model import DECISION, PEER, Generator, MixedState, ModelParams, Stationar
 from .dynamics import ETDRK4, integrate_forward, lln_reference_grid
 
 _RNG_BUFFER = 8192
+#: the largest total jump rate a run admits: half the largest float, so the
+#: loop's running sum of channel rates stays finite with room to spare
+RATE_LIMIT = np.finfo(float).max / 2
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,24 @@ def _check_path_budget(p: ModelParams, n0: CountVector, t_end: float, n_events: 
             f"CTMC path over budget: N={n0.N}, lambda={p.lam:g}, T={t_end:g} recorded "
             f"{n_events} events, whose count table exceeds the grid budget of "
             f"{dynamics.GRID_BUDGET} entries (events + 1) x 2d"
+        )
+
+
+def check_rate_bound(p: ModelParams, N: int) -> None:
+    """Refuse N agents whose total jump rate could pass ``RATE_LIMIT``.
+
+    An agent leaves its state at most at rate R = lam + max q_plus +
+    max q_minus + max_j sum_k beta[k, j] (one decision, pressure or
+    recovery channel, and the peer channel, whose coefficient is at most
+    the column sum of beta), so every partial sum of the jump loop's channel
+    rates is at most N R.
+    """
+    with np.errstate(over="ignore"):
+        bound = N * (p.lam + p.q_plus.max() + p.q_minus.max() + p.beta.sum(axis=0).max())
+    if not bound <= RATE_LIMIT:
+        raise ValueError(
+            f"N={N} agents may jump at a total rate of N (lambda + max q_plus + max q_minus "
+            f"+ max column sum of beta) = {bound:.3g}, above {RATE_LIMIT:.3g}"
         )
 
 
@@ -257,7 +279,8 @@ def simulate_ctmc(
 
     A path whose count table would exceed ``dynamics.GRID_BUDGET`` entries is
     refused with a ValueError, during the run (checked every _RNG_BUFFER
-    events) or at its end.
+    events) or at its end; so, before the run, is a population whose jump
+    rates could overflow (``check_rate_bound``).
     """
     if n0.d != p.d:
         raise ValueError(f"dimension mismatch: params d={p.d}, counts d={n0.d}")
@@ -265,6 +288,7 @@ def simulate_ctmc(
         raise ValueError("at least one agent is required")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
+    check_rate_bound(p, n0.N)
     chans = Generator.of(p, u).channels()
     times: list[float] = []
     picks: list[int] = []
@@ -338,6 +362,7 @@ def lln_error(
         raise ValueError("N_list must be non-empty")
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    check_rate_bound(p, max(N_list))
     cmp_times, cmp_rows, steps = _reference(p, u, x0, t_end)
     compare = (cmp_times, cmp_rows)
     chans = Generator.of(p, u).channels()

@@ -1,7 +1,8 @@
 """Run orchestration and result persistence.
 
 Each run kind has one runner, ``run_<kind>(cfg, out_dir)``, which reads
-what it needs from the scenario (``cfg.block`` is the run kind's block);
+what it needs from the scenario (``cfg.block`` is the run kind's block,
+whose states the config layer has built: a runner sees no tokens);
 ``run_scenario`` picks it by ``cfg.run``.  Every run writes its artifacts
 plus a ``manifest.json`` (the scenario as read with the seed in force,
 tool version, timestamps, artifact list, failures, and the run's summary:
@@ -38,14 +39,8 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig
-from .dynamics import (
-    ETDRK4,
-    TurnpikeHypothesisError,
-    integrate_forward,
-    solve_turnpike,
-    stationary_anchor,
-)
-from .model import MixedState, ModelParams, StationaryControl
+from .dynamics import ETDRK4, TurnpikeHypothesisError, integrate_forward, solve_turnpike
+from .model import StationaryControl
 from .nplayer import CountVector, lln_error, simulate_ctmc
 from .stationary import (
     ACCEPTED,
@@ -53,8 +48,6 @@ from .stationary import (
     EquilibriumSolution,
     candidate_controls,
     enumerate_equilibria,
-    fixed_point_mixed,
-    fixed_point_single,
     solve_points,
 )
 
@@ -173,16 +166,6 @@ def _enumeration_json(result: EnumerationResult) -> dict:
     }
 
 
-def _resolve_x0(x0: MixedState | str, p: ModelParams, u: StationaryControl) -> MixedState:
-    """The start state; the token 'stationary' is the fixed point of u."""
-    if not isinstance(x0, str):
-        return x0
-    i, k = u.as_pair()
-    if u.is_single:
-        return fixed_point_single(p, i)[1]
-    return fixed_point_mixed(p, i, k)
-
-
 def run_equilibria(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:
     result = enumerate_equilibria(cfg.model)
     path = out_dir / "equilibria.json"
@@ -196,8 +179,7 @@ def run_equilibria(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path],
 
 def run_simulate(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:
     p, sim = cfg.model, cfg.block
-    x0 = _resolve_x0(sim.x0, p, sim.control)
-    x_path = integrate_forward(p, x0, sim.control, sim.grid)
+    x_path = integrate_forward(p, sim.x0, sim.control, sim.grid)
     header = ["t"] + _state_labels(p.d, "x")
     rows = _Columns(sim.grid.times(), x_path)
     path = _write_table(out_dir, "trajectory", cfg.output.format, header, rows)
@@ -231,11 +213,7 @@ class _Columns:
 
 def run_turnpike(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:
     p, tp = cfg.model, cfg.block
-    i = tp.strategy
-    anchor = stationary_anchor(p, i)  # solved once: x0, g_T and the stats may all use it
-    x0 = anchor[0] if isinstance(tp.x0, str) else tp.x0  # str: the token 'stationary'
-    gT = anchor[1] if isinstance(tp.g_terminal, str) else tp.g_terminal
-    sol = solve_turnpike(p, i, x0, gT, tp.grid, anchor)
+    sol = solve_turnpike(p, tp.strategy, tp.x0, tp.g_terminal, tp.grid, tp.anchor)
     header = (
         ["t"] + _state_labels(p.d, "x") + _state_labels(p.d, "g") + ["cone_ok", "argmin_ok"]
     )
@@ -259,11 +237,10 @@ def run_turnpike(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], d
 
 def run_nplayer(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:
     p, npl, fmt_kind = cfg.model, cfg.block, cfg.output.format
-    x0 = _resolve_x0(npl.x0, p, npl.control)
     artifacts: dict[str, Path] = {}
     summary: dict = {}
     if npl.n_list is not None:
-        table = lln_error(p, npl.control, x0, npl.t_end, list(npl.n_list), npl.replications,
+        table = lln_error(p, npl.control, npl.x0, npl.t_end, list(npl.n_list), npl.replications,
                           cfg.seed)
         header = ["N", "mean_sup_error", "std_error", "replications"]
         rows = [[r.N, r.mean_sup_error, r.std_error, table.replications] for r in table.rows]
@@ -272,7 +249,7 @@ def run_nplayer(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], di
         summary["ratios"] = table.ratios()
         summary["lln_reference"] = {"integrator": ETDRK4, "steps": table.reference_steps}
     if npl.n_agents is not None:
-        n0 = CountVector.from_fractions(x0, npl.n_agents)
+        n0 = CountVector.from_fractions(npl.x0, npl.n_agents)
         ctmc = simulate_ctmc(p, n0, npl.control, npl.t_end, cfg.seed)
         counts = ctmc.counts()
         header = ["t"] + _state_labels(p.d, "n")

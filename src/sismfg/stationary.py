@@ -68,6 +68,9 @@ ACCEPTED, REJECTED, FAILED = 0, 1, 2
 STATUS_NAMES = ("accepted", "rejected", "failed")
 
 _NEEDS_DISCOUNT = "stationary discounted values require delta > 0"
+#: the floating-point state the value solves run in: an overflowing or
+#: singular closed form leaves non-finite values, which their checks report
+_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 
 
 def _require_positive_discount(p: ModelParams) -> None:
@@ -429,7 +432,9 @@ def hjb_single_exact(p: ModelParams, i: int, x_star: float) -> ValueVector:
     _require_positive_discount(p)
     s, (i_,), shares = ParamStack.tile(p), _pair(i), np.array([x_star], dtype=float)
     x = _single_states(p.d, i_, shares)
-    return _certified(s, i, i, x, _values_single(s, i_, shares, effective_infection(s, x[:, 0::2])))
+    with np.errstate(**_QUIET):
+        g = _values_single(s, i_, shares, effective_infection(s, x[:, 0::2]))
+        return _certified(s, i, i, x, g)
 
 
 def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVector:
@@ -440,7 +445,8 @@ def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVecto
         raise ValueError("mixed values require k != i")
     s = ParamStack.tile(p)
     qt = effective_infection(s, x.x[None, 0::2])
-    return _certified(s, i, k, x.x[None], _values_mixed(s, *_pair(i, k), qt))
+    with np.errstate(**_QUIET):
+        return _certified(s, i, k, x.x[None], _values_mixed(s, *_pair(i, k), qt))
 
 
 @dataclass(frozen=True)
@@ -838,7 +844,7 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
     # be non-finite, and its detail reports it
     qt = effective_infection(s, x[:, 0::2])
     g = np.empty((m, 2 * d))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         g[sgl] = _values_single(s_sgl, i[sgl], x[sgl, 2 * i[sgl]], qt[sgl])
         g[mix] = _values_mixed(s_mix, i[mix], k[mix], qt[mix])
         fail(~np.isfinite(g).all(axis=1), lambda q: "value vector entries must be finite")

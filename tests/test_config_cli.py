@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -701,7 +702,7 @@ def test_default_grid_overflow_refused_at_validation(run, where):
 def test_built_states_and_grids(p0):
     data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
     cfg = parse_config_dict(data)
-    assert isinstance(cfg.block.x0, MixedState) and cfg.block.g_terminal == "stationary"
+    assert isinstance(cfg.block.x0, MixedState) and cfg.block.g_terminal is cfg.block.anchor[1]
     assert np.array_equal(cfg.block.x0.x, MixedState.uniform(2).x)
     assert cfg.block.grid == TimeGrid(0.0, 50.0, 20000)
     data["turnpike"]["g_terminal"] = [1.0, 2.0, 3.0, 4.0]
@@ -710,6 +711,81 @@ def test_built_states_and_grids(p0):
     assert isinstance(cfg.block.g_terminal, ValueVector)
     assert cfg.block.g_terminal.g.tolist() == [1.0, 2.0, 3.0, 4.0]
     assert cfg.block.grid == default_grid(p0, 0.0, 50.0)
+
+
+@pytest.mark.parametrize("run", ["simulate", "nplayer"])
+@pytest.mark.parametrize("control", [{"type": "single", "i": 2},
+                                     {"type": "mixed", "i": 2, "k": 1}], ids=["single", "mixed"])
+def test_stationary_x0_parses_to_the_controls_fixed_point(p0, run, control):
+    # the token is resolved at validation: the block holds the state the run starts from
+    data = json.loads((REPO_CONFIGS / f"p0_{run}.json").read_text())
+    data[run].update(control=control, x0="stationary")
+    x0 = parse_config_dict(data).block.x0
+    if control["type"] == "single":
+        expected = fixed_point_single(p0, 1)[1]
+    else:
+        expected = fixed_point_mixed(p0, 1, 0)
+    assert isinstance(x0, MixedState) and np.array_equal(x0.x, expected.x)
+
+
+@pytest.mark.parametrize("g_terminal", ["stationary", [16.0, 15.0, 16.5, 15.5]],
+                         ids=["token", "explicit"])
+def test_turnpike_anchor_built_at_validation(p0, g_terminal):
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["turnpike"].update(strategy=2, x0="stationary", g_terminal=g_terminal)
+    tp = parse_config_dict(data).block
+    x_star, g_star = stationary_anchor(p0, 1)
+    assert np.array_equal(tp.anchor[0].x, x_star.x) and np.array_equal(tp.anchor[1].g, g_star.g)
+    assert tp.x0 is tp.anchor[0]
+    if g_terminal == "stationary":
+        assert tp.g_terminal is tp.anchor[1]
+    else:
+        assert tp.g_terminal.g.tolist() == g_terminal
+
+
+def test_turnpike_overflowing_anchor_refused_at_validation(tmp_path):
+    # at lambda = 1e308 the anchor's values overflow; the one-pair value solve
+    # reports it without a floating-point warning
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["model"]["lambda"] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(data)
+    assert err.value.errors == ["turnpike: value vector entries must be finite"]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+#: P0 with one rate at 1e308: lambda, q_plus[1], q_minus[2] or beta[1][1] (1-based)
+OVERFLOWING_RATES = [("lambda", 1e308), ("q_plus", [1e308, 0.6]), ("q_minus", [0.5, 1e308]),
+                     ("beta", [[1e308, 0.05], [0.05, 0.05]])]
+
+
+@pytest.mark.parametrize("key, value", OVERFLOWING_RATES, ids=[k for k, _ in OVERFLOWING_RATES])
+@pytest.mark.parametrize("size, where", [({"n_agents": 100}, "nplayer.n_agents"),
+                                         ({"n_list": [10, 20]}, "nplayer.n_list")],
+                         ids=["n_agents", "n_list"])
+def test_overflowing_jump_rates_refused_at_validation(tmp_path, key, value, size, where):
+    # the jump loop's total rate would overflow and its pick fall past the
+    # channel list; lambda with n_list is refused by its reference grid first
+    data = json.loads((REPO_CONFIGS / "p0_nplayer.json").read_text())
+    data["model"][key] = value
+    data["nplayer"] = {"control": {"type": "single", "i": 1}, "x0": "uniform", "t_end": 1.0,
+                       **size}
+    if key == "lambda" and "n_list" in size:
+        where = "nplayer.t_end"
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert [e.split(":")[0] for e in err.value.errors] == [where]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+def test_large_finite_jump_rates_still_run(tmp_path):
+    data = json.loads((REPO_CONFIGS / "p0_nplayer.json").read_text())
+    data["model"]["lambda"] = 1e300
+    data["nplayer"].update(t_end=1.0, n_agents=100)
+    bundle = run_scenario(parse_config_dict(data), tmp_path)
+    assert bundle.n_succeeded == 1 and bundle.failures == []
 
 
 def test_stationary_x0_under_mixed_control_starts_at_mixed_fixed_point(tmp_path, p0):

@@ -176,6 +176,18 @@ def test_simulate_rejects_empty_population(p0):
         simulate_ctmc(p0, CountVector([0, 0, 0, 0]), StationaryControl.single(2, 0), 1.0, 0)
 
 
+@pytest.mark.parametrize("entry", ["lam", "q_plus", "q_minus", "beta"])
+def test_overflowing_jump_rates_refused_before_the_run(p0, entry):
+    # a total rate past the float range would send the pick past the channel list
+    value = 1e308 if entry == "lam" else np.full_like(getattr(p0, entry), 1e308)
+    p = replace(p0, **{entry: value})
+    u = StationaryControl.single(2, 0)
+    with pytest.raises(ValueError, match="N=100 agents"):
+        simulate_ctmc(p, CountVector([25, 25, 25, 25]), u, 1.0, 0)
+    with pytest.raises(ValueError, match="N=20 agents"):
+        lln_error(p, u, MixedState.uniform(2), 1.0, [10, 20], 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # the jump engine against the reference per-event loop, bitwise
 

@@ -20,9 +20,9 @@ an affine map g -> g + D_m g + r_m.  ``integrate_backward`` builds these
 maps for a block of steps at once, by stepping a few probe vectors (a
 column coloring of D_m's sparsity pattern, which ``step_pattern`` reads
 off the control), and then runs the sequential recursion with one sparse
-update per node.  Switch rates and flags are computed per block of steps
-or nodes, so the sweep's working memory is bounded by
-``stationary.ENTRY_BUDGET`` whatever the number of steps.
+update per node.  Switch rates are computed per block of steps, so the
+sweep's working memory is bounded by ``stationary.ENTRY_BUDGET`` whatever
+the number of steps.
 
 ``solve_turnpike`` builds
 the time-dependent solution anchored at an all-to-i stationary solution:
@@ -32,7 +32,8 @@ by checking at every node that the value vector stays in the cone
 
     g(iI) <= g(jI),  g(iS) <= g(jS),  g(jI) >= g(jS)   for all j
 
-and that the frozen control is the actual argmin.  Inside the cone the
+and that the frozen control is the actual argmin (both read the margins of
+``model.best_response_margins``).  Inside the cone the
 fixed-control and explicit-minimum evolutions coincide, which is what makes
 the frozen-control solution a solution of the full consistency problem.
 """
@@ -46,7 +47,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    TIE_TOL,
     Generator,
     MixedState,
     ModelParams,
@@ -54,12 +54,15 @@ from .model import (
     StationaryControl,
     ValueVector,
     _check_dims,
+    best_response_margins,
     hjb_rhs_fn,
     kinetic_rhs_fn,
+    margin_summary,
     state_targets,
 )
 from .stationary import (
     ENTRY_BUDGET,
+    _pair,
     _small_interaction_single,
     fixed_point_single,
     hjb_single_exact,
@@ -308,46 +311,28 @@ def integrate_forward(
 # backward integration
 
 
-@dataclass(frozen=True)
-class BackwardSolution:
-    """Backward value path with per-node certification flags.
-
-    cone_ok[m]: value vector at node m lies in the invariance cone of the
-    reference control's I-target.  argmin_ok[m]: the reference control is
-    the (unique, within tie tolerance) best response at node m.
-    """
-
-    g_path: np.ndarray
-    cone_ok: np.ndarray
-    argmin_ok: np.ndarray
-
-
 def cone_flags(g_path: np.ndarray, i: int) -> np.ndarray:
-    """Vectorized cone check g(iI) <= g(jI), g(iS) <= g(jS), g(jI) >= g(jS)."""
-    gI = g_path[:, 0::2]
-    gS = g_path[:, 1::2]
-    return (
-        np.all(gI >= gI[:, [i]], axis=1)
-        & np.all(gS >= gS[:, [i]], axis=1)
-        & np.all(gI >= gS, axis=1)
-    )
+    """Per node, the cone check g(iI) <= g(jI), g(iS) <= g(jS) (every
+    best-response margin at base (i, i) is >= 0) and g(jI) >= g(jS)."""
+    base = np.full(g_path.shape[0], i)
+    margin_I, margin_S = best_response_margins(base, base, g_path)
+    return (np.all(margin_I >= 0.0, axis=1) & np.all(margin_S >= 0.0, axis=1)
+            & np.all(g_path[:, 0::2] >= g_path[:, 1::2], axis=1))
 
 
 def argmin_flags(g_path: np.ndarray, u: StationaryControl) -> np.ndarray:
     """Per node, whether u is the best response to the value vector there
-    and that best response is not degenerate: ``best_response``'s rule,
+    and that best response is not degenerate: every margin off u's bases is
+    > 0 and none is within the tie tolerance, ``best_response``'s rule
     taken over all nodes at once.  A non-uniform u is never a best response."""
     if not np.all(np.isfinite(g_path)):
         raise ValueError("value vector entries must be finite")
     if not u.is_uniform:
         return np.zeros(g_path.shape[0], dtype=bool)
-    flags = np.ones(g_path.shape[0], dtype=bool)
-    for vals, target in zip((g_path[:, 0::2], g_path[:, 1::2]), u.as_pair()):
-        flags &= np.argmin(vals, axis=1) == target
-        if vals.shape[1] > 1:  # the runner-up must trail the minimum by more than TIE_TOL
-            low = np.partition(vals, 1, axis=1)
-            flags &= low[:, 1] - low[:, 0] > TIE_TOL
-    return flags
+    base_I, base_S = (np.full(g_path.shape[0], b) for b in u.as_pair())
+    margins = best_response_margins(base_I, base_S, g_path)
+    min_margin, degenerate = margin_summary(base_I, base_S, *margins)
+    return (min_margin > 0.0) & ~degenerate
 
 
 def _rk4_backward_step(rhs, c_hi, c_mid, c_lo, g: np.ndarray, h: float) -> np.ndarray:
@@ -438,19 +423,17 @@ def integrate_backward(
     u: StationaryControl,
     grid: TimeGrid,
     mode: str = "fixed",
-) -> BackwardSolution:
-    """Integrate the discounted value equation from the horizon down.
+) -> np.ndarray:
+    """The value path from the horizon down; shape (n_steps+1, 2d).
 
     mode='fixed' freezes the strategy minimum at u (linear evolution);
     mode='adaptive' re-evaluates the minimum at every RK stage.  The
     population path is taken on the same grid and interpolated linearly at
-    stage midpoints.  In either mode u is the reference control for the
-    per-node argmin flags; cone flags use its I-target.
+    stage midpoints.
 
     Both modes take classical RK4 steps, in blocks of ``sweep_block`` steps
-    whose switch rates are computed per block, and the flags are taken in
-    chunks of nodes after the sweep, so the working memory is bounded
-    whatever n_steps is.  Under the frozen control a step is affine,
+    whose switch rates are computed per block, so the working memory is
+    bounded whatever n_steps is.  Under the frozen control a step is affine,
     g -> g + D_m g + r_m: the fixed mode steps the ``step_pattern`` probes
     of a whole block at once, reads the sparse D_m and r_m off them, and
     then runs one sparse update per node.  The adaptive mode steps node by
@@ -463,12 +446,11 @@ def integrate_backward(
         raise ValueError("x_path does not match the grid")
     fixed = mode == "fixed"
     rhs = hjb_rhs_fn(p, u if fixed else None)
-    per_node = sweep_block(p.n_states, 1)
     if fixed:
         idx, color, probes = step_pattern(u)
         block = sweep_block(p.n_states, probes.shape[1])
     else:
-        block = per_node
+        block = sweep_block(p.n_states, 1)
     h, n_steps = grid.h, grid.n_steps
     switch_rates = Generator.of(p).switch_rates
     g_path = np.empty_like(x_path)
@@ -490,14 +472,7 @@ def integrate_backward(
                 g = g_path[lo + m] = g + _rk4_backward_step(
                     rhs, c[m + 1], c_mid[m], c[m], g, h
                 )
-    i = int(u.target_I[0]) if u.is_uniform else int(np.argmin(gT.g[0::2]))
-    cone_ok = np.empty(n_steps + 1, dtype=bool)
-    argmin_ok = np.empty(n_steps + 1, dtype=bool)
-    for lo in range(0, n_steps + 1, per_node):
-        nodes = slice(lo, lo + per_node)
-        cone_ok[nodes] = cone_flags(g_path[nodes], i)
-        argmin_ok[nodes] = argmin_flags(g_path[nodes], u)
-    return BackwardSolution(g_path=g_path, cone_ok=cone_ok, argmin_ok=argmin_ok)
+    return g_path
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +511,15 @@ def check_turnpike_hypotheses(
       rate-ordering-q-plus(j)/q-minus(j): q_plus_j > q_plus_i and
         q_minus_i > q_minus_j;
       terminal-cone-*: gT has g(jI) >= g(jS) everywhere and strategy i
-        minimal in both compartments;
+        minimal in both compartments (the I/S-min margins are
+        ``model.best_response_margins`` of gT at base (i, i));
       terminal-gap-smallness-I(j)/S(j): the terminal gap g_T(iI) - g_T(iS)
         is small enough that the cone bound propagates, using the
         conservative envelope gap <= gT_gap + (w_I_i - w_S_i)/(q_plus_i +
         q_minus_i + delta) and worst-case interaction extremes on the S side.
+    ValueError when i is not a strategy in [0, d).
     """
+    (base,) = _pair(p.d, i)
     margins: dict[str, float] = {}
     failures: list[str] = []
 
@@ -554,8 +532,9 @@ def check_turnpike_hypotheses(
     den0 = float(p.q_plus[i] + p.q_minus[i] + p.delta)
     gT_gap = gT.g_I(i) - gT.g_S(i)
     envelope = gT_gap + w_gap / den0  # bound on g(iI) - g(iS) along the run
-    strict = _small_interaction_single(ParamStack.tile(p), np.array([i]))
+    strict = _small_interaction_single(ParamStack.tile(p), base)
     strict_I, strict_S = (m[0] for m in strict)  # row 0: the one pair
+    cone_I, cone_S = (m[0] for m in best_response_margins(base, base, gT.g[None]))
     for j in range(p.d):
         if j == i:
             continue
@@ -577,8 +556,8 @@ def check_turnpike_hypotheses(
             "terminal-gap-smallness-S" + lbl,
             float(p.w_S[j] - p.w_S[i]) - s_coeff * envelope,
         )
-        record("terminal-cone-I-min" + lbl, gT.g_I(j) - gT.g_I(i), strict=False)
-        record("terminal-cone-S-min" + lbl, gT.g_S(j) - gT.g_S(i), strict=False)
+        record("terminal-cone-I-min" + lbl, cone_I[j], strict=False)
+        record("terminal-cone-S-min" + lbl, cone_S[j], strict=False)
     for j in range(p.d):
         record(f"terminal-cone-gap({j + 1})", gT.g_I(j) - gT.g_S(j), strict=False)
     return HypothesisReport(margins=margins, failures=failures)
@@ -668,19 +647,23 @@ def solve_turnpike(
         raise TurnpikeHypothesisError(report.failures)
     u = StationaryControl.single(p.d, i)
     x_path = integrate_forward(p, x0, u, grid)
-    back = integrate_backward(p, gT, x_path, u, grid, mode="fixed")
-    ok = back.cone_ok & back.argmin_ok
+    g_path = integrate_backward(p, gT, x_path, u, grid, mode="fixed")
+    per_node = sweep_block(p.n_states, 1)  # chunks of nodes bound the flags' temporaries
+    chunks = [g_path[lo:lo + per_node] for lo in range(0, grid.n_steps + 1, per_node)]
+    cone_ok = np.concatenate([cone_flags(g, i) for g in chunks])
+    argmin_ok = np.concatenate([argmin_flags(g, u) for g in chunks])
+    ok = cone_ok & argmin_ok
     certified = bool(ok.all())
     first_violation = None if certified else float(grid.times()[np.argmin(ok)])
 
-    stats = _turnpike_stats(grid, x_path, back.g_path, *(anchor or stationary_anchor(p, i)))
+    stats = _turnpike_stats(grid, x_path, g_path, *(anchor or stationary_anchor(p, i)))
     return TrajectorySolution(
         control=u,
         grid=grid,
         x_path=x_path,
-        g_path=back.g_path,
-        cone_ok=back.cone_ok,
-        argmin_ok=back.argmin_ok,
+        g_path=g_path,
+        cone_ok=cone_ok,
+        argmin_ok=argmin_ok,
         certified=certified,
         first_violation_time=first_violation,
         stats=stats,

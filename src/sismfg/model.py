@@ -25,8 +25,10 @@ uses:
   - the channel table of the N-agent jump chain.
 It also provides the parameter / state / control / value containers with
 their invariants, ``ParamStack`` (the constants of many parameter points
-stacked as arrays), the best-response operator and the scalar
-stationarity certificate ``consistency_residual``.
+stacked as arrays), the best-response operator, the best-response
+margins and their tie rule (``best_response_margins``, ``margin_summary``;
+the stationary kernel and the turnpike's flags and hypotheses read them)
+and the scalar stationarity certificate ``consistency_residual``.
 
 All functions are pure; containers are frozen and hold read-only arrays
 (``ParamStack`` excepted: a sweep writes its axes into one), and a
@@ -193,6 +195,8 @@ class MixedState:
         object.__setattr__(self, "x", _frozen_array(self.x))
         if self.x.ndim != 1 or self.x.size < 2 or self.x.size % 2:
             raise ValueError(f"state vector must have even length >= 2, got shape {self.x.shape}")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("state entries must be finite")
         if np.any(self.x < 0):
             raise ValueError(f"state entries must be >= 0, min is {self.x.min()}")
         total = float(self.x.sum())
@@ -597,6 +601,28 @@ def best_response(g: ValueVector) -> tuple[StationaryControl, bool]:
             degenerate = True
     d = g.d
     return StationaryControl(np.full(d, i), np.full(d, k)), degenerate
+
+
+def best_response_margins(i: np.ndarray, k: np.ndarray,
+                          g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """margin_I[j] = g(jI) - g(iI) and margin_S[j] = g(jS) - g(kS), per row
+    of g (a candidate pair or a node of a value path), at bases i and k."""
+    r = np.arange(i.size)
+    return g[:, 0::2] - g[r, 2 * i][:, None], g[:, 1::2] - g[r, 2 * k + 1][:, None]
+
+
+def margin_summary(i, k, margin_I, margin_S) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the smallest margin off the base entries (inf when there is
+    none, d = 1) and whether one of them is within TIE_TOL of zero."""
+    strategies = np.arange(margin_I.shape[1])
+    off_I, off_S = strategies != i[:, None], strategies != k[:, None]
+    min_margin = np.minimum(
+        np.where(off_I, margin_I, np.inf).min(axis=1), np.where(off_S, margin_S, np.inf).min(axis=1)
+    )
+    degenerate = np.any(off_I & (np.abs(margin_I) <= TIE_TOL), axis=1) | np.any(
+        off_S & (np.abs(margin_S) <= TIE_TOL), axis=1
+    )
+    return min_margin, degenerate
 
 
 def consistency_residual(

@@ -52,7 +52,9 @@ from .model import (
     StationaryControl,
     ValueVector,
     _interleave,
+    best_response_margins,
     effective_infection,
+    margin_summary,
 )
 
 #: residual bound certifying an exact linear solve of the stationary values
@@ -78,8 +80,12 @@ def _require_positive_discount(p: ModelParams) -> None:
         raise ValueError(_NEEDS_DISCOUNT)
 
 
-def _pair(*values: int) -> tuple[np.ndarray, ...]:
-    """One-pair index arrays for the scalar views."""
+def _pair(d: int, *values: int) -> tuple[np.ndarray, ...]:
+    """One-pair index arrays for the scalar views; ValueError on a strategy
+    outside [0, d) (numpy would wrap a negative one)."""
+    for v in values:
+        if not 0 <= v < d:
+            raise ValueError(f"strategy index {v} is not in [0, {d})")
     return tuple(np.array([v]) for v in values)
 
 
@@ -142,8 +148,9 @@ def fixed_point_single(p: ModelParams, i: int) -> tuple[float, MixedState]:
     beta_ii y^2 + y (q_plus_i - beta_ii + q_minus_i) - q_minus_i = 0 on (0, 1),
     all mass sits on strategy i, and every other coordinate is zero.
     """
-    (i_,) = _pair(i)
-    x_star = _quadratic_root_unit(*_share_quadratic(ParamStack.tile(p), i_))
+    (i_,) = _pair(p.d, i)
+    with np.errstate(**_QUIET):  # an overflowing root leaves a state MixedState refuses
+        x_star = _quadratic_root_unit(*_share_quadratic(ParamStack.tile(p), i_))
     return float(x_star[0]), MixedState(_single_states(p.d, i_, x_star)[0])
 
 
@@ -161,7 +168,9 @@ def _mixed_shares(s: ParamStack, i: np.ndarray, k: np.ndarray) -> tuple[np.ndarr
     form of ``_quadratic_root_unit``.  The bisection runs until every
     midpoint equals an endpoint (an endpoint keeps its sign of f, so a pair
     that is done stays put) and returns the lower ends, where f > 0 and so
-    x_kS > 0.
+    x_kS > 0.  A pair whose y_b is not finite (a rate near the float
+    limit) gets NaN shares; it bisects the empty bracket [0, 0], which is
+    done at once, so the stop test needs no term of its own.
     """
     r = np.arange(s.n)
     qpi, qmk = s.q_plus[r, i], s.q_minus[r, k]
@@ -172,11 +181,14 @@ def _mixed_shares(s: ParamStack, i: np.ndarray, k: np.ndarray) -> tuple[np.ndarr
         return y * (inflow_i + bki * y) / (qpi - bii * y)
 
     b = bii + 2.0 * qpi + inflow_i
-    lo, hi = np.zeros(s.n), 2.0 * qpi / (b + np.sqrt(b * b - 4.0 * (2.0 * bii - bki) * qpi))
+    hi = 2.0 * qpi / (b + np.sqrt(b * b - 4.0 * (2.0 * bii - bki) * qpi))
+    bracketed = np.isfinite(hi)
+    lo, hi = np.zeros(s.n), np.where(bracketed, hi, 0.0)
     while True:
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
-            return share_i(lo), lo
+            y = np.where(bracketed, lo, np.nan)
+            return share_i(y), y
         xiI = share_i(mid)
         up = (1.0 - xiI - 2.0 * mid) * (qmk + bkk * mid + bik * xiI) - outflow_k * mid > 0.0
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
@@ -198,8 +210,10 @@ def fixed_point_mixed(p: ModelParams, i: int, k: int) -> MixedState:
     bisection of the kernel (see ``_mixed_shares``); one always exists."""
     if k == i:
         raise ValueError("mixed fixed point requires k != i")
-    i_, k_ = _pair(i, k)
-    return MixedState(_mixed_states(p.d, i_, k_, *_mixed_shares(ParamStack.tile(p), i_, k_))[0])
+    i_, k_ = _pair(p.d, i, k)
+    with np.errstate(**_QUIET):  # a bracket that is not finite leaves a state MixedState refuses
+        shares = _mixed_shares(ParamStack.tile(p), i_, k_)
+    return MixedState(_mixed_states(p.d, i_, k_, *shares)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +317,7 @@ def _stability_report(spectrum: np.ndarray, xi_principal=None, xi_pairs=None) ->
 def stability_single(p: ModelParams, i: int, x_star: float) -> StabilityReport:
     """Spectrum at the single-family fixed point with infected share x_star
     (``_block_spectra`` of one pair)."""
-    (i_,) = _pair(i)
+    (i_,) = _pair(p.d, i)
     s, x = ParamStack.tile(p), _single_states(p.d, i_, np.array([x_star], dtype=float))
     spectrum, xi, pairs, _ = _block_spectra(s, i_, i_, x, effective_infection(s, x[:, 0::2]))
     return _stability_report(spectrum[0], xi[0], pairs[0])
@@ -420,7 +434,7 @@ def _certified(s: ParamStack, i: int, k: int, x: np.ndarray, g: np.ndarray) -> V
     """One pair's values, checked finite and certified at its fixed point x
     (the scalar views)."""
     values = ValueVector(g[0])
-    defect, bad = _value_certificate(_generator(s, *_pair(i, k)), x, g)
+    defect, bad = _value_certificate(_generator(s, *_pair(s.d, i, k)), x, g)
     if bad[0]:
         raise RuntimeError(_certificate_failure(defect[0]))
     return values
@@ -430,7 +444,7 @@ def hjb_single_exact(p: ModelParams, i: int, x_star: float) -> ValueVector:
     """Exact stationary values under the all-to-i control (``_values_single``),
     certified by the value defect."""
     _require_positive_discount(p)
-    s, (i_,), shares = ParamStack.tile(p), _pair(i), np.array([x_star], dtype=float)
+    s, (i_,), shares = ParamStack.tile(p), _pair(p.d, i), np.array([x_star], dtype=float)
     x = _single_states(p.d, i_, shares)
     with np.errstate(**_QUIET):
         g = _values_single(s, i_, shares, effective_infection(s, x[:, 0::2]))
@@ -446,7 +460,7 @@ def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVecto
     s = ParamStack.tile(p)
     qt = effective_infection(s, x.x[None, 0::2])
     with np.errstate(**_QUIET):
-        return _certified(s, i, k, x.x[None], _values_mixed(s, *_pair(i, k), qt))
+        return _certified(s, i, k, x.x[None], _values_mixed(s, *_pair(p.d, i, k), qt))
 
 
 @dataclass(frozen=True)
@@ -466,7 +480,7 @@ def hjb_single_asymptotic(p: ModelParams, i: int, x_star: float) -> SingleAsympt
     """The 1/lam coefficients of the all-to-i values are the asymptotic
     margins of ``_families_single``; the i-block is ``_single_block``."""
     _require_positive_discount(p)
-    s, pair, shares = ParamStack.tile(p), _pair(i), np.array([x_star], dtype=float)
+    s, pair, shares = ParamStack.tile(p), _pair(p.d, i), np.array([x_star], dtype=float)
     _, g_iI, g_iS = _single_block(s, *pair, shares)
     corr_I, corr_S = (c[0] for c in _families_single(s, *pair, shares)[:2])
     g = _interleave(g_iI + corr_I / p.lam, g_iS + corr_S / p.lam)
@@ -553,7 +567,7 @@ def hjb_mixed_asymptotic(p: ModelParams, i: int, k: int, x: MixedState) -> Mixed
     ``_families_mixed``."""
     if k == i:
         raise ValueError("mixed values require k != i")
-    s, pair = ParamStack.tile(p), _pair(i, k)
+    s, pair = ParamStack.tile(p), _pair(p.d, i, k)
     qt = effective_infection(s, x.x[None, 0::2])
     fo_pair = _mixed_first_order(s, *pair, qt)
     fo = MixedFirstOrder(*(float(getattr(fo_pair, f.name)[0]) for f in fields(fo_pair)))
@@ -609,26 +623,6 @@ class ConsistencyMargins:
     min_margin: float
     accepted: bool
     degenerate: bool
-
-
-def _exact_margins(i: np.ndarray, k: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """margin_I[j] = g(jI) - g(iI) and margin_S[j] = g(jS) - g(kS), per pair."""
-    r = np.arange(i.size)
-    return g[:, 0::2] - g[r, 2 * i][:, None], g[:, 1::2] - g[r, 2 * k + 1][:, None]
-
-
-def _margin_summary(i, k, margin_I, margin_S) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair, the smallest margin off the base entries (inf when there is
-    none, d = 1) and whether one of them is within TIE_TOL of zero."""
-    strategies = np.arange(margin_I.shape[1])
-    off_I, off_S = strategies != i[:, None], strategies != k[:, None]
-    min_margin = np.minimum(
-        np.where(off_I, margin_I, np.inf).min(axis=1), np.where(off_S, margin_S, np.inf).min(axis=1)
-    )
-    degenerate = np.any(off_I & (np.abs(margin_I) <= TIE_TOL), axis=1) | np.any(
-        off_S & (np.abs(margin_S) <= TIE_TOL), axis=1
-    )
-    return min_margin, degenerate
 
 
 def _small_interaction_single(s: ParamStack, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -714,14 +708,14 @@ _FAMILIES = ("asymptotic_margin_I", "asymptotic_margin_S",
 def _margins(s: ParamStack, i: int, k: int, x: np.ndarray, g: np.ndarray) -> ConsistencyMargins:
     """The full margins of one pair: exact from its values g, the diagnostic
     families from its fixed point x."""
-    i_, k_ = _pair(i, k)
+    i_, k_ = _pair(s.d, i, k)
     if i == k:
         families = _families_single(s, i_, x[:, 2 * i])
     else:
         qt = effective_infection(s, x[:, 0::2])
         families = _families_mixed(s, i_, k_, qt, _mixed_first_order(s, i_, k_, qt))
-    margin_I, margin_S = _exact_margins(i_, k_, g)
-    min_margin, degenerate = _margin_summary(i_, k_, margin_I, margin_S)
+    margin_I, margin_S = best_response_margins(i_, k_, g)
+    min_margin, degenerate = margin_summary(i_, k_, margin_I, margin_S)
     return ConsistencyMargins(
         base_I=i, base_S=k, margin_I=margin_I[0], margin_S=margin_S[0],
         **{name: values[0] for name, values in zip(_FAMILIES, families)},
@@ -733,7 +727,7 @@ def _margins(s: ParamStack, i: int, k: int, x: np.ndarray, g: np.ndarray) -> Con
 def consistency_single(p: ModelParams, i: int, x_star: float, g: ValueVector) -> ConsistencyMargins:
     """Best-response margins for the all-to-i candidate with infected share
     x_star and solved values g (families: ``_families_single``)."""
-    x = _single_states(p.d, *_pair(i), np.array([x_star], dtype=float))
+    x = _single_states(p.d, *_pair(p.d, i), np.array([x_star], dtype=float))
     return _margins(ParamStack.tile(p), i, i, x, g.g[None])
 
 
@@ -832,19 +826,19 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
     def alive() -> np.ndarray:
         return np.array([f is None for f in failure], dtype=bool)
 
-    # fixed points
+    # fixed points (at rates near the float limit a state may be non-finite), values,
+    # certified by the value defect, margins, stationarity residual (population RHS,
+    # value defect, best-response gap) and acceptance; a failed pair's numbers may be
+    # non-finite, and its detail reports it
     x = np.zeros((m, 2 * d))
     sgl, mix = np.flatnonzero(single), np.flatnonzero(~single)
     s_sgl, s_mix = s.take(sgl), s.take(mix)
-    x[sgl] = _single_states(d, i[sgl], _quadratic_root_unit(*_share_quadratic(s_sgl, i[sgl])))
-    x[mix] = _mixed_states(d, i[mix], k[mix], *_mixed_shares(s_mix, i[mix], k[mix]))
-
-    # values, certified by the value defect, margins, stationarity residual (population
-    # RHS, value defect, best-response gap) and acceptance; a failed pair's values may
-    # be non-finite, and its detail reports it
-    qt = effective_infection(s, x[:, 0::2])
     g = np.empty((m, 2 * d))
     with np.errstate(**_QUIET):
+        x[sgl] = _single_states(d, i[sgl], _quadratic_root_unit(*_share_quadratic(s_sgl, i[sgl])))
+        x[mix] = _mixed_states(d, i[mix], k[mix], *_mixed_shares(s_mix, i[mix], k[mix]))
+        fail(~np.isfinite(x).all(axis=1), lambda q: "state entries must be finite")
+        qt = effective_infection(s, x[:, 0::2])
         g[sgl] = _values_single(s_sgl, i[sgl], x[sgl, 2 * i[sgl]], qt[sgl])
         g[mix] = _values_mixed(s_mix, i[mix], k[mix], qt[mix])
         fail(~np.isfinite(g).all(axis=1), lambda q: "value vector entries must be finite")
@@ -853,8 +847,8 @@ def _solve_block(s: ParamStack, i: np.ndarray, k: np.ndarray) -> PairSolutions:
         kinetic = np.abs(gen.forward(x)).max(axis=1)
         del gen  # its per-pair arrays would otherwise stay alive through the spectra
         fail(uncertified, lambda q: _certificate_failure(defect[q]))
-        margin_I, margin_S = _exact_margins(i, k, g)
-        min_margin, degenerate = _margin_summary(i, k, margin_I, margin_S)
+        margin_I, margin_S = best_response_margins(i, k, g)
+        min_margin, degenerate = margin_summary(i, k, margin_I, margin_S)
         residual = np.maximum.reduce(
             [kinetic, defect, -margin_I.min(axis=1), -margin_S.min(axis=1)])
         # a kept pair not degenerate has argmin (i, k): another argmin would have a margin
@@ -958,7 +952,7 @@ def solve_candidate(p: ModelParams, u: StationaryControl) -> EquilibriumSolution
     kernel on one pair); RuntimeError when a stage of the solve fails."""
     _require_positive_discount(p)
     s = ParamStack.tile(p)
-    sol = _solve_block(s, *_pair(*u.as_pair()))
+    sol = _solve_block(s, *_pair(p.d, *u.as_pair()))
     if sol.status[0] == FAILED:
         raise RuntimeError(sol.failure[0])
     return sol.solution(s, 0, u)

@@ -756,6 +756,35 @@ def test_turnpike_overflowing_anchor_refused_at_validation(tmp_path):
     assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
 
 
+@pytest.mark.parametrize("key, value, control", [
+    ("q_plus", [1e308, 0.6], {"type": "mixed", "i": 1, "k": 2}),
+    ("q_minus", [1e308, 0.3], {"type": "single", "i": 1}),
+], ids=["mixed-bracket", "single-root"])
+def test_non_finite_stationary_start_refused_at_validation(tmp_path, key, value, control):
+    # at a rate of 1e308 the control's fixed point is not finite: the state is
+    # refused at <run>.x0, without a floating-point warning
+    data = json.loads((REPO_CONFIGS / "p0_simulate.json").read_text())
+    data["model"][key] = value
+    data["simulate"].update(control=control, x0="stationary")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(data)
+    assert err.value.errors == ["simulate.x0: state entries must be finite"]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+def test_turnpike_non_finite_anchor_state_refused_at_validation():
+    # at q_minus[1] = 1e308 the anchor's state is refused before its values
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["model"]["q_minus"] = [1e308, 0.3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(data)
+    assert err.value.errors == ["turnpike: state entries must be finite"]
+
+
 #: P0 with one rate at 1e308: lambda, q_plus[1], q_minus[2] or beta[1][1] (1-based)
 OVERFLOWING_RATES = [("lambda", 1e308), ("q_plus", [1e308, 0.6]), ("q_minus", [0.5, 1e308]),
                      ("beta", [[1e308, 0.05], [0.05, 0.05]])]

@@ -25,13 +25,14 @@ from sismfg.dynamics import (
     MAX_HALVINGS,
     STEP_REJECT_TOL,
     argmin_flags,
+    cone_flags,
     etdrk4_operators,
     graded_opening,
     phi_functions,
     step_pattern,
     sweep_block,
 )
-from sismfg.model import TIE_TOL, Generator, best_response, hjb_rhs_fn
+from sismfg.model import TIE_TOL, Generator, best_response, best_response_margins, hjb_rhs_fn
 from sismfg.stationary import ENTRY_BUDGET, fixed_point_single, hjb_single_exact, solve_candidate
 
 from conftest import (
@@ -257,17 +258,17 @@ def test_backward_stationary_values_constant(p0):
     x, g = stationary_pair(p0)
     grid = TimeGrid(0.0, 10.0, 2000)
     x_path = np.tile(x.x, (grid.n_steps + 1, 1))
-    back = integrate_backward(p0, g, x_path, SINGLE1, grid, mode="fixed")
-    assert np.max(np.abs(back.g_path - g.g)) <= 1e-9
-    assert back.cone_ok.all() and back.argmin_ok.all()
+    g_path = integrate_backward(p0, g, x_path, SINGLE1, grid, mode="fixed")
+    assert np.max(np.abs(g_path - g.g)) <= 1e-9
+    assert cone_flags(g_path, 0).all() and argmin_flags(g_path, SINGLE1).all()
 
 
 def test_backward_zero_terminal_gap_matches_closed_form(p0):
     x, _ = stationary_pair(p0)
     grid = TimeGrid(0.0, 5.0, 20000)
     x_path = np.tile(x.x, (grid.n_steps + 1, 1))
-    back = integrate_backward(p0, ValueVector(np.zeros(4)), x_path, SINGLE1, grid)
-    gap_int = back.g_path[:, 0] - back.g_path[:, 1]
+    g_path = integrate_backward(p0, ValueVector(np.zeros(4)), x_path, SINGLE1, grid)
+    gap_int = g_path[:, 0] - g_path[:, 1]
     gap_cf = oracle_gap_closed_form(p0, 0, x_path, 0.0, grid.h)
     assert np.max(np.abs(gap_int - gap_cf)) <= 1e-8
 
@@ -278,10 +279,10 @@ def test_backward_fixed_equals_adaptive_inside_cone(p0):
     x_path = integrate_forward(p0, MixedState.uniform(2), SINGLE1, grid)
     fixed = integrate_backward(p0, g, x_path, SINGLE1, grid, mode="fixed")
     adaptive = integrate_backward(p0, g, x_path, SINGLE1, grid, mode="adaptive")
-    assert fixed.argmin_ok.all()
+    assert argmin_flags(fixed, SINGLE1).all()
     # the two modes step the same RK4, the fixed mode through its affine step maps
-    scale = max(1.0, float(np.abs(adaptive.g_path).max()))
-    assert np.max(np.abs(fixed.g_path - adaptive.g_path)) <= 1e-12 * scale
+    scale = max(1.0, float(np.abs(adaptive).max()))
+    assert np.max(np.abs(fixed - adaptive)) <= 1e-12 * scale
 
 
 def _linear_path(p, x1, n_steps):
@@ -323,10 +324,10 @@ def test_backward_fixed_matches_stage_loop_oracle(name, steps):
         steps = {"1": 1, "block-1": block - 1, "block+1": block + 1}[steps]
     grid = TimeGrid(0.0, 0.005 * steps, steps)
     x_path = _linear_path(p, x1, steps)
-    back = integrate_backward(p, gT, x_path, u, grid, mode="fixed")
+    g_path = integrate_backward(p, gT, x_path, u, grid, mode="fixed")
     expected = oracle_backward_fixed(p, gT, x_path, u, grid.h)
     scale = max(1.0, float(np.abs(expected).max()))
-    assert np.max(np.abs(back.g_path - expected)) <= 1e-12 * scale
+    assert np.max(np.abs(g_path - expected)) <= 1e-12 * scale
 
 
 def test_step_pattern_single_needs_four_probes_at_any_d():
@@ -339,18 +340,17 @@ def test_step_pattern_single_needs_four_probes_at_any_d():
 
 def test_backward_memory_bounded_by_entry_budget(p0):
     # whatever n_steps is, the sweep holds block-sized arrays besides what it
-    # returns: its stage and step-map arrays, switch rates and flag temporaries
+    # returns: its stage and step-map arrays and switch rates
     x, g = stationary_pair(p0)
     grid = TimeGrid(0.0, 1000.0, 200_000)
     x_path = _linear_path(p0, x.x, grid.n_steps)
     tracemalloc.start()
     try:
-        back = integrate_backward(p0, g, x_path, SINGLE1, grid)
+        g_path = integrate_backward(p0, g, x_path, SINGLE1, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    returned = back.g_path.nbytes + back.cone_ok.nbytes + back.argmin_ok.nbytes
-    assert peak - returned <= 16 * ENTRY_BUDGET * 8
+    assert peak - g_path.nbytes <= 16 * ENTRY_BUDGET * 8
 
 
 def test_backward_rejects_dimension_mismatch(p0):
@@ -371,7 +371,7 @@ def test_backward_frozen_coefficients_matches_matrix_exponential():
     grid = TimeGrid(0.0, 1.0, 1000)
     x_path = np.tile(x.x, (grid.n_steps + 1, 1))
     u = StationaryControl.single(2, 0)
-    back = integrate_backward(p, gT, x_path, u, grid)
+    g_path = integrate_backward(p, gT, x_path, u, grid)
     rhs, c = hjb_rhs_fn(p, u), Generator.of(p).switch_rates(x.x)
     b = rhs(c, np.zeros(4))
     A = np.column_stack([rhs(c, e) - b for e in np.eye(4)])
@@ -382,7 +382,7 @@ def test_backward_frozen_coefficients_matches_matrix_exponential():
     exact = np.real(
         np.einsum("ij,tj,jk,k->ti", V, np.exp(np.outer(tau, w)), V_inv, gT.g + shift)
     ) - shift
-    assert np.max(np.abs(back.g_path - exact)) <= 1e-9
+    assert np.max(np.abs(g_path - exact)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +553,9 @@ def _best_response_flags(g_path, u):
     return np.array(flags)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_argmin_flags_match_best_response_oracle(d):
+def _flag_rows(d):
+    """Value rows for the flag oracles: random nodes, some with the runner-up
+    at an exact tie or near TIE_TOL, and at d > 1 edge rows of exact arithmetic."""
     rng = np.random.default_rng(100 + d)
     n = 400
     g_path = rng.normal(size=(n, 2 * d))
@@ -576,6 +577,12 @@ def test_argmin_flags_match_best_response_oracle(d):
         for r, gap in enumerate([0.0, TIE_TOL, 2.0 * TIE_TOL] * 2):
             edge[r, 2 + r // 3] = gap
         g_path = np.vstack([g_path, edge])
+    return g_path
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_argmin_flags_match_best_response_oracle(d):
+    g_path = _flag_rows(d)
     controls = [StationaryControl.single(d, 0), StationaryControl.single(d, d - 1)]
     if d > 1:
         controls += [StationaryControl.mixed(d, 0, 1), StationaryControl.mixed(d, d - 1, 0)]
@@ -594,3 +601,92 @@ def test_argmin_flags_reject_non_finite_values():
     g_path[1, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         argmin_flags(g_path, SINGLE1)
+
+
+def _cone_oracle(g_path, i):
+    """Per-node scalar oracle: g(iI) <= g(jI), g(iS) <= g(jS), g(jI) >= g(jS)."""
+    return np.array([
+        all(g[2 * i] <= g[2 * j] and g[2 * i + 1] <= g[2 * j + 1] and g[2 * j] >= g[2 * j + 1]
+            for j in range(len(g) // 2))
+        for g in g_path.tolist()
+    ])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_cone_flags_match_scalar_oracle(d):
+    # values from a small set put exact ties between strategies (zero margins)
+    # and exact or tie-level I/S gaps on many nodes, inside and outside the cone
+    rng = np.random.default_rng(200 + d)
+    g_S = rng.choice([0.0, 0.25, 1.0], size=(300, d))
+    g_I = g_S + rng.choice([-TIE_TOL, 0.0, 0.5], size=(300, d))
+    constructed = np.empty((300, 2 * d))
+    constructed[:, 0::2], constructed[:, 1::2] = g_I, g_S
+    g_path = np.vstack([_flag_rows(d), constructed])
+    seen = set()
+    for i in {0, d - 1}:
+        expected = _cone_oracle(g_path, i)
+        assert np.array_equal(cone_flags(g_path, i), expected), i
+        seen.update(expected.tolist())
+    assert seen == {True, False}
+
+
+def test_backward_returns_the_value_path_in_both_modes(p0):
+    x, g = stationary_pair(p0)
+    grid = TimeGrid(0.0, 1.0, 50)
+    x_path = np.tile(x.x, (grid.n_steps + 1, 1))
+    for mode in ("fixed", "adaptive"):
+        g_path = integrate_backward(p0, g, x_path, SINGLE1, grid, mode=mode)
+        assert type(g_path) is np.ndarray and g_path.shape == (grid.n_steps + 1, 4), mode
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_turnpike_flags_are_the_flag_functions_across_chunks(p0, offset):
+    # the flags are taken in chunks of sweep_block(2d, 1) nodes; a terminal value
+    # with the runner-up tied at the anchor is in the cone but its best response
+    # is degenerate, so the last chunk holds False nodes
+    n_steps = sweep_block(p0.n_states, 1) + offset
+    _, g = stationary_pair(p0)
+    tied = g.g.copy()
+    tied[2], tied[3] = tied[0], tied[1]
+    grid = TimeGrid(0.0, 0.001 * n_steps, n_steps)
+    sol = solve_turnpike(p0, 0, MixedState.uniform(2), ValueVector(tied), grid)
+    assert np.array_equal(sol.cone_ok, cone_flags(sol.g_path, 0))
+    assert np.array_equal(sol.argmin_ok, argmin_flags(sol.g_path, SINGLE1))
+    assert sol.cone_ok.all() and not sol.argmin_ok[-1] and sol.argmin_ok[0]
+    assert not sol.certified
+    assert sol.first_violation_time == grid.times()[np.argmin(sol.argmin_ok)]
+
+
+def test_hypothesis_cone_margins_are_the_best_response_margins(p0):
+    rng = np.random.default_rng(2000)
+    p3 = random_params(rng, 3)
+    cases = [(p0, 0, stationary_pair(p0)[1])]
+    cases += [(p3, i, ValueVector(rng.uniform(0.0, 5.0, 6))) for i in range(3)]
+    for p, i, gT in cases:
+        margins = check_turnpike_hypotheses(p, i, gT).margins
+        cone_I, cone_S = best_response_margins(np.array([i]), np.array([i]), gT.g[None])
+        for j in set(range(p.d)) - {i}:
+            assert margins[f"terminal-cone-I-min({j + 1})"].hex() == float(cone_I[0, j]).hex()
+            assert margins[f"terminal-cone-S-min({j + 1})"].hex() == float(cone_S[0, j]).hex()
+
+
+def test_criterion_7_failure_strings(p0):
+    # the named failures of criterion 7's two falsified inputs, as written
+    _, g = stationary_pair(p0)
+    flipped = ModelParams(**{**P0, "q_plus": [0.5, 0.4]})
+    outside = g.g.copy()
+    outside[3] = g.g[1] - 1.0
+    assert check_turnpike_hypotheses(flipped, 0, g).failures == [
+        "rate-ordering-q-plus(2) (margin -0.1)"]
+    assert check_turnpike_hypotheses(p0, 0, ValueVector(outside)).failures == [
+        "terminal-cone-S-min(2) (margin -1)"]
+
+
+@pytest.mark.parametrize("i", [-2, -1, 2])
+def test_turnpike_refuses_strategy_out_of_range(p0, i):
+    # numpy would wrap a negative index onto a strategy, and 2 is past d = 2
+    _, g = stationary_pair(p0)
+    with pytest.raises(ValueError, match=r"strategy index .* not in \[0, 2\)"):
+        check_turnpike_hypotheses(p0, i, g)
+    with pytest.raises(ValueError, match=r"strategy index .* not in \[0, 2\)"):
+        solve_turnpike(p0, i, MixedState.uniform(2), g, TimeGrid(0.0, 1.0, 10))

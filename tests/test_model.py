@@ -66,6 +66,9 @@ def test_state_rejects_off_simplex():
         MixedState([0.5, 0.5, 0.1, 0.0])
     with pytest.raises(ValueError, match=">= 0"):
         MixedState([1.1, -0.1, 0.0, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MixedState([bad, bad, 0.0, 0.0])
 
 
 def test_control_constructors():

@@ -1,8 +1,13 @@
 """Stationary equilibria: fixed points, spectra, values, margins, enumeration."""
 
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -816,3 +821,81 @@ def test_regimes_small_discount_large_lambda(base):
                 r = n * n_c + i * p.d + i
                 assert sol.status[r] == stationary.ACCEPTED, (lam, delta, i, sol.detail(r))
     assert checked > len(points) // 3  # 155 (P0) and 101 (sweep_d3) of 221 points
+
+
+# ---------------------------------------------------------------------------
+# rates at the float limit and strategy indices out of range
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: P0 with q_plus[1] or beta[1][1] (1-based) at 1e308: the bracket of the
+#: mixed(1,2) bisection is NaN
+NAN_BRACKET = {"q_plus": [1e308, 0.6], "beta": [[1e308, 0.05], [0.05, 0.05]]}
+
+
+def _bounded(code: str, *args: str) -> str:
+    """stdout of code run in a fresh interpreter, which must finish within a
+    minute (a hang fails here instead of stalling the suite) and print no
+    RuntimeWarning."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "always::RuntimeWarning", "-c", code, *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0 and "RuntimeWarning" not in done.stderr, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("key", sorted(NAN_BRACKET))
+def test_non_finite_bracket_fails_its_pairs_without_hanging(key):
+    params = {**P0, key: NAN_BRACKET[key]}
+    code = (
+        "import json\n"
+        "from sismfg import ModelParams, enumerate_equilibria\n"
+        f"reports = enumerate_equilibria(ModelParams(**{params!r})).reports\n"
+        "print(json.dumps([[r.control.label(), r.status, r.detail] for r in reports]))\n"
+    )
+    reports = {label: (status, detail) for label, status, detail in json.loads(_bounded(code))}
+    assert reports["mixed(1,2)"] == ("failed", "state entries must be finite")
+    # the single(1) root overflows at beta[1][1] = 1e308 too
+    single = reports["single(1)"]
+    assert single == (("failed", "state entries must be finite") if key == "beta"
+                      else ("accepted", "equilibrium"))
+
+
+def test_sweep_through_non_finite_bracket_returns(tmp_path):
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from sismfg import run_scenario\n"
+        "from sismfg.config import parse_config_dict\n"
+        "data = json.loads(Path(sys.argv[1]).read_text())\n"
+        "data['sweep']['axes'] = [{'path': 'q_plus[1]', 'values': [0.5, 1e308]}]\n"
+        "print(run_scenario(parse_config_dict(data), Path(sys.argv[2])).n_succeeded)\n"
+    )
+    config = SRC.parent / "configs" / "sweep_beta11.json"
+    assert _bounded(code, str(config), str(tmp_path)).split() == ["2"]
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["0.5", "ok", "1"], ["1e+308", "ok", "1"]]
+
+
+def test_overflowing_single_root_refused_as_state(p0):
+    # at q_minus[1] = 1e308 the share's root is NaN: the one-pair view refuses the
+    # state, without a floating-point warning, and the kernel fails that pair
+    p = dataclasses.replace(p0, q_minus=np.array([1e308, 0.3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            fixed_point_single(p, 0)
+        reports = enumerate_equilibria(p).reports
+    assert (reports[0].status, reports[0].detail) == ("failed", "state entries must be finite")
+
+
+@pytest.mark.parametrize("view, args", [
+    (fixed_point_single, (-1,)), (fixed_point_single, (2,)),
+    (fixed_point_mixed, (0, -1)), (fixed_point_mixed, (2, 0)),
+    (hjb_single_exact, (-1, 0.5)), (hjb_single_asymptotic, (2, 0.5)),
+    (stability_single, (-2, 0.5)), (consistency_single, (-1, 0.5, None)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_one_pair_views_refuse_strategy_out_of_range(p0, view, args):
+    # numpy would wrap a negative index onto the last strategies
+    with pytest.raises(ValueError, match=r"strategy index -?\d+ is not in \[0, 2\)"):
+        view(p0, *args)

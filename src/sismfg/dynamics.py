@@ -15,6 +15,15 @@ as x @ M + N(x) with M the constant generator of the decisions
 scaling-and-squaring exponential per step size, and the step follows the
 slow infection and recovery rates instead of lam.
 
+Under the frozen control a regular forward step (grid step h, with its
+halvings, clipping and renormalization) is a fixed map of the node alone,
+so once node m + 1 repeats node m bit for bit, every later node repeats
+it too: ``integrate_forward`` stops stepping there and fills the rest of
+the path with that node.  A long turnpike or simulate horizon reaches this
+fixed point of its discrete flow (P0 under all-to-1 from the uniform state
+at h = 0.0025: node 11429 of 20000, t = 28.57), and the path is the one
+full stepping gives, to the bit.
+
 Under a frozen control the value equation is linear, so its RK4 step is
 an affine map g -> g + D_m g + r_m.  ``integrate_backward`` builds these
 maps for a block of steps at once, by stepping a few probe vectors (a
@@ -284,6 +293,14 @@ def integrate_forward(
     after clipping when an entry is <= 0 (tiny negatives and -0.0 become
     +0.0); a step that leaves the simplex by more than STEP_REJECT_TOL is
     retried with halved substeps (``_forward_node``).
+
+    The control is frozen, so a regular step (every interval after the
+    first, which ETDRK4 covers with its opening substeps) maps a node to
+    the next as a function of that node alone.  The loop stops at the
+    first such step whose node repeats its predecessor bit for bit (``==``
+    would equate -0.0 and +0.0) and copies that node to the rest of the
+    path: full stepping would reproduce it exactly.  A control that varies
+    along the path would break this.
     """
     h = grid.h
     if method == RK4:
@@ -304,6 +321,9 @@ def integrate_forward(
             total = y.sum()
         x = path[m + 1]
         np.divide(y, total, out=x)
+        if m and x.tobytes() == path[m].tobytes():  # the regular step's fixed point
+            path[m + 2:] = x
+            break
     return path
 
 
@@ -517,8 +537,10 @@ def check_turnpike_hypotheses(
         is small enough that the cone bound propagates, using the
         conservative envelope gap <= gT_gap + (w_I_i - w_S_i)/(q_plus_i +
         q_minus_i + delta) and worst-case interaction extremes on the S side.
-    ValueError when i is not a strategy in [0, d).
+    ValueError when gT's dimension is not p's or i is not a strategy in
+    [0, d).
     """
+    _check_dims(p, gT)
     (base,) = _pair(p.d, i)
     margins: dict[str, float] = {}
     failures: list[str] = []

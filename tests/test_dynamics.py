@@ -112,10 +112,12 @@ def test_forward_substep_halving_recovers_coarse_grid(p0):
     assert np.max(np.abs(coarse[-1] - fine[-1])) <= 0.05
 
 
-def _stub_forward(monkeypatch, p0, stub, n_steps=1):
-    """integrate_forward on P0 with the RK4 step replaced by stub(x, h)."""
+def _stub_forward(monkeypatch, p0, stub, n_steps=1, method=dynamics.RK4):
+    """integrate_forward on P0 with the step of method replaced by stub(x, h)."""
     monkeypatch.setattr(dynamics, "_rk4_step", lambda rhs, x, h: stub(x, h))
-    return integrate_forward(p0, MixedState.uniform(2), SINGLE1, TimeGrid(0.0, 1.0, n_steps))
+    monkeypatch.setattr(dynamics, "_etdrk4_step_fn", lambda p, u: stub)
+    return integrate_forward(p0, MixedState.uniform(2), SINGLE1, TimeGrid(0.0, 1.0, n_steps),
+                             method=method)
 
 
 @pytest.mark.parametrize("low", [-1e-9, -0.0])
@@ -148,6 +150,62 @@ def test_forward_node_raises_after_max_halvings(monkeypatch, p0):
     with pytest.raises(RuntimeError, match=f"after {MAX_HALVINGS} step halvings"):
         _stub_forward(monkeypatch, p0, stub)
     assert min(calls) == 0.5**MAX_HALVINGS and len(calls) == MAX_HALVINGS + 1
+
+
+def _first_repeat(path):
+    """Index of the first node that repeats its predecessor bit for bit."""
+    bits = path.view(np.int64)
+    return int(np.argmax(np.all(bits[1:] == bits[:-1], axis=1))) + 1
+
+
+def test_forward_fixed_point_fast_path_is_full_stepping(monkeypatch, p0):
+    # at h = 0.02 the path from uniform reaches its step map's fixed point
+    # near t = 30.6, mid-horizon; the reference steps every interval, one
+    # one-step integration per node
+    grid = TimeGrid(0.0, 60.0, 3000)
+    ref = [MixedState.uniform(2).x]
+    for _ in range(grid.n_steps):
+        ref.append(integrate_forward(p0, MixedState(ref[-1]), SINGLE1, TimeGrid(0.0, grid.h, 1))[1])
+    ref = np.array(ref)
+    step, calls = dynamics._rk4_step, []
+
+    def counted(rhs, x, h):
+        calls.append(h)
+        return step(rhs, x, h)
+
+    monkeypatch.setattr(dynamics, "_rk4_step", counted)
+    path = integrate_forward(p0, MixedState.uniform(2), SINGLE1, grid)
+    assert path.tobytes() == ref.tobytes()
+    stop = _first_repeat(ref)
+    assert 0.25 * grid.n_steps < stop < 0.75 * grid.n_steps
+    assert len(calls) == stop
+
+
+def test_forward_stops_at_an_identity_step(monkeypatch, p0):
+    calls = []
+
+    def stub(x, h):
+        calls.append(h)
+        return x
+
+    path = _stub_forward(monkeypatch, p0, stub, n_steps=10)
+    assert len(calls) == 2
+    assert path.tobytes() == np.tile(MixedState.uniform(2).x, (11, 1)).tobytes()
+
+
+def test_etdrk4_opening_that_repeats_x0_does_not_stop(monkeypatch, p0):
+    # the opening substeps leave x0 as it is; the regular step moves it
+    h, calls = 0.1, []
+    target = np.array([1.0, 0.0, 0.0, 0.0])
+
+    def stub(x, sub):
+        calls.append(sub)
+        return 0.5 * (x + target) if sub == h else x
+
+    path = _stub_forward(monkeypatch, p0, stub, n_steps=10, method=ETDRK4)
+    assert calls == graded_opening(h, p0.lam) + [h] * 9
+    assert path[1].tobytes() == path[0].tobytes()
+    assert all(path[m + 1].tobytes() != path[m].tobytes() for m in range(1, 10))
 
 
 def test_forward_order_four(p0):
@@ -680,6 +738,17 @@ def test_criterion_7_failure_strings(p0):
         "rate-ordering-q-plus(2) (margin -0.1)"]
     assert check_turnpike_hypotheses(p0, 0, ValueVector(outside)).failures == [
         "terminal-cone-S-min(2) (margin -1)"]
+
+
+@pytest.mark.parametrize("d, i", [(3, 0), (1, 1)])
+def test_turnpike_refuses_terminal_values_of_another_dimension(p0, d, i):
+    # d = 3 would read a report off the first two strategies, d = 1 with
+    # i = 1 would index past the vector
+    gT = ValueVector(np.linspace(1.0, 2.0, 2 * d))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        check_turnpike_hypotheses(p0, i, gT)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_turnpike(p0, i, MixedState.uniform(2), gT, TimeGrid(0.0, 1.0, 10))
 
 
 @pytest.mark.parametrize("i", [-2, -1, 2])

@@ -62,3 +62,21 @@ def test_trace_counts_every_forward_rhs_evaluation(p0):
         integrate_forward(p0, MixedState.uniform(2), StationaryControl.single(2, 0),
                           TimeGrid(0.0, 2.0, 2000))
     assert rec.counts[spans.RHS_EVALS] == 4 * 2000
+
+
+def test_trace_counts_only_the_forward_steps_taken(p0):
+    # from uniform at h = 0.02 the path reaches its step map's fixed point
+    # mid-horizon; integrate_forward stops stepping there, and the count
+    # is four evaluations per step it took
+    import numpy as np
+
+    from sismfg import MixedState, StationaryControl, TimeGrid, integrate_forward
+
+    grid = TimeGrid(0.0, 60.0, 3000)
+    rec = spans.Recorder()
+    with spans.traced(rec):
+        path = integrate_forward(p0, MixedState.uniform(2), StationaryControl.single(2, 0), grid)
+    bits = path.view(np.int64)
+    taken = int(np.argmax(np.all(bits[1:] == bits[:-1], axis=1))) + 1  # first repeating node
+    assert taken < grid.n_steps
+    assert rec.counts[spans.RHS_EVALS] == 4 * taken

@@ -23,9 +23,7 @@ from .stationary import (
     enumerate_equilibria,
     fixed_point_mixed,
     fixed_point_single,
-    hjb_mixed_asymptotic,
     hjb_mixed_exact,
-    hjb_single_asymptotic,
     hjb_single_exact,
     stability_single,
 )
@@ -57,9 +55,7 @@ __all__ = [
     "fixed_point_mixed",
     "stability_single",
     "hjb_single_exact",
-    "hjb_single_asymptotic",
     "hjb_mixed_exact",
-    "hjb_mixed_asymptotic",
     "consistency_single",
     "consistency_mixed",
     "enumerate_equilibria",

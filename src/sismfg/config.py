@@ -29,7 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics
-from .dynamics import TimeGrid, default_grid, lln_reference_grid, stationary_anchor
+from .dynamics import (
+    TimeGrid,
+    check_turnpike_grid,
+    default_grid,
+    lln_reference_grid,
+    stationary_anchor,
+)
 from .model import MixedState, ModelParams, ParamStack, StationaryControl, ValueVector
 from .nplayer import check_rate_bound
 from .stationary import fixed_point_mixed, fixed_point_single
@@ -385,9 +391,13 @@ def _parse_turnpike(block: dict, model: ModelParams, col: _Collector) -> Turnpik
     gT = _parse_state(block.get("g_terminal"), model.n_states, f"{where}.g_terminal", col,
                       ValueVector, ("stationary",))
     grid = _parse_grid(block.get("grid"), model, f"{where}.grid", col)
-    # the tokens 'stationary' name the anchor, solved once the rest is valid
+    # the tokens 'stationary' name the anchor, solved once the rest is valid; the
+    # grid's check against the model's rates follows a solved anchor, so an
+    # anchor that overflows keeps its one error
     anchor = None if col.errors else col.build(where, stationary_anchor, model, strategy - 1)
-    if anchor is None:
+    if anchor is not None:
+        col.build(f"{where}.grid", check_turnpike_grid, model, grid)
+    if col.errors:
         return None
     return TurnpikeConfig(strategy=strategy - 1, x0=anchor[0] if x0 == "stationary" else x0,
                           g_terminal=anchor[1] if gT == "stationary" else gT,

@@ -33,11 +33,12 @@ update per node.  Switch rates are computed per block of steps, so the
 sweep's working memory is bounded by ``stationary.ENTRY_BUDGET`` whatever
 the number of steps.
 
-``solve_turnpike`` builds
-the time-dependent solution anchored at an all-to-i stationary solution:
-with the control frozen the population decouples and integrates forward,
-the values integrate backward against that path, and the run is certified
-by checking at every node that the value vector stays in the cone
+``solve_turnpike`` builds the time-dependent solution anchored at an
+all-to-i stationary solution (``stationary_anchor``, the kernel's single(i)
+row), on a grid that ``check_turnpike_grid`` accepts (RK4-stable, at least
+2 steps): with the control frozen the population decouples and integrates
+forward, the values integrate backward against that path, and the run is
+certified by checking at every node that the value vector stays in the cone
 
     g(iI) <= g(jI),  g(iS) <= g(jS),  g(jI) >= g(jS)   for all j
 
@@ -69,13 +70,7 @@ from .model import (
     margin_summary,
     state_targets,
 )
-from .stationary import (
-    ENTRY_BUDGET,
-    _pair,
-    _small_interaction_single,
-    fixed_point_single,
-    hjb_single_exact,
-)
+from .stationary import ENTRY_BUDGET, _pair, _small_interaction_single, _solve_pair
 
 #: forward step kinds: classical RK4, and exponential RK4 (Cox-Matthews ETDRK4)
 RK4 = "rk4"
@@ -90,6 +85,8 @@ MAX_HALVINGS = 20
 DEFAULT_WINDOW_EPS = 1e-3
 #: fraction trimmed from each end for the mid-horizon statistics
 MID_WINDOW_TRIM = 0.1
+#: classical RK4 is stable on the real interval [-2.7853, 0] of h * eigenvalue
+RK4_REAL_STABILITY = 2.785
 #: most entries (nodes x 2d) of a trajectory grid or a recorded CTMC
 #: path: one float64 path of this size takes 128 MiB
 GRID_BUDGET = 1 << 24
@@ -609,13 +606,18 @@ class TurnpikeStats:
         return self.entry is None
 
 
+def _mid_window(grid: TimeGrid) -> tuple[float, float]:
+    """The grid's horizon less MID_WINDOW_TRIM of it at each end."""
+    return (grid.t_start + MID_WINDOW_TRIM * grid.horizon,
+            grid.t_end - MID_WINDOW_TRIM * grid.horizon)
+
+
 def _turnpike_stats(grid: TimeGrid, x_path: np.ndarray, g_path: np.ndarray,
                     x_star: MixedState, g_star: ValueVector) -> TurnpikeStats:
     times = grid.times()
     dx = np.max(np.abs(x_path - x_star.x), axis=1)
     dg = np.max(np.abs(g_path - g_star.g), axis=1)
-    lo = grid.t_start + MID_WINDOW_TRIM * grid.horizon
-    hi = grid.t_end - MID_WINDOW_TRIM * grid.horizon
+    lo, hi = _mid_window(grid)
     mid = (times >= lo) & (times <= hi)
     inside = (dx <= DEFAULT_WINDOW_EPS) & (dg <= DEFAULT_WINDOW_EPS)
     idx = np.nonzero(inside)[0]
@@ -647,9 +649,42 @@ class TrajectorySolution:
 
 
 def stationary_anchor(p: ModelParams, i: int) -> tuple[MixedState, ValueVector]:
-    """The all-to-i stationary pair (x*, g*) a turnpike is anchored at."""
-    share, x_star = fixed_point_single(p, i)
-    return x_star, hjb_single_exact(p, i, share)
+    """The all-to-i stationary pair (x*, g*) a turnpike is anchored at: the
+    single(i) row of the kernel (``stationary._solve_pair``), which may be
+    rejected as an equilibrium; RuntimeError with its detail when it failed."""
+    _, sol = _solve_pair(p, i, i)
+    return MixedState(sol.x[0]), ValueVector(sol.g[0])
+
+
+def check_turnpike_grid(p: ModelParams, grid: TimeGrid) -> None:
+    """ValueError when a turnpike cannot run on the grid.
+
+    The mid-horizon window of ``TurnpikeStats`` must hold a node, which
+    takes at least 2 steps.  The backward sweep must be stable: under the
+    frozen control single(i) the value equation is dg/dtau = A g + w with
+    A = Q(x) - delta, block-triangular once the (iI, iS) block comes first.
+    That block has eigenvalues -delta and -delta - (q_plus_i + q~_i), and
+    each j != i block, [[-lam - q_plus_j, q_plus_j], [q~_j, -lam - q~_j]]
+    less delta, has -lam - delta and -lam - delta - (q_plus_j + q~_j).  So
+    every eigenvalue is real, in [-rate, -delta] with
+        rate = lam + delta + max_j (q_plus_j + q_minus_j + max_k beta_kj),
+    since q~_j = q_minus_j + sum_k beta_kj x_kI and the infected shares sum
+    to at most 1.  Classical RK4 damps a real mode z only for h z in
+    [-2.7853, 0]; past it the mode grows every step, so h * rate must not
+    exceed RK4_REAL_STABILITY.
+    """
+    lo, hi = _mid_window(grid)
+    if grid.n_steps < 2:
+        raise ValueError(f"the mid-horizon window [{lo:g}, {hi:g}] holds no node of a "
+                         f"{grid.n_steps}-step grid: a turnpike needs n_steps >= 2")
+    with np.errstate(over="ignore"):  # a rate past the float range is refused as inf
+        rate = p.lam + p.delta + float(np.max(p.q_plus + p.q_minus + p.beta.max(axis=0)))
+    if grid.h * rate > RK4_REAL_STABILITY:
+        raise ValueError(
+            f"step {grid.h:.4g} times the fastest rate {rate:.4g} is {grid.h * rate:.4g}, past "
+            f"classical RK4's real stability bound {RK4_REAL_STABILITY}: the backward sweep "
+            f"would blow up"
+        )
 
 
 def solve_turnpike(
@@ -660,13 +695,15 @@ def solve_turnpike(
 
     ``anchor`` is ``stationary_anchor(p, i)``, solved here when not given.
     Raises TurnpikeHypothesisError when a named hypothesis (including the
-    terminal-cone membership of gT) fails.  A cone or argmin violation along
+    terminal-cone membership of gT) fails, and then ValueError when the grid
+    is refused (``check_turnpike_grid``).  A cone or argmin violation along
     the integrated path is diagnostic output, not an exception: the solution
     is returned uncertified with the first violation time.
     """
     report = check_turnpike_hypotheses(p, i, gT)
     if not report.ok:
         raise TurnpikeHypothesisError(report.failures)
+    check_turnpike_grid(p, grid)
     u = StationaryControl.single(p.d, i)
     x_path = integrate_forward(p, x0, u, grid)
     g_path = integrate_backward(p, gT, x_path, u, grid, mode="fixed")

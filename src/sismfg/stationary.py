@@ -7,7 +7,8 @@ population fixed point, the exact stationary discounted values
 (closed-form block elimination of the linear system), the optimality
 margins that certify the control as a best response, the stationarity
 residual and the linearization spectrum at the fixed point.  The large-lam
-asymptotic values and margins are cross-checks.
+asymptotic margins (and the first-order mixed data ``_mixed_first_order``)
+are cross-checks.
 
 All of it is one array kernel.  ``solve_points`` solves every candidate at
 every point of a ``ParamStack`` as one flat batch of (point, candidate)
@@ -24,10 +25,10 @@ ends with a status (accepted / rejected / failed) and, when it failed, the
 reason.  ``enumerate_equilibria`` runs the kernel on one model, and a sweep
 (``runs.run_sweep``) on all of its grid points at once.  The scalar
 functions ``fixed_point_single`` / ``_mixed``, ``hjb_single_exact`` /
-``_mixed_exact``, ``hjb_single_asymptotic`` / ``_mixed_asymptotic``,
-``consistency_single`` / ``_mixed``, ``stability_single``,
+``_mixed_exact``, ``consistency_single`` / ``_mixed``, ``stability_single``,
 ``stability_numerical`` and ``solve_candidate`` are one-pair views of the
-same kernel pieces, so every formula has one source.
+same kernel pieces, so every formula has one source; a turnpike's anchor
+(``dynamics.stationary_anchor``) is a row of the kernel itself.
 
 Acceptance of a candidate is decided on exact margins and the stationarity
 residual only; the asymptotic formulas are diagnostics.  Margins within
@@ -464,30 +465,6 @@ def hjb_mixed_exact(p: ModelParams, i: int, k: int, x: MixedState) -> ValueVecto
 
 
 @dataclass(frozen=True)
-class SingleAsymptotics:
-    """First-order-in-1/lam stationary values for the all-to-i control.
-
-    ``values`` carries the exact i-block and, for j != i,
-    g(j .) = g(i .) + correction[j .] / lam; ``correction`` holds the 1/lam
-    coefficients (zero on the i-block).
-    """
-
-    values: ValueVector
-    correction: np.ndarray
-
-
-def hjb_single_asymptotic(p: ModelParams, i: int, x_star: float) -> SingleAsymptotics:
-    """The 1/lam coefficients of the all-to-i values are the asymptotic
-    margins of ``_families_single``; the i-block is ``_single_block``."""
-    _require_positive_discount(p)
-    s, pair, shares = ParamStack.tile(p), _pair(p.d, i), np.array([x_star], dtype=float)
-    _, g_iI, g_iS = _single_block(s, *pair, shares)
-    corr_I, corr_S = (c[0] for c in _families_single(s, *pair, shares)[:2])
-    g = _interleave(g_iI + corr_I / p.lam, g_iS + corr_S / p.lam)
-    return SingleAsymptotics(values=ValueVector(g), correction=_interleave(corr_I, corr_S))
-
-
-@dataclass(frozen=True)
 class MixedFirstOrder:
     """Scale-free first-order data for the mixed family.
 
@@ -497,17 +474,17 @@ class MixedFirstOrder:
     in delta, so they remain well defined at delta = 0 where g1 itself blows
     up.  cross_margin_I / cross_margin_S are the scaled slacks of
     g(iI) <= g(kI) and g(kS) <= g(iS); they vanish identically at delta = 0.
-    The kernel holds one array per field, the scalar view one float.
+    Each field is an array with one entry per pair.
     """
 
-    G0_iI: float
-    G0_kS: float
-    gap0: float
-    R_iI: float
-    R_kS: float
-    det: float
-    cross_margin_I: float
-    cross_margin_S: float
+    G0_iI: np.ndarray
+    G0_kS: np.ndarray
+    gap0: np.ndarray
+    R_iI: np.ndarray
+    R_kS: np.ndarray
+    det: np.ndarray
+    cross_margin_I: np.ndarray
+    cross_margin_S: np.ndarray
 
 
 def _mixed_first_order(s: ParamStack, i: np.ndarray, k: np.ndarray,
@@ -543,51 +520,6 @@ def _mixed_first_order(s: ParamStack, i: np.ndarray, k: np.ndarray,
         cross_margin_I=((qtk + delta) * R_kS - qtk * R_iI) / (den0 * den0),
         cross_margin_S=((qpi + delta) * R_iI - qpi * R_kS) / (den0 * den0),
     )
-
-
-@dataclass(frozen=True)
-class MixedAsymptotics:
-    """Zeroth/first order stationary values for the mixed control.
-
-    The zeroth order satisfies g0(iS) = g0(kS) and g0(kI) = g0(iI) exactly
-    (instantaneous decision execution cannot distinguish strategies).
-    ``values`` (present only for delta > 0) carries g0 + g1/lam for the
-    (i, k) block and the 1/lam expansions of the residual strategies; its
-    error against the exact solve is O(1/lam^2).
-    """
-
-    first_order: MixedFirstOrder
-    g0: np.ndarray | None
-    values: ValueVector | None
-
-
-def hjb_mixed_asymptotic(p: ModelParams, i: int, k: int, x: MixedState) -> MixedAsymptotics:
-    """Zeroth/first order values from ``_mixed_first_order``; the residual
-    strategies' 1/lam coefficients are the asymptotic margins of
-    ``_families_mixed``."""
-    if k == i:
-        raise ValueError("mixed values require k != i")
-    s, pair = ParamStack.tile(p), _pair(p.d, i, k)
-    qt = effective_infection(s, x.x[None, 0::2])
-    fo_pair = _mixed_first_order(s, *pair, qt)
-    fo = MixedFirstOrder(*(float(getattr(fo_pair, f.name)[0]) for f in fields(fo_pair)))
-    if p.delta == 0.0:
-        return MixedAsymptotics(first_order=fo, g0=None, values=None)
-    lam, delta = p.lam, p.delta
-    g0_iI, g0_kS = fo.G0_iI / delta, fo.G0_kS / delta
-    # g0(kI) = g0(iI) and g0(iS) = g0(kS) exactly, and so for every residual strategy
-    g0 = _interleave(np.full(p.d, g0_iI), np.full(p.d, g0_kS))
-    g1_iI, g1_kS = fo.R_iI / fo.det, fo.R_kS / fo.det
-    # from g(iS) = g(iI) + (delta g(iI) - w_I_i) / q_plus_i
-    g1_iS = g1_iI * (p.q_plus[i] + delta) / p.q_plus[i]
-    g1_kI = g1_kS * (qt[0, k] + delta) / qt[0, k]
-    # residual strategy j: g(jI) = g(iI) + corr_I[j], g(jS) = g(kS) + corr_S[j]; the margins
-    # are zero at the bases and the cross entries are overwritten below
-    corr_I, corr_S = (c[0] / lam for c in _families_mixed(s, *pair, qt, fo_pair)[:2])
-    g = _interleave(g0_iI + g1_iI / lam + corr_I, g0_kS + g1_kS / lam + corr_S)
-    g[2 * i + 1] = g0_kS + g1_iS / lam
-    g[2 * k] = g0_iI + g1_kI / lam
-    return MixedAsymptotics(first_order=fo, g0=g0, values=ValueVector(g))
 
 
 # ---------------------------------------------------------------------------
@@ -947,14 +879,22 @@ class EnumerationResult:
     reports: list[CandidateReport]
 
 
+def _solve_pair(p: ModelParams, i: int, k: int) -> tuple[ParamStack, PairSolutions]:
+    """The kernel on the one pair [i(I), k(S)], accepted or rejected, with
+    the stack of its point; RuntimeError with its detail when a stage of
+    the solve failed."""
+    _require_positive_discount(p)
+    s = ParamStack.tile(p)
+    sol = _solve_block(s, *_pair(p.d, i, k))
+    if sol.status[0] == FAILED:
+        raise RuntimeError(sol.failure[0])
+    return s, sol
+
+
 def solve_candidate(p: ModelParams, u: StationaryControl) -> EquilibriumSolution:
     """Solve one candidate control without accepting or rejecting it (the
     kernel on one pair); RuntimeError when a stage of the solve fails."""
-    _require_positive_discount(p)
-    s = ParamStack.tile(p)
-    sol = _solve_block(s, *_pair(p.d, *u.as_pair()))
-    if sol.status[0] == FAILED:
-        raise RuntimeError(sol.failure[0])
+    s, sol = _solve_pair(p, *u.as_pair())
     return sol.solution(s, 0, u)
 
 

@@ -688,3 +688,38 @@ def oracle_enumerate(p) -> list[dict]:
                            detail=f"residual {sol['residual']:.3e} above tolerance")
             out.append(row)
     return out
+
+
+# ---------------------------------------------------------------------------
+# first-order mixed values, assembled from the kernel's first-order data (not oracles)
+
+
+def mixed_first_order(p, i: int, k: int, x: MixedState):
+    """``stationary._mixed_first_order`` of the pair [i(I), k(S)] at its
+    fixed point x, each field one entry, with the effective infection rates
+    q~ there."""
+    from sismfg import stationary
+    from sismfg.model import ParamStack, effective_infection
+
+    s = ParamStack.tile(p)
+    qt = effective_infection(s, x.x[None, 0::2])
+    return stationary._mixed_first_order(s, np.array([i]), np.array([k]), qt), qt[0]
+
+
+def mixed_asymptotic_values(p, i: int, k: int, x: MixedState) -> tuple[np.ndarray, np.ndarray]:
+    """(g0, g0 + g1 / lam) under the mixed control [i(I), k(S)] of a
+    two-strategy model with delta > 0, at its fixed point x.  The zeroth
+    order has g0(kI) = g0(iI) and g0(iS) = g0(kS) exactly; g1(iS) and g1(kI)
+    follow from g(iS) = g(iI) + (delta g(iI) - w_I_i) / q_plus_i and its
+    twin g(kI) = g(kS) + (delta g(kS) - w_S_k) / q~_k."""
+    assert p.d == 2 and p.delta > 0
+    fo, qt = mixed_first_order(p, i, k, x)
+    lam, delta = p.lam, p.delta
+    g0_iI, g0_kS = fo.G0_iI[0] / delta, fo.G0_kS[0] / delta
+    g1_iI, g1_kS = fo.R_iI[0] / fo.det[0], fo.R_kS[0] / fo.det[0]
+    g1_iS = g1_iI * (p.q_plus[i] + delta) / p.q_plus[i]
+    g1_kI = g1_kS * (qt[k] + delta) / qt[k]
+    g = np.empty(4)
+    g[2 * i], g[2 * i + 1] = g0_iI + g1_iI / lam, g0_kS + g1_iS / lam
+    g[2 * k], g[2 * k + 1] = g0_iI + g1_kI / lam, g0_kS + g1_kS / lam
+    return np.tile([g0_iI, g0_kS], 2), g

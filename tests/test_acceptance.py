@@ -30,12 +30,11 @@ from sismfg.dynamics import MID_WINDOW_TRIM
 from sismfg.model import ModelParams
 from sismfg.runs import run_scenario
 from sismfg.stationary import (
+    consistency_single,
     enumerate_equilibria,
     fixed_point_mixed,
     fixed_point_single,
-    hjb_mixed_asymptotic,
     hjb_mixed_exact,
-    hjb_single_asymptotic,
     hjb_single_exact,
     stability_single,
 )
@@ -44,6 +43,8 @@ from sismfg.model import kinetic_rhs
 from conftest import (
     P0,
     _oracle_spectrum,
+    mixed_asymptotic_values,
+    mixed_first_order,
     oracle_gap_closed_form,
     oracle_share_quadratic,
     random_params,
@@ -139,15 +140,14 @@ def test_criterion_03_asymptotic_order():
     struct_exact = True
     for lam in (50.0, 100.0, 200.0):
         p = ModelParams(lam=lam, **base)
+        # the exact margins g(j .) - g(1 .) against their first-order prediction
         x_star, _ = fixed_point_single(p, 0)
-        exact = hjb_single_exact(p, 0, x_star)
-        asym = hjb_single_asymptotic(p, 0, x_star)
-        errs_single.append(np.max(np.abs(exact.g[2:] - asym.values.g[2:])))
+        cm = consistency_single(p, 0, x_star, hjb_single_exact(p, 0, x_star))
+        errs_single.append(max(np.max(np.abs(cm.margin_I - cm.asymptotic_margin_I / lam)),
+                               np.max(np.abs(cm.margin_S - cm.asymptotic_margin_S / lam))))
         x = fixed_point_mixed(p, 0, 1)
-        m_exact = hjb_mixed_exact(p, 0, 1, x)
-        m_asym = hjb_mixed_asymptotic(p, 0, 1, x)
-        errs_mixed.append(np.max(np.abs(m_exact.g - m_asym.values.g)))
-        g0 = m_asym.g0
+        g0, g_asym = mixed_asymptotic_values(p, 0, 1, x)
+        errs_mixed.append(np.max(np.abs(hjb_mixed_exact(p, 0, 1, x).g - g_asym)))
         struct_exact &= (g0[1] == g0[3]) and (g0[0] == g0[2])
     ratios = [
         errs_single[0] / errs_single[1],
@@ -175,8 +175,8 @@ def test_criterion_04_zero_discount_degeneracy():
         )
     for p in cases:
         x = fixed_point_mixed(p, 0, 1)
-        fo = hjb_mixed_asymptotic(p, 0, 1, x).first_order
-        worst = max(worst, abs(fo.cross_margin_I), abs(fo.cross_margin_S))
+        fo, _ = mixed_first_order(p, 0, 1, x)
+        worst = max(worst, abs(fo.cross_margin_I[0]), abs(fo.cross_margin_S[0]))
     ok = worst <= 1e-10
     detail = f"max |first-order cross margin| at delta=0 over {len(cases)} cases: {worst:.2e}"
     assert report("criterion 4 zero-discount degeneracy", ok, detail), detail

@@ -403,25 +403,30 @@ def test_row_format_writer_matches_csv_module(tmp_path):
 
 
 def test_turnpike_run_solves_its_anchor_once(tmp_path, monkeypatch):
-    # x0, g_T = "stationary" and the turnpike stats all use one stationary pair
+    # g_T = "stationary" and the turnpike stats all use one stationary pair: one
+    # kernel block of one pair, and no one-pair view
+    import sismfg.config
     import sismfg.dynamics
     import sismfg.runs
     import sismfg.stationary
 
-    calls = {"fixed_point_single": 0, "hjb_single_exact": 0}
+    calls = {name: [] for name in ("_solve_block", "fixed_point_single", "hjb_single_exact")}
     for name in calls:
         original = getattr(sismfg.stationary, name)
 
         def counting(*args, _name=name, _fn=original, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _fn(*args, **kwargs)
 
-        for mod in (sismfg.stationary, sismfg.dynamics, sismfg.runs):
+        for mod in (sismfg.stationary, sismfg.dynamics, sismfg.config, sismfg.runs):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counting)
     bundle = run_scenario(parse_config(REPO_CONFIGS / "p0_turnpike.json"), tmp_path)
     assert not bundle.failures
-    assert calls == {"fixed_point_single": 1, "hjb_single_exact": 1}
+    assert {name: len(args) for name, args in calls.items()} == {
+        "_solve_block": 1, "fixed_point_single": 0, "hjb_single_exact": 0}
+    _, i, k = calls["_solve_block"][0]
+    assert i.tolist() == k.tolist() == [0]
 
 
 def test_turnpike_run_csv_contract(tmp_path):
@@ -785,6 +790,71 @@ def test_turnpike_non_finite_anchor_state_refused_at_validation():
     assert err.value.errors == ["turnpike: state entries must be finite"]
 
 
+#: anchors that overflow, with the error the one-pair views gave them before the
+#: anchor became a kernel row (lambda and q_minus have tests of their own above)
+OVERFLOWING_ANCHORS = [
+    ("w_I", [1e308, 3.0], "turnpike: value vector entries must be finite"),
+    ("beta", [[1e308, 0.05], [0.05, 0.05]], "turnpike: state entries must be finite"),
+]
+
+
+@pytest.mark.parametrize("key, value, error", OVERFLOWING_ANCHORS,
+                         ids=[k for k, _, _ in OVERFLOWING_ANCHORS])
+def test_overflowing_anchor_error_unchanged(tmp_path, key, value, error):
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["model"][key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert err.value.errors == [error]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+@pytest.mark.parametrize("key, value", [(k, v) for k in ("delta", "lambda", "q_plus")
+                                        for v in (1e20, 2.0**60, 1e308)],
+                         ids=lambda v: f"{v:g}" if isinstance(v, float) else v)
+def test_turnpike_rates_past_rk4_stability_refused_at_validation(tmp_path, key, value):
+    # on the shipped grid (h = 0.0025) the backward sweep would blow up, or the
+    # forward one run out of halvings; only lambda = 1e308 overflows the anchor first
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["model"][key] = [value, 0.6] if key == "q_plus" else value
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    where = "turnpike" if (key, value) == ("lambda", 1e308) else "turnpike.grid"
+    assert [e.split(": ")[0] for e in err.value.errors] == [where]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+#: one step holds no node of the mid-horizon window
+ONE_STEP = "holds no node of a 1-step grid: a turnpike needs n_steps >= 2"
+
+
+@pytest.mark.parametrize("grid, message", [
+    # P0's fastest rate is 101.3; on this grid the parent wrote |g| up to 3.5e30 and exited 0
+    ({"t_start": 0.0, "t_end": 2.0, "n_steps": 50}, "step 0.04 times the fastest rate 101.3 is "
+     "4.052, past classical RK4's real stability bound 2.785: the backward sweep would blow up"),
+    ({"t_start": 0.0, "t_end": 0.01, "n_steps": 1},
+     f"the mid-horizon window [0.001, 0.009] {ONE_STEP}"),
+    # shorter than one default step
+    ({"t_start": 0.0, "t_end": 0.0005}, f"the mid-horizon window [5e-05, 0.00045] {ONE_STEP}"),
+], ids=["rk4-unstable", "one-step", "default-one-step"])
+def test_turnpike_grid_refusals_reported_at_grid(tmp_path, grid, message):
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["turnpike"]["grid"] = grid
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert err.value.errors == [f"turnpike.grid: {message}"]
+    assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
+
+
+@pytest.mark.parametrize("grid", [{"t_start": 0.0, "t_end": 2.0, "n_steps": 100},
+                                  {"t_start": 0.0, "t_end": 0.01, "n_steps": 2}],
+                         ids=["rk4-stable", "two-steps"])
+def test_turnpike_grids_within_the_checks_run(tmp_path, grid):
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["turnpike"]["grid"] = grid
+    assert run_scenario(parse_config_dict(data), tmp_path).n_succeeded == 1
+
+
 #: P0 with one rate at 1e308: lambda, q_plus[1], q_minus[2] or beta[1][1] (1-based)
 OVERFLOWING_RATES = [("lambda", 1e308), ("q_plus", [1e308, 0.6]), ("q_minus", [0.5, 1e308]),
                      ("beta", [[1e308, 0.05], [0.05, 0.05]])]
@@ -949,7 +1019,7 @@ TABLE_SCENARIOS = [
     ("sweep_beta11", {"sweep": {"axes": [{"path": "lambda", "values": [50.0, 100.0]},
                                          {"path": "beta[2][2]", "values": [0.05, 1e8]}]}}),
     ("p0_turnpike", {"turnpike": {"strategy": 1, "x0": "uniform", "g_terminal": "stationary",
-                                  "grid": {"t_start": 0.0, "t_end": 2.0, "n_steps": 50}}}),
+                                  "grid": {"t_start": 0.0, "t_end": 2.0, "n_steps": 100}}}),
 ]
 
 

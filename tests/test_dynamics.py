@@ -32,8 +32,23 @@ from sismfg.dynamics import (
     step_pattern,
     sweep_block,
 )
-from sismfg.model import TIE_TOL, Generator, best_response, best_response_margins, hjb_rhs_fn
-from sismfg.stationary import ENTRY_BUDGET, fixed_point_single, hjb_single_exact, solve_candidate
+from sismfg.model import (
+    TIE_TOL,
+    Generator,
+    ParamStack,
+    best_response,
+    best_response_margins,
+    hjb_rhs_fn,
+)
+from sismfg.stationary import (
+    ENTRY_BUDGET,
+    FAILED,
+    REJECTED,
+    fixed_point_single,
+    hjb_single_exact,
+    solve_candidate,
+    solve_points,
+)
 
 from conftest import (
     P0,
@@ -759,3 +774,51 @@ def test_turnpike_refuses_strategy_out_of_range(p0, i):
         check_turnpike_hypotheses(p0, i, g)
     with pytest.raises(ValueError, match=r"strategy index .* not in \[0, 2\)"):
         solve_turnpike(p0, i, MixedState.uniform(2), g, TimeGrid(0.0, 1.0, 10))
+
+
+# ---------------------------------------------------------------------------
+# the turnpike's anchor and grid
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stationary_anchor_is_the_kernel_row(p0, d):
+    # every single(i) row, rejected ones too (P0's single(2), a d = 3 draw's)
+    p = p0 if d == 2 else random_params(np.random.default_rng(5), d=3)
+    sol = solve_points(ParamStack.tile(p))
+    rows = [i * d + i for i in range(d)]
+    assert REJECTED in sol.status[rows] and FAILED not in sol.status[rows]
+    for i, r in enumerate(rows):
+        x_star, g_star = dynamics.stationary_anchor(p, i)
+        assert x_star.x.tobytes() == sol.x[r].tobytes()
+        assert g_star.g.tobytes() == sol.g[r].tobytes()
+
+
+def test_stationary_anchor_failed_row_raises_its_detail(p0):
+    p = ModelParams(**{**P0, "q_minus": [1e308, 0.3]})
+    assert solve_points(ParamStack.tile(p)).failure[0] == "state entries must be finite"
+    with pytest.raises(RuntimeError, match="^state entries must be finite$"):
+        dynamics.stationary_anchor(p, 0)
+
+
+def test_turnpike_grid_past_rk4_real_stability_refused(p0):
+    # P0's rate bound lam + delta + max_j (q_plus_j + q_minus_j + max_k beta_kj) is
+    # 101.3: on [0, 2] that is h * rate = 4.052 at 50 steps, 2.814 at 72, 2.775 at 73
+    _, g_star = dynamics.stationary_anchor(p0, 0)
+    x0 = MixedState.uniform(2)
+    coarse = TimeGrid(0.0, 2.0, 50)
+    x_path = integrate_forward(p0, x0, SINGLE1, coarse)
+    assert np.abs(integrate_backward(p0, g_star, x_path, SINGLE1, coarse)).max() > 1e30
+    for n in (50, 72):
+        with pytest.raises(ValueError, match="past classical RK4's real stability bound 2.785"):
+            solve_turnpike(p0, 0, x0, g_star, TimeGrid(0.0, 2.0, n))
+    sol = solve_turnpike(p0, 0, x0, g_star, TimeGrid(0.0, 2.0, 73))
+    assert np.abs(sol.g_path).max() <= np.abs(g_star.g).max() + 0.1
+
+
+def test_turnpike_grid_of_one_step_refused(p0):
+    # the mid-horizon window of the stats holds a node from 2 steps on
+    _, g_star = dynamics.stationary_anchor(p0, 0)
+    x0 = MixedState.uniform(2)
+    with pytest.raises(ValueError, match=r"mid-horizon window \[0.001, 0.009\] holds no node"):
+        solve_turnpike(p0, 0, x0, g_star, TimeGrid(0.0, 0.01, 1))
+    assert np.isfinite(solve_turnpike(p0, 0, x0, g_star, TimeGrid(0.0, 0.01, 2)).stats.sup_x_mid)

@@ -21,6 +21,7 @@ from sismfg import (
 )
 from sismfg import stationary
 from sismfg.config import SweepAxis, sweep_grid
+from sismfg.dynamics import stationary_anchor
 from sismfg.model import SIMPLEX_TOL, ModelParams, ParamStack
 from sismfg.stationary import (
     consistency_mixed,
@@ -28,9 +29,7 @@ from sismfg.stationary import (
     enumerate_equilibria,
     fixed_point_mixed,
     fixed_point_single,
-    hjb_mixed_asymptotic,
     hjb_mixed_exact,
-    hjb_single_asymptotic,
     hjb_single_exact,
     solve_points,
     stability_single,
@@ -45,6 +44,8 @@ from conftest import (
     P0_XSTAR,
     _oracle_rate_roundoff,
     _oracle_spectrum,
+    mixed_asymptotic_values,
+    mixed_first_order,
     oracle_enumerate,
     oracle_share_quadratic,
     oracle_stationary_values,
@@ -220,17 +221,23 @@ def test_values_require_positive_discount():
 
 
 # ---------------------------------------------------------------------------
-# hjb_single_asymptotic
+# single-family asymptotic margins: g(j .) = g(i .) + asymptotic_margin_*[j] / lam + O(1/lam^2)
+
+
+def asymptotic_error(cm, lam):
+    """Largest distance between the exact margins and their first-order
+    prediction asymptotic_margin / lam."""
+    return max(np.max(np.abs(cm.margin_I - cm.asymptotic_margin_I / lam)),
+               np.max(np.abs(cm.margin_S - cm.asymptotic_margin_S / lam)))
 
 
 def test_asymptotic_leading_order_collapses(p0):
     from dataclasses import replace
 
-    x_star, _ = fixed_point_single(p0, 0)
     huge = replace(p0, lam=1e12)
-    asym = hjb_single_asymptotic(huge, 0, x_star)
-    assert abs(asym.values.g_I(1) - asym.values.g_I(0)) <= 1e-10
-    assert abs(asym.values.g_S(1) - asym.values.g_S(0)) <= 1e-10
+    cm = single_margins(huge, 0)
+    assert abs(cm.asymptotic_margin_I[1] / huge.lam) <= 1e-10
+    assert abs(cm.asymptotic_margin_S[1] / huge.lam) <= 1e-10
 
 
 def test_asymptotic_error_scales_inverse_square(p0):
@@ -238,10 +245,7 @@ def test_asymptotic_error_scales_inverse_square(p0):
     for lam in (50.0, 100.0, 200.0):
         p = ModelParams(d=2, lam=lam, delta=0.1, q_plus=[0.5, 0.6], q_minus=[0.5, 0.3],
                         beta=[[0.2, 0.05], [0.05, 0.05]], w_I=[2.0, 3.0], w_S=[1.0, 2.5])
-        x_star, _ = fixed_point_single(p, 0)
-        exact = hjb_single_exact(p, 0, x_star)
-        asym = hjb_single_asymptotic(p, 0, x_star)
-        errs.append(np.max(np.abs(exact.g[2:] - asym.values.g[2:])))
+        errs.append(asymptotic_error(single_margins(p, 0), lam))
     for ratio in (errs[0] / errs[1], errs[1] / errs[2]):
         assert 4 / 1.5 <= ratio <= 4 * 1.5
 
@@ -249,11 +253,9 @@ def test_asymptotic_error_scales_inverse_square(p0):
 def test_asymptotic_equals_exact_for_single_strategy():
     p = ModelParams(d=1, lam=3.0, delta=0.2, q_plus=[0.5], q_minus=[0.4],
                     beta=[[0.1]], w_I=[2.0], w_S=[1.0])
-    x_star, _ = fixed_point_single(p, 0)
-    exact = hjb_single_exact(p, 0, x_star)
-    asym = hjb_single_asymptotic(p, 0, x_star)
-    assert np.array_equal(exact.g, asym.values.g)
-    assert np.all(asym.correction == 0.0)
+    cm = single_margins(p, 0)
+    assert np.all(cm.asymptotic_margin_I == 0.0) and np.all(cm.asymptotic_margin_S == 0.0)
+    assert asymptotic_error(cm, p.lam) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +313,7 @@ def test_mixed_fixed_point_forced_identity_and_residual(p0):
 
 
 # ---------------------------------------------------------------------------
-# hjb_mixed_exact / hjb_mixed_asymptotic
+# hjb_mixed_exact / first-order mixed values
 
 
 def test_mixed_values_certificate_and_dense_oracle(p0):
@@ -335,9 +337,7 @@ def test_mixed_values_compartment_differences_shrink(p0):
 
 
 def test_mixed_asymptotic_structural_equalities(p0):
-    x = fixed_point_mixed(p0, 0, 1)
-    asym = hjb_mixed_asymptotic(p0, 0, 1, x)
-    g0 = asym.g0
+    g0, _ = mixed_asymptotic_values(p0, 0, 1, fixed_point_mixed(p0, 0, 1))
     assert g0[1] == g0[3]  # g0(iS) = g0(kS), exactly
     assert g0[0] == g0[2]  # g0(kI) = g0(iI), exactly
 
@@ -350,8 +350,7 @@ def test_mixed_asymptotic_error_scales_inverse_square():
         p = ModelParams(lam=lam, **base)
         x = fixed_point_mixed(p, 0, 1)
         exact = hjb_mixed_exact(p, 0, 1, x)
-        asym = hjb_mixed_asymptotic(p, 0, 1, x)
-        errs.append(np.max(np.abs(exact.g - asym.values.g)))
+        errs.append(np.max(np.abs(exact.g - mixed_asymptotic_values(p, 0, 1, x)[1])))
     for ratio in (errs[0] / errs[1], errs[1] / errs[2]):
         assert 4 / 1.5 <= ratio <= 4 * 1.5
 
@@ -359,11 +358,10 @@ def test_mixed_asymptotic_error_scales_inverse_square():
 def test_mixed_first_order_degenerates_at_zero_discount():
     p = ModelParams(d=2, lam=100.0, delta=0.0, q_plus=[0.5, 0.6], q_minus=[0.5, 0.3],
                     beta=[[0.2, 0.05], [0.05, 0.05]], w_I=[2.0, 3.0], w_S=[1.0, 2.5])
-    x = fixed_point_mixed(p, 0, 1)
-    asym = hjb_mixed_asymptotic(p, 0, 1, x)
-    assert asym.values is None  # values blow up like 1/delta
-    assert abs(asym.first_order.cross_margin_I) <= 1e-10
-    assert abs(asym.first_order.cross_margin_S) <= 1e-10
+    fo, _ = mixed_first_order(p, 0, 1, fixed_point_mixed(p, 0, 1))
+    assert fo.det[0] == 0.0  # values blow up like 1/delta
+    assert abs(fo.cross_margin_I[0]) <= 1e-10
+    assert abs(fo.cross_margin_S[0]) <= 1e-10
 
 
 def test_mixed_first_order_symmetric_boundary():
@@ -372,8 +370,8 @@ def test_mixed_first_order_symmetric_boundary():
     p = ModelParams(d=2, lam=100.0, delta=0.3, q_plus=[0.5, 0.5], q_minus=[0.4, 0.4],
                     beta=np.zeros((2, 2)), w_I=[2.0, 2.0], w_S=[1.0, 1.5])
     # beta = 0, so q~ is q_minus
-    fo = hjb_mixed_asymptotic(p, 0, 1, fixed_point_mixed(p, 0, 1)).first_order
-    assert abs(fo.cross_margin_I) <= 1e-12
+    fo, _ = mixed_first_order(p, 0, 1, fixed_point_mixed(p, 0, 1))
+    assert abs(fo.cross_margin_I[0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +890,7 @@ def test_overflowing_single_root_refused_as_state(p0):
 @pytest.mark.parametrize("view, args", [
     (fixed_point_single, (-1,)), (fixed_point_single, (2,)),
     (fixed_point_mixed, (0, -1)), (fixed_point_mixed, (2, 0)),
-    (hjb_single_exact, (-1, 0.5)), (hjb_single_asymptotic, (2, 0.5)),
+    (hjb_single_exact, (-1, 0.5)), (stationary_anchor, (2,)),
     (stability_single, (-2, 0.5)), (consistency_single, (-1, 0.5, None)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_one_pair_views_refuse_strategy_out_of_range(p0, view, args):

@@ -3,10 +3,11 @@
 The forward population ODE and the backward discounted value equation are
 integrated with fixed-step classical RK4 (default step min(0.01, 0.1/lam);
 lam sets the stiffness of both systems).  A forward RK4 stage is one call
-of the one-point product ``model.kinetic_rhs_fn`` (one matmul), and each
-node is checked once, by its min and its sum: it is clipped only when an
-entry is <= 0, and retried with halved substeps only when it leaves the
-simplex by more than STEP_REJECT_TOL.  The LLN reference of
+of the one-point product ``model.kinetic_rhs_fn`` (one matmul), written
+with the step's other operations into buffers allocated once per
+integration, and each node is checked once, by its min and its sum: it is
+clipped only when an entry is <= 0, and retried with halved substeps only
+when it leaves the simplex by more than STEP_REJECT_TOL.  The LLN reference of
 ``nplayer.lln_error``, on the grid ``lln_reference_grid`` works out,
 instead takes exponential RK4 steps forward (``integrate_forward(...,
 method=ETDRK4)``, Cox-Matthews 2002): the population RHS x Q(x) is split
@@ -31,7 +32,11 @@ column coloring of D_m's sparsity pattern, which ``step_pattern`` reads
 off the control), and then runs the sequential recursion with one sparse
 update per node.  Switch rates are computed per block of steps, so the
 sweep's working memory is bounded by ``stationary.ENTRY_BUDGET`` whatever
-the number of steps.
+the number of steps.  Where the forward path has stopped at its fixed
+point, every step is one map, built once; once the values repeat too, the
+sweep copies them down to the start of that stretch instead of stepping
+(at the stationary terminal values of P0 on the ``turnpike`` grid, from
+the top node).
 
 ``solve_turnpike`` builds the time-dependent solution anchored at an
 all-to-i stationary solution (``stationary_anchor``, the kernel's single(i)
@@ -51,7 +56,7 @@ the frozen-control solution a solution of the full consistency problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -149,12 +154,32 @@ def lln_reference_grid(p: ModelParams, t_end: float) -> tuple[np.ndarray, TimeGr
 # forward integration
 
 
-def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(x)
-    k2 = rhs(x + 0.5 * h * k1)
-    k3 = rhs(x + 0.5 * h * k2)
-    k4 = rhs(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+@lru_cache(maxsize=4 * (MAX_HALVINGS + 1))
+def _rk4_weights(h: float) -> tuple[np.ndarray, ...]:
+    """0.5 h, h, 2 and h / 6 of a classical RK4 step as read-only 0-d
+    arrays: a ufunc takes them faster than Python floats, with the same
+    products.  Kept per step size (a grid step and its halvings)."""
+    w = np.array([0.5 * h, h, 2.0, h / 6.0])
+    w.flags.writeable = False
+    return tuple(w[k, ...] for k in range(4))
+
+
+def _rk4_step(rhs, x: np.ndarray, h: float, stages: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of x' = rhs(x, out), computed in the rows of
+    stages (shape (6, n), allocated once per integration) with the
+    operations of x + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order; returns
+    its last row, which x may be."""
+    k1, k2, k3, k4, arg, y = stages
+    add, mul = np.add, np.multiply
+    half, full, two, sixth = _rk4_weights(h)
+    rhs(x, k1)
+    rhs(add(x, mul(k1, half, arg), arg), k2)
+    rhs(add(x, mul(k2, half, arg), arg), k3)
+    rhs(add(x, mul(k3, full, arg), arg), k4)
+    add(k1, mul(k2, two, k2), k2)
+    add(k2, mul(k3, two, k3), k2)
+    add(k2, k4, k2)
+    return add(x, mul(k2, sixth, k2), y)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -252,9 +277,11 @@ def _etdrk4_step_fn(p: ModelParams, u: StationaryControl):
 
 def _forward_node(step, x: np.ndarray, h: float, depth: int = 0):
     """One interval of length h with step(x, h), halving the substep while
-    the state leaves the simplex; returns the state with its min and sum."""
+    the state leaves the simplex; returns the state with its min and sum.
+    The state may be the step's own buffer, which its next call
+    overwrites: the first half of a halved interval is copied out of it."""
     y = step(x, h)
-    lo, total = y.min(), y.sum()
+    lo, total = np.minimum.reduce(y), np.add.reduce(y)
     if lo > -STEP_REJECT_TOL and abs(total - 1.0) < STEP_REJECT_TOL:
         return y, lo, total
     if depth >= MAX_HALVINGS:
@@ -262,7 +289,7 @@ def _forward_node(step, x: np.ndarray, h: float, depth: int = 0):
             f"forward integration left the simplex (min {lo:.3e}) "
             f"after {MAX_HALVINGS} step halvings"
         )
-    half = _forward_node(step, x, 0.5 * h, depth + 1)[0]
+    half = _forward_node(step, x, 0.5 * h, depth + 1)[0].copy()
     return _forward_node(step, half, 0.5 * h, depth + 1)
 
 
@@ -301,7 +328,8 @@ def integrate_forward(
     """
     h = grid.h
     if method == RK4:
-        step, opening = partial(_rk4_step, kinetic_rhs_fn(p, u)), [h]
+        stages = np.empty((6, p.n_states))
+        step, opening = partial(_rk4_step, kinetic_rhs_fn(p, u), stages=stages), [h]
     elif method == ETDRK4:
         step, opening = _etdrk4_step_fn(p, u), graded_opening(h, p.lam)
     else:
@@ -433,6 +461,32 @@ def _affine_steps(D: np.ndarray, r: np.ndarray, idx: np.ndarray, g: np.ndarray,
     return g
 
 
+def _step_maps(rhs, switch_rates, pattern: StepPattern, x_nodes: np.ndarray, h: float):
+    """D[m] and r[m] of the fixed-control steps from node m + 1 to node m of
+    x_nodes, read off the ``step_pattern`` probes stepped all at once."""
+    c = switch_rates(x_nodes)
+    c_mid = switch_rates(0.5 * (x_nodes[:-1] + x_nodes[1:]))
+    c_col, c_mid_col = c.T[:, None].copy(), c_mid.T[:, None].copy()
+    maps = _rk4_backward_step(  # maps[s, probe, m]
+        rhs, c_col[..., 1:], c_mid_col, c_col[..., :-1], pattern.probes[:, :, None], h
+    )
+    r = maps[:, -1]
+    D = maps[np.arange(x_nodes.shape[1]), pattern.color] - r  # D[k, s, m]
+    return D.transpose(2, 0, 1).copy(), r.T.copy()
+
+
+def _stall_start(x_path: np.ndarray, block: int) -> int:
+    """The first node from which every node repeats the last one bit for bit
+    (``==`` would equate -0.0 and +0.0), scanned down block by block."""
+    last = x_path[-1].view(np.uint64)
+    for top in range(len(x_path), 0, -block):
+        lo = max(0, top - block)
+        moved = np.flatnonzero(np.any(x_path[lo:top].view(np.uint64) != last, axis=1))
+        if moved.size:
+            return lo + int(moved[-1]) + 1
+    return 0
+
+
 def integrate_backward(
     p: ModelParams,
     gT: ValueVector,
@@ -455,6 +509,14 @@ def integrate_backward(
     of a whole block at once, reads the sparse D_m and r_m off them, and
     then runs one sparse update per node.  The adaptive mode steps node by
     node.
+
+    Where x_path repeats its last node bit for bit (the forward sweep's
+    fixed point, ``integrate_forward``), every step of the fixed mode is the
+    same map: it is built once, from the last step, and the stretch is
+    stepped in blocks with that map.  Once a block's lowest node repeats
+    the node above it, every node below it on the stretch repeats it too,
+    so it is copied there, and the sweep resumes below the stretch.  The
+    value path is the one full stepping gives, to the bit.
     """
     if mode not in ("fixed", "adaptive"):
         raise ValueError(f"unknown backward mode {mode!r}")
@@ -463,28 +525,36 @@ def integrate_backward(
         raise ValueError("x_path does not match the grid")
     fixed = mode == "fixed"
     rhs = hjb_rhs_fn(p, u if fixed else None)
-    if fixed:
-        idx, color, probes = step_pattern(u)
-        block = sweep_block(p.n_states, probes.shape[1])
-    else:
-        block = sweep_block(p.n_states, 1)
-    h, n_steps = grid.h, grid.n_steps
+    h, top = grid.h, grid.n_steps
     switch_rates = Generator.of(p).switch_rates
     g_path = np.empty_like(x_path)
-    g = g_path[n_steps] = gT.g
-    for top in range(n_steps, 0, -block):  # steps lo..top-1, nodes lo..top
+    g = g_path[top] = gT.g
+    if fixed:
+        pattern = step_pattern(u)
+        block = sweep_block(p.n_states, pattern.probes.shape[1])
+        stall = _stall_start(x_path, block)
+        if stall < top:
+            D, r = _step_maps(rhs, switch_rates, pattern, x_path[top - 1:], h)
+            while top > stall:
+                lo = max(stall, top - block)
+                steps = (top - lo,)
+                g = _affine_steps(np.broadcast_to(D, steps + D.shape[1:]),
+                                  np.broadcast_to(r, steps + r.shape[1:]),
+                                  pattern.idx, g, g_path[lo:top])
+                if g.tobytes() == g_path[lo + 1].tobytes():
+                    g_path[stall:lo] = g
+                    lo = stall
+                top = lo
+    else:
+        block = sweep_block(p.n_states, 1)
+    for top in range(top, 0, -block):  # steps lo..top-1, nodes lo..top
         lo = max(0, top - block)
-        c = switch_rates(x_path[lo:top + 1])
-        c_mid = switch_rates(0.5 * (x_path[lo:top] + x_path[lo + 1:top + 1]))
         if fixed:
-            c_col, c_mid_col = c.T[:, None].copy(), c_mid.T[:, None].copy()
-            maps = _rk4_backward_step(  # maps[s, probe, m]
-                rhs, c_col[..., 1:], c_mid_col, c_col[..., :-1], probes[:, :, None], h
-            )
-            r = maps[:, -1]
-            D = maps[np.arange(p.n_states), color] - r  # D[k, s, m]
-            g = _affine_steps(D.transpose(2, 0, 1).copy(), r.T.copy(), idx, g, g_path[lo:top])
+            D, r = _step_maps(rhs, switch_rates, pattern, x_path[lo:top + 1], h)
+            g = _affine_steps(D, r, pattern.idx, g, g_path[lo:top])
         else:
+            c = switch_rates(x_path[lo:top + 1])
+            c_mid = switch_rates(0.5 * (x_path[lo:top] + x_path[lo + 1:top + 1]))
             for m in range(top - lo - 1, -1, -1):
                 g = g_path[lo + m] = g + _rk4_backward_step(
                     rhs, c[m + 1], c_mid[m], c[m], g, h

@@ -512,7 +512,7 @@ class Generator:
         return [(f, t, k, f // 2 if k == PEER else r) for f, t, k, r in table if t != f]
 
 
-def kinetic_rhs_fn(p: ModelParams, u: StationaryControl) -> Callable[[np.ndarray], np.ndarray]:
+def kinetic_rhs_fn(p: ModelParams, u: StationaryControl) -> Callable[..., np.ndarray]:
     """Compiled-once population RHS x -> x Q(x) at one point under a fixed
     control, for one state vector x: one matmul
     y = x @ [M | C | E_S | E_I beta] per call.  M is ``Generator.decisions``
@@ -521,7 +521,12 @@ def kinetic_rhs_fn(p: ModelParams, u: StationaryControl) -> Callable[[np.ndarray
     exchange y_C + y_S y_beta goes onto jI and off jS.  Stacks keep the flow
     form of ``Generator.forward``: there the matrix is one dense 2d x 5d
     block per point, which made the stationary kernel 1.5x slower at
-    d = 20."""
+    d = 20.
+
+    The closure ``rhs(x, out=None)`` writes into ``out`` (2d entries, not
+    x) when given and returns it, else into a new array: y and the exchange
+    live in buffers of the closure, so no returned array is ever written
+    by a later call."""
     gen, d = Generator.of(p, u), p.d
     n, j = 2 * d, np.arange(d)
     w = np.zeros((n, 5 * d))
@@ -530,13 +535,16 @@ def kinetic_rhs_fn(p: ModelParams, u: StationaryControl) -> Callable[[np.ndarray
     w[2 * j + 1, n + j] = gen.q_minus
     w[2 * j + 1, n + d + j] = 1.0
     w[0::2, n + 2 * d:] = gen.beta
+    y, net = np.empty(5 * d), np.empty(d)
+    y_MI, y_MS, y_C, y_S, y_beta = y[0:n:2], y[1:n:2], y[n:n + d], y[n + d:n + 2 * d], y[n + 2 * d:]
 
-    def rhs(x: np.ndarray) -> np.ndarray:
-        y = x @ w
-        net = y[n:n + d] + y[n + d:n + 2 * d] * y[n + 2 * d:]
-        out = y[:n]
-        out[0::2] += net
-        out[1::2] -= net
+    def rhs(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(n)
+        np.matmul(x, w, y)
+        np.add(y_C, np.multiply(y_S, y_beta, net), net)
+        np.add(y_MI, net, out[0::2])
+        np.subtract(y_MS, net, out[1::2])
         return out
 
     return rhs

@@ -16,7 +16,9 @@ excluded).
 Tables (``_write_table``) take rows of Python numbers and strings, or the
 float and integer columns of a number table (``_Columns``).  In a CSV
 table a float carries 17 significant digits (round-trip exact); a number
-table is written with one %-format per row.  In a JSON
+table is written ROW_CHUNK rows at a time, with one %-format per chunk in
+which a column constant over the chunk is literal text (``_Columns``), in
+the bytes of formatting every cell.  In a JSON
 table a cell is a JSON number typed by its column (float columns hold
 floats; counts, N and the flags hold integers); a non-finite float
 (``inf``) and an empty cell are strings.
@@ -87,9 +89,9 @@ def _write_table(out_dir: Path, name: str, fmt_kind: str, header: list[str], row
 
     rows hold Python numbers and strings, or are ``_Columns``.  CSV writes
     a float with the 17-digit rule and any other cell as str() does (the
-    csv module's own conversion); ``_Columns`` rows are written with one
-    %-format per row, their columns' cell rules joined, which gives the
-    same bytes.  JSON keeps numbers as numbers and writes a non-finite
+    csv module's own conversion); ``_Columns`` are written a chunk at a
+    time (``_Columns.csv_text``), their columns' cell rules joined, which
+    gives the same bytes.  JSON keeps numbers as numbers and writes a non-finite
     float as its text ('inf').
     """
     if fmt_kind == "csv":
@@ -99,8 +101,7 @@ def _write_table(out_dir: Path, name: str, fmt_kind: str, header: list[str], row
             writer.writerow(header)
             if isinstance(rows, _Columns):
                 dialect = writer.dialect
-                row_format = dialect.delimiter.join(rows.formats) + dialect.lineterminator
-                fh.writelines(row_format % tuple(r) for r in rows)
+                fh.writelines(rows.csv_text(dialect.delimiter, dialect.lineterminator))
             else:
                 writer.writerows(
                     [CELL_FORMAT["f"] % c if isinstance(c, float) else c for c in r] for r in rows
@@ -186,7 +187,8 @@ def run_simulate(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], d
     return {"trajectory": path}, {"terminal": x_path[-1].tolist()}
 
 
-#: rows converted to Python objects at a time when a trajectory is written
+#: rows converted to Python objects, or written, at a time when a table of
+#: columns is written
 ROW_CHUNK = 256
 
 
@@ -199,6 +201,7 @@ class _Columns:
     conversion, and converting a chunk of rows at a time keeps the whole
     table from existing as Python objects at once.  ``formats`` holds the
     CSV cell rule of every column (``CELL_FORMAT`` of its dtype).
+    ``csv_text`` writes the rows ROW_CHUNK at a time.
     """
 
     def __init__(self, *columns: np.ndarray):
@@ -209,6 +212,24 @@ class _Columns:
         for start in range(0, self.blocks[0].shape[0], ROW_CHUNK):
             chunk = [b[start:start + ROW_CHUNK].astype(object) for b in self.blocks]
             yield from np.concatenate(chunk, axis=1).tolist()
+
+    def csv_text(self, delimiter: str, terminator: str):
+        """The CSV rows, one string per chunk of ROW_CHUNK rows, each row
+        its columns' cell rules joined.  A column whose bits are the same
+        over the whole chunk (so -0.0 and +0.0 differ) is formatted once,
+        as literal text in that chunk's row format (a formatted number holds
+        no '%' to escape): the stalled tail of a trajectory, a state that
+        holds its count.  The bytes are those of formatting every cell."""
+        for start in range(0, self.blocks[0].shape[0], ROW_CHUNK):
+            chunk = [b[start:start + ROW_CHUNK] for b in self.blocks]
+            const = [np.all(c.view(f"u{c.itemsize}") == c[:1].view(f"u{c.itemsize}"), axis=0)
+                     for c in chunk]
+            first = [v for c in chunk for v in c[0].tolist()]
+            cells = [f % v if k else f
+                     for f, v, k in zip(self.formats, first, np.concatenate(const).tolist())]
+            row_format = delimiter.join(cells) + terminator
+            rows = np.concatenate([c[:, ~k].astype(object) for c, k in zip(chunk, const)], axis=1)
+            yield "".join([row_format % tuple(r) for r in rows.tolist()])
 
 
 def run_turnpike(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:

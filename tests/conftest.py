@@ -5,17 +5,25 @@ paths: quadratic roots come from bisection, stationary values from a
 generically assembled dense linear solve, the population generator and
 the value equation from state-by-state assembly, Jacobians from central
 differences, and reference trajectories from a plain fine-step Euler loop.
+Where a sweep was made faster with the same bits (the buffered forward RK4
+step, the backward sweep that stops at its fixed point), the code it
+replaced is kept here as a regression oracle, matched bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sismfg import MixedState, ModelParams, StationaryControl, ValueVector
+from sismfg.dynamics import step_pattern, sweep_block
+from sismfg.model import Generator, hjb_rhs_fn
 
 # the reference d=2 scenario used across the suite
 P0 = dict(
@@ -228,6 +236,87 @@ def oracle_backward_fixed(p: ModelParams, gT: ValueVector, x_path: np.ndarray,
         g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         g_path[m] = g
     return g_path
+
+
+def oracle_rk4_forward_step(p: ModelParams, u: StationaryControl):
+    """x, h -> one classical RK4 step of the population ODE as written before
+    the stage buffers: every stage and every RHS value a new array, the RHS
+    the one matmul x @ [M | C | E_S | E_I beta] of ``kinetic_rhs_fn``."""
+    gen, d = Generator.of(p, u), p.d
+    n, j = 2 * d, np.arange(d)
+    w = np.zeros((n, 5 * d))
+    w[:, :n] = gen.decisions
+    w[2 * j, n + j] = -gen.q_plus
+    w[2 * j + 1, n + j] = gen.q_minus
+    w[2 * j + 1, n + d + j] = 1.0
+    w[0::2, n + 2 * d:] = gen.beta
+
+    def rhs(x):
+        y = x @ w
+        net = y[n:n + d] + y[n + d:n + 2 * d] * y[n + 2 * d:]
+        out = y[:n]
+        out[0::2] += net
+        out[1::2] -= net
+        return out
+
+    def step(x, h):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
+
+
+def oracle_backward_blocked(p: ModelParams, gT: ValueVector, x_path: np.ndarray,
+                            u: StationaryControl, grid) -> np.ndarray:
+    """The fixed-mode backward sweep as written before it stopped at its
+    fixed point: every block of ``sweep_block`` steps from the top down
+    steps the ``step_pattern`` probes, reads the maps g -> g + D_m g + r_m
+    off them and runs one sparse update per node, over the whole grid."""
+    rhs = hjb_rhs_fn(p, u)
+    idx, color, probes = step_pattern(u)
+    block = sweep_block(p.n_states, probes.shape[1])
+    h, n_steps = grid.h, grid.n_steps
+    switch_rates = Generator.of(p).switch_rates
+    g_path = np.empty_like(x_path)
+    g = g_path[n_steps] = gT.g
+    terms = np.empty(idx.shape)
+    for top in range(n_steps, 0, -block):
+        lo = max(0, top - block)
+        c = switch_rates(x_path[lo:top + 1]).T[:, None].copy()
+        c_mid = switch_rates(0.5 * (x_path[lo:top] + x_path[lo + 1:top + 1])).T[:, None].copy()
+        g0 = probes[:, :, None]
+        k1 = rhs(c[..., 1:], g0)
+        k2 = rhs(c_mid, g0 + 0.5 * h * k1)
+        k3 = rhs(c_mid, g0 + 0.5 * h * k2)
+        k4 = rhs(c[..., :-1], g0 + h * k3)
+        maps = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # maps[s, probe, m]
+        r = maps[:, -1]
+        D = maps[np.arange(p.n_states), color] - r  # D[k, s, m]
+        for m in range(top - lo - 1, -1, -1):
+            row = g_path[lo + m]
+            np.multiply(D[..., m], g[idx], out=terms)
+            np.add.reduce(terms, axis=0, out=row)
+            row += r[:, m]
+            row += g
+            g = row
+    return g_path
+
+
+def workload_scenario(name: str, seed: int) -> dict:
+    """The scenario of a benchmark workload at a seed (``perfbench/workloads.py``),
+    read without writing bytecode there."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return getattr(module, name.replace("-", "_"))(seed)
 
 
 def oracle_gap_closed_form(p: ModelParams, i: int, x_path: np.ndarray, gT_gap: float,

@@ -16,7 +16,7 @@ from sismfg.cli import main
 from sismfg.config import BLOCKS, parse_config_dict
 from sismfg.dynamics import GRID_BUDGET, TimeGrid, default_grid, stationary_anchor
 from sismfg.model import MixedState, ModelParams, ValueVector
-from sismfg.runs import _Columns, _write_table, fmt
+from sismfg.runs import ROW_CHUNK, _Columns, _write_table, fmt
 from sismfg.stationary import enumerate_equilibria, fixed_point_mixed, fixed_point_single
 
 from conftest import P0, oracle_csv_table
@@ -400,6 +400,36 @@ def test_row_format_writer_matches_csv_module(tmp_path):
     header = ["t", "x_1", "x_2", "x_3", "n_1", "n_2", "cone_ok", "argmin_ok"]
     path = _write_table(tmp_path, "table", "csv", header, _Columns(*columns))
     assert path.read_bytes() == oracle_csv_table(header, *columns)
+
+
+def test_constant_columns_are_formatted_once_per_chunk(tmp_path):
+    # a column constant over a chunk of ROW_CHUNK rows is written as literal
+    # text; the bytes are those of formatting every cell: -0.0 and +0.0 stay
+    # apart, inf and subnormals keep their text, a run of constants that
+    # crosses a chunk boundary, a chunk where every column is constant,
+    # integer columns
+    rng = np.random.default_rng(2300)
+    n = 3 * ROW_CHUNK + 5
+    rows = np.arange(n)
+    still = (rows >= ROW_CHUNK) & (rows < 2 * ROW_CHUNK)  # every column constant here
+    t = np.where(still, 5.0, rows * 0.0025)
+    signed = np.where(rows < ROW_CHUNK, -0.0, 0.0)
+    signed[2 * ROW_CHUNK:] *= np.where(rows[2 * ROW_CHUNK:] % 2, -1.0, 1.0)  # -0.0 next to +0.0
+    spanning = np.where((rows >= ROW_CHUNK - 10) & (rows < 2 * ROW_CHUNK + 10), np.inf,
+                        rng.uniform(-1.0, 1.0, n))
+    x = rng.uniform(0.0, 1.0, (n, 3))
+    x[still] = [1e-323, 0.1, -np.inf]
+    x[:, 0] = np.where(rows >= 2 * ROW_CHUNK, 1e-323, x[:, 0])
+    counts = rng.integers(-(2**62), 2**62, (n, 2))
+    counts[still | (rows < ROW_CHUNK)] = [7, -3]
+    flags = (rows != 2 * ROW_CHUNK + 3).astype(int)
+    header = ["t", "signed", "spanning", "x_1", "x_2", "x_3", "n_1", "n_2", "flag"]
+    for m in (n, ROW_CHUNK + 1, 1):
+        columns = (t[:m], signed[:m], spanning[:m], x[:m], counts[:m], flags[:m])
+        path = _write_table(tmp_path, "table", "csv", header, _Columns(*columns))
+        assert path.read_bytes() == oracle_csv_table(header, *columns), m
+    path = _write_table(tmp_path, "one", "csv", ["x"], _Columns(np.array([-0.0])))
+    assert path.read_bytes() == b"x\r\n-0\r\n"
 
 
 def test_turnpike_run_solves_its_anchor_once(tmp_path, monkeypatch):

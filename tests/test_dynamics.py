@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sismfg import (
     solve_turnpike,
 )
 from sismfg import dynamics
+from sismfg.config import parse_config_dict
 from sismfg.dynamics import (
     ETDRK4,
     MAX_HALVINGS,
@@ -53,12 +55,15 @@ from sismfg.stationary import (
 from conftest import (
     P0,
     P0_GAP,
+    oracle_backward_blocked,
     oracle_backward_fixed,
     oracle_euler_path,
     oracle_gap_closed_form,
+    oracle_rk4_forward_step,
     random_control,
     random_params,
     random_state,
+    workload_scenario,
 )
 
 SINGLE1 = StationaryControl.single(2, 0)
@@ -129,7 +134,7 @@ def test_forward_substep_halving_recovers_coarse_grid(p0):
 
 def _stub_forward(monkeypatch, p0, stub, n_steps=1, method=dynamics.RK4):
     """integrate_forward on P0 with the step of method replaced by stub(x, h)."""
-    monkeypatch.setattr(dynamics, "_rk4_step", lambda rhs, x, h: stub(x, h))
+    monkeypatch.setattr(dynamics, "_rk4_step", lambda rhs, x, h, stages: stub(x, h))
     monkeypatch.setattr(dynamics, "_etdrk4_step_fn", lambda p, u: stub)
     return integrate_forward(p0, MixedState.uniform(2), SINGLE1, TimeGrid(0.0, 1.0, n_steps),
                              method=method)
@@ -184,9 +189,9 @@ def test_forward_fixed_point_fast_path_is_full_stepping(monkeypatch, p0):
     ref = np.array(ref)
     step, calls = dynamics._rk4_step, []
 
-    def counted(rhs, x, h):
+    def counted(rhs, x, h, stages):
         calls.append(h)
-        return step(rhs, x, h)
+        return step(rhs, x, h, stages)
 
     monkeypatch.setattr(dynamics, "_rk4_step", counted)
     path = integrate_forward(p0, MixedState.uniform(2), SINGLE1, grid)
@@ -206,6 +211,45 @@ def test_forward_stops_at_an_identity_step(monkeypatch, p0):
     path = _stub_forward(monkeypatch, p0, stub, n_steps=10)
     assert len(calls) == 2
     assert path.tobytes() == np.tile(MixedState.uniform(2).x, (11, 1)).tobytes()
+
+
+@lru_cache(maxsize=None)
+def _workload_turnpike(seed):
+    """(p, u, grid, g_T, x_path) of the turnpike workload at a seed; read only."""
+    cfg = parse_config_dict(workload_scenario("turnpike", seed))
+    p, tp = cfg.model, cfg.block
+    u = StationaryControl.single(p.d, tp.strategy)
+    x_path = integrate_forward(p, tp.x0, u, tp.grid)
+    x_path.flags.writeable = False
+    return p, u, tp.grid, tp.g_terminal, x_path
+
+
+@pytest.mark.parametrize("case", ["workload seed 1001", "1 step", "7 steps", "clipped"])
+def test_forward_buffered_step_is_the_allocating_step(monkeypatch, p0, case):
+    # the stage buffers, written in place, against the step as written with a
+    # new array per operation: the same path to the bit, halvings and clipped
+    # nodes included
+    if case == "workload seed 1001":
+        p, u, grid, _, path = _workload_turnpike(1001)
+        x0 = MixedState(path[0])
+    elif case == "clipped":  # strategy 2 starts and stays empty: zero entries at every node
+        p, u, grid, x0 = p0, SINGLE1, TimeGrid(0.0, 1.0, 50), MixedState([1.0, 0.0, 0.0, 0.0])
+    else:  # h lam = 100 and 14 leave the simplex: the steps are halved
+        p, u, x0 = p0, SINGLE1, MixedState.uniform(2)
+        grid = TimeGrid(0.0, 1.0, int(case.split()[0]))
+    path = integrate_forward(p, x0, u, grid)
+    step, raw = oracle_rk4_forward_step(p, u), []
+
+    def allocating(rhs, x, h, stages):
+        raw.append((h, step(x, h)))
+        return raw[-1][1]
+
+    monkeypatch.setattr(dynamics, "_rk4_step", allocating)
+    assert path.tobytes() == integrate_forward(p, x0, u, grid).tobytes()
+    if case == "clipped":
+        assert all(y.min() <= 0.0 for _, y in raw)
+    elif case != "workload seed 1001":
+        assert min(h for h, _ in raw) < grid.h
 
 
 def test_etdrk4_opening_that_repeats_x0_does_not_stop(monkeypatch, p0):
@@ -401,6 +445,72 @@ def test_backward_fixed_matches_stage_loop_oracle(name, steps):
     expected = oracle_backward_fixed(p, gT, x_path, u, grid.h)
     scale = max(1.0, float(np.abs(expected).max()))
     assert np.max(np.abs(g_path - expected)) <= 1e-12 * scale
+
+
+def _stall_node(x_path):
+    """The first node from which every node repeats the last one bit for bit."""
+    bits = x_path.view(np.int64)
+    moving = np.flatnonzero(np.any(bits != bits[-1], axis=1))
+    return int(moving[-1]) + 1 if moving.size else 0
+
+
+def _backward_case(p0, name):
+    """(p, u, grid, g_T, x_path) of a fixed-mode backward case."""
+    if name.startswith("seed"):
+        seed, terminal = name.split()[1:]
+        p, u, grid, gT, x_path = _workload_turnpike(int(seed))
+        return p, u, grid, ValueVector(gT.g + float(terminal)), x_path
+    x_star, g_star = stationary_pair(p0)
+    block = sweep_block(p0.n_states, step_pattern(SINGLE1).probes.shape[1])
+    kind, terminal = name.split()
+    if kind == "moving":  # P0 over T = 5: the path never stalls
+        grid = TimeGrid(0.0, 5.0, 2000)
+        x_path = integrate_forward(p0, MixedState.uniform(2), SINGLE1, grid)
+    elif kind == "x*":  # x0 = x*: the path is stalled from node 0
+        grid = TimeGrid(0.0, 10.0, 4000)
+        x_path = np.tile(x_star.x, (grid.n_steps + 1, 1))
+    else:  # a moving start of 10 steps, then a stalled stretch around the block size
+        stretch = block + {"block-1": -1, "block": 0, "block+1": 1}[kind]
+        grid = TimeGrid(0.0, 0.0025 * (10 + stretch), 10 + stretch)
+        x_path = np.concatenate([_linear_path(p0, x_star.x, 10), np.tile(x_star.x, (stretch, 1))])
+    return p0, SINGLE1, grid, ValueVector(g_star.g + float(terminal)), x_path
+
+
+@pytest.mark.parametrize("name", [
+    "seed 1001 0", "seed 1004 0", "seed 1001 0.01", "moving 0", "x* 0", "x* 0.01",
+    "block-1 0", "block 0", "block+1 0", "block-1 0.01", "block 0.01", "block+1 0.01",
+])
+def test_backward_stall_is_the_blocked_sweep(monkeypatch, p0, name):
+    # over the stretch where x repeats its last node the sweep builds one map
+    # and, once the values repeat too, copies them down: the path is the
+    # blocked sweep's to the bit, and only a stretch whose values repeat
+    # skips steps
+    p, u, grid, gT, x_path = _backward_case(p0, name)
+    expected = oracle_backward_blocked(p, gT, x_path, u, grid)
+    affine, stepped = dynamics._affine_steps, []
+
+    def counted(D, r, idx, g, out):
+        stepped.append(len(out))
+        return affine(D, r, idx, g, out)
+
+    monkeypatch.setattr(dynamics, "_affine_steps", counted)
+    g_path = integrate_backward(p, gT, x_path, u, grid)
+    assert g_path.tobytes() == expected.tobytes()
+    bits, n = expected.view(np.int64), grid.n_steps
+    stall = _stall_node(x_path)
+    block = sweep_block(p.n_states, step_pattern(u).probes.shape[1])
+    if name == "moving 0":
+        assert stall == n
+    repeats = np.all(bits[stall:n] == bits[stall + 1:], axis=1)  # node m repeats node m + 1
+    if name.endswith(" 0.01"):  # the values never repeat on the stretch: every step taken
+        assert not repeats.any() and sum(stepped) == n
+    elif stall < n:  # they repeat in the stretch's first block, the only one it steps
+        first = min(block, n - stall)
+        assert repeats[-first] and sum(stepped) == stall + first
+    if name == "seed 1001 0":  # from the top node
+        assert bits[n - 1].tobytes() == bits[n].tobytes()
+    if name == "seed 1004 0":  # after a few steps
+        assert bits[n - 1].tobytes() != bits[n].tobytes()
 
 
 def test_step_pattern_single_needs_four_probes_at_any_d():

@@ -187,6 +187,20 @@ def test_one_point_product_matches_generator_forward_and_oracle(seed):
         assert np.max(np.abs(product - ref)) <= bound
 
 
+def test_kinetic_closure_keeps_what_it_returned(p0):
+    # the closure computes in buffers of its own: a later call, with or
+    # without an output array, leaves an earlier result as it was
+    rhs = kinetic_rhs_fn(p0, StationaryControl.single(2, 0))
+    x, z = MixedState.uniform(2).x, np.array([0.1, 0.2, 0.3, 0.4])
+    first = rhs(x)
+    kept = first.copy()
+    out = np.empty(4)
+    assert rhs(z, out) is out and rhs(z) is not first
+    assert first.tobytes() == kept.tobytes()
+    assert rhs(x, out).tobytes() == kept.tobytes()
+    assert out.tobytes() == kept.tobytes() and first.tobytes() == kept.tobytes()
+
+
 def test_kinetic_vanishes_at_p0_fixed_point(p0):
     x_star = oracle_xstar(p0, 0)
     assert x_star == pytest.approx(P0_XSTAR, abs=1e-12)

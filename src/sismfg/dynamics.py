@@ -33,10 +33,10 @@ off the control), and then runs the sequential recursion with one sparse
 update per node.  Switch rates are computed per block of steps, so the
 sweep's working memory is bounded by ``stationary.ENTRY_BUDGET`` whatever
 the number of steps.  Where the forward path has stopped at its fixed
-point, every step is one map, built once; once the values repeat too, the
-sweep copies them down to the start of that stretch instead of stepping
-(at the stationary terminal values of P0 on the ``turnpike`` grid, from
-the top node).
+point, every step is one map, built once, and the stretch is stepped in
+one pass that stops at the first value node repeating the node above it
+and copies that node down to the start of the stretch (at the stationary
+terminal values of P0 on the ``turnpike`` grid, after one step).
 
 ``solve_turnpike`` builds the time-dependent solution anchored at an
 all-to-i stationary solution (``stationary_anchor``, the kernel's single(i)
@@ -380,19 +380,6 @@ def argmin_flags(g_path: np.ndarray, u: StationaryControl) -> np.ndarray:
     return (min_margin > 0.0) & ~degenerate
 
 
-def _rk4_backward_step(rhs, c_hi, c_mid, c_lo, g: np.ndarray, h: float) -> np.ndarray:
-    """Increment of one classical RK4 step of the value equation from node
-    m + 1 (switch rates c_hi) to node m (c_lo), c_mid at the midpoint.
-    With the states on the first axis, switch rates of shape (n, 1, steps)
-    and value vectors as the columns of g, shape (n, probes, 1), it takes
-    every step of a block for every probe at once."""
-    k1 = rhs(c_hi, g)
-    k2 = rhs(c_mid, g + 0.5 * h * k1)
-    k3 = rhs(c_mid, g + 0.5 * h * k2)
-    k4 = rhs(c_lo, g + h * k3)
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 class StepPattern(NamedTuple):
     """Sparsity of the fixed-control RK4 step g -> g + D g + r and its probes.
 
@@ -446,10 +433,12 @@ def sweep_block(n: int, width: int) -> int:
 
 
 def _affine_steps(D: np.ndarray, r: np.ndarray, idx: np.ndarray, g: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
+                  out: np.ndarray, stalled: bool = False) -> int:
     """The nodes of a block from its top node's g down: out[m] = g + (D[m] g
     + r[m]), with D[m] g summed over the pattern idx, one update per node.
-    Returns out[0]."""
+    stalled says every step is one map (broadcast over the block): then a
+    node that repeats the node above it bit for bit repeats at every node
+    below, so it is copied down to out[0].  Returns the lowest node stepped."""
     terms = np.empty(idx.shape)
     for m in range(len(out) - 1, -1, -1):
         row = out[m]
@@ -457,19 +446,26 @@ def _affine_steps(D: np.ndarray, r: np.ndarray, idx: np.ndarray, g: np.ndarray,
         np.add.reduce(terms, axis=0, out=row)
         row += r[m]
         row += g
+        if stalled and row.tobytes() == g.tobytes():
+            out[:m] = row
+            return m
         g = row
-    return g
+    return 0
 
 
 def _step_maps(rhs, switch_rates, pattern: StepPattern, x_nodes: np.ndarray, h: float):
     """D[m] and r[m] of the fixed-control steps from node m + 1 to node m of
-    x_nodes, read off the ``step_pattern`` probes stepped all at once."""
-    c = switch_rates(x_nodes)
-    c_mid = switch_rates(0.5 * (x_nodes[:-1] + x_nodes[1:]))
-    c_col, c_mid_col = c.T[:, None].copy(), c_mid.T[:, None].copy()
-    maps = _rk4_backward_step(  # maps[s, probe, m]
-        rhs, c_col[..., 1:], c_mid_col, c_col[..., :-1], pattern.probes[:, :, None], h
-    )
+    x_nodes, read off one classical RK4 step of every ``step_pattern`` probe
+    over every step at once: the states on the first axis, switch rates
+    c[s, 0, m] and probes g[s, probe, 0]."""
+    c = switch_rates(x_nodes).T[:, None].copy()
+    c_mid = switch_rates(0.5 * (x_nodes[:-1] + x_nodes[1:])).T[:, None].copy()
+    g = pattern.probes[:, :, None]
+    k1 = rhs(c[..., 1:], g)
+    k2 = rhs(c_mid, g + 0.5 * h * k1)
+    k3 = rhs(c_mid, g + 0.5 * h * k2)
+    k4 = rhs(c[..., :-1], g + h * k3)
+    maps = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # maps[s, probe, m]
     r = maps[:, -1]
     D = maps[np.arange(x_nodes.shape[1]), pattern.color] - r  # D[k, s, m]
     return D.transpose(2, 0, 1).copy(), r.T.copy()
@@ -493,72 +489,46 @@ def integrate_backward(
     x_path: np.ndarray,
     u: StationaryControl,
     grid: TimeGrid,
-    mode: str = "fixed",
 ) -> np.ndarray:
-    """The value path from the horizon down; shape (n_steps+1, 2d).
+    """The value path under the frozen control u from the horizon down;
+    shape (n_steps+1, 2d).
 
-    mode='fixed' freezes the strategy minimum at u (linear evolution);
-    mode='adaptive' re-evaluates the minimum at every RK stage.  The
-    population path is taken on the same grid and interpolated linearly at
-    stage midpoints.
-
-    Both modes take classical RK4 steps, in blocks of ``sweep_block`` steps
-    whose switch rates are computed per block, so the working memory is
-    bounded whatever n_steps is.  Under the frozen control a step is affine,
-    g -> g + D_m g + r_m: the fixed mode steps the ``step_pattern`` probes
-    of a whole block at once, reads the sparse D_m and r_m off them, and
-    then runs one sparse update per node.  The adaptive mode steps node by
-    node.
+    The population path is taken on the same grid and interpolated linearly
+    at stage midpoints.  Each step is classical RK4, and under the frozen
+    control it is affine, g -> g + D_m g + r_m: the sweep steps the
+    ``step_pattern`` probes of a block of ``sweep_block`` steps at once,
+    reads the sparse D_m and r_m off them, and then runs one sparse update
+    per node.  Switch rates are computed per block, so the working memory
+    is bounded whatever n_steps is.
 
     Where x_path repeats its last node bit for bit (the forward sweep's
-    fixed point, ``integrate_forward``), every step of the fixed mode is the
-    same map: it is built once, from the last step, and the stretch is
-    stepped in blocks with that map.  Once a block's lowest node repeats
-    the node above it, every node below it on the stretch repeats it too,
-    so it is copied there, and the sweep resumes below the stretch.  The
+    fixed point, ``integrate_forward``), every step is the same map: it is
+    built once, from the last step, and the stretch is stepped in one pass
+    with that map, which stops at the first value node that repeats the
+    node above it and copies it down to the start of the stretch.  The
     value path is the one full stepping gives, to the bit.
     """
-    if mode not in ("fixed", "adaptive"):
-        raise ValueError(f"unknown backward mode {mode!r}")
     _check_dims(p, gT, u)
     if x_path.shape != (grid.n_steps + 1, p.n_states):
         raise ValueError("x_path does not match the grid")
-    fixed = mode == "fixed"
-    rhs = hjb_rhs_fn(p, u if fixed else None)
+    rhs = hjb_rhs_fn(p, u)
     h, top = grid.h, grid.n_steps
     switch_rates = Generator.of(p).switch_rates
+    pattern = step_pattern(u)
+    block = sweep_block(p.n_states, pattern.probes.shape[1])
     g_path = np.empty_like(x_path)
     g = g_path[top] = gT.g
-    if fixed:
-        pattern = step_pattern(u)
-        block = sweep_block(p.n_states, pattern.probes.shape[1])
-        stall = _stall_start(x_path, block)
-        if stall < top:
-            D, r = _step_maps(rhs, switch_rates, pattern, x_path[top - 1:], h)
-            while top > stall:
-                lo = max(stall, top - block)
-                steps = (top - lo,)
-                g = _affine_steps(np.broadcast_to(D, steps + D.shape[1:]),
-                                  np.broadcast_to(r, steps + r.shape[1:]),
-                                  pattern.idx, g, g_path[lo:top])
-                if g.tobytes() == g_path[lo + 1].tobytes():
-                    g_path[stall:lo] = g
-                    lo = stall
-                top = lo
-    else:
-        block = sweep_block(p.n_states, 1)
+    stall = _stall_start(x_path, block)
+    if stall < top:  # the last step's map, a view for every step of the stall
+        maps = _step_maps(rhs, switch_rates, pattern, x_path[top - 1:], h)
+        D, r = (np.broadcast_to(a, (top - stall, *a.shape[1:])) for a in maps)
+        _affine_steps(D, r, pattern.idx, g, g_path[stall:top], stalled=True)
+        g, top = g_path[stall], stall
     for top in range(top, 0, -block):  # steps lo..top-1, nodes lo..top
         lo = max(0, top - block)
-        if fixed:
-            D, r = _step_maps(rhs, switch_rates, pattern, x_path[lo:top + 1], h)
-            g = _affine_steps(D, r, pattern.idx, g, g_path[lo:top])
-        else:
-            c = switch_rates(x_path[lo:top + 1])
-            c_mid = switch_rates(0.5 * (x_path[lo:top] + x_path[lo + 1:top + 1]))
-            for m in range(top - lo - 1, -1, -1):
-                g = g_path[lo + m] = g + _rk4_backward_step(
-                    rhs, c[m + 1], c_mid[m], c[m], g, h
-                )
+        D, r = _step_maps(rhs, switch_rates, pattern, x_path[lo:top + 1], h)
+        _affine_steps(D, r, pattern.idx, g, g_path[lo:top])
+        g = g_path[lo]
     return g_path
 
 
@@ -776,7 +746,7 @@ def solve_turnpike(
     check_turnpike_grid(p, grid)
     u = StationaryControl.single(p.d, i)
     x_path = integrate_forward(p, x0, u, grid)
-    g_path = integrate_backward(p, gT, x_path, u, grid, mode="fixed")
+    g_path = integrate_backward(p, gT, x_path, u, grid)
     per_node = sweep_block(p.n_states, 1)  # chunks of nodes bound the flags' temporaries
     chunks = [g_path[lo:lo + per_node] for lo in range(0, grid.n_steps + 1, per_node)]
     cone_ok = np.concatenate([cone_flags(g, i) for g in chunks])

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig
-from .dynamics import ETDRK4, TurnpikeHypothesisError, integrate_forward, solve_turnpike
+from .dynamics import ETDRK4, integrate_forward, solve_turnpike
 from .model import StationaryControl
 from .nplayer import CountVector, lln_error, simulate_ctmc
 from .stationary import (
@@ -334,7 +334,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> ResultBundle:
         bundle.artifacts.update(artifacts)
         # a sweep succeeds point by point, every other run once
         bundle.n_succeeded = summary.get("n_succeeded", 1)
-    except (TurnpikeHypothesisError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         bundle.failures.append(str(exc))
     finally:
         bundle.manifest = {

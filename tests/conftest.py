@@ -203,11 +203,15 @@ def oracle_euler_path(p: ModelParams, x0: np.ndarray, u: StationaryControl, t_en
     return x
 
 
-def oracle_value_rhs(p: ModelParams, u: StationaryControl, xI: np.ndarray,
+def oracle_value_rhs(p: ModelParams, u: StationaryControl | None, xI: np.ndarray,
                      g: np.ndarray) -> np.ndarray:
     """Backward-time value RHS under u at infected shares xI, state by state
     from the per-state balance: lam (g(target) - g(state)) + switch rate
-    (g(other compartment) - g(state)) + w - delta g(state)."""
+    (g(other compartment) - g(state)) + w - delta g(state).  u=None takes
+    the argmin control of g: every infected state heads to the strategy of
+    least g(jI), every susceptible one to that of least g(jS)."""
+    if u is None:
+        u = StationaryControl(np.full(p.d, np.argmin(g[0::2])), np.full(p.d, np.argmin(g[1::2])))
     qt = p.q_minus + p.beta.T @ xI
     out = np.empty(g.size)
     for j in range(p.d):
@@ -218,10 +222,12 @@ def oracle_value_rhs(p: ModelParams, u: StationaryControl, xI: np.ndarray,
 
 
 def oracle_backward_fixed(p: ModelParams, gT: ValueVector, x_path: np.ndarray,
-                          u: StationaryControl, h: float) -> np.ndarray:
+                          u: StationaryControl | None, h: float) -> np.ndarray:
     """Reference fixed-control backward sweep: the classical RK4 stage loop,
     four ``oracle_value_rhs`` calls per step, at the infected shares of the
-    nodes and of the step midpoints (population interpolated linearly)."""
+    nodes and of the step midpoints (population interpolated linearly).
+    u=None is the explicit-minimum sweep: each stage under its own argmin
+    control."""
     xI = x_path[:, 0::2]
     n_steps = x_path.shape[0] - 1
     g_path = np.empty_like(x_path)

@@ -375,7 +375,7 @@ def test_backward_stationary_values_constant(p0):
     x, g = stationary_pair(p0)
     grid = TimeGrid(0.0, 10.0, 2000)
     x_path = np.tile(x.x, (grid.n_steps + 1, 1))
-    g_path = integrate_backward(p0, g, x_path, SINGLE1, grid, mode="fixed")
+    g_path = integrate_backward(p0, g, x_path, SINGLE1, grid)
     assert np.max(np.abs(g_path - g.g)) <= 1e-9
     assert cone_flags(g_path, 0).all() and argmin_flags(g_path, SINGLE1).all()
 
@@ -394,10 +394,11 @@ def test_backward_fixed_equals_adaptive_inside_cone(p0):
     x, g = stationary_pair(p0)
     grid = TimeGrid(0.0, 20.0, 4000)
     x_path = integrate_forward(p0, MixedState.uniform(2), SINGLE1, grid)
-    fixed = integrate_backward(p0, g, x_path, SINGLE1, grid, mode="fixed")
-    adaptive = integrate_backward(p0, g, x_path, SINGLE1, grid, mode="adaptive")
+    fixed = integrate_backward(p0, g, x_path, SINGLE1, grid)
+    adaptive = oracle_backward_fixed(p0, g, x_path, None, grid.h)
     assert argmin_flags(fixed, SINGLE1).all()
-    # the two modes step the same RK4, the fixed mode through its affine step maps
+    # the sweep steps the RK4 of the explicit-minimum stage loop, through its
+    # affine step maps under the frozen control
     scale = max(1.0, float(np.abs(adaptive).max()))
     assert np.max(np.abs(fixed - adaptive)) <= 1e-12 * scale
 
@@ -441,7 +442,7 @@ def test_backward_fixed_matches_stage_loop_oracle(name, steps):
         steps = {"1": 1, "block-1": block - 1, "block+1": block + 1}[steps]
     grid = TimeGrid(0.0, 0.005 * steps, steps)
     x_path = _linear_path(p, x1, steps)
-    g_path = integrate_backward(p, gT, x_path, u, grid, mode="fixed")
+    g_path = integrate_backward(p, gT, x_path, u, grid)
     expected = oracle_backward_fixed(p, gT, x_path, u, grid.h)
     scale = max(1.0, float(np.abs(expected).max()))
     assert np.max(np.abs(g_path - expected)) <= 1e-12 * scale
@@ -455,7 +456,7 @@ def _stall_node(x_path):
 
 
 def _backward_case(p0, name):
-    """(p, u, grid, g_T, x_path) of a fixed-mode backward case."""
+    """(p, u, grid, g_T, x_path) of a backward case."""
     if name.startswith("seed"):
         seed, terminal = name.split()[1:]
         p, u, grid, gT, x_path = _workload_turnpike(int(seed))
@@ -482,35 +483,35 @@ def _backward_case(p0, name):
 ])
 def test_backward_stall_is_the_blocked_sweep(monkeypatch, p0, name):
     # over the stretch where x repeats its last node the sweep builds one map
-    # and, once the values repeat too, copies them down: the path is the
-    # blocked sweep's to the bit, and only a stretch whose values repeat
-    # skips steps
+    # and, at the first value node that repeats the node above it, copies it
+    # down: the path is the blocked sweep's to the bit, and only a stretch
+    # whose values repeat skips steps
     p, u, grid, gT, x_path = _backward_case(p0, name)
     expected = oracle_backward_blocked(p, gT, x_path, u, grid)
     affine, stepped = dynamics._affine_steps, []
 
-    def counted(D, r, idx, g, out):
-        stepped.append(len(out))
-        return affine(D, r, idx, g, out)
+    def counted(D, r, idx, g, out, **kw):
+        lowest = affine(D, r, idx, g, out, **kw)
+        stepped.append(len(out) - lowest)  # the nodes computed, not the copies
+        return lowest
 
     monkeypatch.setattr(dynamics, "_affine_steps", counted)
     g_path = integrate_backward(p, gT, x_path, u, grid)
     assert g_path.tobytes() == expected.tobytes()
     bits, n = expected.view(np.int64), grid.n_steps
     stall = _stall_node(x_path)
-    block = sweep_block(p.n_states, step_pattern(u).probes.shape[1])
     if name == "moving 0":
         assert stall == n
-    repeats = np.all(bits[stall:n] == bits[stall + 1:], axis=1)  # node m repeats node m + 1
-    if name.endswith(" 0.01"):  # the values never repeat on the stretch: every step taken
-        assert not repeats.any() and sum(stepped) == n
-    elif stall < n:  # they repeat in the stretch's first block, the only one it steps
-        first = min(block, n - stall)
-        assert repeats[-first] and sum(stepped) == stall + first
+    repeats = np.flatnonzero(np.all(bits[stall:n] == bits[stall + 1:], axis=1))
+    if name.endswith(" 0.01") or name == "moving 0":  # no value repeats: every step taken
+        assert repeats.size == 0 and sum(stepped) == n
+    else:  # the stall steps down to its first node that repeats the node above it
+        first = stall + int(repeats[-1])
+        assert sum(stepped) == stall + (n - first)
     if name == "seed 1001 0":  # from the top node
-        assert bits[n - 1].tobytes() == bits[n].tobytes()
+        assert sum(stepped) == stall + 1
     if name == "seed 1004 0":  # after a few steps
-        assert bits[n - 1].tobytes() != bits[n].tobytes()
+        assert sum(stepped) == stall + 4
 
 
 def test_step_pattern_single_needs_four_probes_at_any_d():
@@ -523,25 +524,30 @@ def test_step_pattern_single_needs_four_probes_at_any_d():
 
 def test_backward_memory_bounded_by_entry_budget(p0):
     # whatever n_steps is, the sweep holds block-sized arrays besides what it
-    # returns: its stage and step-map arrays and switch rates
+    # returns: its stage and step-map arrays and switch rates; over a stall
+    # (x* throughout, values 0.01 off the anchor's, which decay at rate delta
+    # and so never repeat by T = 100) it steps one map broadcast over every step
     x, g = stationary_pair(p0)
-    grid = TimeGrid(0.0, 1000.0, 200_000)
-    x_path = _linear_path(p0, x.x, grid.n_steps)
-    tracemalloc.start()
-    try:
-        g_path = integrate_backward(p0, g, x_path, SINGLE1, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - g_path.nbytes <= 16 * ENTRY_BUDGET * 8
+    moving, stalled = TimeGrid(0.0, 1000.0, 200_000), TimeGrid(0.0, 100.0, 200_000)
+    cases = {"moving": (moving, _linear_path(p0, x.x, moving.n_steps), g),
+             "stalled": (stalled, np.tile(x.x, (stalled.n_steps + 1, 1)), ValueVector(g.g + 0.01))}
+    for kind, (grid, x_path, gT) in cases.items():
+        tracemalloc.start()
+        try:
+            g_path = integrate_backward(p0, gT, x_path, SINGLE1, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - g_path.nbytes <= 16 * ENTRY_BUDGET * 8, kind
+    bits = g_path.view(np.int64)
+    assert np.any(bits[:-1] != bits[1:], axis=1).all()  # the stall's values never repeat
 
 
 def test_backward_rejects_dimension_mismatch(p0):
     grid = TimeGrid(0.0, 1.0, 10)
     x_path = np.tile(MixedState.uniform(2).x, (grid.n_steps + 1, 1))
-    for mode in ("fixed", "adaptive"):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            integrate_backward(p0, ValueVector(np.zeros(6)), x_path, SINGLE1, grid, mode=mode)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        integrate_backward(p0, ValueVector(np.zeros(6)), x_path, SINGLE1, grid)
 
 
 def test_backward_frozen_coefficients_matches_matrix_exponential():
@@ -813,13 +819,14 @@ def test_cone_flags_match_scalar_oracle(d):
     assert seen == {True, False}
 
 
-def test_backward_returns_the_value_path_in_both_modes(p0):
+def test_backward_returns_the_value_path(p0):
     x, g = stationary_pair(p0)
     grid = TimeGrid(0.0, 1.0, 50)
     x_path = np.tile(x.x, (grid.n_steps + 1, 1))
-    for mode in ("fixed", "adaptive"):
-        g_path = integrate_backward(p0, g, x_path, SINGLE1, grid, mode=mode)
-        assert type(g_path) is np.ndarray and g_path.shape == (grid.n_steps + 1, 4), mode
+    g_path = integrate_backward(p0, g, x_path, SINGLE1, grid)
+    assert type(g_path) is np.ndarray and g_path.shape == (grid.n_steps + 1, 4)
+    with pytest.raises(TypeError, match="mode"):  # one sweep, the frozen control's
+        integrate_backward(p0, g, x_path, SINGLE1, grid, mode="fixed")
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])

@@ -3,7 +3,7 @@
 ``perfbench/spans.py`` wraps functions and methods by name when it traces a
 benchmark run (``perfbench/run.py --trace 1``); a renamed or deleted one
 breaks the trace only when it runs.  The package's ``__all__`` is checked
-the same way.
+the same way, and README's Python API example is run.
 """
 
 import importlib
@@ -35,6 +35,14 @@ def test_spanned_names_resolve():
 
 def test_package_exports_resolve():
     assert [name for name in sismfg.__all__ if not hasattr(sismfg, name)] == []
+
+
+def test_readme_python_api_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1].startswith("True ")  # certified
 
 
 def test_trace_sees_one_reference_integration_with_its_steps(p0):

@@ -34,6 +34,7 @@ from .dynamics import (
     check_turnpike_grid,
     default_grid,
     lln_reference_grid,
+    require_turnpike_hypotheses,
     stationary_anchor,
 )
 from .model import MixedState, ModelParams, ParamStack, StationaryControl, ValueVector
@@ -392,16 +393,18 @@ def _parse_turnpike(block: dict, model: ModelParams, col: _Collector) -> Turnpik
                       ValueVector, ("stationary",))
     grid = _parse_grid(block.get("grid"), model, f"{where}.grid", col)
     # the tokens 'stationary' name the anchor, solved once the rest is valid; the
-    # grid's check against the model's rates follows a solved anchor, so an
-    # anchor that overflows keeps its one error
+    # named hypotheses and the grid's check against the model's rates follow a
+    # solved anchor, so an anchor that overflows keeps its one error
     anchor = None if col.errors else col.build(where, stationary_anchor, model, strategy - 1)
-    if anchor is not None:
-        col.build(f"{where}.grid", check_turnpike_grid, model, grid)
+    if anchor is None:
+        return None
+    gT = anchor[1] if gT == "stationary" else gT
+    col.build(where, require_turnpike_hypotheses, model, strategy - 1, gT)
+    col.build(f"{where}.grid", check_turnpike_grid, model, grid)
     if col.errors:
         return None
     return TurnpikeConfig(strategy=strategy - 1, x0=anchor[0] if x0 == "stationary" else x0,
-                          g_terminal=anchor[1] if gT == "stationary" else gT,
-                          grid=grid, anchor=anchor)
+                          g_terminal=gT, grid=grid, anchor=anchor)
 
 
 def _parse_nplayer(block: dict, model: ModelParams, col: _Collector) -> NPlayerConfig | None:

@@ -622,6 +622,15 @@ def check_turnpike_hypotheses(
     return HypothesisReport(margins=margins, failures=failures)
 
 
+def require_turnpike_hypotheses(p: ModelParams, i: int, gT: ValueVector) -> None:
+    """Raise TurnpikeHypothesisError naming every failed hypothesis of
+    ``check_turnpike_hypotheses``; the config layer and ``solve_turnpike``
+    both refuse a construction this way."""
+    report = check_turnpike_hypotheses(p, i, gT)
+    if not report.ok:
+        raise TurnpikeHypothesisError(report.failures)
+
+
 @dataclass(frozen=True)
 class TurnpikeStats:
     """Turnpike statistics against the stationary anchor (x_star, g_star).
@@ -740,9 +749,7 @@ def solve_turnpike(
     the integrated path is diagnostic output, not an exception: the solution
     is returned uncertified with the first violation time.
     """
-    report = check_turnpike_hypotheses(p, i, gT)
-    if not report.ok:
-        raise TurnpikeHypothesisError(report.failures)
+    require_turnpike_hypotheses(p, i, gT)
     check_turnpike_grid(p, grid)
     u = StationaryControl.single(p.d, i)
     x_path = integrate_forward(p, x0, u, grid)

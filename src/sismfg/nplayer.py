@@ -25,6 +25,15 @@ loop's table.  A rate of 0.0 changes neither the total rate nor the
 cumulative sums the pick is compared against, so the path is bitwise the
 one the full table gives.
 
+The channel rates and their prefix sums depend only on the count state,
+and after the opening migration the chain revisits a few hundred states.
+So the loop keeps them per state, keyed by the integer code
+sum_s n_s (N+1)^s, which each jump moves by its channel's step.  A state met
+again reuses the very floats that the same operations on the same counts
+made before, so the path stays bitwise the one recomputation gives.  The
+store holds at most ``_RATE_CACHE`` states and is emptied when full; it
+goes with the live table, since its entries index that table's channels.
+
 ``lln_error`` compares every replication with the population ODE path at
 fixed compare times.  That reference is exponential RK4 (ETDRK4), whose
 step follows the slow rates instead of lam, on the grid that
@@ -51,6 +60,9 @@ from .model import DECISION, PEER, Generator, MixedState, ModelParams, Stationar
 from .dynamics import ETDRK4, integrate_forward, lln_reference_grid
 
 _RNG_BUFFER = 8192
+#: count states whose rate table the jump loop keeps; the cache is emptied
+#: when it reaches this size
+_RATE_CACHE = 256
 #: the largest total jump rate a run admits: half the largest float, so the
 #: loop's running sum of channel rates stays finite with room to spare
 RATE_LIMIT = np.finfo(float).max / 2
@@ -197,7 +209,11 @@ def _simulate(
 
     Rates are those of the live channels (see the module docstring), kept
     in plain Python floats: the loop is the hot path and scalar numpy would
-    dominate the cost.  Draws come in blocks of _RNG_BUFFER exponentials
+    dominate the cost.  The prefix sums and total of a count state are
+    computed at its first visit and kept under its code, so a later visit
+    skips the peer and prefix-sum loops and picks from the same floats.
+    The store is emptied when it holds ``_RATE_CACHE`` states and replaced
+    with the live table.  Draws come in blocks of _RNG_BUFFER exponentials
     then _RNG_BUFFER uniforms.  A state where every channel rate is zero is
     absorbing and ends the run.
     """
@@ -211,6 +227,10 @@ def _simulate(
     # two states are empty they stay empty
     mortal = [s // 2 not in fed for s in range(2 * d)]
 
+    # code = sum_s n_s (N+1)^s names the count state; a jump on channel c
+    # adds step[c] to it
+    base = [(n0.N + 1) ** s for s in range(2 * d)]
+
     def live_table():
         alive = [j for j in range(d) if not (mortal[2 * j] and n[2 * j] == n[2 * j + 1] == 0.0)]
         ids = [c for c, ch in enumerate(chans) if ch[0] // 2 in alive]
@@ -219,9 +239,11 @@ def _simulate(
         peer = [(slot, [bcols[chans[c][3]][q // 2] for q in infected])
                 for slot, c in enumerate(ids) if chans[c][2] == PEER]
         return (ids, [chans[c][0] for c in ids], [chans[c][1] for c in ids],
-                [chans[c][3] for c in ids], peer, infected)
+                [chans[c][3] for c in ids], peer, infected,
+                [base[chans[c][1]] - base[chans[c][0]] for c in ids], {})
 
-    ids, frm, to, coef, peer, infected = live_table()
+    ids, frm, to, coef, peer, infected, step, cache = live_table()
+    code = sum(int(v) * b for v, b in zip(n0.n, base))
     cmp_times, cmp_rows = compare if compare is not None else ([], [])
     gi, sup = 0, 0.0
     next_cmp = cmp_times[0] if cmp_times else float("inf")
@@ -229,16 +251,23 @@ def _simulate(
     i = _RNG_BUFFER
     t = 0.0
     while True:
-        for slot, col in peer:
-            s = 0.0
-            for b, q in zip(col, infected):
-                s += b * n[q]
-            coef[slot] = s / N
-        cum = []
-        total = 0.0
-        for c, f in zip(coef, frm):
-            total += c * n[f]
-            cum.append(total)
+        rates = cache.get(code)
+        if rates is None:
+            for slot, col in peer:
+                s = 0.0
+                for b, q in zip(col, infected):
+                    s += b * n[q]
+                coef[slot] = s / N
+            cum = []
+            total = 0.0
+            for c, f in zip(coef, frm):
+                total += c * n[f]
+                cum.append(total)
+            if len(cache) == _RATE_CACHE:
+                cache.clear()
+            cache[code] = cum, total
+        else:
+            cum, total = rates
         if total <= 0.0:
             break
         if i == _RNG_BUFFER:
@@ -263,8 +292,9 @@ def _simulate(
         f = frm[chosen]
         n[f] -= 1.0
         n[to[chosen]] += 1.0
+        code += step[chosen]
         if n[f] == 0.0 and mortal[f] and n[f ^ 1] == 0.0:
-            ids, frm, to, coef, peer, infected = live_table()
+            ids, frm, to, coef, peer, infected, step, cache = live_table()
     return _compare(n, N, cmp_times, cmp_rows, gi, float("inf"), sup)[1]
 
 

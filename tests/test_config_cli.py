@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sismfg import ConfigError, StationaryControl, parse_config, run_scenario, runs
+from sismfg import ConfigError, StationaryControl, dynamics, parse_config, run_scenario, runs
 from sismfg.cli import main
 from sismfg.config import BLOCKS, parse_config_dict
 from sismfg.dynamics import GRID_BUDGET, TimeGrid, default_grid, stationary_anchor
@@ -570,10 +570,13 @@ def test_sweep_rows_equal_per_point_enumeration(tmp_path, monkeypatch):
 
 
 def test_failed_turnpike_recorded_not_raised(tmp_path):
+    # the config layer refuses failed hypotheses (see the test below); a config
+    # built around it meets solve_turnpike's own check, as a run failure
     data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
-    data["model"]["q_plus"] = [0.5, 0.4]  # breaks the rate ordering
     data["turnpike"]["grid"] = {"t_start": 0.0, "t_end": 1.0, "n_steps": 100}
-    bundle = run_scenario(parse_config_dict(data), tmp_path)
+    cfg = parse_config_dict(data)
+    cfg = replace(cfg, model=replace(cfg.model, q_plus=[0.5, 0.4]))  # breaks the rate ordering
+    bundle = run_scenario(cfg, tmp_path)
     assert bundle.n_succeeded == 0
     assert any("rate-ordering" in f for f in bundle.failures)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -623,12 +626,34 @@ def test_cli_invalid_config_exit_one(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
-def test_cli_all_failed_exit_two(tmp_path):
-    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
-    data["model"]["q_plus"] = [0.5, 0.4]
-    data["turnpike"]["grid"] = {"t_start": 0.0, "t_end": 1.0, "n_steps": 100}
+def test_cli_all_failed_exit_two(tmp_path, monkeypatch):
+    # a recorded path is refused once its count table passes the grid budget,
+    # which only the run can find: its one run fails
+    monkeypatch.setattr(dynamics, "GRID_BUDGET", 40)
+    data = json.loads((REPO_CONFIGS / "p0_nplayer.json").read_text())
+    data["nplayer"].update(t_end=1.0, n_agents=100)
     bad = write_config(tmp_path, data)
     assert main(["solve", str(bad), "--out", str(tmp_path / "out")]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert any("over budget" in f for f in manifest["failures"])
+
+
+def test_failed_turnpike_hypotheses_refused_at_validation(tmp_path):
+    # P0's rates order strategy 1 first: anchored at strategy 2 the rate-ordering,
+    # consistency and cone hypotheses fail, one error at the block with every name
+    data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["turnpike"].update(strategy=2, grid={"t_start": 0.0, "t_end": 5.0, "n_steps": 500})
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(data)
+    assert len(err.value.errors) == 1
+    where, message = err.value.errors[0].split(": ", 1)
+    assert where == "turnpike" and message.startswith("turnpike hypotheses violated: ")
+    for name in ("rate-ordering-q-plus(1)", "strict-consistency-I(1)", "terminal-cone-I-min(1)"):
+        assert name in message
+    path = write_config(tmp_path, data)
+    assert main(["solve", str(path), "--validate-only"]) == 1
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_success_and_seed_override(tmp_path, capsys):
@@ -740,11 +765,11 @@ def test_built_states_and_grids(p0):
     assert isinstance(cfg.block.x0, MixedState) and cfg.block.g_terminal is cfg.block.anchor[1]
     assert np.array_equal(cfg.block.x0.x, MixedState.uniform(2).x)
     assert cfg.block.grid == TimeGrid(0.0, 50.0, 20000)
-    data["turnpike"]["g_terminal"] = [1.0, 2.0, 3.0, 4.0]
+    data["turnpike"]["g_terminal"] = [2.0, 1.0, 4.0, 3.0]  # in the terminal cone
     del data["turnpike"]["grid"]["n_steps"]
     cfg = parse_config_dict(data)
     assert isinstance(cfg.block.g_terminal, ValueVector)
-    assert cfg.block.g_terminal.g.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert cfg.block.g_terminal.g.tolist() == [2.0, 1.0, 4.0, 3.0]
     assert cfg.block.grid == default_grid(p0, 0.0, 50.0)
 
 
@@ -763,13 +788,21 @@ def test_stationary_x0_parses_to_the_controls_fixed_point(p0, run, control):
     assert isinstance(x0, MixedState) and np.array_equal(x0.x, expected.x)
 
 
-@pytest.mark.parametrize("g_terminal", ["stationary", [16.0, 15.0, 16.5, 15.5]],
+#: P0 with its two strategies swapped: the turnpike hypotheses hold at strategy 2
+P0_SWAPPED = {"d": 2, "lambda": 100.0, "delta": 0.1, "q_plus": [0.6, 0.5],
+              "q_minus": [0.3, 0.5], "beta": [[0.05, 0.05], [0.05, 0.2]],
+              "w_I": [3.0, 2.0], "w_S": [2.5, 1.0]}
+
+
+@pytest.mark.parametrize("g_terminal", ["stationary", [16.5, 15.5, 16.0, 15.0]],
                          ids=["token", "explicit"])
-def test_turnpike_anchor_built_at_validation(p0, g_terminal):
+def test_turnpike_anchor_built_at_validation(g_terminal):
     data = json.loads((REPO_CONFIGS / "p0_turnpike.json").read_text())
+    data["model"] = P0_SWAPPED
     data["turnpike"].update(strategy=2, x0="stationary", g_terminal=g_terminal)
     tp = parse_config_dict(data).block
-    x_star, g_star = stationary_anchor(p0, 1)
+    p = ModelParams(**{"lam" if k == "lambda" else k: v for k, v in P0_SWAPPED.items()})
+    x_star, g_star = stationary_anchor(p, 1)
     assert np.array_equal(tp.anchor[0].x, x_star.x) and np.array_equal(tp.anchor[1].g, g_star.g)
     assert tp.x0 is tp.anchor[0]
     if g_terminal == "stationary":
@@ -849,8 +882,10 @@ def test_turnpike_rates_past_rk4_stability_refused_at_validation(tmp_path, key, 
     data["model"][key] = [value, 0.6] if key == "q_plus" else value
     with pytest.raises(ConfigError) as err:
         parse_config_dict(data)
-    where = "turnpike" if (key, value) == ("lambda", 1e308) else "turnpike.grid"
-    assert [e.split(": ")[0] for e in err.value.errors] == [where]
+    # a q_plus this large also breaks strategy 1's rate ordering: both are reported
+    where = (["turnpike"] if (key, value) == ("lambda", 1e308) else
+             ["turnpike", "turnpike.grid"] if key == "q_plus" else ["turnpike.grid"])
+    assert [e.split(": ")[0] for e in err.value.errors] == where
     assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
 
 
@@ -964,6 +999,7 @@ def test_turnpike_explicit_anchor_states_reproduce_token_run(tmp_path, p0):
 
 @pytest.mark.parametrize("path", sorted(REPO_CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_configs_echo_as_read(path):
+    assert main(["solve", str(path), "--validate-only"]) == 0
     data = json.loads(path.read_text())
     assert parse_config(path).to_dict() == data
     cfg = parse_config_dict(data)

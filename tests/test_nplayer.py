@@ -17,6 +17,7 @@ from sismfg import (
     simulate_ctmc,
 )
 from sismfg.dynamics import default_grid, integrate_forward, lln_reference_grid
+from sismfg import nplayer
 from sismfg.model import KIND_NAMES, PEER, Generator
 from sismfg.nplayer import _reference
 from sismfg.stationary import fixed_point_single
@@ -206,8 +207,7 @@ def assert_path_equals_oracle(p, n0, u, t_end, seed):
     return table
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_simulate_ctmc_bitwise_equals_oracle(d):
+def check_simulate_draws(d):
     rng = np.random.default_rng(500 + d)
     for trial, N in enumerate([1, 2, 17, 250, 2000]):
         p = random_params(rng, d)
@@ -217,8 +217,7 @@ def test_simulate_ctmc_bitwise_equals_oracle(d):
         assert_path_equals_oracle(p, n0, u, 2.0 if N <= 250 else 0.2, seed=trial)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_lln_error_bitwise_equals_oracle(d):
+def check_lln_draws(d):
     rng = np.random.default_rng(600 + d)
     for trial in range(2):
         p = random_params(rng, d)
@@ -230,7 +229,7 @@ def test_lln_error_bitwise_equals_oracle(d):
             assert np.array_equal(row.sup_errors, errs)
 
 
-def test_emptied_strategy_leaves_engine_bitwise_equal(p0):
+def check_emptied_strategy(p0):
     # under single(1) nothing migrates into strategy 2: once its two states
     # are empty its channels leave the loop's table for the rest of the run
     u = StationaryControl.single(2, 0)
@@ -242,6 +241,45 @@ def test_emptied_strategy_leaves_engine_bitwise_equal(p0):
     ref = oracle_lln_sup_errors(p0, u, MixedState.uniform(2), 3.0, [40, 400], 3, 8)
     for row, errs in zip(table.rows, ref):
         assert np.array_equal(row.sup_errors, errs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_simulate_ctmc_bitwise_equals_oracle(d):
+    check_simulate_draws(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_lln_error_bitwise_equals_oracle(d):
+    check_lln_draws(d)
+
+
+def test_emptied_strategy_leaves_engine_bitwise_equal(p0):
+    check_emptied_strategy(p0)
+
+
+# a cache of one entry is emptied at every miss and never hit; one above any
+# count of states a run reaches is never emptied
+@pytest.mark.parametrize("limit", [1, 10**9])
+def test_rate_cache_bound_leaves_engine_bitwise_equal(p0, limit, monkeypatch):
+    monkeypatch.setattr(nplayer, "_RATE_CACHE", limit)
+    for d in [1, 2, 3, 4, 5]:
+        check_simulate_draws(d)
+        check_lln_draws(d)
+    check_emptied_strategy(p0)
+
+
+def test_recurrent_chain_takes_cached_rates_bitwise(p0):
+    # after the opening migration single(1) is a birth-death walk on strategy
+    # 1's two states, which revisits a few hundred count states: most events
+    # read their rates from the cache (2407 distinct rows of 24 014, most of
+    # them the migration's)
+    u = StationaryControl.single(2, 0)
+    n0 = CountVector.from_fractions(MixedState.uniform(2), 4000)
+    counts = assert_path_equals_oracle(p0, n0, u, 10.0, seed=3)
+    assert np.unique(counts, axis=0).shape[0] * 5 < counts.shape[0]
+    table = lln_error(p0, u, MixedState.uniform(2), 10.0, [4000], 2, seed=3)
+    ref = oracle_lln_sup_errors(p0, u, MixedState.uniform(2), 10.0, [4000], 2, 3)
+    assert np.array_equal(table.rows[0].sup_errors, ref[0])
 
 
 def test_every_strategy_a_target_engine_bitwise_equal(p0):

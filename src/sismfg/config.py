@@ -31,6 +31,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import (
     TimeGrid,
+    check_forward_grid,
     check_turnpike_grid,
     default_grid,
     lln_reference_grid,
@@ -378,6 +379,8 @@ def _parse_simulate(block: dict, model: ModelParams, col: _Collector) -> Simulat
     control = _parse_control(block.get("control"), model.d, "simulate.control", col)
     x0 = _parse_x0(block, model, "simulate", col, control)
     grid = _parse_grid(block.get("grid"), model, "simulate.grid", col)
+    if not col.errors:  # checked last, so an overflowing start keeps its one error
+        col.build("simulate.grid", check_forward_grid, model, grid)
     return None if col.errors else SimulateConfig(control=control, x0=x0, grid=grid)
 
 

@@ -1,20 +1,18 @@
 """Time-dependent solutions and the turnpike construction.
 
-The forward population ODE and the backward discounted value equation are
-integrated with fixed-step classical RK4 (default step min(0.01, 0.1/lam);
-lam sets the stiffness of both systems).  A forward RK4 stage is one call
-of the one-point product ``model.kinetic_rhs_fn`` (one matmul), written
-with the step's other operations into buffers allocated once per
-integration, and each node is checked once, by its min and its sum: it is
-clipped only when an entry is <= 0, and retried with halved substeps only
-when it leaves the simplex by more than STEP_REJECT_TOL.  The LLN reference of
-``nplayer.lln_error``, on the grid ``lln_reference_grid`` works out,
-instead takes exponential RK4 steps forward (``integrate_forward(...,
-method=ETDRK4)``, Cox-Matthews 2002): the population RHS x Q(x) is split
-as x @ M + N(x) with M the constant generator of the decisions
-(``model.Generator.decisions``), e^{hM} and phi_1..phi_3(hM) come from one
-scaling-and-squaring exponential per step size, and the step follows the
-slow infection and recovery rates instead of lam.
+Both sweeps take fixed steps on one grid (default step min(0.01, 0.1/lam)).
+Every forward path (``simulate``, ``turnpike`` and the LLN reference of
+``nplayer.lln_error``) takes exponential RK4 steps (Cox-Matthews ETDRK4,
+2002): x Q(x) is split as x @ M + N(x), with M the constant generator of
+the decisions (``model.Generator.decisions``), whose e^{hM} and
+phi_1..phi_3(hM) come from one scaling-and-squaring exponential per step
+size, so the step follows the slow rates instead of lam.  A stage
+evaluates N with one call of ``model.kinetic_rhs_fn`` (one matmul), into
+buffers allocated once per integration, and each node is checked once,
+by its min and its sum: it is clipped only when an entry is <= 0, and
+retried with halved substeps only when it leaves the simplex by more than
+STEP_REJECT_TOL.  The backward value equation takes classical RK4 steps;
+lam sets its stiffness (``check_turnpike_grid``).
 
 Under the frozen control a regular forward step (grid step h, with its
 halvings, clipping and renormalization) is a fixed map of the node alone,
@@ -56,7 +54,6 @@ the frozen-control solution a solution of the full consistency problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -77,9 +74,6 @@ from .model import (
 )
 from .stationary import ENTRY_BUDGET, _pair, _small_interaction_single, _solve_pair
 
-#: forward step kinds: classical RK4, and exponential RK4 (Cox-Matthews ETDRK4)
-RK4 = "rk4"
-ETDRK4 = "etdrk4"
 #: compare times (about) and largest step of the LLN reference
 REFERENCE_COMPARE = 2000
 REFERENCE_MAX_STEP = 0.005
@@ -154,34 +148,6 @@ def lln_reference_grid(p: ModelParams, t_end: float) -> tuple[np.ndarray, TimeGr
 # forward integration
 
 
-@lru_cache(maxsize=4 * (MAX_HALVINGS + 1))
-def _rk4_weights(h: float) -> tuple[np.ndarray, ...]:
-    """0.5 h, h, 2 and h / 6 of a classical RK4 step as read-only 0-d
-    arrays: a ufunc takes them faster than Python floats, with the same
-    products.  Kept per step size (a grid step and its halvings)."""
-    w = np.array([0.5 * h, h, 2.0, h / 6.0])
-    w.flags.writeable = False
-    return tuple(w[k, ...] for k in range(4))
-
-
-def _rk4_step(rhs, x: np.ndarray, h: float, stages: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of x' = rhs(x, out), computed in the rows of
-    stages (shape (6, n), allocated once per integration) with the
-    operations of x + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order; returns
-    its last row, which x may be."""
-    k1, k2, k3, k4, arg, y = stages
-    add, mul = np.add, np.multiply
-    half, full, two, sixth = _rk4_weights(h)
-    rhs(x, k1)
-    rhs(add(x, mul(k1, half, arg), arg), k2)
-    rhs(add(x, mul(k2, half, arg), arg), k3)
-    rhs(add(x, mul(k3, full, arg), arg), k4)
-    add(k1, mul(k2, two, k2), k2)
-    add(k2, mul(k3, two, k3), k2)
-    add(k2, k4, k2)
-    return add(x, mul(k2, sixth, k2), y)
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring: a degree-18 Taylor
     polynomial (Horner form) at 1-norm <= 1/2, then squared back."""
@@ -212,18 +178,21 @@ def phi_functions(a: np.ndarray, order: int) -> list[np.ndarray]:
 
 
 class EtdOperators(NamedTuple):
-    """ETDRK4 operators of one step size h for x' = x @ M + net(x) @ S,
-    with S the scatter of the net exchange onto the I/S states: the
-    stochastic e^{hM/2} and e^{hM}, S (h/2) phi_1(hM/2), and the stage
-    weights S h (phi_1 - 3 phi_2 + 4 phi_3), S 2h (phi_2 - 2 phi_3) and
-    S h (4 phi_3 - phi_2) of phi_k = phi_k(hM)."""
+    """ETDRK4 operators of one step size h for x' = x @ M + net(x) @ S, S the
+    scatter of each strategy's net exchange onto +jI, -jS, stacked so that
+    each product of a step is one matmul (phi_k = phi_k(hM)):
+      e2    [e^{hM/2} | e^{hM}], both stochastic;
+      ph    S (h/2) phi_1(hM/2);
+      wc    [e^{hM/2}; -ph; 0; 2 ph]: [a | N_x | N_a | N_b] @ wc is the
+            third stage a e^{hM/2} + (2 N_b - N_x) ph;
+      wend  S h (phi_1 - 3 phi_2 + 4 phi_3), S 2h (phi_2 - 2 phi_3) twice,
+            S h (4 phi_3 - phi_2): [N_x | N_a | N_b | N_c] @ wend is the
+            step's stage sum."""
 
-    e_half: np.ndarray
-    phi_half: np.ndarray
-    e: np.ndarray
-    w1: np.ndarray
-    w23: np.ndarray
-    w4: np.ndarray
+    e2: np.ndarray
+    ph: np.ndarray
+    wc: np.ndarray
+    wend: np.ndarray
 
 
 def etdrk4_operators(m: np.ndarray, h: float) -> EtdOperators:
@@ -236,13 +205,15 @@ def etdrk4_operators(m: np.ndarray, h: float) -> EtdOperators:
     scatter = np.kron(np.eye(m.shape[0] // 2), [1.0, -1.0])  # net of strategy j -> +jI, -jS
     e_half, p1_half = phi_functions(0.5 * h * m, 1)
     e, p1, p2, p3 = phi_functions(h * m, 3)
+    e_half = e_half / e_half.sum(axis=1, keepdims=True)
+    ph = scatter @ (0.5 * h * p1_half)
+    w23 = scatter @ (2.0 * h * (p2 - 2.0 * p3))
     return EtdOperators(
-        e_half=e_half / e_half.sum(axis=1, keepdims=True),
-        phi_half=scatter @ (0.5 * h * p1_half),
-        e=e / e.sum(axis=1, keepdims=True),
-        w1=scatter @ (h * (p1 - 3.0 * p2 + 4.0 * p3)),
-        w23=scatter @ (2.0 * h * (p2 - 2.0 * p3)),
-        w4=scatter @ (h * (4.0 * p3 - p2)),
+        e2=np.hstack([e_half, e / e.sum(axis=1, keepdims=True)]),
+        ph=ph,
+        wc=np.vstack([e_half, -ph, np.zeros_like(ph), 2.0 * ph]),
+        wend=np.vstack([scatter @ (h * (p1 - 3.0 * p2 + 4.0 * p3)), w23, w23,
+                        scatter @ (h * (4.0 * p3 - p2))]),
     )
 
 
@@ -250,27 +221,35 @@ def _etdrk4_step_fn(p: ModelParams, u: StationaryControl):
     """Cox-Matthews ETDRK4 step x, h -> x(t + h) of the population ODE split
     as x' = x @ M + N(x): M the generator of the decisions under u
     (``model.Generator.decisions``), N the net exchange of each strategy
-    (``model.Generator.exchange``) scattered +/- onto the I/S states.  The
-    decisions are solved exactly, so the step need only follow the slow
-    infection and recovery rates.  The operators are computed once per step
-    size and kept."""
-    gen = Generator.of(p, u)
-    m, net = gen.decisions, gen.exchange
+    (``model.kinetic_rhs_fn``, one matmul per stage) scattered +/- onto the
+    I/S states.  The decisions are solved exactly, so the step need only
+    follow the slow infection and recovery rates.  The operators are
+    computed once per step size and kept; the stages live in buffers
+    allocated once, and the step writes its result into one of two buffers,
+    never the one x is."""
+    m, n, d = Generator.of(p, u).decisions, p.n_states, p.d
+    exchange = kinetic_rhs_fn(p)
     ops: dict[float, EtdOperators] = {}
+    xe, b, c = np.empty(2 * n), np.empty(n), np.empty(n)
+    xe_half, xe_full = xe[:n], xe[n:]
+    z = np.empty(n + 4 * d)  # [a | N_x | N_a | N_b | N_c]
+    a, head, nets = z[:n], z[:n + 3 * d], z[n:]
+    n_x, n_a, n_b, n_c = (z[n + k * d:n + (k + 1) * d] for k in range(4))
+    outs = (np.empty(n), np.empty(n))
 
     def step(x: np.ndarray, h: float) -> np.ndarray:
         if h not in ops:
             ops[h] = etdrk4_operators(m, h)
-        e_half, ph, e, w1, w23, w4 = ops[h]
-        nx = net(x)
-        xe = x @ e_half
-        a = xe + nx @ ph
-        na = net(a)
-        b = xe + na @ ph
-        nb = net(b)
-        c = a @ e_half + (2.0 * nb - nx) @ ph
-        nc = net(c)
-        return x @ e + nx @ w1 + (na + nb) @ w23 + nc @ w4
+        e2, ph, wc, wend = ops[h]
+        out = outs[x is outs[0]]
+        exchange(x, n_x)
+        np.matmul(x, e2, xe)
+        np.add(xe_half, np.matmul(n_x, ph, a), a)
+        exchange(a, n_a)
+        np.add(xe_half, np.matmul(n_a, ph, b), b)
+        exchange(b, n_b)
+        exchange(np.matmul(head, wc, c), n_c)
+        return np.add(xe_full, np.matmul(nets, wend, out), out)
 
     return step
 
@@ -305,21 +284,20 @@ def graded_opening(h: float, lam: float) -> list[float]:
 
 
 def integrate_forward(
-    p: ModelParams, x0: MixedState, u: StationaryControl, grid: TimeGrid,
-    method: str = RK4,
+    p: ModelParams, x0: MixedState, u: StationaryControl, grid: TimeGrid
 ) -> np.ndarray:
     """Path of the population ODE on the grid; shape (n_steps+1, 2d).
 
-    method RK4 takes classical RK4 steps of the grid's step.  ETDRK4 takes
-    exponential steps (``_etdrk4_step_fn``): the step follows the slow
-    rates instead of lam, and the first interval is covered by
-    ``graded_opening`` substeps.  Each node is renormalized to sum to one,
+    Every step is exponential (``_etdrk4_step_fn``): the decisions are
+    solved exactly, so the step follows the slow rates instead of lam, and
+    the first interval is covered by ``graded_opening`` substeps, which
+    resolve the migration layer.  Each node is renormalized to sum to one,
     after clipping when an entry is <= 0 (tiny negatives and -0.0 become
     +0.0); a step that leaves the simplex by more than STEP_REJECT_TOL is
     retried with halved substeps (``_forward_node``).
 
     The control is frozen, so a regular step (every interval after the
-    first, which ETDRK4 covers with its opening substeps) maps a node to
+    first, which the opening substeps cover) maps a node to
     the next as a function of that node alone.  The loop stops at the
     first such step whose node repeats its predecessor bit for bit (``==``
     would equate -0.0 and +0.0) and copies that node to the rest of the
@@ -327,13 +305,7 @@ def integrate_forward(
     along the path would break this.
     """
     h = grid.h
-    if method == RK4:
-        stages = np.empty((6, p.n_states))
-        step, opening = partial(_rk4_step, kinetic_rhs_fn(p, u), stages=stages), [h]
-    elif method == ETDRK4:
-        step, opening = _etdrk4_step_fn(p, u), graded_opening(h, p.lam)
-    else:
-        raise ValueError(f"unknown forward method {method!r}")
+    step, opening = _etdrk4_step_fn(p, u), graded_opening(h, p.lam)
     path = np.empty((grid.n_steps + 1, p.n_states))
     path[0] = x0.x
     x = path[0]
@@ -726,12 +698,37 @@ def check_turnpike_grid(p: ModelParams, grid: TimeGrid) -> None:
     if grid.n_steps < 2:
         raise ValueError(f"the mid-horizon window [{lo:g}, {hi:g}] holds no node of a "
                          f"{grid.n_steps}-step grid: a turnpike needs n_steps >= 2")
+    _require_rk4_stable(p, grid.h, p.lam + p.delta, "rate", "backward sweep")
+
+
+def check_forward_grid(p: ModelParams, grid: TimeGrid) -> None:
+    """ValueError when the forward sweep would blow up on the grid.
+
+    The exponential step solves the decisions exactly, so its stability is
+    that of the exchange, the part its stages evaluate.  On the rows of a
+    strategy that is its own target M is zero, so e^{hM} is the identity
+    there and phi_k = 1/k!: the step is classical RK4 on that strategy's
+    exchange (ETDRK4 with M = 0 is classical RK4).  With the peer rate
+    frozen, strategy j's exchange x_jS q~_j - x_jI q_plus_j has the
+    eigenvalues 0 and -(q_plus_j + q~_j), and q~_j <= q_minus_j + max_k
+    beta_kj since the infected shares sum to at most 1.  Classical RK4
+    damps a real mode z only for h z in [-2.7853, 0]; past it the mode grows
+    every step until the path leaves the simplex.  So h * rate with
+        rate = max_j (q_plus_j + q_minus_j + max_k beta_kj)
+    must not exceed RK4_REAL_STABILITY; lam does not enter.
+    """
+    _require_rk4_stable(p, grid.h, 0.0, "slow rate", "forward sweep")
+
+
+def _require_rk4_stable(p: ModelParams, h: float, fast: float, what: str, sweep: str) -> None:
+    """ValueError naming the sweep when h times the rate, fast + max_j
+    (q_plus_j + q_minus_j + max_k beta_kj), is past RK4_REAL_STABILITY."""
     with np.errstate(over="ignore"):  # a rate past the float range is refused as inf
-        rate = p.lam + p.delta + float(np.max(p.q_plus + p.q_minus + p.beta.max(axis=0)))
-    if grid.h * rate > RK4_REAL_STABILITY:
+        rate = fast + float(np.max(p.q_plus + p.q_minus + p.beta.max(axis=0)))
+    if h * rate > RK4_REAL_STABILITY:
         raise ValueError(
-            f"step {grid.h:.4g} times the fastest rate {rate:.4g} is {grid.h * rate:.4g}, past "
-            f"classical RK4's real stability bound {RK4_REAL_STABILITY}: the backward sweep "
+            f"step {h:.4g} times the fastest {what} {rate:.4g} is {h * rate:.4g}, past "
+            f"classical RK4's real stability bound {RK4_REAL_STABILITY}: the {sweep} "
             f"would blow up"
         )
 

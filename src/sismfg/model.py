@@ -14,10 +14,10 @@ pressure and recovery rates, Q_k the peer edges jS -> jI at beta[k, j].
 points of a ``ParamStack``, and reads off it every product the package
 uses:
   - the population ODE right-hand side x Q(x) (``Generator.forward`` in
-    flow form; at one point ``kinetic_rhs_fn`` compiles it per control
-    into one matmul; ``kinetic_rhs``), its exact Jacobian, and its split
-    into the constant generator of the decisions and the exchange for the
-    exponential integrator,
+    flow form; ``kinetic_rhs``), its exact Jacobian, and its split into
+    the constant generator of the decisions and the exchange for the
+    exponential integrator (at one point ``kinetic_rhs_fn`` compiles the
+    exchange into one matmul),
   - Q(x) g, and with it the backward right-hand side of the discounted
     optimal-cost equation (``Generator.value_rhs``; ``hjb_rhs_fn`` and
     ``hjb_rhs``), where the Hamiltonian puts the explicit strategy minimum
@@ -512,48 +512,39 @@ class Generator:
         return [(f, t, k, f // 2 if k == PEER else r) for f, t, k, r in table if t != f]
 
 
-def kinetic_rhs_fn(p: ModelParams, u: StationaryControl) -> Callable[..., np.ndarray]:
-    """Compiled-once population RHS x -> x Q(x) at one point under a fixed
-    control, for one state vector x: one matmul
-    y = x @ [M | C | E_S | E_I beta] per call.  M is ``Generator.decisions``
-    in a block of its own (so -lam is never summed with -q_plus), C the
-    linear part of the exchange (-q_plus on row jI, q_minus on row jS); the
-    exchange y_C + y_S y_beta goes onto jI and off jS.  Stacks keep the flow
-    form of ``Generator.forward``: there the matrix is one dense 2d x 5d
-    block per point, which made the stationary kernel 1.5x slower at
-    d = 20.
+def kinetic_rhs_fn(p: ModelParams) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Compiled-once exchange of the population RHS at one point: the RHS is
+    x Q(x) = x M + N(x), with M the decisions (``Generator.decisions``) and
+    N each strategy's net exchange (``Generator.exchange``) put onto jI and
+    taken off jS.  The exponential forward step solves the decisions
+    exactly and evaluates the exchange once per stage
+    (``dynamics.integrate_forward``), here for one state vector x by one
+    matmul y = x @ [C | E_S | E_I beta]: C the linear part (-q_plus on row
+    jI, q_minus on row jS), E_S and E_I beta the susceptible shares and the
+    peer sums, and the exchange y_C + y_S y_beta.
 
-    The closure ``rhs(x, out=None)`` writes into ``out`` (2d entries, not
-    x) when given and returns it, else into a new array: y and the exchange
-    live in buffers of the closure, so no returned array is ever written
-    by a later call."""
-    gen, d = Generator.of(p, u), p.d
-    n, j = 2 * d, np.arange(d)
-    w = np.zeros((n, 5 * d))
-    w[:, :n] = gen.decisions
-    w[2 * j, n + j] = -gen.q_plus
-    w[2 * j + 1, n + j] = gen.q_minus
-    w[2 * j + 1, n + d + j] = 1.0
-    w[0::2, n + 2 * d:] = gen.beta
-    y, net = np.empty(5 * d), np.empty(d)
-    y_MI, y_MS, y_C, y_S, y_beta = y[0:n:2], y[1:n:2], y[n:n + d], y[n + d:n + 2 * d], y[n + 2 * d:]
+    The closure ``exchange(x, out)`` writes the d entries into ``out`` and
+    returns it; y lives in a buffer of the closure."""
+    d, j = p.d, np.arange(p.d)
+    w = np.zeros((2 * d, 3 * d))
+    w[2 * j, j] = -p.q_plus
+    w[2 * j + 1, j] = p.q_minus
+    w[2 * j + 1, d + j] = 1.0
+    w[0::2, 2 * d:] = p.beta
+    y = np.empty(3 * d)
+    y_C, y_S, y_beta = y[:d], y[d:2 * d], y[2 * d:]
 
-    def rhs(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty(n)
+    def exchange(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.matmul(x, w, y)
-        np.add(y_C, np.multiply(y_S, y_beta, net), net)
-        np.add(y_MI, net, out[0::2])
-        np.subtract(y_MS, net, out[1::2])
-        return out
+        return np.add(y_C, np.multiply(y_S, y_beta, out), out)
 
-    return rhs
+    return exchange
 
 
 def kinetic_rhs(p: ModelParams, x: MixedState, u: StationaryControl) -> np.ndarray:
     """Rate of change of the population state under common control u."""
     _check_dims(p, x, u)
-    return kinetic_rhs_fn(p, u)(x.x)
+    return Generator.of(p, u).forward(x.x)
 
 
 def hjb_rhs_fn(

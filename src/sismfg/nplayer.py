@@ -35,12 +35,13 @@ store holds at most ``_RATE_CACHE`` states and is emptied when full; it
 goes with the live table, since its entries index that table's channels.
 
 ``lln_error`` compares every replication with the population ODE path at
-fixed compare times.  That reference is exponential RK4 (ETDRK4), whose
-step follows the slow rates instead of lam, on the grid that
-``dynamics.lln_reference_grid`` works out; the config layer budgets the
-same grid.  A recorded path (``simulate_ctmc``) is refused once its count
-table would exceed ``dynamics.GRID_BUDGET``, and a population whose total
-jump rate could overflow is refused before it runs (``check_rate_bound``).
+fixed compare times.  That reference is ``dynamics.integrate_forward``,
+whose exponential (ETDRK4) step follows the slow rates instead of lam, on
+the grid that ``dynamics.lln_reference_grid`` works out; the config layer
+budgets the same grid.  A recorded path (``simulate_ctmc``) is refused
+once its count table would exceed ``dynamics.GRID_BUDGET``, and a
+population whose total jump rate could overflow is refused before it runs
+(``check_rate_bound``).
 
 Randomness: Philox counter-based bit generators.  ``simulate_ctmc`` uses
 Philox([seed]); ``lln_error`` gives replication r at population size N the
@@ -57,7 +58,7 @@ import numpy as np
 
 from . import dynamics
 from .model import DECISION, PEER, Generator, MixedState, ModelParams, StationaryControl
-from .dynamics import ETDRK4, integrate_forward, lln_reference_grid
+from .dynamics import integrate_forward, lln_reference_grid
 
 _RNG_BUFFER = 8192
 #: count states whose rate table the jump loop keeps; the cache is emptied
@@ -367,7 +368,7 @@ def _reference(
     ETDRK4 on ``lln_reference_grid``, read at every k-th node."""
     times, grid = lln_reference_grid(p, t_end)
     k = grid.n_steps // (times.size - 1)
-    x_rows = integrate_forward(p, x0, u, grid, method=ETDRK4)[::k]
+    x_rows = integrate_forward(p, x0, u, grid)[::k]
     return times.tolist(), x_rows.tolist(), grid.n_steps
 
 
@@ -384,9 +385,9 @@ def lln_error(
 
     For each N, averages over ``replications`` independent runs (stream
     Philox([seed, N, r])); errors are expected to shrink like N^{-1/2}.
-    The ODE reference is exponential RK4 (ETDRK4), whose step follows the
-    slow rates, compared at about ``dynamics.REFERENCE_COMPARE`` nodes of the
-    default grid (``dynamics.lln_reference_grid``).
+    The ODE reference is ``integrate_forward``, whose exponential step
+    follows the slow rates, compared at about ``dynamics.REFERENCE_COMPARE``
+    nodes of the default grid (``dynamics.lln_reference_grid``).
     """
     if not N_list:
         raise ValueError("N_list must be non-empty")

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig
-from .dynamics import ETDRK4, integrate_forward, solve_turnpike
+from .dynamics import integrate_forward, solve_turnpike
 from .model import StationaryControl
 from .nplayer import CountVector, lln_error, simulate_ctmc
 from .stationary import (
@@ -268,7 +268,7 @@ def run_nplayer(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], di
         artifacts["lln_error"] = _write_table(out_dir, "lln_error", fmt_kind, header, rows)
         summary["mean_sup_errors"] = {str(r.N): r.mean_sup_error for r in table.rows}
         summary["ratios"] = table.ratios()
-        summary["lln_reference"] = {"integrator": ETDRK4, "steps": table.reference_steps}
+        summary["lln_reference"] = {"integrator": "etdrk4", "steps": table.reference_steps}
     if npl.n_agents is not None:
         n0 = CountVector.from_fractions(npl.x0, npl.n_agents)
         ctmc = simulate_ctmc(p, n0, npl.control, npl.t_end, cfg.seed)

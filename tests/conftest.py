@@ -4,10 +4,10 @@ The oracles here are deliberately independent of the library's solution
 paths: quadratic roots come from bisection, stationary values from a
 generically assembled dense linear solve, the population generator and
 the value equation from state-by-state assembly, Jacobians from central
-differences, and reference trajectories from a plain fine-step Euler loop.
-Where a sweep was made faster with the same bits (the buffered forward RK4
-step, the backward sweep that stops at its fixed point), the code it
-replaced is kept here as a regression oracle, matched bit for bit.
+differences, and reference trajectories from a plain fine-step Euler loop
+or a fine-step classical RK4 loop.  Where a sweep was made faster with
+the same bits (the backward sweep that stops at its fixed point), the
+code it replaced is kept here as a regression oracle, matched bit for bit.
 """
 
 from __future__ import annotations
@@ -245,9 +245,10 @@ def oracle_backward_fixed(p: ModelParams, gT: ValueVector, x_path: np.ndarray,
 
 
 def oracle_rk4_forward_step(p: ModelParams, u: StationaryControl):
-    """x, h -> one classical RK4 step of the population ODE as written before
-    the stage buffers: every stage and every RHS value a new array, the RHS
-    the one matmul x @ [M | C | E_S | E_I beta] of ``kinetic_rhs_fn``."""
+    """x, h -> one classical RK4 step of the population ODE, every stage and
+    every RHS value a new array, the RHS one matmul x @ [M | C | E_S | E_I
+    beta]: the fine-step reference the exponential forward step is
+    checked against."""
     gen, d = Generator.of(p, u), p.d
     n, j = 2 * d, np.arange(d)
     w = np.zeros((n, 5 * d))

@@ -207,7 +207,8 @@ TURNPIKE_K = 1.1
 # The quadratic term moves the local decay rate by beta_11 |x - x*| / omega
 # ~ 6e-5 (relative) over the fit, far below this and 100x below a 0.9 omega rate.
 TURNPIKE_RATE_RTOL = 1e-3
-# Fit nodes stop at this deviation, above the RK4 round-off floor (~1e-13).
+# Fit nodes stop at this deviation, above the ETDRK4 round-off floor: the
+# fixture's forward path reaches the fixed point of its step 1.09e-13 from x*.
 TURNPIKE_FIT_FLOOR = 1e-8
 
 

@@ -889,6 +889,35 @@ def test_turnpike_rates_past_rk4_stability_refused_at_validation(tmp_path, key, 
     assert main(["solve", str(write_config(tmp_path, data)), "--validate-only"]) == 1
 
 
+#: one number of configs/p0_simulate.json pushed to an extreme: a rate (the
+#: first entry of a vector or matrix) or the horizon of the 5000-step grid
+EXTREME_SIMULATE = [(key, value) for key in ("lambda", "q_plus", "q_minus", "beta", "t_end")
+                    for value in (1e20, 2.0**60)]
+
+
+@pytest.mark.parametrize("key, value", EXTREME_SIMULATE,
+                         ids=lambda v: f"{v:g}" if isinstance(v, float) else v)
+def test_simulate_config_that_validates_also_solves(tmp_path, key, value):
+    # the exponential step solves the decisions exactly, so a huge lambda runs;
+    # a huge slow rate or step is past classical RK4's real stability bound
+    # and is refused at the grid, where the solve would leave the simplex
+    # after every step halving
+    data = json.loads((REPO_CONFIGS / "p0_simulate.json").read_text())
+    if key == "t_end":
+        data["simulate"]["grid"]["t_end"] = value
+    elif key == "lambda":
+        data["model"]["lambda"] = value
+    elif key == "beta":
+        data["model"]["beta"][0][0] = value
+    else:
+        data["model"][key][0] = value
+    path = str(write_config(tmp_path, data))
+    status = main(["solve", path, "--validate-only"])
+    assert status == (0 if key == "lambda" else 1)
+    if status == 0:
+        assert main(["solve", path, "--out", str(tmp_path / "out")]) == 0
+
+
 #: one step holds no node of the mid-horizon window
 ONE_STEP = "holds no node of a 1-step grid: a turnpike needs n_steps >= 2"
 

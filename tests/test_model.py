@@ -106,9 +106,8 @@ def test_kinetic_absorbing_state_no_pressure():
         w_I=np.array([2.0]),
         w_S=np.array([1.0]),
     )
-    u = StationaryControl.single(1, 0)
-    rhs = kinetic_rhs_fn(stub, u)(np.array([0.0, 1.0]))
-    assert np.all(rhs == 0.0)
+    net = kinetic_rhs_fn(stub)(np.array([0.0, 1.0]), np.empty(1))
+    assert np.all(net == 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,8 +118,9 @@ def test_kinetic_mass_conservation(seed):
     # The exact RHS sums to 0, as the generator's rows do.  In floats three
     # roundings leave a residue (Higham, "Accuracy and Stability of Numerical
     # Algorithms", Lemma 3.1, gamma_k = k u / (1 - k u)):
-    # - each of the 2d decision columns of x @ W is a 2d-term dot product,
-    #   off by <= gamma_2d sum_s |x_s| |M_sk|, and sum_k |M_sk| <= 2 lam;
+    # - each decision flow lam x_s enters a sum of at most 2d flows at its
+    #   target, off by <= gamma_2d of those flows, and leaves its source
+    #   with one more rounding, so the decisions add <= (gamma_2d + u) lam |x|_1;
     # - the exchange term goes onto jI and off jS with one rounding each, and
     #   the 2d-term sum adds gamma_(2d-1) sum_k |rhs_k|.
     # On the simplex |rhs|_1 <= 2 R |x|_1 with R the total rate below, so
@@ -169,9 +169,10 @@ def test_kinetic_jacobian_matches_central_differences(seed):
 @settings(max_examples=200, deadline=None)
 @given(seeds)
 def test_one_point_product_matches_generator_forward_and_oracle(seed):
-    # the one-matmul product of kinetic_rhs_fn against the flow form and the
-    # dense oracle: lam log-uniform up to 1e6, d up to 5, per-state targets,
-    # states on the simplex and (as RK4 stages meet) off it
+    # the one-matmul exchange of kinetic_rhs_fn, with the decisions x @ M the
+    # exponential step solves, against the flow form and the dense oracle:
+    # lam log-uniform up to 1e6, d up to 5, per-state targets, states on the
+    # simplex and (as ETDRK4 stages meet) off it
     rng = rng_of(seed)
     d = int(rng.integers(1, 6))
     w_S = rng.uniform(0.0, 4.0, d)
@@ -181,21 +182,25 @@ def test_one_point_product_matches_generator_forward_and_oracle(seed):
                     w_I=w_S + rng.uniform(0.1, 3.0, d), w_S=w_S)
     u = random_control(rng, d)
     x = random_state(rng, d).x + rng.normal(scale=0.1, size=2 * d) * rng.integers(0, 2)
-    product = kinetic_rhs_fn(p, u)(x)
+    gen = Generator.of(p, u)
+    net = kinetic_rhs_fn(p)(x, np.empty(d))
+    product = x @ gen.decisions
+    product[0::2] += net
+    product[1::2] -= net
     bound = 16.0 * np.finfo(float).eps * max(1.0, p.lam) * np.max(np.abs(x))
-    for ref in (Generator.of(p, u).forward(x), oracle_kinetic_rhs(p, u)(x)):
+    for ref in (gen.forward(x), oracle_kinetic_rhs(p, u)(x)):
         assert np.max(np.abs(product - ref)) <= bound
 
 
 def test_kinetic_closure_keeps_what_it_returned(p0):
-    # the closure computes in buffers of its own: a later call, with or
-    # without an output array, leaves an earlier result as it was
-    rhs = kinetic_rhs_fn(p0, StationaryControl.single(2, 0))
+    # the closure computes in a buffer of its own and writes only the output
+    # array it is given: a later call leaves an earlier result as it was
+    rhs = kinetic_rhs_fn(p0)
     x, z = MixedState.uniform(2).x, np.array([0.1, 0.2, 0.3, 0.4])
-    first = rhs(x)
+    first = rhs(x, np.empty(2))
     kept = first.copy()
-    out = np.empty(4)
-    assert rhs(z, out) is out and rhs(z) is not first
+    out = np.empty(2)
+    assert rhs(z, out) is out
     assert first.tobytes() == kept.tobytes()
     assert rhs(x, out).tobytes() == kept.tobytes()
     assert out.tobytes() == kept.tobytes() and first.tobytes() == kept.tobytes()

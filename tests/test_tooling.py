@@ -62,23 +62,28 @@ def test_trace_sees_one_reference_integration_with_its_steps(p0):
 def test_trace_counts_every_forward_rhs_evaluation(p0):
     # perfbench counts model.kinetic_rhs_evals through the closures that
     # kinetic_rhs_fn returns, so a forward path that stops calling them would
-    # read 0; one classical RK4 step is four evaluations
+    # read 0; one ETDRK4 step is four evaluations, and the first interval is
+    # the graded opening's substeps
     from sismfg import MixedState, StationaryControl, TimeGrid, integrate_forward
+    from sismfg.dynamics import graded_opening
 
+    grid = TimeGrid(0.0, 2.0, 500)
     rec = spans.Recorder()
     with spans.traced(rec):
-        integrate_forward(p0, MixedState.uniform(2), StationaryControl.single(2, 0),
-                          TimeGrid(0.0, 2.0, 2000))
-    assert rec.counts[spans.RHS_EVALS] == 4 * 2000
+        integrate_forward(p0, MixedState.uniform(2), StationaryControl.single(2, 0), grid)
+    opening = len(graded_opening(grid.h, p0.lam))
+    assert opening > 1
+    assert rec.counts[spans.RHS_EVALS] == 4 * (grid.n_steps - 1 + opening)
 
 
 def test_trace_counts_only_the_forward_steps_taken(p0):
     # from uniform at h = 0.02 the path reaches its step map's fixed point
     # mid-horizon; integrate_forward stops stepping there, and the count
-    # is four evaluations per step it took
+    # is four evaluations per step it took, the opening's substeps included
     import numpy as np
 
     from sismfg import MixedState, StationaryControl, TimeGrid, integrate_forward
+    from sismfg.dynamics import graded_opening
 
     grid = TimeGrid(0.0, 60.0, 3000)
     rec = spans.Recorder()
@@ -87,4 +92,4 @@ def test_trace_counts_only_the_forward_steps_taken(p0):
     bits = path.view(np.int64)
     taken = int(np.argmax(np.all(bits[1:] == bits[:-1], axis=1))) + 1  # first repeating node
     assert taken < grid.n_steps
-    assert rec.counts[spans.RHS_EVALS] == 4 * taken
+    assert rec.counts[spans.RHS_EVALS] == 4 * (taken - 1 + len(graded_opening(grid.h, p0.lam)))

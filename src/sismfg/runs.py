@@ -11,14 +11,17 @@ step count of the LLN reference).  The manifest is written even when the
 run fails.  Numeric artifacts are deterministic functions of (config,
 seed): JSON keys are sorted and sweep rows are emitted in grid order, so
 identical runs produce byte-identical numeric files (manifest timestamps
-excluded).
+excluded).  Every JSON artifact (``_write_json``) is one line with sorted
+keys, written by json's C encoder; ``python -m json.tool FILE``
+pretty-prints it.
 
 Tables (``_write_table``) take rows of Python numbers and strings, or the
 float and integer columns of a number table (``_Columns``).  In a CSV
 table a float carries 17 significant digits (round-trip exact); a number
-table is written ROW_CHUNK rows at a time, with one %-format per chunk in
-which a column constant over the chunk is literal text (``_Columns``), in
-the bytes of formatting every cell.  In a JSON
+table is written ROW_CHUNK rows at a time, with one row format per chunk
+in which a column constant over the chunk is literal text, repeated over
+FORMAT_ROWS rows per % (``_Columns``), in the bytes of formatting every
+cell.  In a JSON
 table a cell is a JSON number typed by its column (float columns hold
 floats; counts, N and the flags hold integers); a non-finite float
 (``inf``) and an empty cell are strings.
@@ -49,6 +52,7 @@ from .stationary import (
     EnumerationResult,
     EquilibriumSolution,
     candidate_controls,
+    candidate_pairs,
     enumerate_equilibria,
     solve_points,
 )
@@ -76,7 +80,9 @@ def _state_labels(d: int, prefix: str) -> list[str]:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """One line with sorted keys: without ``indent`` json takes its C
+    encoder (``python -m json.tool`` pretty-prints the file)."""
+    path.write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
 #: the CSV cell rule by numpy dtype kind: a float carries 17 significant
@@ -151,18 +157,31 @@ def _equilibrium_json(sol: EquilibriumSolution) -> dict:
     }
 
 
-def _enumeration_json(result: EnumerationResult) -> dict:
+def _candidate_controls_json(d: int) -> list[dict]:
+    """``_control_json`` of each control of ``candidate_controls(d)``, built
+    from the pairs of ``candidate_pairs(d)``."""
+    cand_i, cand_k = candidate_pairs(d)
+    return [
+        {"label": f"single({i})" if i == k else f"mixed({i},{k})",
+         "target_I": [i] * d, "target_S": [k] * d}
+        for i, k in zip((cand_i + 1).tolist(), (cand_k + 1).tolist())
+    ]
+
+
+def _enumeration_json(result: EnumerationResult, d: int) -> dict:
+    """The equilibria and every candidate's report; the reports come in the
+    order of ``candidate_pairs(d)``."""
     return {
         "equilibria": [_equilibrium_json(s) for s in result.equilibria],
         "candidates": [
             {
-                "control": _control_json(r.control),
+                "control": control,
                 "status": r.status,
                 "min_margin": r.min_margin,
                 "residual": r.residual,
                 "detail": r.detail,
             }
-            for r in result.reports
+            for control, r in zip(_candidate_controls_json(d), result.reports)
         ],
     }
 
@@ -170,7 +189,7 @@ def _enumeration_json(result: EnumerationResult) -> dict:
 def run_equilibria(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:
     result = enumerate_equilibria(cfg.model)
     path = out_dir / "equilibria.json"
-    _write_json(path, _enumeration_json(result))
+    _write_json(path, _enumeration_json(result, cfg.model.d))
     summary = {
         "n_equilibria": len(result.equilibria),
         "controls": [s.control.label() for s in result.equilibria],
@@ -190,6 +209,11 @@ def run_simulate(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], d
 #: rows converted to Python objects, or written, at a time when a table of
 #: columns is written
 ROW_CHUNK = 256
+#: rows of a chunk formatted by one %: one % over a whole chunk of the
+#: 43-column turnpike table (about 240 kB of text) raised the turnpike
+#: benchmark's peak RSS from 43.4 to 45.2 MiB; 32 rows (about 30 kB) kept
+#: it at 43.1 MiB
+FORMAT_ROWS = 32
 
 
 class _Columns:
@@ -214,12 +238,15 @@ class _Columns:
             yield from np.concatenate(chunk, axis=1).tolist()
 
     def csv_text(self, delimiter: str, terminator: str):
-        """The CSV rows, one string per chunk of ROW_CHUNK rows, each row
-        its columns' cell rules joined.  A column whose bits are the same
-        over the whole chunk (so -0.0 and +0.0 differ) is formatted once,
-        as literal text in that chunk's row format (a formatted number holds
-        no '%' to escape): the stalled tail of a trajectory, a state that
-        holds its count.  The bytes are those of formatting every cell."""
+        """The CSV rows, one string per FORMAT_ROWS rows, each row its
+        columns' cell rules joined.  A column whose bits are the same over
+        a whole chunk of ROW_CHUNK rows (so -0.0 and +0.0 differ) is
+        formatted once, as literal text in that chunk's row format (a
+        formatted number holds no '%' to escape): the stalled tail of a
+        trajectory, a state that holds its count.  FORMAT_ROWS rows are one
+        %: the row format repeated over them, applied to their varying
+        cells in row order.  The bytes are those of formatting every
+        cell."""
         for start in range(0, self.blocks[0].shape[0], ROW_CHUNK):
             chunk = [b[start:start + ROW_CHUNK] for b in self.blocks]
             const = [np.all(c.view(f"u{c.itemsize}") == c[:1].view(f"u{c.itemsize}"), axis=0)
@@ -229,7 +256,9 @@ class _Columns:
                      for f, v, k in zip(self.formats, first, np.concatenate(const).tolist())]
             row_format = delimiter.join(cells) + terminator
             rows = np.concatenate([c[:, ~k].astype(object) for c, k in zip(chunk, const)], axis=1)
-            yield "".join([row_format % tuple(r) for r in rows.tolist()])
+            for m in range(0, rows.shape[0], FORMAT_ROWS):
+                part = rows[m:m + FORMAT_ROWS]
+                yield row_format * part.shape[0] % tuple(part.ravel().tolist())
 
 
 def run_turnpike(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, Path], dict]:

@@ -17,7 +17,12 @@ from sismfg.config import BLOCKS, parse_config_dict
 from sismfg.dynamics import GRID_BUDGET, TimeGrid, default_grid, stationary_anchor
 from sismfg.model import MixedState, ModelParams, ValueVector
 from sismfg.runs import ROW_CHUNK, _Columns, _write_table, fmt
-from sismfg.stationary import enumerate_equilibria, fixed_point_mixed, fixed_point_single
+from sismfg.stationary import (
+    candidate_controls,
+    enumerate_equilibria,
+    fixed_point_mixed,
+    fixed_point_single,
+)
 
 from conftest import P0, oracle_csv_table
 
@@ -386,8 +391,18 @@ def test_equilibria_run_writes_table(tmp_path):
     assert (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_candidate_control_blocks_match_the_controls(d):
+    # built from candidate_pairs, the blocks read as the controls' own
+    assert runs._candidate_controls_json(d) == [
+        {"label": u.label(), "target_I": (u.target_I + 1).tolist(),
+         "target_S": (u.target_S + 1).tolist()}
+        for u in candidate_controls(d)
+    ]
+
+
 def test_row_format_writer_matches_csv_module(tmp_path):
-    # one %-format per row against the csv module cell by cell, on the
+    # the %-format writer against the csv module cell by cell, on the
     # floats and integers whose text is easiest to get wrong
     floats = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
                        1e-310, 1.0 / 3.0, -1e300, 0.1, 20000.0])
@@ -1066,6 +1081,40 @@ def test_every_run_kind_has_a_shipped_config_and_a_runner(tmp_path, monkeypatch,
     monkeypatch.setattr(runs, f"run_{run}", stub)
     run_scenario(cfg, tmp_path / "stub")
     assert called == [run]
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("path", sorted(REPO_CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_json_artifacts_are_strict_json_of_the_built_objects(tmp_path, monkeypatch, path):
+    # each shipped config as written, then shortened with its tables as JSON:
+    # every JSON file is one line of strict JSON that parses to the object
+    # the runner built, floats exact
+    built = {}
+    write_json = runs._write_json
+
+    def recording(file, obj):
+        built[file] = obj
+        write_json(file, obj)
+
+    monkeypatch.setattr(runs, "_write_json", recording)
+    data = json.loads(path.read_text())
+    run_scenario(parse_config_dict(data), tmp_path / "shipped")
+    data.get(data["run"], {}).update(SHORT_RUNS.get(data["run"], {}))
+    data["output"] = {"format": "json"}
+    run_scenario(parse_config_dict(data), tmp_path / "json_tables")
+    files = sorted(tmp_path.rglob("*.json"))
+    assert files == sorted(built)
+    for file in files:
+        text = file.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n"), file
+        assert _strict_json(text) == built[file], file
 
 
 def test_manifest_echoes_scenario_with_seed_in_force(tmp_path):

@@ -466,6 +466,14 @@ def test_enumerate_deterministic_order(p0):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_enumerate_reports_in_candidate_pairs_order(d):
+    # equilibria.json takes each report's control block from candidate_pairs
+    p = random_params(np.random.default_rng(2700 + d), d)
+    pairs = [r.control.as_pair() for r in enumerate_equilibria(p).reports]
+    assert pairs == list(zip(*(a.tolist() for a in stationary.candidate_pairs(d))))
+
+
 def assert_mixed_states_on_simplex(p):
     """Every mixed candidate of p has its fixed point on the simplex."""
     for i in range(p.d):

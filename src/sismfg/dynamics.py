@@ -6,13 +6,18 @@ Every forward path (``simulate``, ``turnpike`` and the LLN reference of
 2002): x Q(x) is split as x @ M + N(x), with M the constant generator of
 the decisions (``model.Generator.decisions``), whose e^{hM} and
 phi_1..phi_3(hM) come from one scaling-and-squaring exponential per step
-size, so the step follows the slow rates instead of lam.  A stage
-evaluates N with one call of ``model.kinetic_rhs_fn`` (one matmul), into
-buffers allocated once per integration, and each node is checked once,
-by its min and its sum: it is clipped only when an entry is <= 0, and
-retried with halved substeps only when it leaves the simplex by more than
-STEP_REJECT_TOL.  The backward value equation takes classical RK4 steps;
-lam sets its stiffness (``check_turnpike_grid``).
+size, so the step follows the slow rates instead of lam.  Every stage
+state is a linear image of x and the exchanges before it, so a step keeps
+one stage buffer [x | Y_x | Y_a | Y_b | Y_c] of x and each stage's
+exchange slot, allocated once per integration: a stage is one call of a
+``model.kinetic_rhs_fn`` closure (one matmul of a prefix of the buffer
+into its slot with the stage's map composed with the exchange weights,
+and one multiply), and the step's result is one matmul of the buffer
+(``etdrk4_operators``).  Each node is checked once, by its min and its
+sum: it is clipped only when an entry is <= 0, and retried with halved
+substeps only when it leaves the simplex by more than STEP_REJECT_TOL.
+The backward value equation takes classical RK4 steps; lam sets its
+stiffness (``check_turnpike_grid``).
 
 Under the frozen control a regular forward step (grid step h, with its
 halvings, clipping and renormalization) is a fixed map of the node alone,
@@ -20,7 +25,7 @@ so once node m + 1 repeats node m bit for bit, every later node repeats
 it too: ``integrate_forward`` stops stepping there and fills the rest of
 the path with that node.  A long turnpike or simulate horizon reaches this
 fixed point of its discrete flow (P0 under all-to-1 from the uniform state
-at h = 0.0025: node 11429 of 20000, t = 28.57), and the path is the one
+at h = 0.0025: node 11001 of 20000, t = 27.50), and the path is the one
 full stepping gives, to the bit.
 
 Under a frozen control the value equation is linear, so its RK4 step is
@@ -178,42 +183,55 @@ def phi_functions(a: np.ndarray, order: int) -> list[np.ndarray]:
 
 
 class EtdOperators(NamedTuple):
-    """ETDRK4 operators of one step size h for x' = x @ M + net(x) @ S, S the
-    scatter of each strategy's net exchange onto +jI, -jS, stacked so that
-    each product of a step is one matmul (phi_k = phi_k(hM)):
-      e2    [e^{hM/2} | e^{hM}], both stochastic;
-      ph    S (h/2) phi_1(hM/2);
-      wc    [e^{hM/2}; -ph; 0; 2 ph]: [a | N_x | N_a | N_b] @ wc is the
-            third stage a e^{hM/2} + (2 N_b - N_x) ph;
-      wend  S h (phi_1 - 3 phi_2 + 4 phi_3), S 2h (phi_2 - 2 phi_3) twice,
-            S h (4 phi_3 - phi_2): [N_x | N_a | N_b | N_c] @ wend is the
-            step's stage sum."""
+    """ETDRK4 operators of one step size h for x' = x @ M + N(x) @ S (S the
+    scatter of each strategy's net exchange onto +jI, -jS), acting on the
+    stage buffer z = [x | Y_x | Y_a | Y_b | Y_c] of ``_etdrk4_step_fn``.
 
-    e2: np.ndarray
-    ph: np.ndarray
-    wc: np.ndarray
-    wend: np.ndarray
+    Y_y = [Y_C | Y_S | Y_beta] is the exchange slot of a stage state y:
+    y @ W, W the ``model.Generator.exchange_weights``, with Y_S multiplied
+    by Y_beta in place, so that N(y) = Y_C + Y_S.  With E = e^{hM/2} and
+    P = S (h/2) phi_1(hM/2), every stage state is a linear image of what z
+    already holds:
+        a = x E + N(x) P,   b = x E + N(a) P,
+        c = a E + (2 N(b) - N(x)) P = x e^{hM} + N(x) (P E - P) + 2 N(b) P.
+    stages[k] is that map composed with W (stages[0] is W), so stage k
+    writes z[:2d + 3dk] @ stages[k] into its slot.  z @ end is the step's
+    result: e^{hM} on x, and on the slots of x, a, b and c
+    S h (phi_1 - 3 phi_2 + 4 phi_3), S 2h (phi_2 - 2 phi_3) twice and
+    S h (4 phi_3 - phi_2), phi_k = phi_k(hM).  A map puts the same rows on
+    a slot's Y_C and Y_S and zeros on its Y_beta, and zeros on a slot it
+    does not read."""
+
+    stages: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    end: np.ndarray
 
 
-def etdrk4_operators(m: np.ndarray, h: float) -> EtdOperators:
+def etdrk4_operators(m: np.ndarray, w: np.ndarray, h: float) -> EtdOperators:
     """The operators of step h for the decision generator m (rows sum to
-    zero).
+    zero) and the exchange weights w.
 
     The rows of both exponentials are renormalized to sum to one: each
     squaring of ``_expm`` doubles their roundoff, which would otherwise
     reach 1e-11 at lam * h = 5000."""
-    scatter = np.kron(np.eye(m.shape[0] // 2), [1.0, -1.0])  # net of strategy j -> +jI, -jS
+    d = w.shape[0] // 2
+    scatter = np.kron(np.eye(d), [1.0, -1.0])  # net of strategy j -> +jI, -jS
     e_half, p1_half = phi_functions(0.5 * h * m, 1)
     e, p1, p2, p3 = phi_functions(h * m, 3)
     e_half = e_half / e_half.sum(axis=1, keepdims=True)
+    e = e / e.sum(axis=1, keepdims=True)
     ph = scatter @ (0.5 * h * p1_half)
-    w23 = scatter @ (2.0 * h * (p2 - 2.0 * p3))
+    skip = np.zeros((3 * d, 3 * d))  # a stage slot the map does not read
+
+    def net(p: np.ndarray) -> np.ndarray:  # the rows of one Y that give N @ p
+        return np.vstack([p, p, np.zeros_like(p)])
+
+    x_half, n_half = e_half @ w, net(ph @ w)  # a and b: x E + N P
+    w23 = net(scatter @ (2.0 * h * (p2 - 2.0 * p3)))
     return EtdOperators(
-        e2=np.hstack([e_half, e / e.sum(axis=1, keepdims=True)]),
-        ph=ph,
-        wc=np.vstack([e_half, -ph, np.zeros_like(ph), 2.0 * ph]),
-        wend=np.vstack([scatter @ (h * (p1 - 3.0 * p2 + 4.0 * p3)), w23, w23,
-                        scatter @ (h * (4.0 * p3 - p2))]),
+        stages=(w, np.vstack([x_half, n_half]), np.vstack([x_half, skip, n_half]),
+                np.vstack([e @ w, net((ph @ e_half - ph) @ w), skip, 2.0 * n_half])),
+        end=np.vstack([e, net(scatter @ (h * (p1 - 3.0 * p2 + 4.0 * p3))), w23, w23,
+                       net(scatter @ (h * (4.0 * p3 - p2)))]),
     )
 
 
@@ -221,35 +239,36 @@ def _etdrk4_step_fn(p: ModelParams, u: StationaryControl):
     """Cox-Matthews ETDRK4 step x, h -> x(t + h) of the population ODE split
     as x' = x @ M + N(x): M the generator of the decisions under u
     (``model.Generator.decisions``), N the net exchange of each strategy
-    (``model.kinetic_rhs_fn``, one matmul per stage) scattered +/- onto the
-    I/S states.  The decisions are solved exactly, so the step need only
-    follow the slow infection and recovery rates.  The operators are
-    computed once per step size and kept; the stages live in buffers
-    allocated once, and the step writes its result into one of two buffers,
-    never the one x is."""
-    m, n, d = Generator.of(p, u).decisions, p.n_states, p.d
-    exchange = kinetic_rhs_fn(p)
+    scattered +/- onto the I/S states.  The decisions are solved exactly,
+    so the step need only follow the slow infection and recovery rates.
+
+    The step copies x into its stage buffer z = [x | Y_x | Y_a | Y_b | Y_c]
+    (``EtdOperators``), evaluates each stage with one call of a
+    ``model.kinetic_rhs_fn`` closure, one matmul of a prefix of z into the
+    stage's slot and one multiply, and takes its result as one matmul of z.
+    The operators are computed once per step size and kept; z is allocated
+    once, and the step writes its result into one of two buffers, never the
+    one x is."""
+    gen, n, d = Generator.of(p, u), p.n_states, p.d
+    m, w = gen.decisions, gen.exchange_weights
     ops: dict[float, EtdOperators] = {}
-    xe, b, c = np.empty(2 * n), np.empty(n), np.empty(n)
-    xe_half, xe_full = xe[:n], xe[n:]
-    z = np.empty(n + 4 * d)  # [a | N_x | N_a | N_b | N_c]
-    a, head, nets = z[:n], z[:n + 3 * d], z[n:]
-    n_x, n_a, n_b, n_c = (z[n + k * d:n + (k + 1) * d] for k in range(4))
+    z = np.empty(n + 12 * d)
+    z_x, z_a, z_b, z_c = (z[:n + 3 * k * d] for k in range(4))  # the prefix each stage reads
+    stage_x, stage_a, stage_b, stage_c = (
+        kinetic_rhs_fn(z[n + 3 * k * d:n + 3 * (k + 1) * d]) for k in range(4))
     outs = (np.empty(n), np.empty(n))
 
     def step(x: np.ndarray, h: float) -> np.ndarray:
         if h not in ops:
-            ops[h] = etdrk4_operators(m, h)
-        e2, ph, wc, wend = ops[h]
+            ops[h] = etdrk4_operators(m, w, h)
+        (w_x, w_a, w_b, w_c), end = ops[h]
         out = outs[x is outs[0]]
-        exchange(x, n_x)
-        np.matmul(x, e2, xe)
-        np.add(xe_half, np.matmul(n_x, ph, a), a)
-        exchange(a, n_a)
-        np.add(xe_half, np.matmul(n_a, ph, b), b)
-        exchange(b, n_b)
-        exchange(np.matmul(head, wc, c), n_c)
-        return np.add(xe_full, np.matmul(nets, wend, out), out)
+        z_x[...] = x
+        stage_x(z_x, w_x)
+        stage_a(z_a, w_a)
+        stage_b(z_b, w_b)
+        stage_c(z_c, w_c)
+        return np.matmul(z, end, out)
 
     return step
 

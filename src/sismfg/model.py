@@ -16,8 +16,9 @@ uses:
   - the population ODE right-hand side x Q(x) (``Generator.forward`` in
     flow form; ``kinetic_rhs``), its exact Jacobian, and its split into
     the constant generator of the decisions and the exchange for the
-    exponential integrator (at one point ``kinetic_rhs_fn`` compiles the
-    exchange into one matmul),
+    exponential integrator (``Generator.exchange_weights`` writes the
+    exchange as one matmul, and at one point ``kinetic_rhs_fn`` compiles a
+    stage of it),
   - Q(x) g, and with it the backward right-hand side of the discounted
     optimal-cost equation (``Generator.value_rhs``; ``hjb_rhs_fn`` and
     ``hjb_rhs``), where the Hamiltonian puts the explicit strategy minimum
@@ -443,6 +444,22 @@ class Generator:
         m[..., np.arange(n), np.arange(n)] -= self.decide
         return m
 
+    @property
+    def exchange_weights(self) -> np.ndarray:
+        """The exchange as one matmul: x @ W = [y_C | y_S | y_beta] with
+        W = [C | E_S | E_I beta] of shape (2d, 3d), C the linear part of
+        each strategy's exchange (-q_plus on row jI, q_minus on row jS), E_S
+        picking the susceptible shares and E_I beta the peer sums, so the
+        ``exchange`` is y_C + y_S y_beta."""
+        d = self.q_plus.shape[-1]
+        j = np.arange(d)
+        w = np.zeros(self.q_plus.shape[:-1] + (2 * d, 3 * d))
+        w[..., 2 * j, j] = -self.q_plus
+        w[..., 2 * j + 1, j] = self.q_minus
+        w[..., 2 * j + 1, d + j] = 1.0
+        w[..., 0::2, 2 * d:] = self.beta
+        return w
+
     def exchange(self, x: np.ndarray) -> np.ndarray:
         """Net flow over each strategy's compartment edges, jS -> jI (pressure
         and peer) minus jI -> jS (recovery): x_jS q~_j - x_jI q_plus_j with
@@ -512,33 +529,31 @@ class Generator:
         return [(f, t, k, f // 2 if k == PEER else r) for f, t, k, r in table if t != f]
 
 
-def kinetic_rhs_fn(p: ModelParams) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Compiled-once exchange of the population RHS at one point: the RHS is
-    x Q(x) = x M + N(x), with M the decisions (``Generator.decisions``) and
-    N each strategy's net exchange (``Generator.exchange``) put onto jI and
-    taken off jS.  The exponential forward step solves the decisions
-    exactly and evaluates the exchange once per stage
-    (``dynamics.integrate_forward``), here for one state vector x by one
-    matmul y = x @ [C | E_S | E_I beta]: C the linear part (-q_plus on row
-    jI, q_minus on row jS), E_S and E_I beta the susceptible shares and the
-    peer sums, and the exchange y_C + y_S y_beta.
+def kinetic_rhs_fn(y: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Compiled-once exchange stage of the population RHS at one point,
+    writing into its slot y of 3d entries.  The RHS is x Q(x) = x M + N(x),
+    with M the decisions (``Generator.decisions``) and N each strategy's net
+    exchange (``Generator.exchange``) put onto jI and taken off jS.  The
+    exponential forward step solves the decisions exactly and evaluates the
+    exchange once per stage (``dynamics.integrate_forward``), each stage
+    through one of these closures.
 
-    The closure ``exchange(x, out)`` writes the d entries into ``out`` and
-    returns it; y lives in a buffer of the closure."""
-    d, j = p.d, np.arange(p.d)
-    w = np.zeros((2 * d, 3 * d))
-    w[2 * j, j] = -p.q_plus
-    w[2 * j + 1, j] = p.q_minus
-    w[2 * j + 1, d + j] = 1.0
-    w[0::2, 2 * d:] = p.beta
-    y = np.empty(3 * d)
-    y_C, y_S, y_beta = y[:d], y[d:2 * d], y[2 * d:]
+    The closure ``stage(z, w)`` writes y = z @ w and then y_S <- y_S y_beta
+    in place, and returns y = [y_C | y_S | y_beta]: the exchange is
+    y_C + y_S, left as two terms for the next matmul to sum.  With w the
+    ``Generator.exchange_weights`` W, z is a state x; the forward step
+    passes a prefix of its stage buffer and W composed with the linear map
+    that builds the stage's state from it (``dynamics.etdrk4_operators``).
+    y's thirds are sliced once, here."""
+    d = y.size // 3
+    y_S, y_beta = y[d:2 * d], y[2 * d:]
 
-    def exchange(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.matmul(x, w, y)
-        return np.add(y_C, np.multiply(y_S, y_beta, out), out)
+    def stage(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        np.matmul(z, w, y)
+        np.multiply(y_S, y_beta, y_S)
+        return y
 
-    return exchange
+    return stage
 
 
 def kinetic_rhs(p: ModelParams, x: MixedState, u: StationaryControl) -> np.ndarray:

@@ -4,8 +4,9 @@ The oracles here are deliberately independent of the library's solution
 paths: quadratic roots come from bisection, stationary values from a
 generically assembled dense linear solve, the population generator and
 the value equation from state-by-state assembly, Jacobians from central
-differences, and reference trajectories from a plain fine-step Euler loop
-or a fine-step classical RK4 loop.  Where a sweep was made faster with
+differences, and reference trajectories from a plain fine-step Euler loop,
+a fine-step classical RK4 loop, or the exponential step unfused, stage
+state by stage state.  Where a sweep was made faster with
 the same bits (the backward sweep that stops at its fixed point), the
 code it replaced is kept here as a regression oracle, matched bit for bit.
 """
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from sismfg import MixedState, ModelParams, StationaryControl, ValueVector
-from sismfg.dynamics import step_pattern, sweep_block
+from sismfg.dynamics import phi_functions, step_pattern, sweep_block
 from sismfg.model import Generator, hjb_rhs_fn
 
 # the reference d=2 scenario used across the suite
@@ -272,6 +273,42 @@ def oracle_rk4_forward_step(p: ModelParams, u: StationaryControl):
         k3 = rhs(x + 0.5 * h * k2)
         k4 = rhs(x + h * k3)
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
+
+
+def oracle_etdrk4_step(p: ModelParams, u: StationaryControl):
+    """x, h -> one Cox-Matthews ETDRK4 step of the population ODE x' = x M +
+    N(x), unfused: e^{hM/2}, e^{hM} (rows renormalized to sum to one, as
+    the library does) and phi_1..phi_3 come from ``phi_functions``, kept per
+    step size; N(y) is ``Generator.exchange`` put onto jI and taken off jS;
+    and the stage states a, b, c are materialised, every value a new array.
+    The reference the fused step is checked against."""
+    gen = Generator.of(p, u)
+    ops = {}
+
+    def scattered(y):
+        out = np.empty(y.size)
+        out[0::2] = gen.exchange(y)
+        out[1::2] = -out[0::2]
+        return out
+
+    def step(x, h):
+        if h not in ops:
+            e_half, p1_half = phi_functions(0.5 * h * gen.decisions, 1)
+            e, p1, p2, p3 = phi_functions(h * gen.decisions, 3)
+            ops[h] = (e_half / e_half.sum(axis=1, keepdims=True), 0.5 * h * p1_half,
+                      e / e.sum(axis=1, keepdims=True), h * (p1 - 3.0 * p2 + 4.0 * p3),
+                      2.0 * h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2))
+        e_half, ph, e, f1, f2, f3 = ops[h]
+        n_x = scattered(x)
+        a = x @ e_half + n_x @ ph
+        n_a = scattered(a)
+        b = x @ e_half + n_a @ ph
+        n_b = scattered(b)
+        c = a @ e_half + (2.0 * n_b - n_x) @ ph
+        n_c = scattered(c)
+        return x @ e + n_x @ f1 + (n_a + n_b) @ f2 + n_c @ f3
 
     return step
 

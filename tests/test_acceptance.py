@@ -208,7 +208,7 @@ TURNPIKE_K = 1.1
 # ~ 6e-5 (relative) over the fit, far below this and 100x below a 0.9 omega rate.
 TURNPIKE_RATE_RTOL = 1e-3
 # Fit nodes stop at this deviation, above the ETDRK4 round-off floor: the
-# fixture's forward path reaches the fixed point of its step 1.09e-13 from x*.
+# fixture's forward path reaches the fixed point of its step 9.7e-14 from x*.
 TURNPIKE_FIT_FLOOR = 1e-8
 
 

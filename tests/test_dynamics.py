@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sismfg import (
     MixedState,
@@ -24,6 +26,7 @@ from sismfg import dynamics
 from sismfg.config import parse_config_dict
 from sismfg.dynamics import (
     MAX_HALVINGS,
+    RK4_REAL_STABILITY,
     STEP_REJECT_TOL,
     argmin_flags,
     cone_flags,
@@ -56,6 +59,7 @@ from conftest import (
     P0_GAP,
     oracle_backward_blocked,
     oracle_backward_fixed,
+    oracle_etdrk4_step,
     oracle_euler_path,
     oracle_gap_closed_form,
     oracle_rk4_forward_step,
@@ -327,12 +331,55 @@ def test_etdrk4_matches_fine_rk4_d3_draw():
 def test_migration_propagator_is_stochastic(lam):
     p = _p0_at(lam)
     for u in (SINGLE1, StationaryControl.mixed(2, 0, 1), EXPLICIT_D2):
-        m = Generator.of(p, u).decisions
+        gen = Generator.of(p, u)
         for h in (1e-7, 0.1 / lam, ETD_STEP, 0.5):
-            e2 = etdrk4_operators(m, h).e2
-            for e in (e2[:, :4], e2[:, 4:]):
+            for step in (0.5 * h, h):  # e^{hM} heads the stage sum, on x
+                e = etdrk4_operators(gen.decisions, gen.exchange_weights, step).end[:4]
                 assert np.max(np.abs(e.sum(axis=1) - 1.0)) <= 1e-14
                 assert e.min() >= -1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.25, 2.78, 100.0]))
+def test_fused_step_matches_unfused_oracle(seed, h_lam):
+    # d up to 5, per-state targets, lam log-uniform up to 1e6 (raised where
+    # needed so that h times the slow rate stays within the bound the config
+    # layer enforces, ``check_forward_grid``), states on the simplex and off
+    # it.  The fused step and the oracle share e^{hM/2}, e^{hM} and the phi's
+    # bit for bit (the same ``phi_functions`` calls), so lam enters neither
+    # difference; they differ in the order of their sums only, the fused step
+    # composing each stage's linear map with W before it multiplies.  Every
+    # entry of the result sums propagator terms, of size at most |x|_1, and
+    # exchange terms, of size about h rate |x|_1 at stage states of size
+    # |x|_1, each rounded a few times: a few eps |x|_1 max(1, h rate) in
+    # all.  The bound allows 16; 3000 draws came within 2.1.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 6))
+    w_S = rng.uniform(0.0, 4.0, d)
+    q_plus, q_minus = rng.uniform(0.05, 2.0, d), rng.uniform(0.05, 2.0, d)
+    beta = rng.uniform(0.0, 0.5, (d, d))
+    rate = float(np.max(q_plus + q_minus + beta.max(axis=0)))
+    lam = max(float(10.0 ** rng.uniform(0.0, 6.0)), h_lam * rate / RK4_REAL_STABILITY)
+    p = ModelParams(d=d, lam=lam, delta=0.1, q_plus=q_plus, q_minus=q_minus, beta=beta,
+                    w_I=w_S + rng.uniform(0.1, 3.0, d), w_S=w_S)
+    u = random_control(rng, d)
+    x = random_state(rng, d).x + rng.normal(scale=0.1, size=2 * d) * rng.integers(0, 2)
+    h = h_lam / lam
+    got = dynamics._etdrk4_step_fn(p, u)(x, h)
+    want = oracle_etdrk4_step(p, u)(x, h)
+    bound = 16.0 * np.finfo(float).eps * np.abs(x).sum() * max(1.0, h * rate)
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("seed", [1001, 1002])
+def test_fused_path_matches_unfused_oracle_on_turnpike_workload(monkeypatch, seed):
+    # the whole forward sweep, opening, halvings and fixed-point stop
+    # included, with the unfused step in place of the fused one; the two
+    # stop at different nodes, each a fixed point of its own step
+    p, u, grid, _, x_path = _workload_turnpike(seed)
+    monkeypatch.setattr(dynamics, "_etdrk4_step_fn", oracle_etdrk4_step)
+    oracle_path = integrate_forward(p, MixedState(x_path[0]), u, grid)
+    assert np.max(np.abs(x_path - oracle_path)) <= 1e-12
 
 
 def test_phi_functions_against_series():

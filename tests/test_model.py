@@ -106,8 +106,8 @@ def test_kinetic_absorbing_state_no_pressure():
         w_I=np.array([2.0]),
         w_S=np.array([1.0]),
     )
-    net = kinetic_rhs_fn(stub)(np.array([0.0, 1.0]), np.empty(1))
-    assert np.all(net == 0.0)
+    y = kinetic_rhs_fn(np.empty(3))(np.array([0.0, 1.0]), Generator.of(stub).exchange_weights)
+    assert np.all(y[:1] + y[1:2] == 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,7 +183,8 @@ def test_one_point_product_matches_generator_forward_and_oracle(seed):
     u = random_control(rng, d)
     x = random_state(rng, d).x + rng.normal(scale=0.1, size=2 * d) * rng.integers(0, 2)
     gen = Generator.of(p, u)
-    net = kinetic_rhs_fn(p)(x, np.empty(d))
+    y = kinetic_rhs_fn(np.empty(3 * d))(x, gen.exchange_weights)
+    net = y[:d] + y[d:2 * d]
     product = x @ gen.decisions
     product[0::2] += net
     product[1::2] -= net
@@ -192,18 +193,26 @@ def test_one_point_product_matches_generator_forward_and_oracle(seed):
         assert np.max(np.abs(product - ref)) <= bound
 
 
-def test_kinetic_closure_keeps_what_it_returned(p0):
-    # the closure computes in a buffer of its own and writes only the output
-    # array it is given: a later call leaves an earlier result as it was
-    rhs = kinetic_rhs_fn(p0)
-    x, z = MixedState.uniform(2).x, np.array([0.1, 0.2, 0.3, 0.4])
-    first = rhs(x, np.empty(2))
-    kept = first.copy()
-    out = np.empty(2)
-    assert rhs(z, out) is out
-    assert first.tobytes() == kept.tobytes()
-    assert rhs(x, out).tobytes() == kept.tobytes()
-    assert out.tobytes() == kept.tobytes() and first.tobytes() == kept.tobytes()
+def test_kinetic_stage_writes_only_its_slot(p0):
+    # the forward step keeps the state and its stage slots side by side in
+    # one buffer: a stage writes y = z @ w into its own slot, multiplies y_S
+    # by y_beta there, and leaves the state and every other slot as they were
+    w = Generator.of(p0).exchange_weights
+    z = np.zeros(4 + 2 * 6)
+    z[:4] = MixedState.uniform(2).x
+    slot_a, slot_b = z[4:10], z[10:16]
+    stage_a, stage_b = kinetic_rhs_fn(slot_a), kinetic_rhs_fn(slot_b)
+    want = z[:4] @ w
+    want[2:4] *= want[4:6]
+    assert stage_a(z[:4], w) is slot_a
+    assert slot_a.tobytes() == want.tobytes() and not slot_b.any()
+    kept = z[:10].copy()
+    # slot_b reads the state and slot_a: z[:4] @ w + slot_a, then the multiply
+    assert stage_b(z[:10], np.vstack([w, np.eye(6)])) is slot_b
+    assert z[:10].tobytes() == kept.tobytes()
+    sums = z[:4] @ w + slot_a
+    sums[2:4] *= sums[4:6]
+    assert np.allclose(slot_b, sums, rtol=1e-15, atol=0.0)
 
 
 def test_kinetic_vanishes_at_p0_fixed_point(p0):

@@ -10,8 +10,6 @@ from .model import (
     ValueVector,
     best_response,
     consistency_residual,
-    hjb_rhs,
-    kinetic_rhs,
 )
 from .stationary import (
     ConsistencyMargins,
@@ -47,8 +45,6 @@ __all__ = [
     "MixedState",
     "StationaryControl",
     "ValueVector",
-    "kinetic_rhs",
-    "hjb_rhs",
     "best_response",
     "consistency_residual",
     "fixed_point_single",

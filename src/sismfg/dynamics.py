@@ -32,8 +32,9 @@ Under a frozen control the value equation is linear, so its RK4 step is
 an affine map g -> g + D_m g + r_m.  ``integrate_backward`` builds these
 maps for a block of steps at once, by stepping a few probe vectors (a
 column coloring of D_m's sparsity pattern, which ``step_pattern`` reads
-off the control), and then runs the sequential recursion with one sparse
-update per node.  Switch rates are computed per block of steps, so the
+off the control) through ``model.Generator.value_rhs`` of the frozen
+control, and then runs the sequential recursion with one sparse update
+per node.  Switch rates are computed per block of steps, so the
 sweep's working memory is bounded by ``stationary.ENTRY_BUDGET`` whatever
 the number of steps.  Where the forward path has stopped at its fixed
 point, every step is one map, built once, and the stretch is stepped in
@@ -72,7 +73,6 @@ from .model import (
     ValueVector,
     _check_dims,
     best_response_margins,
-    hjb_rhs_fn,
     kinetic_rhs_fn,
     margin_summary,
     state_targets,
@@ -444,18 +444,19 @@ def _affine_steps(D: np.ndarray, r: np.ndarray, idx: np.ndarray, g: np.ndarray,
     return 0
 
 
-def _step_maps(rhs, switch_rates, pattern: StepPattern, x_nodes: np.ndarray, h: float):
+def _step_maps(gen: Generator, pattern: StepPattern, x_nodes: np.ndarray, h: float):
     """D[m] and r[m] of the fixed-control steps from node m + 1 to node m of
     x_nodes, read off one classical RK4 step of every ``step_pattern`` probe
-    over every step at once: the states on the first axis, switch rates
+    over every step at once, with the switch rates and the value RHS of the
+    one-point generator gen: the states on the first axis, switch rates
     c[s, 0, m] and probes g[s, probe, 0]."""
-    c = switch_rates(x_nodes).T[:, None].copy()
-    c_mid = switch_rates(0.5 * (x_nodes[:-1] + x_nodes[1:])).T[:, None].copy()
+    c = gen.switch_rates(x_nodes).T[:, None].copy()
+    c_mid = gen.switch_rates(0.5 * (x_nodes[:-1] + x_nodes[1:])).T[:, None].copy()
     g = pattern.probes[:, :, None]
-    k1 = rhs(c[..., 1:], g)
-    k2 = rhs(c_mid, g + 0.5 * h * k1)
-    k3 = rhs(c_mid, g + 0.5 * h * k2)
-    k4 = rhs(c[..., :-1], g + h * k3)
+    k1 = gen.value_rhs(c[..., 1:], g)
+    k2 = gen.value_rhs(c_mid, g + 0.5 * h * k1)
+    k3 = gen.value_rhs(c_mid, g + 0.5 * h * k2)
+    k4 = gen.value_rhs(c[..., :-1], g + h * k3)
     maps = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # maps[s, probe, m]
     r = maps[:, -1]
     D = maps[np.arange(x_nodes.shape[1]), pattern.color] - r  # D[k, s, m]
@@ -502,22 +503,20 @@ def integrate_backward(
     _check_dims(p, gT, u)
     if x_path.shape != (grid.n_steps + 1, p.n_states):
         raise ValueError("x_path does not match the grid")
-    rhs = hjb_rhs_fn(p, u)
-    h, top = grid.h, grid.n_steps
-    switch_rates = Generator.of(p).switch_rates
+    gen, h, top = Generator.of(p, u), grid.h, grid.n_steps
     pattern = step_pattern(u)
     block = sweep_block(p.n_states, pattern.probes.shape[1])
     g_path = np.empty_like(x_path)
     g = g_path[top] = gT.g
     stall = _stall_start(x_path, block)
     if stall < top:  # the last step's map, a view for every step of the stall
-        maps = _step_maps(rhs, switch_rates, pattern, x_path[top - 1:], h)
+        maps = _step_maps(gen, pattern, x_path[top - 1:], h)
         D, r = (np.broadcast_to(a, (top - stall, *a.shape[1:])) for a in maps)
         _affine_steps(D, r, pattern.idx, g, g_path[stall:top], stalled=True)
         g, top = g_path[stall], stall
     for top in range(top, 0, -block):  # steps lo..top-1, nodes lo..top
         lo = max(0, top - block)
-        D, r = _step_maps(rhs, switch_rates, pattern, x_path[lo:top + 1], h)
+        D, r = _step_maps(gen, pattern, x_path[lo:top + 1], h)
         _affine_steps(D, r, pattern.idx, g, g_path[lo:top])
         g = g_path[lo]
     return g_path
@@ -735,8 +734,22 @@ def check_forward_grid(p: ModelParams, grid: TimeGrid) -> None:
     every step until the path leaves the simplex.  So h * rate with
         rate = max_j (q_plus_j + q_minus_j + max_k beta_kj)
     must not exceed RK4_REAL_STABILITY; lam does not enter.
+
+    lam enters the step's float range instead.  ``graded_opening`` takes
+    2^k with k = ceil(log2(h lam / 0.1)), and ``_expm`` 2^s with
+    s = ceil(log2(|hM|_1 / 0.5)), where |M|_1 <= d lam: a column of M holds
+    lam from each of at most d states of one compartment.  Both powers must
+    stay finite, at most 2^1023 (``np.finfo(float).maxexp`` - 1), so h lam
+    must not exceed min(0.1, 0.5 / d) 2^1023.
     """
     _require_rk4_stable(p, grid.h, 0.0, "slow rate", "forward sweep")
+    top = min(0.1, 0.5 / p.d) * 2.0 ** (np.finfo(float).maxexp - 1)
+    if grid.h * p.lam > top:
+        raise ValueError(
+            f"step {grid.h:.4g} times lam {p.lam:.4g} is {grid.h * p.lam:.4g}, past "
+            f"{top:.4g}: the forward sweep's opening substeps and exponentials would "
+            f"overflow"
+        )
 
 
 def _require_rk4_stable(p: ModelParams, h: float, fast: float, what: str, sweep: str) -> None:

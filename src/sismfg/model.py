@@ -14,15 +14,13 @@ pressure and recovery rates, Q_k the peer edges jS -> jI at beta[k, j].
 points of a ``ParamStack``, and reads off it every product the package
 uses:
   - the population ODE right-hand side x Q(x) (``Generator.forward`` in
-    flow form; ``kinetic_rhs``), its exact Jacobian, and its split into
-    the constant generator of the decisions and the exchange for the
-    exponential integrator (``Generator.exchange_weights`` writes the
-    exchange as one matmul, and at one point ``kinetic_rhs_fn`` compiles a
-    stage of it),
-  - Q(x) g, and with it the backward right-hand side of the discounted
-    optimal-cost equation (``Generator.value_rhs``; ``hjb_rhs_fn`` and
-    ``hjb_rhs``), where the Hamiltonian puts the explicit strategy minimum
-    in place of the values at the targets,
+    flow form), its exact Jacobian, and its split into the constant
+    generator of the decisions and the exchange for the exponential
+    integrator (``Generator.exchange_weights`` writes the exchange as one
+    matmul, and at one point ``kinetic_rhs_fn`` compiles a stage of it),
+  - Q(x) g under the generator's own control, and with it the backward
+    right-hand side of the discounted optimal-cost equation
+    (``Generator.value_rhs``),
   - the channel table of the N-agent jump chain.
 It also provides the parameter / state / control / value containers with
 their invariants, ``ParamStack`` (the constants of many parameter points
@@ -503,21 +501,21 @@ class Generator:
         qt = effective_infection(self, x[..., 0::2])
         return _interleave(np.broadcast_to(self.q_plus, qt.shape), qt)
 
-    def backward(self, c: np.ndarray, g: np.ndarray, best: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, c: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Q(x) g row by row, lam (g(target) - g) + c (g(s') - g), at the
-        switch rates c (``switch_rates`` as columns, broadcasting against g).
-        ``best`` replaces g at the targets: the strategy minimum makes this
-        the Hamiltonian."""
-        if best is None:
-            best = (g[self.target] if self.target.ndim == 1
-                    else np.take_along_axis(g, self.target.T, axis=0))
-        return self.lam * (best - g) + c * (g[np.arange(g.shape[0]) ^ 1] - g)
+        switch rates c (``switch_rates`` as columns, broadcasting against g)."""
+        at_target = (g[self.target] if self.target.ndim == 1
+                     else np.take_along_axis(g, self.target.T, axis=0))
+        return self.lam * (at_target - g) + c * (g[np.arange(g.shape[0]) ^ 1] - g)
 
-    def value_rhs(self, c: np.ndarray, g: np.ndarray, best: np.ndarray | None = None) -> np.ndarray:
-        """Backward-time RHS of the discounted value equation,
-        ``backward`` + w - delta g; a stationary value vector gives zero."""
+    def value_rhs(self, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Backward-time RHS dg/dtau (tau the time to the horizon) of the
+        discounted value equation, ``backward`` + w - delta g; a stationary
+        value vector gives zero.  g is one value vector, or many stacked
+        along trailing axes with the states on the first axis, as the
+        backward sweep's probes are."""
         w = self.w.reshape(self.w.shape + (1,) * (g.ndim - self.w.ndim))
-        return self.backward(c, g, best) + w - self.delta * g
+        return self.backward(c, g) + w - self.delta * g
 
     def channels(self) -> list[tuple[int, int, int, float]]:
         """The channel table of the N-agent jump chain at one point: (from,
@@ -554,46 +552,6 @@ def kinetic_rhs_fn(y: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarr
         return y
 
     return stage
-
-
-def kinetic_rhs(p: ModelParams, x: MixedState, u: StationaryControl) -> np.ndarray:
-    """Rate of change of the population state under common control u."""
-    _check_dims(p, x, u)
-    return Generator.of(p, u).forward(x.x)
-
-
-def hjb_rhs_fn(
-    p: ModelParams, u: StationaryControl | None
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Compiled-once backward-time value RHS dg/dtau (tau = time to horizon).
-
-    The returned ``rhs(c, g)`` takes the switch rates c
-    (``Generator.switch_rates``) and evaluates ``Generator.value_rhs``:
-    under u the generator's own backward product, with u=None the
-    Hamiltonian, where each state decides for the strategy minimum of g
-    over its compartment.  g is one value vector, or many stacked along
-    trailing axes with the states on the first axis (g[s, ...], so every
-    gather is numpy's plain row index); c broadcasts against it.
-    """
-    gen = Generator.of(p, u)
-    if u is not None:
-        return gen.value_rhs
-    parity = np.arange(2 * p.d) % 2
-
-    def rhs(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return gen.value_rhs(c, g, g.reshape(-1, 2, *g.shape[1:]).min(axis=0)[parity])
-
-    return rhs
-
-
-def hjb_rhs(p: ModelParams, x: MixedState, g: ValueVector) -> np.ndarray:
-    """Backward-time RHS of the discounted value equation, explicit minimum.
-
-    Returns dg/dtau with tau the time to the horizon; a stationary value
-    vector therefore gives the zero vector.
-    """
-    _check_dims(p, x, g)
-    return hjb_rhs_fn(p, None)(Generator.of(p).switch_rates(x.x), g.g)
 
 
 def best_response(g: ValueVector) -> tuple[StationaryControl, bool]:

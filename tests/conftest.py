@@ -24,7 +24,7 @@ import pytest
 
 from sismfg import MixedState, ModelParams, StationaryControl, ValueVector
 from sismfg.dynamics import phi_functions, step_pattern, sweep_block
-from sismfg.model import Generator, hjb_rhs_fn
+from sismfg.model import Generator
 
 # the reference d=2 scenario used across the suite
 P0 = dict(
@@ -319,11 +319,11 @@ def oracle_backward_blocked(p: ModelParams, gT: ValueVector, x_path: np.ndarray,
     fixed point: every block of ``sweep_block`` steps from the top down
     steps the ``step_pattern`` probes, reads the maps g -> g + D_m g + r_m
     off them and runs one sparse update per node, over the whole grid."""
-    rhs = hjb_rhs_fn(p, u)
+    gen = Generator.of(p, u)
+    rhs, switch_rates = gen.value_rhs, gen.switch_rates
     idx, color, probes = step_pattern(u)
     block = sweep_block(p.n_states, probes.shape[1])
     h, n_steps = grid.h, grid.n_steps
-    switch_rates = Generator.of(p).switch_rates
     g_path = np.empty_like(x_path)
     g = g_path[n_steps] = gT.g
     terms = np.empty(idx.shape)

@@ -27,7 +27,7 @@ from sismfg import (
 )
 from sismfg.config import parse_config_dict
 from sismfg.dynamics import MID_WINDOW_TRIM
-from sismfg.model import ModelParams
+from sismfg.model import Generator, ModelParams
 from sismfg.runs import run_scenario
 from sismfg.stationary import (
     consistency_single,
@@ -38,7 +38,6 @@ from sismfg.stationary import (
     hjb_single_exact,
     stability_single,
 )
-from sismfg.model import kinetic_rhs
 
 from conftest import (
     P0,
@@ -85,7 +84,7 @@ def draw_certificates():
             worst["quadratic"] = max(
                 worst["quadratic"], abs(a * x_star * x_star + b * x_star + c)
             )
-            rhs = kinetic_rhs(p, state, StationaryControl.single(p.d, i))
+            rhs = Generator.of(p, StationaryControl.single(p.d, i)).forward(state.x)
             worst["kinetic_single"] = max(worst["kinetic_single"], np.max(np.abs(rhs)))
             rep = stability_single(p, i, x_star)
             dense = _oracle_spectrum(p, StationaryControl.single(p.d, i), state.x)
@@ -101,7 +100,7 @@ def draw_certificates():
                     continue
                 if x.x_I(k) != x.x_S(i):
                     worst["identity_violations"] += 1
-                rhs = kinetic_rhs(p, x, StationaryControl.mixed(p.d, i, k))
+                rhs = Generator.of(p, StationaryControl.mixed(p.d, i, k)).forward(x.x)
                 worst["kinetic_mixed"] = max(worst["kinetic_mixed"], np.max(np.abs(rhs)))
     return worst
 

@@ -933,6 +933,30 @@ def test_simulate_config_that_validates_also_solves(tmp_path, key, value):
         assert main(["solve", path, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("lam, n_steps, status", [
+    (1e306, 5, 1), (1e307, 5, 1), (1e308, 5, 1),  # h = 10
+    (1e305, 5, 0), (1e308, 5000, 0),  # h lam = 1e306 at h = 10 and at h = 0.01
+], ids=["1e306-h10", "1e307-h10", "1e308-h10", "1e305-h10", "1e308-h0.01"])
+def test_simulate_step_times_lambda_past_float_range_refused(tmp_path, lam, n_steps, status):
+    # past h lam = 0.1 * 2^1023 the opening substeps' 2^k overflows (an
+    # OverflowError from graded_opening once solving); slow rates of 1e-3
+    # and no peers keep the grid within classical RK4's stability bound
+    data = json.loads((REPO_CONFIGS / "p0_simulate.json").read_text())
+    data["model"].update({"lambda": lam, "q_plus": [1e-3, 1e-3], "q_minus": [1e-3, 1e-3],
+                          "beta": [[0.0, 0.0], [0.0, 0.0]]})
+    data["simulate"]["grid"]["n_steps"] = n_steps
+    path = str(write_config(tmp_path, data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", path, "--validate-only"]) == status
+        if status == 0:
+            assert main(["solve", path, "--out", str(tmp_path / "out")]) == 0
+    if status == 1:
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(data)
+        assert [e.split(": ")[0] for e in err.value.errors] == ["simulate.grid"]
+
+
 #: one step holds no node of the mid-horizon window
 ONE_STEP = "holds no node of a 1-step grid: a turnpike needs n_steps >= 2"
 

@@ -42,7 +42,6 @@ from sismfg.model import (
     ParamStack,
     best_response,
     best_response_margins,
-    hjb_rhs_fn,
 )
 from sismfg.stationary import (
     ENTRY_BUDGET,
@@ -623,7 +622,8 @@ def test_backward_frozen_coefficients_matches_matrix_exponential():
     x_path = np.tile(x.x, (grid.n_steps + 1, 1))
     u = StationaryControl.single(2, 0)
     g_path = integrate_backward(p, gT, x_path, u, grid)
-    rhs, c = hjb_rhs_fn(p, u), Generator.of(p).switch_rates(x.x)
+    gen = Generator.of(p, u)
+    rhs, c = gen.value_rhs, gen.switch_rates(x.x)
     b = rhs(c, np.zeros(4))
     A = np.column_stack([rhs(c, e) - b for e in np.eye(4)])
     w, V = np.linalg.eig(A)

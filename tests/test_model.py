@@ -15,10 +15,8 @@ from sismfg import (
     ValueVector,
     best_response,
     consistency_residual,
-    hjb_rhs,
-    kinetic_rhs,
 )
-from sismfg.model import PEER, Generator, ParamStack, hjb_rhs_fn, kinetic_rhs_fn, state_targets
+from sismfg.model import PEER, Generator, ParamStack, kinetic_rhs_fn, state_targets
 from sismfg.stationary import fixed_point_single, hjb_single_exact
 
 from conftest import (
@@ -27,6 +25,7 @@ from conftest import (
     oracle_kinetic_jacobian,
     oracle_kinetic_rhs,
     oracle_stationary_values,
+    oracle_value_rhs,
     oracle_xstar,
     random_control,
     random_params,
@@ -90,7 +89,7 @@ def test_tilde_rates_dominate_base_rates(p0):
 
 
 # ---------------------------------------------------------------------------
-# kinetic_rhs
+# the population RHS
 
 
 def test_kinetic_absorbing_state_no_pressure():
@@ -132,7 +131,7 @@ def test_kinetic_mass_conservation(seed):
     rates = p.lam + p.q_plus.sum() + p.q_minus.sum() + p.beta.sum()
     k = 4 * p.d
     gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
-    assert abs(kinetic_rhs(p, x, u).sum()) <= 2 * gamma * rates * np.abs(x.x).sum()
+    assert abs(Generator.of(p, u).forward(x.x).sum()) <= 2 * gamma * rates * np.abs(x.x).sum()
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,7 +144,7 @@ def test_kinetic_positivity_on_boundary(seed):
     kill = rng.integers(0, 2 * p.d, size=max(1, p.d))
     x_arr[kill] = 0.0
     x = MixedState(x_arr / x_arr.sum())
-    rhs = kinetic_rhs(p, x, u)
+    rhs = Generator.of(p, u).forward(x.x)
     assert np.all(rhs[x.x == 0.0] >= 0.0)
 
 
@@ -221,17 +220,17 @@ def test_kinetic_vanishes_at_p0_fixed_point(p0):
     # the spec-level rounded value must also certify to 1e-4
     for share in (x_star, 0.54951):
         x = MixedState([share, 1.0 - share, 0.0, 0.0])
-        rhs = kinetic_rhs(p0, x, StationaryControl.single(2, 0))
+        rhs = Generator.of(p0, StationaryControl.single(2, 0)).forward(x.x)
         assert np.max(np.abs(rhs)) <= 1e-4
 
 
-def test_kinetic_dimension_mismatch(p0):
+def test_generator_refuses_control_of_another_dimension(p0):
     with pytest.raises(ValueError, match="dimension"):
-        kinetic_rhs(p0, MixedState.uniform(3), StationaryControl.single(3, 0))
+        Generator.of(p0, StationaryControl.single(3, 0))
 
 
 # ---------------------------------------------------------------------------
-# hjb_rhs
+# the value RHS
 
 
 def test_hjb_constant_values_flat_costs():
@@ -247,17 +246,20 @@ def test_hjb_constant_values_flat_costs():
         w_S=np.full(2, 3.25),
     )
     g = np.full(4, 11.0)
-    out = hjb_rhs_fn(stub, None)(Generator.of(stub).switch_rates(np.zeros(4)), g)
-    assert np.all(out == 3.25)
+    u = StationaryControl.single(2, 0)  # the best response to constant values
+    gen = Generator.of(stub, u)
+    assert np.all(gen.value_rhs(gen.switch_rates(np.zeros(4)), g) == 3.25)
     stub.w_I = stub.w_S = np.zeros(2)
-    assert np.all(hjb_rhs_fn(stub, None)(Generator.of(stub).switch_rates(np.zeros(4)), g) == 0.0)
+    gen = Generator.of(stub, u)
+    assert np.all(gen.value_rhs(gen.switch_rates(np.zeros(4)), g) == 0.0)
 
 
 def test_hjb_constant_values_admissible_costs():
     p = ModelParams(d=2, lam=7.0, delta=0.0, q_plus=[0.5, 0.6], q_minus=[0.4, 0.3],
                     beta=np.zeros((2, 2)), w_I=[2.0, 3.0], w_S=[1.0, 1.5])
     g = ValueVector(np.full(4, 5.0))
-    out = hjb_rhs(p, MixedState.uniform(2), g)
+    gen = Generator.of(p, StationaryControl.single(2, 0))  # the best response to g
+    out = gen.value_rhs(gen.switch_rates(MixedState.uniform(2).x), g.g)
     assert np.allclose(out, [2.0, 1.0, 3.0, 1.5], atol=0, rtol=0)
 
 
@@ -266,7 +268,8 @@ def test_hjb_d1_reduces_to_scalar_pair():
                     beta=[[0.3]], w_I=[2.0], w_S=[0.5])
     x = MixedState([0.6, 0.4])
     g = ValueVector([3.0, 1.0])
-    out = hjb_rhs(p, x, g)
+    gen = Generator.of(p, StationaryControl.single(1, 0))  # the only control at d = 1
+    out = gen.value_rhs(gen.switch_rates(x.x), g.g)
     q_tilde = 0.4 + 0.3 * 0.6
     expect_I = 0.7 * (1.0 - 3.0) + 2.0 - 0.2 * 3.0
     expect_S = q_tilde * (3.0 - 1.0) + 0.5 - 0.2 * 1.0
@@ -275,8 +278,10 @@ def test_hjb_d1_reduces_to_scalar_pair():
 
 def test_hjb_stationary_at_p0(p0):
     x_star, x = fixed_point_single(p0, 0)
-    g = ValueVector(oracle_stationary_values(p0, StationaryControl.single(2, 0), x))
-    assert np.max(np.abs(hjb_rhs(p0, x, g))) <= 1e-9
+    u = StationaryControl.single(2, 0)
+    g = ValueVector(oracle_stationary_values(p0, u, x))
+    gen = Generator.of(p0, u)
+    assert np.max(np.abs(gen.value_rhs(gen.switch_rates(x.x), g.g))) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,9 +292,13 @@ def test_hjb_fixed_control_matches_explicit_min_at_best_response(seed):
     x = random_state(rng, p.d)
     g = ValueVector(rng.normal(size=2 * p.d))
     u, _ = best_response(g)
-    explicit = hjb_rhs(p, x, g)
-    expanded = hjb_rhs_fn(p, u)(Generator.of(p).switch_rates(x.x), g.g)
-    assert np.array_equal(explicit, expanded)
+    gen = Generator.of(p, u)
+    c = gen.switch_rates(x.x)
+    expanded = gen.value_rhs(c, g.g)
+    explicit = oracle_value_rhs(p, None, x.infected, g.g)  # each state at the strategy minimum
+    # the same sums in the same order; only the peer sums in c may round apart
+    largest = max((p.lam + c.max()) * np.ptp(g.g), np.abs(gen.w).max(), p.delta * np.abs(g.g).max())
+    assert np.max(np.abs(explicit - expanded)) <= 4.0 * np.finfo(float).eps * largest
 
 
 def test_hjb_rhs_stacked_values_equal_one_by_one():
@@ -299,8 +308,8 @@ def test_hjb_rhs_stacked_values_equal_one_by_one():
         p = random_params(rng, d)
         c = Generator.of(p).switch_rates(rng.uniform(0.0, 0.5, (4, 2 * d)))  # one row per step
         g = rng.normal(size=(2 * d, 3, 4))  # g[:, k, m]: probe k at step m
-        for u in (None, StationaryControl.single(d, 0), random_control(rng, d)):
-            rhs = hjb_rhs_fn(p, u)
+        for u in (StationaryControl.single(d, 0), random_control(rng, d)):
+            rhs = Generator.of(p, u).value_rhs
             stacked = rhs(c.T[:, None], g)
             for k in range(3):
                 for m in range(4):

@@ -12,7 +12,6 @@ from sismfg import (
     ModelParams,
     StationaryControl,
     TimeGrid,
-    kinetic_rhs,
     lln_error,
     simulate_ctmc,
 )
@@ -82,7 +81,7 @@ def test_generator_drift_equals_kinetic_rhs():
             drift[frm] -= r
             drift[to] += r
         drift /= N
-        rhs = kinetic_rhs(p, counts.fractions(), u)
+        rhs = Generator.of(p, u).forward(counts.fractions().x)
         assert np.max(np.abs(drift - rhs)) <= 1e-12
 
 

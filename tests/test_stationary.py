@@ -17,12 +17,11 @@ from sismfg import (
     StationaryControl,
     best_response,
     consistency_residual,
-    kinetic_rhs,
 )
 from sismfg import stationary
 from sismfg.config import SweepAxis, sweep_grid
 from sismfg.dynamics import stationary_anchor
-from sismfg.model import SIMPLEX_TOL, ModelParams, ParamStack
+from sismfg.model import SIMPLEX_TOL, Generator, ModelParams, ParamStack
 from sismfg.stationary import (
     consistency_mixed,
     consistency_single,
@@ -99,7 +98,7 @@ def test_fixed_point_p0(p0):
     x_star, state = fixed_point_single(p0, 0)
     assert x_star == pytest.approx(oracle_xstar(p0, 0), abs=1e-9)
     assert x_star == pytest.approx(P0_XSTAR, abs=1e-15)
-    assert np.max(np.abs(kinetic_rhs(p0, state, StationaryControl.single(2, 0)))) <= 1e-10
+    assert np.max(np.abs(Generator.of(p0, StationaryControl.single(2, 0)).forward(state.x))) <= 1e-10
 
 
 def test_fixed_point_certificates_random_draws():
@@ -110,7 +109,7 @@ def test_fixed_point_certificates_random_draws():
             x_star, state = fixed_point_single(p, i)
             assert 0.0 < x_star < 1.0
             assert abs(quadratic_value(p, i, x_star)) <= 1e-12
-            rhs = kinetic_rhs(p, state, StationaryControl.single(p.d, i))
+            rhs = Generator.of(p, StationaryControl.single(p.d, i)).forward(state.x)
             assert np.max(np.abs(rhs)) <= 1e-10
 
 
@@ -292,7 +291,7 @@ def test_mixed_fixed_point_interaction_free_limit():
     x = fixed_point_mixed(p, 0, 1)
     # x_iI -> q_minus_k / (q_minus_k + q_plus_i) = 0.3 / 0.8
     assert x.x_I(0) == pytest.approx(0.375, abs=1e-5)
-    assert np.max(np.abs(kinetic_rhs(p, x, StationaryControl.mixed(2, 0, 1)))) <= 1e-12
+    assert np.max(np.abs(Generator.of(p, StationaryControl.mixed(2, 0, 1)).forward(x.x))) <= 1e-12
 
 
 def test_mixed_fixed_point_share_ratio_approaches_one(p0):
@@ -309,7 +308,7 @@ def test_mixed_fixed_point_forced_identity_and_residual(p0):
     x = fixed_point_mixed(p0, 0, 1)
     assert x.x_I(1) == x.x_S(0)  # exact, by construction
     u = StationaryControl.mixed(2, 0, 1)
-    assert np.max(np.abs(kinetic_rhs(p0, x, u))) <= 1e-12
+    assert np.max(np.abs(Generator.of(p0, u).forward(x.x))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
